@@ -70,13 +70,15 @@ def main(argv=None) -> None:
                 u[-1] = RIGHT_TEMP
             # Trade boundary cells with both neighbors; the rod's outer
             # ends stay pinned (non-periodic).
-            (left, right), steps = yield from halo_exchange(
-                ctx, rc, u[1:-1].tobytes(), HALO_BYTES, periodic=False)
+            sent = rc.sent
+            left, right = yield from rc.run(ctx, halo_exchange(
+                rc.rank, rc.size, u[1:-1].tobytes(), HALO_BYTES,
+                periodic=False))
             if left is not None:
                 u[0] = np.frombuffer(left, np.float64)[0]
             if right is not None:
                 u[-1] = np.frombuffer(right, np.float64)[0]
-            exchanges[rc.rank] += steps
+            exchanges[rc.rank] += rc.sent - sent
 
     handles = comm.launch(solver_kernel)
     cluster.sim.run_until_complete(*handles, limit=60.0)

@@ -6,8 +6,8 @@ Two invariants tie the N-node collectives back to the paper's measured
 * **step scaling** — every all-reduce schedule must complete in exactly
   its closed-form step count per rank: ``2*(N-1)`` for the ring,
   ``2*log2 N`` for recursive halving/doubling, ``log2 N`` sends for the
-  binomial tree (formulas shared with :mod:`repro.fabrics.collective`,
-  the canonical home of the schedule math).  The counts are *measured*
+  binomial tree (the closed forms of :mod:`repro.collectives.algorithms`,
+  next to the schedules they describe).  The counts are *measured*
   (each rank counts its sends), not assumed.
 * **per-step cost** — one all-reduce step is a msglib message: post a
   put, then detect arrival by polling device memory.  Its cost must stay
@@ -25,13 +25,9 @@ from typing import Dict, Sequence, Tuple
 
 from ..cluster import build_extoll_cluster
 from ..collectives import CollectiveMode, build_communicator, run_collective
-from ..collectives.bench import op_connectivity, op_max_payload
+from ..collectives.algorithms import expected_phases, expected_steps
+from ..collectives.bench import ALLREDUCE_OPS, op_connectivity, op_max_payload
 from ..core import ExtollMode, run_extoll_pingpong, setup_extoll_connection
-from ..fabrics.collective import expected_phases, expected_steps
-
-#: analysis op name -> the schedule key ``expected_steps`` understands.
-_OP_ALGORITHM = {"all-reduce": "ring", "all-reduce-rh": "rh",
-                 "all-reduce-tree": "tree"}
 
 
 def step_message_bytes(algorithm: str, nodes: int, size: int) -> int:
@@ -84,7 +80,7 @@ class ScalingPoint:
     nodes: int
     size: int
     steps: int                # measured sends per rank
-    expected_steps: int       # the schedule's closed form (see fabrics)
+    expected_steps: int       # the schedule's closed form
     latency: float            # one full all-reduce (seconds)
     step_latency: float       # latency / synchronous phase count
     baseline_one_way: float   # 2-node ping-pong one-way latency at the
@@ -129,13 +125,12 @@ def allreduce_scaling(node_counts: Sequence[int] = SCALING_NODES,
     """Measure one all-reduce schedule at every node count and pin each
     point to the 2-node ping-pong baseline.  ``algorithm`` selects the
     schedule (``ring``/``rh``/``tree``) and with it the closed-form step
-    expectation imported from :mod:`repro.fabrics.collective` — the
-    parameterized version of the old hard-coded ``2*(N-1)``."""
-    op = {v: k for k, v in _OP_ALGORITHM.items()}.get(algorithm)
+    expectation."""
+    op = {v: k for k, v in ALLREDUCE_OPS.items()}.get(algorithm)
     if op is None:
         raise ValueError(f"unknown all-reduce algorithm {algorithm!r} "
                          f"(choose from: "
-                         f"{', '.join(sorted(_OP_ALGORITHM.values()))})")
+                         f"{', '.join(sorted(ALLREDUCE_OPS.values()))})")
     baselines: Dict[int, float] = {}
     points = []
     for nodes in node_counts:

@@ -8,13 +8,15 @@ device-side RMA API of :mod:`repro.core.gpu_rma`, and the host-side API of
 
 * :mod:`~repro.collectives.comm` — :class:`Communicator` /
   :class:`RankComm`: ring channels, mode-dispatched send/recv.
-* :mod:`~repro.collectives.algorithms` — barrier, broadcast, all-gather,
-  ring all-reduce (``2*(N-1)`` steps), halo exchange.
+* :mod:`~repro.collectives.algorithms` — every collective schedule as a
+  transport-free op script: barrier, broadcast, all-gather, halo
+  exchange, and ring / recursive-halving / binomial-tree all-reduce, with
+  the reduction table and the schedules' closed forms.
 * :mod:`~repro.collectives.bench` — the measured driver behind
   ``python -m repro collectives``.
 """
 
-from .algorithms import all_gather, barrier, broadcast, halo_exchange, ring_all_reduce
+from .algorithms import all_gather, all_reduce, barrier, broadcast, halo_exchange
 from .bench import (
     OPS,
     CollectiveResult,
@@ -27,7 +29,7 @@ from .comm import CollectiveMode, Communicator, RankComm, collective_mode
 
 __all__ = [
     "CollectiveMode", "Communicator", "RankComm", "collective_mode",
-    "barrier", "broadcast", "all_gather", "ring_all_reduce", "halo_exchange",
+    "barrier", "broadcast", "all_gather", "all_reduce", "halo_exchange",
     "OPS", "CollectiveResult", "build_communicator", "run_collective",
     "sweep", "render_results",
 ]

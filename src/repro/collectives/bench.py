@@ -28,13 +28,17 @@ from ..cluster import Cluster, build_extoll_cluster
 from ..errors import BenchmarkError
 from ..core.results import BandwidthPoint, LatencyPoint
 from ..sim import NULL_SPAN, Simulator
-from .algorithms import (all_gather, barrier, broadcast, halo_exchange,
-                         rh_all_reduce, ring_all_reduce, tree_all_reduce)
+from .algorithms import (all_gather, all_reduce, barrier, broadcast,
+                         halo_exchange, max_message_bytes)
 from .comm import CollectiveMode, Communicator
 
 #: Operations understood by :func:`run_collective` and the CLI.
 OPS = ("barrier", "broadcast", "all-gather", "all-reduce", "all-reduce-rh",
        "all-reduce-tree", "halo")
+
+#: The all-reduce ops and the schedule each runs.
+ALLREDUCE_OPS = {"all-reduce": "ring", "all-reduce-rh": "rh",
+                 "all-reduce-tree": "tree"}
 
 #: Ops exchanging with ``rank ^ dist`` partners: need all-pairs channels.
 FULL_CONNECTIVITY_OPS = ("all-reduce-rh", "all-reduce-tree")
@@ -45,14 +49,11 @@ def op_connectivity(op: str) -> str:
 
 
 def op_max_payload(op: str, nodes: int, size: int) -> int:
-    """Largest single message ``op`` sends, for slot sizing.  The ring
-    schedules move one ``size``-byte chunk per step; recursive halving's
-    first exchange is half the ``nodes * size`` vector; the tree moves
-    the whole vector."""
-    if op == "all-reduce-rh":
-        return max(size, nodes * size // 2)
-    if op == "all-reduce-tree":
-        return nodes * size
+    """Largest single message ``op`` sends, for slot sizing: the
+    all-reduce closed form over the ``nodes * size`` vector, else the
+    ``size``-byte message every other schedule moves."""
+    if op in ALLREDUCE_OPS:
+        return max_message_bytes(ALLREDUCE_OPS[op], nodes, nodes * size)
     return size
 
 #: The barrier circulates a fixed 8-byte token regardless of ``--size``.
@@ -131,30 +132,18 @@ def build_communicator(num_nodes: int, size: int,
     return cluster, comm
 
 
-def _run_one(ctx, rc, op: str, size: int):
-    """One operation on one rank; returns ``(result, steps)``."""
+def _op_script(op: str, rank: int, nodes: int, size: int):
+    """One rank's op script for one ``op`` (validated as it is built)."""
     if op == "barrier":
-        steps = yield from barrier(ctx, rc)
-        return None, steps
+        return barrier(rank, nodes)
     if op == "broadcast":
-        data = pattern(0, size) if rc.rank == 0 else None
-        return (yield from broadcast(ctx, rc, data, root=0))
+        return broadcast(rank, nodes, pattern(0, size) if rank == 0 else None)
     if op == "all-gather":
-        return (yield from all_gather(ctx, rc, pattern(rc.rank, size)))
-    if op == "all-reduce":
-        return (yield from ring_all_reduce(ctx, rc,
-                                           vector(rc.rank, rc.size, size)))
-    if op == "all-reduce-rh":
-        return (yield from rh_all_reduce(ctx, rc,
-                                         vector(rc.rank, rc.size, size)))
-    if op == "all-reduce-tree":
-        return (yield from tree_all_reduce(ctx, rc,
-                                           vector(rc.rank, rc.size, size)))
+        return all_gather(rank, nodes, pattern(rank, size))
     if op == "halo":
-        return (yield from halo_exchange(ctx, rc,
-                                         pattern(rc.rank, 2 * size), size))
-    raise BenchmarkError(f"unknown collective op {op!r} "
-                         f"(choose from: {', '.join(OPS)})")
+        return halo_exchange(rank, nodes, pattern(rank, 2 * size), size)
+    return all_reduce(ALLREDUCE_OPS[op], rank, nodes,
+                      vector(rank, nodes, size))
 
 
 def _verify(op: str, nodes: int, size: int, finals: Dict[int, object]) -> bool:
@@ -169,7 +158,7 @@ def _verify(op: str, nodes: int, size: int, finals: Dict[int, object]) -> bool:
     if op == "all-gather":
         expected = [pattern(k, size) for k in range(nodes)]
         return all(finals[r] == expected for r in range(nodes))
-    if op in ("all-reduce", "all-reduce-rh", "all-reduce-tree"):
+    if op in ALLREDUCE_OPS:
         vectors = [vector(r, nodes, size) for r in range(nodes)]
         expected = [sum(col) for col in zip(*vectors)]
         # Small integers summed in float64: equality is exact, but the
@@ -204,18 +193,21 @@ def run_collective(cluster: Cluster, comm: Communicator, op: str, size: int,
     finals: Dict[int, object] = {}
     steps_seen: Dict[int, int] = {}
     trc = cluster.sim.tracer
+    # Every round's scripts are built, and so validated, before any event.
+    scripts = [[_op_script(op, rank, comm.size, size) for _ in range(total)]
+               for rank in range(comm.size)]
 
     def body(ctx, rc):
-        for i in range(1, total + 1):
+        for i, script in enumerate(scripts[rc.rank], 1):
             if rc.rank == 0 and i == warmup + 1:
                 timing.start = ctx.sim.now
             measured = trc.enabled and rc.rank == 0 and i > warmup
             span = (trc.begin("phase", op, track="collective", iter=i)
                     if measured else NULL_SPAN)
-            out, steps = yield from _run_one(ctx, rc, op, size)
+            sent = rc.sent
+            finals[rc.rank] = yield from rc.run(ctx, script)
             span.end()
-            finals[rc.rank] = out
-            steps_seen[rc.rank] = steps
+            steps_seen[rc.rank] = rc.sent - sent
         if rc.rank == 0:
             timing.end = ctx.sim.now
 

@@ -206,6 +206,7 @@ class RankComm:
         self.node = comm.cluster.node(rank)
         self.next = (rank + 1) % self.size
         self.prev = (rank - 1) % self.size
+        self.sent = 0           # messages sent by :meth:`run` scripts
         # One persistent cursor per queue: notification read pointers are
         # hardware state that survives across operations.
         self._req_cursors: Dict[int, NotificationCursor] = {}
@@ -237,6 +238,33 @@ class RankComm:
             cur = self._cmpl_cursors[peer] = NotificationCursor(
                 self.send_end(peer).port.completer_queue)
         return cur
+
+    # -- op-script interpreter ---------------------------------------------------
+    def run(self, ctx, script, send=None):
+        """Drive one op script (see :mod:`~repro.collectives.algorithms`)
+        on this rank and return its result.  ``send(ctx, peer, data)``
+        replaces :meth:`send` for transports that post differently."""
+        send = send or self.send
+        trc = ctx.sim.tracer
+        value = None
+        while True:
+            try:
+                op = script.send(value)
+            except StopIteration as stop:
+                return stop.value
+            kind = op[0]
+            value = None
+            if kind == "send":
+                self.sent += 1
+                yield from send(ctx, op[1], op[2])
+            elif kind == "recv":
+                value = yield from self.recv(ctx, op[1])
+            elif kind == "compute":
+                yield from self.compute(ctx, op[1])
+                if trc.wants("causal"):
+                    trc.flow_event("cmp", f"n{self.rank}", instr=op[1])
+            else:
+                raise BenchmarkError(f"unknown script op {kind!r}")
 
     # -- mode-dispatched primitives ----------------------------------------------
     def compute(self, ctx, amount: int):

@@ -11,8 +11,9 @@ tree / recursive-halving schedules win:
 * :mod:`~repro.fabrics.routing` — per-packet routing policies
   (dimension-order, up/down, minimal + Valiant/UGAL adaptive) on a
   :class:`~repro.network.RouterEndpoint` subclass,
-* :mod:`~repro.fabrics.collective` — packet-level ring / binomial-tree /
-  recursive-halving all-reduce schedules over :class:`FabricHost`s,
+* :mod:`~repro.fabrics.collective` — :class:`FabricHost`, the packet-level
+  interpreter that runs the ring / binomial-tree / recursive-halving
+  all-reduce scripts of :mod:`repro.collectives.algorithms`,
 * :mod:`~repro.fabrics.traffic` — permutation traffic for deadlock and
   congestion canaries,
 * :mod:`~repro.fabrics.sweep` — the ``python -m repro fabrics`` sweep

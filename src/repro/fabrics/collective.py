@@ -1,12 +1,17 @@
 """Packet-level collectives over a fabric: ring vs tree vs halving.
 
 Each rank is a :class:`FabricHost` — one process-level participant that
-sends tagged messages through its fabric attachment and demultiplexes
-arrivals into per-``(src, tag)`` queues (adaptive routing may reorder
-packets between the same pair, so matching is by tag, never arrival
-order).  Payloads are real ``struct``-packed float64 vectors and every
-reduction applies ``op(owned, incoming)`` in a fixed schedule order, so
-with integer-valued inputs all three algorithms produce **bit-exact**
+sends messages through its fabric attachment and demultiplexes arrivals
+by peer.  Adaptive routing may reorder packets between the same pair, so
+arrival order never decides a match: the k-th message a host sends to a
+peer carries ``k``, and the peer's k-th receive posted for that sender
+takes it (MPI's non-overtaking rule).
+
+The schedules themselves are the op scripts of
+:mod:`repro.collectives.algorithms`; :meth:`FabricHost.run` interprets
+them, ignoring ``compute`` (the fabric models the network only).
+Payloads are real ``struct``-packed float64 vectors, so with
+integer-valued inputs all three algorithms produce **bit-exact**
 identical results — the sweep's cross-algorithm verdict.
 
 The causal story: when the run's tracer wants the ``causal`` category,
@@ -18,25 +23,22 @@ fabric hops and blames ``blocked-on-credit`` where a credit gate stalled.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from ..collectives.algorithms import (ALLREDUCE_ALGORITHMS, REDUCE_OPS,
+                                      all_reduce, expected_phases,
+                                      expected_steps, pack)
 from ..errors import NetworkError
 from ..sim import AllOf, Simulator, Store
 from ..network.packet import Packet, PacketKind
 from .routing import FabricInstance
 
-#: Fabric message header (routing + tag + transport bookkeeping).
+#: Fabric message header (routing + match sequence + transport bookkeeping).
 FABRIC_HEADER = 32
 
-
-def _pack(values: List[float]) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
-
-
-def _unpack(blob: bytes) -> List[float]:
-    return list(struct.unpack(f"<{len(blob) // 8}d", blob))
+#: The all-reduce schedules the fabric runs (defined once, in algorithms).
+ALGORITHMS = ALLREDUCE_ALGORITHMS
 
 
 def fabric_vector(rank: int, n: int, elems: int) -> List[float]:
@@ -45,14 +47,8 @@ def fabric_vector(rank: int, n: int, elems: int) -> List[float]:
     return [float((13 * rank + 7 * i + 3) % 101) for i in range(elems)]
 
 
-REDUCE = {
-    "sum": lambda a, b: a + b,
-    "max": lambda a, b: a if a >= b else b,
-}
-
-
 class FabricHost:
-    """One rank's attachment to the fabric: tagged send/recv + demux."""
+    """One rank's attachment to the fabric: per-peer send/recv + demux."""
 
     def __init__(self, instance: FabricInstance, node_id: int) -> None:
         self.instance = instance
@@ -61,13 +57,15 @@ class FabricHost:
         self.attachment = instance.attachment(node_id)
         self._queues: Dict[Tuple[int, int], Store] = {}
         self._msg_seq = 0
+        self._sent_to: Dict[int, int] = {}     # dst -> messages sent
+        self._posted: Dict[int, int] = {}      # src -> receives posted
         self.packets_sent = 0
         self.packets_received = 0
         self.sim.process(self._demux(),
                          name=f"fabhost{node_id}.demux")
 
-    def _queue(self, src: int, tag: int) -> Store:
-        key = (src, tag)
+    def _queue(self, src: int, k: int) -> Store:
+        key = (src, k)
         store = self._queues.get(key)
         if store is None:
             store = Store(self.sim, name=f"fabhost{self.node_id}.q{key}")
@@ -82,25 +80,26 @@ class FabricHost:
             if trc.enabled and trc.wants("causal"):
                 caddr = packet.meta.get("caddr")
                 if caddr is not None:
-                    trc.flow_event("eject", f"n{self.node_id}.fab",
+                    trc.flow_event("eject", f"n{self.node_id}",
                                    addr=caddr, src=packet.src_node)
-            yield self._queue(packet.src_node,
-                              packet.meta.get("tag", 0)).put(packet)
+            yield self._queue(packet.src_node, packet.meta["k"]).put(packet)
 
     # -- messaging ----------------------------------------------------------
-    def send(self, dst: int, payload: bytes, tag: int = 0):
-        """Process fragment: inject one tagged message toward ``dst``;
+    def send(self, dst: int, payload: bytes):
+        """Process fragment: inject the next message toward ``dst``;
         returns once the first hop has fully serialized it."""
         seq = self._msg_seq
         self._msg_seq += 1
-        meta = {"tag": tag, "fid": seq}
+        k = self._sent_to.get(dst, 0)
+        self._sent_to[dst] = k + 1
+        meta = {"k": k, "fid": seq}
         trc = self.sim.tracer
         causal = trc.enabled and trc.wants("causal")
         if causal:
             caddr = (self.node_id, dst, seq)
             meta["caddr"] = caddr
             trc.flow_event("snd", f"n{self.node_id}", addr=caddr,
-                           dst=dst, bytes=len(payload), tag=tag)
+                           dst=dst, bytes=len(payload))
         packet = Packet(PacketKind.FABRIC, self.node_id, dst,
                         FABRIC_HEADER, payload, meta)
         yield from self.attachment.send(packet)
@@ -108,178 +107,40 @@ class FabricHost:
         if causal:
             trc.flow_event("inj", f"n{self.node_id}", addr=meta["caddr"])
 
-    def recv(self, src: int, tag: int = 0):
-        """Process fragment: the next message from ``src`` with ``tag``;
-        returns its payload bytes."""
+    def recv(self, src: int):
+        """Process fragment: the next message from ``src`` in its send
+        order; returns its payload bytes."""
+        k = self._posted.get(src, 0)
+        self._posted[src] = k + 1
         trc = self.sim.tracer
         causal = trc.enabled and trc.wants("causal")
         if causal:
-            trc.flow_event("rcv", f"n{self.node_id}", src=src, tag=tag)
-        packet = yield self._queue(src, tag).get()
+            trc.flow_event("rcv", f"n{self.node_id}", src=src)
+        packet = yield self._queue(src, k).get()
+        del self._queues[(src, k)]
         if causal and packet.meta.get("caddr") is not None:
             trc.flow_event("rcd", f"n{self.node_id}",
                            addr=packet.meta["caddr"], via="poll",
                            bytes=len(packet.payload))
         return packet.payload
 
-
-# -- schedules ------------------------------------------------------------------------
-def _require_pow2(n: int, name: str) -> None:
-    if n & (n - 1) or n < 2:
-        raise NetworkError(f"{name} needs a power-of-two rank count, "
-                           f"got {n}")
-
-
-def ring_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: List[float], op: Callable, tag0: int):
-    """PR 2's schedule at packet level: reduce-scatter then allgather
-    around the ring, ``2(N-1)`` steps, one chunk per message."""
-    if len(values) % n:
-        raise NetworkError("vector length must divide by the rank count")
-    chunk = len(values) // n
-    out = list(values)
-    nxt, prv = (rank + 1) % n, (rank - 1) % n
-    steps = 0
-    for s in range(n - 1):
-        send_idx = (rank - s) % n
-        recv_idx = (rank - s - 1) % n
-        yield from host.send(
-            nxt, _pack(out[send_idx * chunk:(send_idx + 1) * chunk]),
-            tag0 + s)
-        steps += 1
-        incoming = _unpack((yield from host.recv(prv, tag0 + s)))
-        base = recv_idx * chunk
-        for i, v in enumerate(incoming):
-            out[base + i] = op(out[base + i], v)
-    for s in range(n - 1):
-        send_idx = (rank + 1 - s) % n
-        recv_idx = (rank - s) % n
-        yield from host.send(
-            nxt, _pack(out[send_idx * chunk:(send_idx + 1) * chunk]),
-            tag0 + (n - 1) + s)
-        steps += 1
-        incoming = _unpack((yield from host.recv(prv, tag0 + (n - 1) + s)))
-        out[recv_idx * chunk:(recv_idx + 1) * chunk] = incoming
-    return out, steps
-
-
-def rh_all_reduce(host: FabricHost, n: int, rank: int,
-                  values: List[float], op: Callable, tag0: int):
-    """Recursive halving reduce-scatter + recursive doubling allgather:
-    ``2*log2(N)`` phases, message size halving then doubling."""
-    _require_pow2(n, "recursive halving")
-    if len(values) % n:
-        raise NetworkError("vector length must divide by the rank count")
-    out = list(values)
-    steps = 0
-    lo, hi = 0, len(values)             # my active window
-    dist = n // 2
-    phase = 0
-    while dist >= 1:
-        partner = rank ^ dist
-        mid = (lo + hi) // 2
-        if rank & dist:                 # I keep the upper half
-            send_lo, send_hi, keep_lo, keep_hi = lo, mid, mid, hi
-        else:
-            send_lo, send_hi, keep_lo, keep_hi = mid, hi, lo, mid
-        yield from host.send(partner, _pack(out[send_lo:send_hi]),
-                             tag0 + phase)
-        steps += 1
-        incoming = _unpack((yield from host.recv(partner, tag0 + phase)))
-        for i, v in enumerate(incoming):
-            out[keep_lo + i] = op(out[keep_lo + i], v)
-        lo, hi = keep_lo, keep_hi
-        dist //= 2
-        phase += 1
-    dist = 1
-    while dist < n:                     # mirror: allgather doubling
-        partner = rank ^ dist
-        yield from host.send(partner, _pack(out[lo:hi]), tag0 + phase)
-        steps += 1
-        incoming = _unpack((yield from host.recv(partner, tag0 + phase)))
-        if rank & dist:                 # partner held the half below mine
-            out[2 * lo - hi:lo] = incoming
-            lo = 2 * lo - hi
-        else:
-            out[hi:2 * hi - lo] = incoming
-            hi = 2 * hi - lo
-        dist *= 2
-        phase += 1
-    return out, steps
-
-
-def tree_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: List[float], op: Callable, tag0: int):
-    """Binomial-tree reduce to rank 0 + binomial broadcast back:
-    ``2*ceil(log2 N)`` phases of full-vector messages."""
-    out = list(values)
-    steps = 0
-    mask = 1
-    while mask < n:                     # reduce toward rank 0
-        if rank & mask:
-            yield from host.send(rank ^ mask, _pack(out), tag0)
-            steps += 1
-            mask <<= 1
-            break                       # sent my subtree up; now wait
-        src = rank | mask
-        if src < n:
-            incoming = _unpack((yield from host.recv(src, tag0)))
-            for i, v in enumerate(incoming):
-                out[i] = op(out[i], v)
-        mask <<= 1
-    while mask < n:
-        mask <<= 1
-    # broadcast back down the same tree, top link first
-    recv_mask = 0
-    m = 1
-    while m < n:
-        if rank & m:
-            recv_mask = m
-            break
-        m <<= 1
-    if rank != 0:
-        out = _unpack((yield from host.recv(rank ^ recv_mask, tag0 + 1)))
-    m = (recv_mask or mask) >> 1
-    while m >= 1:
-        child = rank | m
-        if child < n and child != rank:
-            yield from host.send(child, _pack(out), tag0 + 1)
-            steps += 1
-        m >>= 1
-    return out, steps
-
-
-ALGORITHMS: Dict[str, Callable] = {
-    "ring": ring_all_reduce,
-    "rh": rh_all_reduce,
-    "tree": tree_all_reduce,
-}
-
-
-def expected_phases(algorithm: str, n: int) -> int:
-    """Synchronous phase count of one all-reduce by schedule: the ring
-    takes ``2(N-1)`` neighbor exchanges, recursive halving+doubling and
-    the binomial tree both take ``2*ceil(log2 N)``."""
-    if algorithm == "ring":
-        return 2 * (n - 1)
-    log = max(1, (n - 1).bit_length())
-    return 2 * log
-
-
-def expected_steps(algorithm: str, n: int) -> int:
-    """Exact MAX per-rank send count of one all-reduce by schedule —
-    the parameterized version of the old hard-coded ``2(N-1)`` ring
-    invariant.  ``rh``/``tree`` counts assume a power-of-two N."""
-    if algorithm == "ring":
-        return 2 * (n - 1)
-    log = max(1, (n - 1).bit_length())
-    if algorithm == "rh":
-        return 2 * log
-    if algorithm == "tree":
-        # Rank 0 sends to every bcast child (log of them); every other
-        # rank sends once up plus its own children — also <= log.
-        return log
-    raise NetworkError(f"unknown algorithm {algorithm!r}")
+    def run(self, script):
+        """Process fragment: interpret one op script on this host and
+        return its result; ``compute`` ops cost nothing here."""
+        value = None
+        while True:
+            try:
+                op = script.send(value)
+            except StopIteration as stop:
+                return stop.value
+            kind = op[0]
+            value = None
+            if kind == "send":
+                yield from self.send(op[1], op[2])
+            elif kind == "recv":
+                value = yield from self.recv(op[1])
+            elif kind != "compute":
+                raise NetworkError(f"unknown script op {kind!r}")
 
 
 @dataclass
@@ -320,46 +181,42 @@ def run_collective(instance: FabricInstance, algorithm: str,
     tracer wants causal flow events, so ``critpath`` can reconcile the
     measured per-iteration times exactly.
     """
-    try:
-        schedule = ALGORITHMS[algorithm]
-    except KeyError:
-        raise NetworkError(f"unknown algorithm {algorithm!r} "
-                           f"(one of {sorted(ALGORITHMS)})") from None
     sim = instance.sim
     n = instance.n
-    reduce_op = REDUCE[op]
-    hosts = [FabricHost(instance, r) for r in range(n)]
     elems = elems_per_rank * n
     inputs = [fabric_vector(r, n, elems) for r in range(n)]
+    # Every iteration's scripts are built, and so validated, up front.
+    scripts = [[all_reduce(algorithm, r, n, inputs[r], op) for r in range(n)]
+               for _ in range(iterations)]
+    combine = REDUCE_OPS[op]
+    hosts = [FabricHost(instance, r) for r in range(n)]
     expected = list(inputs[0])
     for vec in inputs[1:]:
-        expected = [reduce_op(a, b) for a, b in zip(expected, vec)]
+        expected = [combine(a, b) for a, b in zip(expected, vec)]
     finals: Dict[int, List[float]] = {}
     steps: Dict[int, int] = {}
     times: List[float] = []
 
-    def rank_body(rank: int, it: int, tag0: int):
+    def rank_body(rank: int, it: int):
         trc = sim.tracer
         causal = trc.enabled and trc.wants("causal")
         if causal:
             trc.flow_event("rank.begin", f"n{rank}", req=it)
-        out, nsteps = yield from schedule(hosts[rank], n, rank,
-                                          inputs[rank], reduce_op, tag0)
-        finals[rank] = out
-        steps[rank] = max(steps.get(rank, 0), nsteps)
+        host = hosts[rank]
+        sent = host.packets_sent
+        finals[rank] = yield from host.run(scripts[it][rank])
+        steps[rank] = max(steps.get(rank, 0), host.packets_sent - sent)
         if causal:
             trc.flow_event("rank.end", f"n{rank}", req=it)
 
     def driver():
         trc = sim.tracer
         causal = trc.enabled and trc.wants("causal")
-        tag0 = 0
         for it in range(iterations):
             t0 = sim.now
             if causal:
                 trc.flow_event("req.begin", "driver", req=it)
-            procs = [sim.process(rank_body(r, it, tag0),
-                                 name=f"coll.it{it}.r{r}")
+            procs = [sim.process(rank_body(r, it), name=f"coll.it{it}.r{r}")
                      for r in range(n)]
             # AllOf instead of yielding each process: joining hundreds of
             # already-finished processes one by one would recurse through
@@ -368,7 +225,6 @@ def run_collective(instance: FabricInstance, algorithm: str,
             times.append(sim.now - t0)
             if causal:
                 trc.flow_event("req.end", "driver", req=it)
-            tag0 += 4 * n + 8           # fresh tag space per iteration
 
     # run_until_complete, not run(): the demux/router pumps never exit,
     # so a drained heap with them alive is normal termination here.
@@ -379,12 +235,12 @@ def run_collective(instance: FabricInstance, algorithm: str,
         topology=instance.topology.kind, algorithm=algorithm, n=n,
         elems=elems, times=times, steps=max(steps.values()),
         phases=expected_phases(algorithm, n),
-        packets=sum(h.packets_sent for h in hosts), digest=_pack(finals[0]),
+        packets=sum(h.packets_sent for h in hosts), digest=pack(finals[0]),
         correct=correct, stalls=int(flow["stalls"]),
         stall_time=flow["stall_time"], events=sim.events_processed,
         link_packets=instance.link_packets())
 
 
 __all__ = ["ALGORITHMS", "FABRIC_HEADER", "CollectiveResult", "FabricHost",
-           "REDUCE", "expected_phases", "fabric_vector", "run_collective",
-           "ring_all_reduce", "rh_all_reduce", "tree_all_reduce"]
+           "expected_phases", "expected_steps", "fabric_vector",
+           "run_collective"]

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..collectives.algorithms import expected_phases, expected_steps
 from ..sim import Simulator
-from .collective import (CollectiveResult, expected_phases, expected_steps,
-                         run_collective)
+from .collective import CollectiveResult, run_collective
 from .topology import TOPOLOGY_KINDS, FabricConfig, build_topology
 from .traffic import run_permutation
 

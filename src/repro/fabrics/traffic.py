@@ -60,10 +60,10 @@ def run_permutation(instance: FabricInstance, messages: int = 4,
     def body(rank: int):
         dst = perm[rank]
         src = inverse[rank]
-        for m in range(messages):
-            yield from hosts[rank].send(dst, bytes(payload), tag=m)
-        for m in range(messages):
-            yield from hosts[rank].recv(src, tag=m)
+        for _ in range(messages):
+            yield from hosts[rank].send(dst, bytes(payload))
+        for _ in range(messages):
+            yield from hosts[rank].recv(src)
         done[0] += 1
 
     procs = [sim.process(body(r), name=f"perm.r{r}") for r in range(n)]
@@ -94,16 +94,16 @@ def run_hotspot(instance: FabricInstance, messages: int = 4,
     done = [0]
 
     def sender(rank: int):
-        for m in range(messages):
-            yield from hosts[rank].send(target, bytes(payload), tag=m)
+        for _ in range(messages):
+            yield from hosts[rank].send(target, bytes(payload))
         done[0] += 1
 
     def sink():
         for src in range(n):
             if src == target:
                 continue
-            for m in range(messages):
-                yield from hosts[target].recv(src, tag=m)
+            for _ in range(messages):
+                yield from hosts[target].recv(src)
         done[0] += 1
 
     procs = [sim.process(sender(r), name=f"hot.r{r}")

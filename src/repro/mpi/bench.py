@@ -22,7 +22,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..cluster import build_extoll_cluster
-from ..collectives.algorithms import _unpack
+from ..collectives.algorithms import max_message_bytes, messages_per_round
 from ..collectives.bench import build_communicator, run_collective, vector
 from ..collectives.comm import CollectiveMode
 from ..core.results import LatencyPoint
@@ -118,21 +118,6 @@ def run_mpi_pingpong(size: int, iterations: int = 8, warmup: int = 2,
         bar_mmio=_bar_mmio(delta))
 
 
-def allreduce_message_count(algorithm: str, nodes: int) -> int:
-    """Total fabric messages ONE all-reduce round injects, by schedule:
-    the chain-counter reconcile's expectation.  ``log2`` terms assume a
-    power-of-two N (enforced by :func:`~repro.mpi.collectives.iallreduce`
-    for ``rh``)."""
-    log = max(1, (nodes - 1).bit_length())
-    if algorithm == "ring":
-        return nodes * 2 * (nodes - 1)
-    if algorithm == "rh":
-        return nodes * 2 * log
-    if algorithm == "tree":
-        return 2 * (nodes - 1)          # N-1 up the tree, N-1 back down
-    raise MpiError(f"unknown all-reduce algorithm {algorithm!r}")
-
-
 def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
                       warmup: int = 1, seed: int = 11,
                       tracer: Optional[SpanTracer] = None,
@@ -146,15 +131,7 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     all-pairs connectivity with slots sized for their largest message."""
     if nodes < 2 or size < 8 or size % 8:
         raise MpiError("need nodes >= 2 and a size that is a multiple of 8")
-    # Largest single message: one chunk for the ring, half/whole vector
-    # for halving/tree.
-    if algorithm == "tree":
-        max_msg = nodes * size
-    elif algorithm == "rh":
-        max_msg = max(size, nodes * size // 2)
-    else:
-        max_msg = size
-    slot = max(512, max_msg + 64)
+    slot = max(512, max_message_bytes(algorithm, nodes, nodes * size) + 64)
     connectivity = ("full" if algorithm != "ring" or nodes == 2
                     else "ring")
     config = MpiConfig(eager_threshold=slot - 64, slot_size=slot,
@@ -181,9 +158,8 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
         if measured:
             measured_rounds += 1
         for req in reqs:
-            got = _unpack(req.data)
             if any(abs(a - b) > 1e-9 * max(1.0, abs(b))
-                   for a, b in zip(got, expected)):
+                   for a, b in zip(req.data, expected)):
                 correct = False
     elapsed = comm.sim.now - start
     comm.check_async_errors()
@@ -192,7 +168,7 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
 
     # Three-way reconcile: chains the units say fired vs the chain count
     # the schedule implies, and traced span time vs the timed elapsed.
-    expected_chains = (allreduce_message_count(algorithm, nodes)
+    expected_chains = (messages_per_round(algorithm, nodes)
                        * (iterations + warmup))
     chain_err = (abs(delta["chains_fired"] - expected_chains)
                  / expected_chains)

@@ -1,18 +1,13 @@
 """The application workload suite: ML communication patterns as requests.
 
 Each workload describes ONE service request as a set of per-rank *op
-scripts* — plain generators over a three-word vocabulary:
-
-* ``("send", peer, data)`` — hand ``data`` to ``peer`` (completes per the
-  control mode's local-completion semantics),
-* ``("recv", peer)`` — block for the next message from ``peer``; the
-  payload comes back as the yield value,
-* ``("compute", instructions)`` — charge local arithmetic.
-
-The scripts never touch a channel, a work request, or an MPI request:
-:mod:`repro.workloads.transport` interprets the same script under every
-control mode (hostControlled / dev2dev-direct / engine / triggered-MPI),
-which is what makes the four-mode sweep a single implementation.  All
+scripts* — plain generators over the ``send``/``recv``/``compute``
+vocabulary the collective schedules of :mod:`repro.collectives.algorithms`
+are written in.  The scripts never touch a channel, a work request, or an
+MPI request: :mod:`repro.workloads.transport` runs the same script under
+every control mode (hostControlled / dev2dev-direct / engine /
+triggered-MPI) through those layers' interpreters, which is what makes
+the four-mode sweep a single implementation.  All
 payloads are deterministic functions of ``(request, src rank, peer)``, so
 every mode's result is verified exactly and replays bit-identically.
 
@@ -20,7 +15,8 @@ The four patterns are the ones the *GPU-centric Communication Schemes*
 survey (arXiv:2503.24230) names as the service-scale stressors:
 
 * ``trainstep`` — data-parallel training step: exposed (non-overlapped)
-  gradient compute followed by a ring all-reduce, PR 2's exact schedule.
+  gradient compute followed by the ring all-reduce script of
+  :mod:`repro.collectives.algorithms`.
 * ``moe``       — mixture-of-experts all-to-all: token dispatch to every
   peer, expert compute, combine back along the reverse paths.
 * ``kvcache``   — prefill→decode KV-cache handover: large asymmetric
@@ -34,12 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List
 
-from ..collectives.algorithms import REDUCE_OPS, _pack, _unpack
+from ..collectives.algorithms import all_reduce, pack, unpack
 from ..errors import BenchmarkError
-
-#: Instructions charged per reduced element (fused multiply-add idiom used
-#: by the PR 2 collectives).
-_INSTR_PER_ELEMENT = 2
 
 #: The 8-byte ack a decode node returns after absorbing a KV handover.
 _ACK = bytes(range(8))
@@ -83,30 +75,19 @@ class Workload:
 # trainstep — all-reduce dominated, compute/comm overlap knob
 # =============================================================================
 
-def _allreduce_ops(req: int, rank: int, nodes: int, size: int,
-                   op: str = "sum"):
-    """PR 2's ring all-reduce schedule in op-vocabulary form: identical
-    chunking, identical ``op(owned, incoming)`` association order."""
-    combine = REDUCE_OPS[op]
-    values = grad_vector(req, rank, nodes * (size // 8))
-    chunk_len = len(values) // nodes
-    chunks = [list(values[i * chunk_len:(i + 1) * chunk_len])
-              for i in range(nodes)]
-    nxt, prv = (rank + 1) % nodes, (rank - 1) % nodes
-    for s in range(nodes - 1):
-        send_idx = (rank - s) % nodes
-        recv_idx = (rank - s - 1) % nodes
-        yield ("send", nxt, _pack(chunks[send_idx]))
-        incoming = _unpack((yield ("recv", prv)))
-        yield ("compute", _INSTR_PER_ELEMENT * chunk_len)
-        chunks[recv_idx] = [combine(a, b)
-                            for a, b in zip(chunks[recv_idx], incoming)]
-    for s in range(nodes - 1):
-        send_idx = (rank + 1 - s) % nodes
-        recv_idx = (rank - s) % nodes
-        yield ("send", nxt, _pack(chunks[send_idx]))
-        chunks[recv_idx] = _unpack((yield ("recv", prv)))
-    return [v for chunk in chunks for v in chunk]
+def _ring_all_reduce(req: int, rank: int, nodes: int, size: int):
+    """The gradient all-reduce: ``nodes`` chunks of ``size`` bytes."""
+    return all_reduce("ring", rank, nodes,
+                      grad_vector(req, rank, nodes * (size // 8)))
+
+
+def _verify_sum(req: int, rank: int, nodes: int, size: int,
+                result: object) -> bool:
+    vectors = [grad_vector(req, r, nodes * (size // 8))
+               for r in range(nodes)]
+    expected = [sum(col) for col in zip(*vectors)]
+    return (isinstance(result, list) and len(result) == len(expected)
+            and all(abs(a - b) <= 1e-9 for a, b in zip(result, expected)))
 
 
 def _trainstep(compute_instr: int, overlap: float) -> Workload:
@@ -118,23 +99,14 @@ def _trainstep(compute_instr: int, overlap: float) -> Workload:
         # front of it.
         if exposed:
             yield ("compute", exposed)
-        result = yield from _allreduce_ops(req, rank, nodes, size)
+        result = yield from _ring_all_reduce(req, rank, nodes, size)
         return result
-
-    def verify(req: int, rank: int, nodes: int, size: int,
-               result: object) -> bool:
-        vectors = [grad_vector(req, r, nodes * (size // 8))
-                   for r in range(nodes)]
-        expected = [sum(col) for col in zip(*vectors)]
-        return (isinstance(result, list) and len(result) == len(expected)
-                and all(abs(a - b) <= 1e-9
-                        for a, b in zip(result, expected)))
 
     return Workload(
         name="trainstep",
         description="data-parallel training step: exposed compute + ring "
                     "all-reduce of the gradient vector",
-        connectivity="ring", min_nodes=2, script=script, verify=verify,
+        connectivity="ring", min_nodes=2, script=script, verify=_verify_sum,
         request_bytes=lambda nodes, size: 2 * (nodes - 1) * nodes * size,
         knobs={"compute_instr": compute_instr, "overlap": overlap})
 
@@ -237,16 +209,16 @@ def _psfanin(reduce_instr_per_el: int) -> Workload:
         if rank == 0:               # the server: gather, reduce, fan out
             total = [0.0] * elements
             for w in range(1, nodes):
-                grads = _unpack((yield ("recv", w)))
+                grads = unpack((yield ("recv", w)))
                 yield ("compute", reduce_instr_per_el * elements)
                 total = [a + b for a, b in zip(total, grads)]
-            update = _pack(total)
+            update = pack(total)
             for w in range(1, nodes):
                 yield ("send", w, update)
             return total
-        yield ("send", 0, _pack(grad_vector(req, rank, elements)))
+        yield ("send", 0, pack(grad_vector(req, rank, elements)))
         update = yield ("recv", 0)
-        return _unpack(update)
+        return unpack(update)
 
     def verify(req: int, rank: int, nodes: int, size: int,
                result: object) -> bool:
@@ -320,23 +292,14 @@ def _allreduce(skew_rank: int, skew_instr: int) -> Workload:
     def script(req: int, rank: int, nodes: int, size: int):
         if rank == skew_rank and skew_instr:
             yield ("compute", skew_instr)
-        result = yield from _allreduce_ops(req, rank, nodes, size)
+        result = yield from _ring_all_reduce(req, rank, nodes, size)
         return result
-
-    def verify(req: int, rank: int, nodes: int, size: int,
-               result: object) -> bool:
-        vectors = [grad_vector(req, r, nodes * (size // 8))
-                   for r in range(nodes)]
-        expected = [sum(col) for col in zip(*vectors)]
-        return (isinstance(result, list) and len(result) == len(expected)
-                and all(abs(a - b) <= 1e-9
-                        for a, b in zip(result, expected)))
 
     return Workload(
         name="allreduce",
         description="bare ring all-reduce of one gradient vector, with a "
                     "forced-straggler skew knob",
-        connectivity="ring", min_nodes=2, script=script, verify=verify,
+        connectivity="ring", min_nodes=2, script=script, verify=_verify_sum,
         request_bytes=lambda nodes, size: 2 * (nodes - 1) * nodes * size,
         knobs={"skew_rank": skew_rank, "skew_instr": skew_instr})
 

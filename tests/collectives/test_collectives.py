@@ -105,9 +105,9 @@ def test_halo_non_periodic_boundaries():
     ghosts = {}
 
     def body(ctx, rc):
-        (left, right), _steps = yield from halo_exchange(
-            ctx, rc, pattern(rc.rank, 2 * size), size, periodic=False)
-        ghosts[rc.rank] = (left, right)
+        ghosts[rc.rank] = yield from rc.run(ctx, halo_exchange(
+            rc.rank, rc.size, pattern(rc.rank, 2 * size), size,
+            periodic=False))
 
     handles = comm.launch(body)
     cluster.sim.run_until_complete(*handles, limit=1.0)
@@ -129,8 +129,8 @@ def test_broadcast_from_nonzero_root():
 
     def body(ctx, rc):
         data = pattern(99, size) if rc.rank == 2 else None
-        out, _steps = yield from broadcast(ctx, rc, data, root=2)
-        finals[rc.rank] = out
+        finals[rc.rank] = yield from rc.run(
+            ctx, broadcast(rc.rank, rc.size, data, root=2))
 
     handles = comm.launch(body)
     cluster.sim.run_until_complete(*handles, limit=1.0)

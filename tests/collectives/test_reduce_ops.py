@@ -13,12 +13,11 @@ import pytest
 from repro.collectives import CollectiveMode, build_communicator
 from repro.collectives.algorithms import (
     REDUCE_OPS,
-    _unpack,
+    all_reduce,
     resolve_reduce_op,
-    ring_all_reduce,
 )
 from repro.collectives.bench import vector
-from repro.errors import BenchmarkError
+from repro.errors import ConfigError
 from repro.mpi import MpiCommunicator, MpiConfig, iallreduce
 from repro.cluster import build_extoll_cluster
 from repro.sim import Simulator
@@ -30,7 +29,7 @@ def test_op_table():
     assert set(OPS) == {"sum", "max", "min", "prod"}
     assert resolve_reduce_op("max")(2.0, 5.0) == 5.0
     assert resolve_reduce_op("prod")(3.0, 4.0) == 12.0
-    with pytest.raises(BenchmarkError, match="unknown reduction op"):
+    with pytest.raises(ConfigError, match="unknown reduction op"):
         resolve_reduce_op("xor")
 
 
@@ -42,9 +41,8 @@ def _ring_finals(nodes, size, op, seed=23):
     finals = {}
 
     def body(ctx, rc):
-        out, _steps = yield from ring_all_reduce(
-            ctx, rc, vector(rc.rank, rc.size, size), op=op)
-        finals[rc.rank] = out
+        finals[rc.rank] = yield from rc.run(ctx, all_reduce(
+            "ring", rc.rank, rc.size, vector(rc.rank, rc.size, size), op))
 
     handles = comm.launch(body)
     cluster.sim.run_until_complete(*handles, limit=1.0)
@@ -61,8 +59,7 @@ def _mpi_finals(nodes, size, op, seed=23):
             for rank in comm.ranks]
     comm.wait(*reqs)
     comm.check_async_errors()
-    return {rank.rank: _unpack(reqs[rank.rank].data)
-            for rank in comm.ranks}
+    return {rank.rank: reqs[rank.rank].data for rank in comm.ranks}
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -90,6 +87,5 @@ def test_both_datapaths_bit_exact(op):
 
 
 def test_unknown_op_rejected_by_the_mpi_path():
-    from repro.errors import MpiError
-    with pytest.raises(MpiError, match="unknown reduction op"):
+    with pytest.raises(ConfigError, match="unknown reduction op"):
         _mpi_finals(4, 64, "median")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.collectives.algorithms import REDUCE_OPS
 from repro.fabrics import build_topology, instantiate, run_collective
 from repro.fabrics.collective import (ALGORITHMS, expected_phases,
                                       expected_steps)
@@ -9,11 +10,12 @@ from repro.fabrics.topology import FabricConfig
 from repro.sim import Simulator
 
 
-def run(kind, algorithm, n=16, credits=None, elems=4, iterations=2, seed=1):
+def run(kind, algorithm, n=16, credits=None, elems=4, iterations=2, seed=1,
+        op="sum"):
     sim = Simulator(seed=seed)
     inst = instantiate(sim, build_topology(kind, n),
                        FabricConfig(credits=credits))
-    return run_collective(inst, algorithm, elems_per_rank=elems,
+    return run_collective(inst, algorithm, elems_per_rank=elems, op=op,
                           iterations=iterations)
 
 
@@ -30,10 +32,14 @@ def test_correct_and_at_closed_form(kind, algorithm):
     assert r.phases == expected_phases(algorithm, 16)
 
 
+@pytest.mark.parametrize("op", sorted(REDUCE_OPS))
 @pytest.mark.parametrize("kind", ["fat-tree", "torus"])
-def test_bit_exact_across_algorithms(kind):
-    digests = {run(kind, algo).digest for algo in ALGORITHMS}
-    assert len(digests) == 1
+def test_bit_exact_across_algorithms(kind, op):
+    # N=8 keeps every product of the integer inputs below 2**53, so even
+    # ``prod`` is exact in any association order.
+    results = [run(kind, algo, n=8, op=op) for algo in ALGORITHMS]
+    assert all(r.correct for r in results)
+    assert len({r.digest for r in results}) == 1
 
 
 def test_log_depth_schedules_beat_ring_at_16():

@@ -1,6 +1,6 @@
 """Nonblocking collectives as chain DAGs — including the acceptance bar:
 an 8-rank triggered iallreduce with ZERO host WR posts, bit-exact against
-PR 2's ``ring_all_reduce`` on the same seed.
+the channel datapath's ring all-reduce on the same seed.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import pytest
 
 from repro.cluster import build_extoll_cluster
 from repro.collectives import CollectiveMode, build_communicator
-from repro.collectives.algorithms import _unpack, ring_all_reduce
+from repro.collectives.algorithms import all_reduce
 from repro.collectives.bench import vector
 from repro.mpi import MpiCommunicator, MpiConfig, iallreduce, ibarrier, ibcast
 from repro.sim import Simulator
@@ -69,8 +69,7 @@ def test_iallreduce_sums_exactly(nodes, size):
             for rank in comm.ranks]
     comm.wait(*reqs)
     for req in reqs:
-        got = _unpack(req.data)
-        assert got == pytest.approx(expected)
+        assert req.data == pytest.approx(expected)
     comm.check_async_errors()
 
 
@@ -95,9 +94,8 @@ def _pr2_ring_all_reduce_finals(nodes, size, seed):
     finals = {}
 
     def body(ctx, rc):
-        out, _steps = yield from ring_all_reduce(
-            ctx, rc, vector(rc.rank, rc.size, size))
-        finals[rc.rank] = out
+        finals[rc.rank] = yield from rc.run(ctx, all_reduce(
+            "ring", rc.rank, rc.size, vector(rc.rank, rc.size, size)))
 
     handles = comm.launch(body)
     cluster.sim.run_until_complete(*handles, limit=1.0)
@@ -126,5 +124,4 @@ def test_iallreduce_n8_cpu_free_and_bit_exact_vs_pr2():
     # Bit-exact against the PR 2 datapath: same schedule, same association
     # order, so float64 results agree to the last bit.
     for rank in comm.ranks:
-        got = _unpack(reqs[rank.rank].data)
-        assert got == baseline[rank.rank]       # exact ==, not approx
+        assert reqs[rank.rank].data == baseline[rank.rank]  # exact ==
