@@ -96,7 +96,6 @@ def run_chaos_point(mode: CollectiveMode, size: int, loss: float,
         on_setup(sim, cluster, comm, injector)
     result = run_collective(cluster, comm, op, size,
                             iterations=iterations, warmup=warmup)
-    comm.check_reliability_errors()
     point = ChaosPoint(
         op=op, mode=mode.value, nodes=nodes, size=size, loss=loss,
         corrupt=corrupt, correct=result.correct,

@@ -163,12 +163,6 @@ class Communicator:
                 out[name] = value - earlier.get(name, 0)
         return out
 
-    def check_reliability_errors(self) -> None:
-        """Raise the first RetryExhaustedError any engine recorded."""
-        for engine in self.reliability_engines:
-            if engine.error is not None:
-                raise engine.error
-
     def channel(self, a: int, b: int) -> Channel:
         try:
             return self._channels[(min(a, b), max(a, b))]

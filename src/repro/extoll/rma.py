@@ -61,21 +61,10 @@ class RmaUnit:
         # payload DMA completes; the reliability layer registers duplicate
         # detectors here.  Empty by default: one truthiness check per put.
         self.put_listeners: list = []
-        # Asynchronous errors (bad NLA in a descriptor/packet, queue
-        # overflows, ...) are recorded here instead of killing the unit —
-        # the model's analogue of RMA error notifications.
-        self.async_errors: list = []
+        # A bad descriptor or packet fails only its own per-WR/per-packet
+        # process, never these loops: the model's RMA error notification.
         sim.process(self._requester_loop(), name=f"{nic.name}.requester")
         sim.process(self._receive_loop(), name=f"{nic.name}.rx")
-
-    def _spawn_guarded(self, gen, name: str) -> None:
-        def guarded():
-            try:
-                yield from gen
-            except Exception as exc:
-                self.async_errors.append(exc)
-
-        self.sim.process(guarded(), name=name)
 
     # -- posting (called from the BAR write handler) -----------------------------
     def post(self, wr: RmaWorkRequest) -> None:
@@ -132,14 +121,14 @@ class RmaUnit:
                 self.puts_started += 1
                 if trc.enabled:
                     trc.metrics.counter("rma.puts").inc()
-                self._spawn_guarded(self._execute_put(wr, port),
-                                    name=f"{self.nic.name}.put")
+                self.sim.process(self._execute_put(wr, port),
+                                 name=f"{self.nic.name}.put")
             elif wr.op is RmaOp.GET:
                 self.gets_started += 1
                 if trc.enabled:
                     trc.metrics.counter("rma.gets").inc()
-                self._spawn_guarded(self._execute_get(wr, port),
-                                    name=f"{self.nic.name}.get")
+                self.sim.process(self._execute_get(wr, port),
+                                 name=f"{self.nic.name}.get")
             else:  # pragma: no cover - decode() already validates
                 raise RmaError(f"unknown op {wr.op}")
 
@@ -211,14 +200,14 @@ class RmaUnit:
             yield self.sim.timeout(self.config.completer_time)
             span.end()
             if packet.kind is PacketKind.RMA_PUT:
-                self._spawn_guarded(self._complete_put(packet),
-                                    name=f"{self.nic.name}.cmpl-put")
+                self.sim.process(self._complete_put(packet),
+                                 name=f"{self.nic.name}.cmpl-put")
             elif packet.kind is PacketKind.RMA_GET_REQUEST:
-                self._spawn_guarded(self._respond_get(packet),
-                                    name=f"{self.nic.name}.respond")
+                self.sim.process(self._respond_get(packet),
+                                 name=f"{self.nic.name}.respond")
             elif packet.kind is PacketKind.RMA_GET_RESPONSE:
-                self._spawn_guarded(self._complete_get(packet),
-                                    name=f"{self.nic.name}.cmpl-get")
+                self.sim.process(self._complete_get(packet),
+                                 name=f"{self.nic.name}.cmpl-get")
             else:
                 raise RmaError(f"EXTOLL NIC received foreign packet {packet!r}")
 

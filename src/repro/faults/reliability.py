@@ -163,7 +163,6 @@ class ChannelReliability:
                         f"{self.end.dst_node_id}: seq "
                         f"{now_acked + 1}..{self.highest_sent} unacked after "
                         f"{cfg.max_retries} retries")
-                    self.src_node.nic.rma.async_errors.append(self.error)
                     trc = self.sim.tracer
                     if trc.enabled:
                         # The flight recorder auto-dumps on this instant.
@@ -173,7 +172,7 @@ class ChannelReliability:
                                   f"{self.end.dst_node_id}",
                             detail=str(self.error))
                         trc.metrics.counter("faults.retry_exhausted").inc()
-                    return
+                    raise self.error
                 yield from self._replay(now_acked)
                 rto = min(rto * cfg.backoff, cfg.max_timeout)
 

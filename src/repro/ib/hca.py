@@ -66,7 +66,6 @@ class _RetxState:
         self.unacked: Dict[int, tuple] = {}
         self.retransmits = 0
         self.timeouts = 0
-        self.error: Optional[RetryExhaustedError] = None
         self._kick = None
         hca.sim.process(self._timer_loop(),
                         name=f"{hca.name}.retx-qp{qp.qp_num}")
@@ -119,12 +118,10 @@ class _RetxState:
                 self.timeouts += 1
                 retries += 1
                 if retries > cfg.retx_max_retries:
-                    self.error = RetryExhaustedError(
+                    raise RetryExhaustedError(
                         f"{self.hca.name} QP{self.qp.qp_num}: PSN "
                         f"{lowest} unacked after {cfg.retx_max_retries} "
                         f"retries")
-                    self.hca.async_errors.append(self.error)
-                    return
                 yield from self.replay()
                 rto = min(rto * cfg.retx_backoff, cfg.retx_max_timeout)
 
@@ -173,9 +170,6 @@ class Hca:
         # engine per QP, responder-side NACK suppression per QP.
         self._retx: Dict[int, _RetxState] = {}
         self._last_nack: Dict[int, int] = {}
-        # Asynchronous errors (bad rkey on an incoming write, RNR, ...) are
-        # recorded here — the model's analogue of IB async error events.
-        self.async_errors: list = []
 
     # -- wiring ---------------------------------------------------------------------
     def attach(self, fabric: PcieFabric, bar_base: int, endpoint: Endpoint,
@@ -380,14 +374,9 @@ class Hca:
                                 seq=packet.seq, kind=packet.kind.value)
                     trc.metrics.counter(f"ib.{self.name}.crc_drops").inc()
                 continue
-            self.sim.process(self._handle_packet_guarded(packet),
+            # A bad packet fails only its own process: an IB async event.
+            self.sim.process(self._handle_packet(packet),
                              name=f"{self.name}.pkt{packet.seq}")
-
-    def _handle_packet_guarded(self, packet: Packet):
-        try:
-            yield from self._handle_packet(packet)
-        except Exception as exc:
-            self.async_errors.append(exc)
 
     def _handle_packet(self, packet: Packet):
         kind = packet.kind

@@ -109,7 +109,6 @@ def run_mpi_pingpong(size: int, iterations: int = 8, warmup: int = 2,
         if pong[1].data != payload:
             raise MpiError(f"ping-pong payload mismatch at {size} B")
     elapsed = comm.sim.now - start
-    comm.check_async_errors()
     delta = comm.diff(before)
     return MpiPingPongResult(
         size=size, iterations=iterations,
@@ -162,7 +161,6 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
                    for a, b in zip(req.data, expected)):
                 correct = False
     elapsed = comm.sim.now - start
-    comm.check_async_errors()
     delta = comm.diff(before)
     point = LatencyPoint(size=size, latency=elapsed / iterations)
 

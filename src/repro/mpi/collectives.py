@@ -42,26 +42,30 @@ def _coll_tag(rank: MpiRank) -> int:
 
 
 def _pump(comm: MpiCommunicator, gen, req: MpiRequest) -> None:
-    """Drive ``gen`` to completion through completion callbacks."""
+    """Drive ``gen`` to completion through completion callbacks.
+
+    A failed request ``gen`` yielded is thrown into it; an exception ``gen``
+    raises fails ``req.done``, so whoever waits on ``req`` sees it."""
     sim = comm.sim
 
-    def step(value=None) -> None:
-        item_value = value
+    def step(waited: Optional[MpiRequest] = None) -> None:
         while True:
             try:
-                item = gen.send(item_value)
+                if waited is None or waited.done.ok:
+                    item = gen.send(waited and waited.data)
+                else:
+                    item = gen.throw(waited.done.value)
             except StopIteration as stop:
                 req.complete(stop.value)
                 return
-            except Exception as exc:  # surfaces in check_async_errors
-                comm.async_errors.append(exc)
-                req.complete(None)
+            except Exception as exc:
+                req.done.fail(exc)
                 return
             if isinstance(item, MpiRequest):
                 if item.done.processed:
-                    item_value = item.data
+                    waited = item
                     continue
-                item.done.add_callback(lambda _ev, it=item: step(it.data))
+                item.done.add_callback(lambda _ev, it=item: step(it))
                 return
             # A float is a compute charge (reduction arithmetic).
             sim.call_later(float(item), step,

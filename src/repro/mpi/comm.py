@@ -129,8 +129,6 @@ class MpiCommunicator:
             for end in (channel.a_to_b, channel.b_to_a):
                 self._attach_direction(end)
         self.ranks = [MpiRank(self, r) for r in range(self.size)]
-        # Sticky protocol errors surfaced by the NIC-resident engines.
-        self.async_errors: List[Exception] = []
 
     # -- wiring --------------------------------------------------------------------
     def _attach_direction(self, end: ChannelEnd) -> None:
@@ -251,7 +249,9 @@ class MpiCommunicator:
 
     # -- the NIC-resident receive engine -------------------------------------------
     def _drain(self, end: ChannelEnd) -> None:
-        """Consume every contiguous arrived slot of one inbound direction."""
+        """Consume every contiguous arrived slot of one inbound direction
+        (inside the RMA unit's put-completion process, which a protocol
+        error fails)."""
         node = self.cluster.node(end.dst_node_id)
         rank = self.ranks[end.dst_node_id]
         while True:
@@ -275,16 +275,11 @@ class MpiCommunicator:
                                addr=(end.dst_node_id,
                                      end.ring_nla.base + end.slot_offset(seq)),
                                seq=seq, bytes=length)
-            try:
-                envelope = Envelope.decode(body[:ENVELOPE_BYTES])
-            except MpiError as exc:
-                self.async_errors.append(exc)
-                continue
+            envelope = Envelope.decode(body[:ENVELOPE_BYTES])
             if envelope.comm_id != self.comm_id:
-                self.async_errors.append(MpiError(
+                raise MpiError(
                     f"rank {rank.rank}: envelope for foreign communicator "
-                    f"{envelope.comm_id}"))
-                continue
+                    f"{envelope.comm_id}")
             rank._on_envelope(envelope, body[ENVELOPE_BYTES:])
 
     def _return_credit(self, end: ChannelEnd) -> None:
@@ -307,19 +302,12 @@ class MpiCommunicator:
 
     # -- host-side conveniences ----------------------------------------------------
     def wait(self, *requests: MpiRequest, limit: float = 10.0) -> None:
-        """Drive the simulator until every request completes (host-side
-        test harness idiom; device/host sim code uses ``wait_in``)."""
-        pending = [r.done for r in requests if not r.done.processed]
-        if pending:
-            self.sim.run_until_complete(*pending,
+        """Drive the simulator until every request completes, raising the
+        first failure (host-side test harness idiom; device/host sim code
+        uses ``wait_in``)."""
+        if requests:
+            self.sim.run_until_complete(*(r.done for r in requests),
                                         limit=self.sim.now + limit)
-
-    def check_async_errors(self) -> None:
-        if self.async_errors:
-            raise self.async_errors[0]
-        for node in self.cluster.nodes:
-            for exc in node.nic.rma.async_errors:
-                raise exc
 
     # -- uniform stats protocol ----------------------------------------------------
     def snapshot(self) -> Dict[str, int]:
@@ -489,9 +477,8 @@ class MpiRank:
         """
         entry = self._rndv_send.pop(envelope.handle, None)
         if entry is None:
-            self.comm.async_errors.append(MpiError(
-                f"rank {self.rank}: CTS for unknown op {envelope.handle}"))
-            return
+            raise MpiError(
+                f"rank {self.rank}: CTS for unknown op {envelope.handle}")
         req, data_wr, dest = entry
         window = self.comm.window(self.rank, dest)
         fin = Envelope(kind=MsgKind.FIN, src_rank=self.rank,
@@ -523,10 +510,9 @@ class MpiRank:
         key = (envelope.src_rank, envelope.handle)
         entry = self._rndv_recv.pop(key, None)
         if entry is None:
-            self.comm.async_errors.append(MpiError(
+            raise MpiError(
                 f"rank {self.rank}: FIN for unknown op {envelope.handle} "
-                f"from rank {envelope.src_rank}"))
-            return
+                f"from rank {envelope.src_rank}")
         req, buf, size = entry
         data = bytes(self.node.gpu.dram.read(buf.base, size))
         req.complete(data, source=envelope.src_rank, tag=envelope.tag)

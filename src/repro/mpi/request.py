@@ -51,6 +51,8 @@ class MpiRequest:
         """Process fragment: block the calling sim process until done."""
         if not self.done.processed:
             yield self.done
+        elif not self.done.ok:
+            raise self.done.value
         return self.data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

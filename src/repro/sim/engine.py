@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
 from .event import Event, Timeout
@@ -98,7 +98,9 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq: int = 0
         self._trace = trace
-        self._active_processes: int = 0
+        self._processes: Dict[Any, None] = {}   # live, in spawn order
+        #: Unobserved failures as (sim time, event); see :meth:`_exit`.
+        self._failures: List[Tuple[float, Event]] = []
         #: Events processed since construction.  Deterministic for a given
         #: model + seed, which makes it the machine-independent proxy for
         #: simulator work that the bench harness tracks alongside raw
@@ -181,39 +183,83 @@ class Simulator:
         ------
         DeadlockError
             If the schedule drains while processes are still alive and no
-            ``until`` horizon was given (the model is stuck).
+            ``until`` horizon was given (the model is stuck) — unless a
+            failure nothing observed is raised instead (see :meth:`_exit`).
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until!r} is in the past (now={self._now!r})")
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self._now = until
-                return
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
             self.step()
         if until is not None:
             self._now = until
-        elif self._active_processes > 0:
-            raise DeadlockError(
-                f"schedule drained with {self._active_processes} process(es) still waiting"
-            )
+        self._exit(self._deadlock("schedule drained")
+                   if until is None and self._processes else None)
 
     def run_until_complete(self, *events: Event, limit: Optional[float] = None) -> None:
         """Run until every event in ``events`` has been processed.
 
-        ``limit`` bounds simulated time; exceeding it raises
+        An awaited event that fails ends the run, which raises its
+        exception.  ``limit`` bounds simulated time; exceeding it raises
         :class:`SimulationError` (useful to catch livelocks in tests).
         """
         if not events:
             raise SimulationError("run_until_complete() needs at least one event")
-        while not all(e.processed for e in events):
-            if not self._heap:
-                raise DeadlockError(
+        remaining = len(events)
+
+        def awaited(ev: Event) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if not ev._ok:
+                self._failures.append((self._now, ev))
+                remaining = 0
+
+        for ev in events:
+            ev.add_callback(awaited)
+        heap = self._heap
+        stuck = None
+        while remaining > 0:
+            if not heap:
+                stuck = self._deadlock(
                     "schedule drained before awaited events completed: "
-                    + ", ".join(repr(e) for e in events if not e.processed)
-                )
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimulationError(f"simulated time limit {limit!r}s exceeded")
+                    + ", ".join(repr(e) for e in events if not e.processed))
+                break
+            if limit is not None and heap[0][0] > limit:
+                stuck = SimulationError(f"simulated time limit {limit!r}s exceeded")
+                break
             self.step()
+        for ev in events:
+            if not ev.processed:      # nobody awaits it any more
+                ev.callbacks.remove(awaited)
+        self._exit(stuck)
+
+    def _exit(self, stuck: Optional[SimulationError]) -> None:
+        """The one way out of :meth:`run` and :meth:`run_until_complete`:
+        raise the first recorded failure — ahead of ``stuck`` (a deadlock or
+        the time limit), which it usually caused — chained from a
+        :class:`SimulationError` naming its origin and sim time."""
+        if self._failures:
+            (when, event), more = self._failures[0], len(self._failures) - 1
+            self._failures = []
+            origin = SimulationError(
+                f"{type(event).__name__} {event.name!r} failed at t={when:.9g}s"
+                + (f"; {more} more failure(s) in this run" if more else "")
+                + (f"; the run then stopped: {stuck}" if stuck else ""))
+            origin.__cause__ = event._value.__cause__
+            raise event._value from origin
+        if stuck is not None:
+            raise stuck
+
+    def _deadlock(self, what: str, shown: int = 20) -> DeadlockError:
+        """A :class:`DeadlockError` naming each stuck process (the first
+        ``shown``) and the event it waits on."""
+        stuck = list(self._processes)
+        lines = [f"{what}; {len(stuck)} process(es) still waiting:"]
+        lines += [f"  {proc.name!r} waiting on {proc._waiting_on!r}"
+                  for proc in stuck[:shown]]
+        if len(stuck) > shown:
+            lines.append(f"  ... and {len(stuck) - shown} more")
+        return DeadlockError("\n".join(lines))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:g} queued={len(self._heap)}>"

@@ -100,9 +100,13 @@ class Event:
         self.sim._schedule(self, delay)
 
     def _run_callbacks(self) -> None:
-        """Called by the simulator when the event's time arrives."""
+        """Called by the simulator when the event's time arrives.  A failure
+        with no callback to observe it is handed to the simulator, which
+        raises it when the current run call exits."""
         self._state = EventState.PROCESSED
         callbacks, self.callbacks = self.callbacks, []
+        if not callbacks and self._ok is False:
+            self.sim._failures.append((self.sim._now, self))
         for cb in callbacks:
             cb(self)
 

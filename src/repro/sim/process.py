@@ -43,7 +43,7 @@ class Process(Event):
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Event | None = None
-        sim._active_processes += 1
+        sim._processes[self] = None
         # Kick off the coroutine via an immediately-scheduled event so that
         # process start order is deterministic and start happens *inside* the
         # event loop.
@@ -83,40 +83,33 @@ class Process(Event):
                 nxt = self._generator.send(trigger.value)
             else:
                 nxt = self._generator.throw(trigger.value)
+            if not isinstance(nxt, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {nxt!r}; processes may "
+                    "only yield Event instances")
+            if nxt.sim is not self.sim:
+                raise SimulationError("yielded an event from a different simulator")
         except StopIteration as stop:
-            self.sim._active_processes -= 1
-            self.succeed(stop.value)
-            return
+            self._finish(True, stop.value)
         except Interrupt:
             # An unhandled interrupt terminates the process cleanly.
-            self.sim._active_processes -= 1
-            self.succeed(None)
-            return
+            self._finish(True, None)
         except Exception as exc:
-            # Propagate through the event so joiners see it; if nobody joins,
-            # join_result() or the event's value still surfaces it.
-            self.sim._active_processes -= 1
-            self.fail(exc)
-            return
-        if not isinstance(nxt, Event):
-            self.sim._active_processes -= 1
-            err = SimulationError(
-                f"process {self.name!r} yielded {nxt!r}; processes may only "
-                "yield Event instances"
-            )
-            self.fail(err)
-            return
-        if nxt.sim is not self.sim:
-            self.sim._active_processes -= 1
-            self.fail(SimulationError("yielded an event from a different simulator"))
-            return
-        self._waiting_on = nxt
-        nxt.add_callback(self._resume)
+            # Fail the process event so a joiner sees the exception; if
+            # nothing joins, the simulator raises it when the run call exits.
+            self._finish(False, exc)
+        else:
+            self._waiting_on = nxt
+            nxt.add_callback(self._resume)
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        del self.sim._processes[self]
+        self._trigger(ok, value, 0.0)
 
 
 def join_result(process: Process) -> Any:
-    """Return the process result after the simulation has run, re-raising
-    its failure exception if it crashed."""
+    """Return a finished process's result, re-raising its failure (which
+    the run call has already raised if nothing joined the process)."""
     if not process.processed and process.pending:
         raise SimulationError(f"{process!r} has not finished")
     if not process.ok:

@@ -103,10 +103,8 @@ class TriggeredUnit:
         handler).  Pays the decode stage, then ticks."""
         counter = self.counters.get(counter_id)
         if counter is None:
-            self.nic.rma.async_errors.append(TriggeredError(
-                f"{self.nic.name}: doorbell for unknown counter "
-                f"{counter_id}"))
-            return
+            raise TriggeredError(
+                f"{self.nic.name}: doorbell for unknown counter {counter_id}")
         self.stats.doorbells += 1
         trc = self.sim.tracer
         if trc.wants("trig.tick"):

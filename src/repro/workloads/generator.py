@@ -295,7 +295,12 @@ class WorkloadRun:
                 # so the critical path reconciles against it exactly.
                 trc.flow_event("req.begin", "driver", req=req)
             self.transport.start_request(
-                req, lambda results, r=req: complete(r, results))
+                req, lambda results, r=req: complete(r, results), failed)
+
+        def failed(exc: BaseException) -> None:
+            # A failed rank fails the awaited event: the run raises it.
+            if not done.triggered:
+                done.fail(exc)
 
         def complete(req: int, results: Dict[int, object]) -> None:
             now = sim.now
@@ -346,7 +351,6 @@ class WorkloadRun:
             arrive(0)
 
         sim.run_until_complete(done, limit=sim.now + limit)
-        self.transport.check_errors()
         return RunResult(
             workload=self.workload.name, mode=self.mode, loop=self.loop,
             arrival=self.arrival_kind, rate=self.rate, nodes=self.nodes,

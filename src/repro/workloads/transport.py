@@ -114,27 +114,19 @@ class WorkloadTransport:
     # -- async request execution --------------------------------------------------
 
     def start_request(self, req: int,
-                      on_done: Callable[[Dict[int, object]], None]) -> None:
+                      on_done: Callable[[Dict[int, object]], None],
+                      on_failed: Callable[[BaseException], None]) -> None:
         """Launch request ``req`` on every rank; ``on_done(results)`` fires
-        at the simulated instant the LAST rank finishes."""
+        at the simulated instant the LAST rank finishes, ``on_failed(exc)``
+        whenever a rank fails instead."""
         self._requests_launched += 1
-        results: Dict[int, object] = {}
-        if self.mpi is not None:
-            self._start_mpi(req, results, on_done)
-        else:
-            self._start_channels(req, results, on_done)
-
-    def check_errors(self) -> None:
-        """Surface sticky async/reliability errors after a run."""
-        if self.mpi is not None:
-            self.mpi.check_async_errors()
-        else:
-            self.comm.check_reliability_errors()
+        start = self._start_channels if self.mpi is None else self._start_mpi
+        start(req, {}, on_done, on_failed)
 
     # -- channel modes (hostControlled / direct / engine) -------------------------
 
     def _start_channels(self, req: int, results: Dict[int, object],
-                        on_done: Callable) -> None:
+                        on_done: Callable, on_failed: Callable) -> None:
         engine = self.mode == "engine"
 
         def body(ctx, rc):
@@ -151,7 +143,10 @@ class WorkloadTransport:
         handles = self.comm.launch(body)
         remaining = [len(handles)]
 
-        def one_done(_ev) -> None:
+        def one_done(ev) -> None:
+            if not ev.ok:
+                on_failed(ev.value)
+                return
             remaining[0] -= 1
             if remaining[0] == 0:
                 on_done(results)
@@ -183,13 +178,16 @@ class WorkloadTransport:
     # -- triggered-MPI mode -------------------------------------------------------
 
     def _start_mpi(self, req: int, results: Dict[int, object],
-                   on_done: Callable) -> None:
+                   on_done: Callable, on_failed: Callable) -> None:
         remaining = [self.mpi.size]
         tag = req % _TAG_SPAN
         trc = self.sim.tracer
         causal = trc.wants("causal")
 
         def one_done(rank: int, mreq: MpiRequest) -> None:
+            if not mreq.done.ok:
+                on_failed(mreq.done.value)
+                return
             if causal:
                 trc.flow_event("rank.end", f"n{rank}", req=req)
             results[rank] = mreq.data

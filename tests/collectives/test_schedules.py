@@ -183,8 +183,8 @@ def test_all_reduce_validates_on_construction(args, match):
 
 
 def test_transports_reject_at_the_call_site():
-    """Not from inside a running process, where MPI's pump would park the
-    error in ``async_errors``."""
+    """Not from inside a running process, where the error would fail the
+    request and surface only when the simulator runs."""
     from repro.cluster import build_extoll_cluster
     from repro.fabrics import FabricConfig, build_topology, instantiate
     from repro.fabrics.collective import run_collective
@@ -202,4 +202,4 @@ def test_transports_reject_at_the_call_site():
         config=MpiConfig(connectivity="ring"))
     with pytest.raises(ConfigError, match="positive multiple"):
         iallreduce(comm, comm.ranks[0], [1.0] * 6)
-    assert comm.async_errors == [] and comm.ranks[0].coll_seq == 0
+    assert comm.ranks[0].coll_seq == 0

@@ -91,10 +91,9 @@ def test_wait_notification_max_polls(testbed):
         yield from gpu_rma_wait_notification(ctx, cursor, max_polls=5)
 
     h = conn.a.node.gpu.launch(kernel)
-    cluster.sim.run(until=cluster.sim.now + 500 * US)
-    assert not h.ok
     with pytest.raises(RmaError):
-        raise h.value
+        cluster.sim.run(until=cluster.sim.now + 500 * US)
+    assert not h.ok
 
 
 def test_poll_last_element_sees_put(testbed):

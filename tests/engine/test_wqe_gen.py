@@ -129,8 +129,9 @@ def test_empty_batch_is_rejected(testbed):
 
 def test_doorbell_count_must_match_staged_region(testbed):
     """A count outside 1..max_batch_descriptors is a programming error the
-    NIC rejects (the delivery faults) rather than decoding garbage: no
-    doorbell is accounted and no descriptor reaches the requester."""
+    NIC rejects (the delivery faults and the run raises it) rather than
+    decoding garbage: no doorbell is accounted and no descriptor reaches
+    the requester."""
     cluster, conn = testbed
     ncfg = conn.a.node.nic.config
     nic = conn.a.node.nic
@@ -141,9 +142,9 @@ def test_doorbell_count_must_match_staged_region(testbed):
                                               ncfg.batch_doorbell_offset,
                                               bogus)
 
-    h = conn.a.node.gpu.launch(kernel)
-    cluster.sim.run_until_complete(h, limit=1.0)
-    cluster.sim.run(until=cluster.sim.now + 100 * US)
+    conn.a.node.gpu.launch(kernel)
+    with pytest.raises(RmaError, match="batch doorbell count"):
+        cluster.sim.run(until=cluster.sim.now + 100 * US)
     assert nic.batch_doorbells == 0
     assert nic.batch_descriptors == 0
 

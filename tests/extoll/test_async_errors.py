@@ -1,5 +1,6 @@
-"""Error containment in the RMA unit: bad descriptors surface as async
-errors instead of killing the hardware pipelines."""
+"""Error containment in the RMA unit: a bad descriptor fails only its own
+per-WR or per-packet process — the run call raises it as the model's RMA
+error notification — and never kills the hardware pipelines."""
 
 import pytest
 
@@ -25,9 +26,9 @@ def test_put_with_unregistered_nla_records_async_error():
 
     proc = conn.a.node.cpu.spawn(sender)
     cluster.sim.run_until_complete(proc, limit=1.0)
-    cluster.sim.run(until=cluster.sim.now + 100 * US)
-    assert len(conn.a.node.nic.rma.async_errors) == 1
-    assert isinstance(conn.a.node.nic.rma.async_errors[0], TranslationError)
+    with pytest.raises(TranslationError) as info:
+        cluster.sim.run(until=cluster.sim.now + 100 * US)
+    assert "'extoll0.put'" in str(info.value.__cause__)
 
 
 def test_put_to_unregistered_remote_nla_errors_at_completer():
@@ -43,11 +44,11 @@ def test_put_to_unregistered_remote_nla_errors_at_completer():
 
     proc = conn.a.node.cpu.spawn(sender)
     cluster.sim.run_until_complete(proc, limit=1.0)
-    cluster.sim.run(until=cluster.sim.now + 200 * US)
-    assert len(conn.b.node.nic.rma.async_errors) == 1
-    assert isinstance(conn.b.node.nic.rma.async_errors[0], TranslationError)
+    with pytest.raises(TranslationError) as info:
+        cluster.sim.run(until=cluster.sim.now + 200 * US)
     # The origin side is clean — the fault is at the destination's ATU.
-    assert conn.a.node.nic.rma.async_errors == []
+    assert "'extoll1.cmpl-put'" in str(info.value.__cause__)
+    assert "more failure" not in str(info.value.__cause__)
 
 
 def test_unit_survives_bad_descriptor_and_keeps_working():
@@ -71,8 +72,9 @@ def test_unit_survives_bad_descriptor_and_keeps_working():
         yield from rma_wait_notification(ctx, conn.a.requester_cursor())
 
     proc = conn.a.node.cpu.spawn(sender)
-    cluster.sim.run_until_complete(proc, limit=1.0)
+    with pytest.raises(TranslationError):
+        cluster.sim.run_until_complete(proc, limit=1.0)
+    # The run raised at its exit, after the good put's notification.
     join_result(proc)
     cluster.sim.run(until=cluster.sim.now + 200 * US)
-    assert len(conn.a.node.nic.rma.async_errors) == 1
     assert conn.b.node.gpu.dram.read(conn.b.recv_buf.base, 64) == b"OK" * 32

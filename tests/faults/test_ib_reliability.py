@@ -74,7 +74,6 @@ def test_writes_complete_in_order_under_loss():
         assert b.host_mem.read(dst.base + i * KIB, KIB) == bytes([i + 1]) * KIB
     assert injector.drops + injector.corruptions > 0
     assert a.nic.retransmits > 0
-    assert not a.nic.async_errors and not b.nic.async_errors
 
 
 def test_read_survives_lost_responses():
@@ -177,6 +176,6 @@ def test_permanent_outage_exhausts_ib_retries():
 
     sp = a.cpu.spawn(sender)
     cluster.sim.run_until_complete(sp, limit=1e-3)
-    cluster.sim.run(until=cluster.sim.now + 1e-3)
-    assert any(isinstance(e, RetryExhaustedError) for e in a.nic.async_errors)
+    with pytest.raises(RetryExhaustedError, match="hca0 QP1: PSN 1 unacked"):
+        cluster.sim.run(until=cluster.sim.now + 1e-3)
     assert a.nic.retransmits >= config.retx_max_retries

@@ -113,7 +113,8 @@ def test_non_generator_device_fn_fails(node):
         return 42
 
     h = node.gpu.launch(not_a_kernel)
-    node.sim.run()
+    with pytest.raises(LaunchError, match="must be a generator"):
+        node.sim.run()
     assert h.processed and not h.ok
 
 
@@ -123,10 +124,9 @@ def test_thread_crash_propagates(node):
         raise ValueError("device-side assert")
 
     h = node.gpu.launch(k)
-    node.sim.run()
-    assert not h.ok
     with pytest.raises(ValueError, match="device-side assert"):
-        raise h.value
+        node.sim.run()
+    assert not h.ok
 
 
 def test_memcpy_roundtrip(node):

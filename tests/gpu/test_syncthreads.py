@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import GpuError
 from repro.gpu.thread import BlockBarrier, ThreadCtx
-from repro.sim import join_result
 
 
 def test_syncthreads_aligns_threads_in_time(node):
@@ -76,10 +75,9 @@ def test_syncthreads_outside_kernel_rejected(node):
     def body():
         yield from ctx.syncthreads()
 
-    proc = node.sim.process(body())
-    node.sim.run()
+    node.sim.process(body())
     with pytest.raises(GpuError):
-        join_result(proc)
+        node.sim.run()
 
 
 def test_barrier_validation(node):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import GpuError
 from repro.gpu.thread import ThreadCtx
 from repro.memory import HOST_DRAM_BASE, MMIO_BASE, AddressRange
-from repro.sim import join_result
 
 
 def ctx_for(node):
@@ -103,11 +102,10 @@ def test_unmapped_uva_address_faults(node):
     def body():
         yield from ctx.load_u64(HOST_DRAM_BASE + 0x100)  # never mapped
 
-    proc = node.sim.process(body())
-    node.sim.run()
+    node.sim.process(body())
     from repro.errors import TranslationError
     with pytest.raises(TranslationError):
-        join_result(proc)
+        node.sim.run()
 
 
 def test_posted_store_to_host_and_fence(node):
@@ -193,10 +191,9 @@ def test_spin_until_max_polls(node):
     def body():
         yield from ctx.spin_until_u64(buf.base, lambda v: v == 1, max_polls=10)
 
-    proc = node.sim.process(body())
-    node.sim.run()
+    node.sim.process(body())
     with pytest.raises(GpuError):
-        join_result(proc)
+        node.sim.run()
 
 
 def test_sector_counting_for_wide_accesses(node):
@@ -217,7 +214,6 @@ def test_bad_sizes_rejected(node):
     def bad_load():
         yield from ctx.load(node.gpu.dram.range.base, 0)
 
-    proc = node.sim.process(bad_load())
-    node.sim.run()
+    node.sim.process(bad_load())
     with pytest.raises(GpuError):
-        join_result(proc)
+        node.sim.run()

@@ -104,10 +104,8 @@ def test_send_without_recv_fails(testbed):
 
     sp = a.cpu.spawn(sender)
     cluster.sim.run_until_complete(sp, limit=1.0)
-    cluster.sim.run(until=cluster.sim.now + 200 * US)
-    assert len(b.nic.async_errors) == 1
-    assert isinstance(b.nic.async_errors[0], VerbsError)
-    assert "receiver-not-ready" in str(b.nic.async_errors[0])
+    with pytest.raises(VerbsError, match="receiver-not-ready"):
+        cluster.sim.run(until=cluster.sim.now + 200 * US)
 
 
 def test_rdma_write_with_immediate_completes_both_sides(testbed):
@@ -205,10 +203,9 @@ def test_unconnected_qp_rejects_send(testbed):
                 lkey=mr.lkey, length=64)
         yield from ibv_post_send(ctx, a.nic, lone_qp, w, 0)
 
-    sp = a.cpu.spawn(sender)
-    cluster.sim.run(until=cluster.sim.now + 100 * US)
+    a.cpu.spawn(sender)
     with pytest.raises(QpStateError):
-        join_result(sp)
+        cluster.sim.run(until=cluster.sim.now + 100 * US)
 
 
 def test_bad_rkey_rejected(testbed):
@@ -226,9 +223,9 @@ def test_bad_rkey_rejected(testbed):
 
     sp = a.cpu.spawn(sender)
     cluster.sim.run_until_complete(sp, limit=1.0)
-    cluster.sim.run(until=cluster.sim.now + 200 * US)
     from repro.errors import RegistrationError
-    assert any(isinstance(e, RegistrationError) for e in b.nic.async_errors)
+    with pytest.raises(RegistrationError):
+        cluster.sim.run(until=cluster.sim.now + 200 * US)
     assert b.host_mem.read(dst.base, 64) == bytes(64)  # nothing was written
 
 

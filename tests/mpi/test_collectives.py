@@ -12,6 +12,8 @@ from repro.collectives import CollectiveMode, build_communicator
 from repro.collectives.algorithms import all_reduce
 from repro.collectives.bench import vector
 from repro.mpi import MpiCommunicator, MpiConfig, iallreduce, ibarrier, ibcast
+from repro.mpi.collectives import _pump, _start
+from repro.mpi.request import MpiRequest
 from repro.sim import Simulator
 
 
@@ -31,7 +33,6 @@ def test_ibarrier_completes_everywhere(nodes):
     reqs = [ibarrier(comm, rank) for rank in comm.ranks]
     comm.wait(*reqs)
     assert all(r.test() for r in reqs)
-    comm.check_async_errors()
 
 
 def test_ibarrier_release_after_last_entry():
@@ -57,7 +58,6 @@ def test_ibcast_relays_payload(root):
             for rank in comm.ranks]
     comm.wait(*reqs)
     assert all(r.data == payload for r in reqs)
-    comm.check_async_errors()
 
 
 @pytest.mark.parametrize("nodes,size", [(2, 64), (4, 128), (4, 512)])
@@ -70,7 +70,6 @@ def test_iallreduce_sums_exactly(nodes, size):
     comm.wait(*reqs)
     for req in reqs:
         assert req.data == pytest.approx(expected)
-    comm.check_async_errors()
 
 
 def test_collectives_back_to_back_tags_do_not_collide():
@@ -79,7 +78,6 @@ def test_collectives_back_to_back_tags_do_not_collide():
     b2 = [ibarrier(comm, rank) for rank in comm.ranks]
     comm.wait(*b1, *b2)
     assert all(r.test() for r in b1 + b2)
-    comm.check_async_errors()
 
 
 # -- the acceptance test ----------------------------------------------------------
@@ -111,7 +109,6 @@ def test_iallreduce_n8_cpu_free_and_bit_exact_vs_pr2():
     reqs = [iallreduce(comm, rank, vector(rank.rank, nodes, size))
             for rank in comm.ranks]
     comm.wait(*reqs)
-    comm.check_async_errors()
     delta = comm.diff(before)
 
     # Zero host-proxy control: nothing crossed any BAR after arming.
@@ -125,3 +122,42 @@ def test_iallreduce_n8_cpu_free_and_bit_exact_vs_pr2():
     # order, so float64 results agree to the last bit.
     for rank in comm.ranks:
         assert reqs[rank.rank].data == baseline[rank.rank]  # exact ==
+
+
+def test_script_failure_fails_the_request():
+    """A collective whose script raises fails its request: ``comm.wait``
+    raises the script's own exception, not a request completed with None."""
+
+    class ScriptBug(RuntimeError):
+        pass
+
+    def script(rank):
+        if rank == 0:
+            yield ("send", 1, b"x" * 8)
+            return "sent"
+        yield ("recv", 0)
+        raise ScriptBug("reduce() got an unexpected keyword argument")
+
+    comm = make_comm(2)
+    reqs = [_start(comm, rank, "buggy", script(rank.rank))
+            for rank in comm.ranks]
+    with pytest.raises(ScriptBug, match="unexpected keyword"):
+        comm.wait(*reqs)
+    assert reqs[0].data == "sent" and not reqs[1].done.ok
+
+
+def test_failed_sub_request_is_thrown_into_the_script():
+    comm = make_comm(2)
+    inner = MpiRequest(comm.sim, "inner", 0)
+    outer = MpiRequest(comm.sim, "outer", 0)
+
+    def script():
+        try:
+            yield inner
+        except KeyError as exc:
+            return f"caught {exc}"
+
+    _pump(comm, script(), outer)
+    inner.done.fail(KeyError("lost"))
+    comm.wait(outer)
+    assert outer.data == "caught 'lost'"

@@ -34,7 +34,6 @@ def test_eager_send_recv(comm):
     assert recv.matched_source == 0
     assert recv.matched_tag == 5
     assert send.test() and recv.test()
-    comm.check_async_errors()
 
 
 def test_eager_is_cpu_free_after_staging(comm):
@@ -114,7 +113,6 @@ def test_rendezvous_roundtrip(comm):
     assert delta["eager_sent"] == 0
     assert delta["host_wr_posts"] == 0          # still CPU-free
     assert comm.snapshot()["rendezvous_open"] == 0
-    comm.check_async_errors()
 
 
 def test_rendezvous_unexpected_rts(comm):
@@ -166,7 +164,6 @@ def test_many_messages_credit_flow(comm):
     comm.wait(*sends, *recvs)
     for i, recv in enumerate(recvs):
         assert recv.data == b"m%03d" % i
-    comm.check_async_errors()
 
 
 def test_send_window_exhaustion_raises(comm):

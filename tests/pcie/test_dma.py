@@ -123,10 +123,9 @@ def test_dma_zero_length_rejected():
     def body():
         yield from dma.read(HOST_DRAM_BASE, 0)
 
-    proc = sim.process(body())
-    sim.run()
+    sim.process(body())
     with pytest.raises(PcieError):
-        join_result(proc)
+        sim.run()
 
 
 def test_dma_bad_config_rejected():

@@ -211,10 +211,9 @@ def test_zero_length_accesses_rejected():
     def bad_write():
         yield from gpu_port.write(HOST_DRAM_BASE, b"")
 
-    proc = sim.process(bad_write())
-    sim.run()
+    sim.process(bad_write())
     with pytest.raises(PcieError):
-        join_result(proc)
+        sim.run()
 
 
 def test_unclaimed_target_rejected():
@@ -228,10 +227,9 @@ def test_unclaimed_target_rejected():
     def body():
         yield from port.read(0, 8)
 
-    proc = sim.process(body())
-    sim.run()
+    sim.process(body())
     with pytest.raises(PcieError):
-        join_result(proc)
+        sim.run()
 
 
 def test_duplicate_port_name_rejected():

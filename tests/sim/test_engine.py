@@ -131,6 +131,29 @@ def test_run_until_complete_time_limit():
         sim.run_until_complete(slow, limit=1.0)
 
 
+def test_run_until_complete_raises_an_awaited_failure():
+    sim = Simulator()
+    bad = sim.event("bad")
+    bad.fail(KeyError("awaited"), delay=1.0)
+    later = sim.timeout(5.0)
+    with pytest.raises(KeyError, match="awaited"):
+        sim.run_until_complete(bad, later)
+    assert sim.now == 1.0     # the failure ends the run at once
+
+
+def test_unawaited_event_stays_unobserved_after_the_run():
+    """An event a finished run_until_complete no longer awaits fails
+    unobserved later, instead of being swallowed by a stale callback."""
+    sim = Simulator()
+    ev = sim.event("late")
+    sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="limit"):
+        sim.run_until_complete(ev, limit=0.5)
+    ev.fail(ValueError("late failure"))
+    with pytest.raises(ValueError, match="late failure"):
+        sim.run()
+
+
 def test_deterministic_schedules_across_runs():
     def build_and_run():
         sim = Simulator()

@@ -47,10 +47,9 @@ def test_all_of_fails_if_any_child_fails():
         yield AllOf(sim, [ok, bad])
 
     sim.process(failer())
-    proc = sim.process(body())
-    sim.run()
+    sim.process(body())
     with pytest.raises(RuntimeError, match="child failed"):
-        join_result(proc)
+        sim.run()
 
 
 def test_empty_all_of_rejected():

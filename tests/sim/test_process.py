@@ -85,7 +85,7 @@ def test_exception_propagates_to_joiner():
     assert join_result(proc) == "caught boom"
 
 
-def test_unjoined_crash_surfaces_via_join_result():
+def test_unjoined_crash_raises_from_run():
     sim = Simulator()
 
     def body():
@@ -93,9 +93,12 @@ def test_unjoined_crash_surfaces_via_join_result():
         raise RuntimeError("unhandled")
 
     proc = sim.process(body())
-    sim.run()
+    with pytest.raises(RuntimeError, match="unhandled"):
+        sim.run()
+    # Raised once: the failure is still readable, and a second run is clean.
     with pytest.raises(RuntimeError, match="unhandled"):
         join_result(proc)
+    sim.run()
 
 
 def test_yielding_non_event_fails_the_process():
@@ -104,10 +107,9 @@ def test_yielding_non_event_fails_the_process():
     def body():
         yield 123  # type: ignore[misc]
 
-    proc = sim.process(body())
-    sim.run()
-    with pytest.raises(SimulationError):
-        join_result(proc)
+    sim.process(body())
+    with pytest.raises(SimulationError, match="may only yield Event"):
+        sim.run()
 
 
 def test_non_generator_rejected():

@@ -92,9 +92,9 @@ def test_open_loop_arrivals_ignore_completions():
     seen_depth = []
     original = run.transport.start_request
 
-    def spy(req, on_done):
+    def spy(req, on_done, on_failed):
         seen_depth.append(run.stats.queue_depth)
-        original(req, on_done)
+        original(req, on_done, on_failed)
 
     run.transport.start_request = spy
     result = run.execute()
