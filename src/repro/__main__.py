@@ -5,11 +5,15 @@ each name to a lazy loader plus a one-line description (printed by the
 help table).  An unknown subcommand prints the table and exits 2 instead
 of falling through to the default report with a confusing argparse error.
 Bare flags (``python -m repro --scale 2``) still reach ``report``, which
-stays the default command.
+stays the default command.  A :class:`~repro.errors.ReproError` (a rejected
+configuration, a failed run) ends any command with one ``error:`` line on
+stderr and exit status 2, never a traceback.
 """
 
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
+
+from .errors import ReproError
 
 
 def _report(argv: List[str]) -> int:
@@ -113,14 +117,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0].startswith("-"):
         # Bare flags (--scale, --trace) belong to the default report.
-        return _report(argv)
-    name, rest = argv[0], argv[1:]
+        name, rest = "report", argv
+    else:
+        name, rest = argv[0], argv[1:]
     entry = COMMANDS.get(name)
     if entry is None:
         print(f"unknown command {name!r}\n", file=sys.stderr)
         print(render_command_table(), file=sys.stderr)
         return 2
-    return entry[0](rest)
+    try:
+        return entry[0](rest)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,20 +21,18 @@ parameters alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..collectives.bench import build_communicator, run_collective
 from ..collectives.comm import CollectiveMode
 from ..faults import FaultInjector, FaultPlan, ReliabilityConfig
 from ..sim import Simulator
+from .invariants import Verdict, identical, reconciles, relative_error
 
 #: Latency may wobble this much between loss levels before the monotonic
 #: degradation check calls it a violation (retransmission timing is bursty
 #: at low loss: one unlucky RTO dominates a short run).
 MONOTONIC_TOLERANCE = 0.25
-
-#: Traced retransmit instants must agree with the engines' counters.
-RECONCILE_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -132,29 +130,25 @@ def chaos_sweep(loss_rates: Sequence[float], sizes: Sequence[int],
 def zero_cost_check(mode: CollectiveMode = CollectiveMode.POLL_ON_GPU,
                     size: int = 64, nodes: int = 4, op: str = "all-reduce",
                     iterations: int = 4, warmup: int = 1,
-                    seed: int = 1) -> dict:
+                    seed: int = 1) -> Tuple[Verdict, float]:
     """A fault-free run with ``FaultPlan.none()`` attached (but without the
-    reliability engines) must be *bit-identical* in latency and final
-    simulated time to a run that never imports the fault layer."""
+    reliability engines) must be *bit-identical* in latency, final
+    simulated time and result to a run that never imports the fault layer.
+    Returns the verdict and the bare run's latency."""
 
-    def measure(with_null_plan: bool):
+    def measure(with_null_plan: bool) -> dict:
         sim = Simulator(seed=seed)
         cluster, comm = build_communicator(nodes, size, mode, sim=sim)
         if with_null_plan:
             FaultInjector(sim, FaultPlan.none()).attach(cluster.net)
         result = run_collective(cluster, comm, op, size,
                                 iterations=iterations, warmup=warmup)
-        return result.point.latency, sim.now, result.correct
+        return {"latency": result.point.latency, "end_time": sim.now,
+                "correct": result.correct}
 
-    bare_latency, bare_end, bare_ok = measure(False)
-    null_latency, null_end, null_ok = measure(True)
-    return {
-        "bare_latency": bare_latency, "null_latency": null_latency,
-        "identical": (bare_latency == null_latency and bare_end == null_end),
-        "correct": bare_ok and null_ok,
-        "ok": (bare_latency == null_latency and bare_end == null_end
-               and bare_ok and null_ok),
-    }
+    bare = measure(False)
+    return (identical("zero-cost check", bare, measure(True)),
+            bare["latency"])
 
 
 def monotonic_check(points: Sequence[ChaosPoint],
@@ -184,14 +178,13 @@ def monotonic_check(points: Sequence[ChaosPoint],
 def reconcile_retransmits(tracer, comm) -> dict:
     """The chaos harness's books must balance: ``fault/retransmit``
     instants in the Chrome trace vs the reliability engines' counters,
-    within :data:`RECONCILE_TOLERANCE`."""
+    under the shared agreement rule."""
     traced = sum(1 for i in tracer.instants
                  if i.category == "fault" and i.name == "retransmit")
     counted = comm.retransmits
-    denom = max(counted, 1)
-    rel_err = abs(traced - counted) / denom
-    return {"traced": traced, "counted": counted, "rel_err": rel_err,
-            "ok": rel_err <= RECONCILE_TOLERANCE}
+    return {"traced": traced, "counted": counted,
+            "rel_err": relative_error(traced, counted),
+            "ok": reconciles("retransmit reconcile", traced, counted).ok}
 
 
 # -- rendering -------------------------------------------------------------------

@@ -1,34 +1,109 @@
-"""Shape invariants — the qualitative claims of the paper's figures.
+"""Verdicts: what a check result is, when two numbers agree, and how every
+check is printed and serialized.
 
-The benchmark-regression harness (:mod:`repro.perf`) pins every scenario's
-raw numbers with tolerance bands, but raw numbers drift legitimately when a
-cost model is retuned.  What must NEVER drift are the *shapes* the paper is
-about: GPU-posted puts cost roughly twice a host-posted put (Fig. 1/2),
-polling on system memory dwarfs polling on device memory (Fig. 3 / Table I),
+A :class:`Verdict` is one named check result.  Every subcommand builds its
+checks as verdicts, prints them with :func:`render` and serializes them
+with :func:`to_json`; the benchmark harness stores them too.
+:func:`reconciles` (two views of one quantity agree within
+:data:`RECONCILE_TOLERANCE`) and :func:`identical` (two runs' outputs are
+bit-identical) build verdicts from numbers.
+
+The shape helpers answer the paper's qualitative claims with an
+``(ok, detail)`` pair, named by the caller as ``Verdict(name, *check)``:
+GPU-posted puts cost roughly twice a host-posted put (Fig. 1/2), polling on
+system memory dwarfs polling on device memory (Fig. 3 / Table I),
 bandwidth sags once messages outgrow the pinned staging window (Fig. 1b),
-and a ring all-reduce takes exactly ``2*(N-1)`` steps.
-
-Each helper here answers one such question with a ``(ok, detail)`` pair so
-scenario baselines can store the verdict and the check CLI can print *why*
-a shape broke.  They are deliberately tiny pure functions — no simulator
-imports — usable from scenarios, tests, and notebooks alike.
+and a ring all-reduce takes exactly ``2*(N-1)`` steps.  Raw numbers drift
+when a cost model is retuned; these shapes must not.  The module imports
+no simulator code.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
-Verdict = Tuple[bool, str]
+#: An ``(ok, detail)`` pair, as the shape helpers return it.
+Check = Tuple[bool, str]
+
+#: The one relative-agreement bound: two views of the same quantity agree
+#: when they differ by at most 1% of the expected value.
+RECONCILE_TOLERANCE = 0.01
 
 
-def within(value: float, lo: float, hi: float, label: str = "value") -> Verdict:
+@dataclass(frozen=True)
+class Verdict:
+    """One named check result."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def render(verdicts: Iterable[Verdict]) -> str:
+    """One ``[PASS] name: detail`` / ``[FAIL] name: detail`` line each."""
+    return "\n".join(f"[{'PASS' if v.ok else 'FAIL'}] {v.name}: {v.detail}"
+                     for v in verdicts)
+
+
+def to_json(verdicts: Iterable[Verdict]) -> List[dict]:
+    """The ``--json`` form: ``[{"name": ..., "ok": ..., "detail": ...}]``."""
+    return [asdict(v) for v in verdicts]
+
+
+def relative_error(observed: float, expected: float) -> float:
+    """``|observed - expected| / |expected|``; when ``expected`` is zero,
+    0.0 if ``observed`` is zero too and infinity otherwise."""
+    if expected == 0:
+        return 0.0 if observed == 0 else float("inf")
+    return abs(observed - expected) / abs(expected)
+
+
+def _agreement(observed: float, expected: float, tolerance: float) -> Check:
+    err = relative_error(observed, expected)
+    if expected == 0:
+        return err <= tolerance, f"observed {observed:g}, expected exactly 0"
+    return err <= tolerance, (f"observed {observed:g} vs expected "
+                              f"{expected:g} ({err * 100:.2f}% off, allowed "
+                              f"{tolerance * 100:g}%)")
+
+
+def reconciles(label: str, observed: float, expected: float) -> Verdict:
+    """Two views of the same quantity must agree within
+    :data:`RECONCILE_TOLERANCE` relative error (exactly, when ``expected``
+    is zero)."""
+    return Verdict(label, *_agreement(observed, expected,
+                                      RECONCILE_TOLERANCE))
+
+
+def identical(label: str, a: Mapping[str, object],
+              b: Mapping[str, object]) -> Verdict:
+    """Two runs' named outputs must be equal, bit for bit.  A failure names
+    the first output of ``a`` that differs in ``b`` (and, for sequences,
+    the first differing index)."""
+    for key, x in a.items():
+        y = b[key]
+        if x == y:
+            continue
+        if isinstance(x, (list, tuple)) and isinstance(y, (list, tuple)):
+            i = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q),
+                     None)
+            if i is None:
+                return Verdict(label, False, f"{key} differs: {len(x)} vs "
+                                             f"{len(y)} items")
+            key, x, y = f"{key}[{i}]", x[i], y[i]
+        return Verdict(label, False, f"{key} differs: {x!r} vs {y!r}")
+    return Verdict(label, True, f"bit-identical: {', '.join(a)}")
+
+
+def within(value: float, lo: float, hi: float, label: str = "value") -> Check:
     """Is ``value`` inside the closed band ``[lo, hi]``?"""
     ok = lo <= value <= hi
     return ok, f"{label}={value:.4g} {'in' if ok else 'OUTSIDE'} [{lo:g}, {hi:g}]"
 
 
 def two_x_gap(gpu_latency: float, host_latency: float,
-              lo: float = 1.5, hi: float = 3.0) -> Verdict:
+              lo: float = 1.5, hi: float = 3.0) -> Check:
     """The paper's headline: a GPU-controlled put/get round costs about
     twice a host-controlled one (§V-A1, Fig. 1a).  ``lo``/``hi`` bound the
     acceptable ratio — a model retune may move it, but if GPU posting ever
@@ -42,7 +117,7 @@ def two_x_gap(gpu_latency: float, host_latency: float,
 
 
 def faster_than(fast: float, slow: float,
-                fast_label: str = "fast", slow_label: str = "slow") -> Verdict:
+                fast_label: str = "fast", slow_label: str = "slow") -> Check:
     """Strict ordering between two latencies (e.g. Fig. 4a: bufOnGPU beats
     bufOnHost for small messages because polling stays on the GPU die)."""
     ok = fast < slow
@@ -51,7 +126,7 @@ def faster_than(fast: float, slow: float,
 
 
 def bandwidth_drops_after_peak(mb_per_s_by_size: Sequence[Tuple[int, float]],
-                               min_drop: float = 0.02) -> Verdict:
+                               min_drop: float = 0.02) -> Check:
     """Fig. 1b/4b: bandwidth rises with message size, peaks, then *drops*
     for multi-MiB messages (the >1 MiB staging/registration penalty).  The
     last point must sit at least ``min_drop`` below the peak."""
@@ -71,7 +146,7 @@ def bandwidth_drops_after_peak(mb_per_s_by_size: Sequence[Tuple[int, float]],
 
 
 def sysmem_polling_dominates(sysmem_ratio: float, devmem_ratio: float,
-                             min_sysmem: float = 3.0) -> Verdict:
+                             min_sysmem: float = 3.0) -> Check:
     """Fig. 3 / §V-A3: the poll-to-post ratio when completions land in
     system memory must exceed the device-memory ratio AND stay large in
     absolute terms (the paper measures ~10x; the model reproduces the
@@ -82,7 +157,7 @@ def sysmem_polling_dominates(sysmem_ratio: float, devmem_ratio: float,
                 f">= {min_sysmem:g}x)")
 
 
-def ring_allreduce_steps(steps: int, nodes: int) -> Verdict:
+def ring_allreduce_steps(steps: int, nodes: int) -> Check:
     """A ring all-reduce performs exactly ``2*(N-1)`` point-to-point sends
     per rank — reduce-scatter plus all-gather."""
     expected = 2 * (nodes - 1)
@@ -91,7 +166,7 @@ def ring_allreduce_steps(steps: int, nodes: int) -> Verdict:
 
 
 def rate_at_least(rate: float, floor: float, rate_label: str = "rate",
-                  floor_label: str = "floor") -> Verdict:
+                  floor_label: str = "floor") -> Check:
     """Throughput ordering: ``rate`` must meet or beat ``floor`` (e.g. the
     offload engine's 32-connection message rate vs dev2dev-hostControlled
     — losing to the CPU proxy would defeat the engine's purpose)."""
@@ -101,7 +176,7 @@ def rate_at_least(rate: float, floor: float, rate_label: str = "rate",
 
 
 def at_most(value: float, ceiling: float, value_label: str = "value",
-            ceiling_label: str = "ceiling") -> Verdict:
+            ceiling_label: str = "ceiling") -> Check:
     """Ordering toward zero: ``value`` must not exceed ``ceiling`` (e.g.
     the triggered layer's host-side MMIO count vs the offload engine's
     batched floor — the whole point of counter-fired chains is to sit AT OR
@@ -112,7 +187,7 @@ def at_most(value: float, ceiling: float, value_label: str = "value",
 
 
 def mmio_coalesced(doorbells: int, descriptors: int, batch_size: int,
-                   timeout_flushes: int = 0, lanes: int = 1) -> Verdict:
+                   timeout_flushes: int = 0, lanes: int = 1) -> Check:
     """Doorbell coalescing's defining bound: posting N descriptors with
     batches of ``batch_size`` may ring at most ``ceil(N / batch_size)``
     doorbells plus one per timeout-forced flush — and, since batches never
@@ -133,21 +208,16 @@ def mmio_coalesced(doorbells: int, descriptors: int, batch_size: int,
 
 def counter_reconciles(observed: float, expected: float,
                        label: str = "counter",
-                       tolerance: float = 0.01) -> Verdict:
+                       tolerance: float = RECONCILE_TOLERANCE) -> Check:
     """Driver-side accounting vs the instrumented hardware counter/trace:
     the two views of the same events must agree within ``tolerance``
     relative error (exactly, when ``expected`` is zero)."""
-    if expected == 0:
-        ok = observed == 0
-        return ok, f"{label}: observed {observed:g}, expected exactly 0"
-    err = abs(observed - expected) / abs(expected)
-    ok = err <= tolerance
-    return ok, (f"{label}: observed {observed:g} vs expected {expected:g} "
-                f"({err * 100:.2f}% off, allowed {tolerance * 100:g}%)")
+    ok, detail = _agreement(observed, expected, tolerance)
+    return ok, f"{label}: {detail}"
 
 
 def reliability_is_free(reliable_latency: float, bare_latency: float,
-                        max_overhead: float = 0.10) -> Verdict:
+                        max_overhead: float = 0.10) -> Check:
     """At zero loss the retransmission engines may cost at most
     ``max_overhead`` relative latency (sequence headers + ACK traffic);
     anything more means the fault layer is taxing the fast path."""

@@ -34,6 +34,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
+from ..analysis.invariants import Verdict, identical, render, to_json
 from ..errors import ReproError
 from ..obs import SpanTracer
 from ..sim import Simulator
@@ -127,7 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "nodes": nodes, "size": size,
                     "requests": args.requests, "seed": args.seed,
                     "modes": {}}
-    failures: List[str] = []
+    verdicts: List[Verdict] = []
     out_lines: List[str] = []
 
     for mode in modes:
@@ -148,31 +149,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             "remote_wait_us": analysis.remote_wait() * _US,
             "hops": [len(p.segments) for p in analysis.paths],
         }
+        paths = (f"{len(analysis.paths)} request(s), {sum(cell['hops'])} "
+                 f"hops, max error {recon['max_error']:.1e}, partition "
+                 f"residual <= {recon['max_residual']:.1e}s")
 
         if args.verify:
             bare, _ = _run_cell(workload, mode, nodes, size,
                                 args.requests, args.seed, traced=False)
-            identical = (bare.latencies == result.latencies
-                         and bare.service_times == result.service_times
-                         and bare.waits == result.waits)
-            cell["verify_bit_identical"] = identical
-            if not identical:
-                failures.append(f"{mode}: disarmed run diverged — causal "
-                                f"tracing perturbed the simulation")
-        if args.reconcile and not recon["ok"]:
-            failures.append(
-                f"{mode}: reconciliation failed (max error "
-                f"{recon['max_error']:.3e}, max residual "
-                f"{recon['max_residual']:.3e})")
-        if not result.verified:
-            failures.append(f"{mode}: workload results failed verification")
+            outputs = ("latencies", "service_times", "waits")
+            verdict = identical(f"{mode} disarmed replay",
+                                {k: getattr(bare, k) for k in outputs},
+                                {k: getattr(result, k) for k in outputs})
+            cell["verify_bit_identical"] = verdict.ok
+            verdicts.append(verdict)
+        if args.reconcile:
+            verdicts.append(Verdict(f"{mode} reconcile", recon["ok"],
+                                    f"exact 0% rule over {paths}"))
+        verdicts.append(Verdict(f"{mode} results verified", result.verified,
+                                "workload results exact on every rank"))
         if args.expect_straggler is not None:
             wrong = {r: s for r, s in analysis.stragglers().items()
                      if s != args.expect_straggler}
-            if wrong:
-                failures.append(
-                    f"{mode}: expected rank {args.expect_straggler} as "
-                    f"straggler, got {wrong}")
+            verdicts.append(Verdict(
+                f"{mode} straggler", not wrong,
+                f"expected rank {args.expect_straggler} in every request"
+                + (f", got {wrong}" if wrong else "")))
 
         report["modes"][mode] = cell
 
@@ -183,16 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         total = sum(p.total for p in analysis.paths)
         out_lines.append(render_blame(analysis.blame(), total))
         out_lines.append(render_slack(analysis))
-        status = "exact (0%)" if recon["ok"] else "FAILED"
-        out_lines.append(
-            f"reconciliation: {status} over {len(analysis.paths)} "
-            f"request(s), {sum(cell['hops'])} hops, partition residual "
-            f"<= {recon['max_residual']:.1e}s")
-        if args.verify:
-            out_lines.append("disarmed replay: "
-                             + ("bit-identical"
-                                if cell.get("verify_bit_identical")
-                                else "DIVERGED"))
+        out_lines.append(f"critical paths: {paths}")
         if args.waterfall:
             out_lines.append("")
             out_lines.append(render_waterfall(
@@ -210,15 +202,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     fh.write(render_waterfall(path) + "\n\n")
 
     if args.as_json:
-        report["failures"] = failures
+        report["verdicts"] = to_json(verdicts)
         print(json.dumps(report, indent=2, default=str))
     else:
-        print("\n".join(out_lines).rstrip())
-        if failures:
-            print()
-            for failure in failures:
-                print(f"FAIL: {failure}")
-    return 2 if failures else 0
+        out_lines.append(render(verdicts))
+        print("\n".join(out_lines))
+    return 0 if all(v.ok for v in verdicts) else 2
 
 
 __all__ = ["main"]

@@ -7,8 +7,8 @@ functional check.
 With ``--trace [PATH]``: run ONE configuration (the first op/N/size of the
 sweep) with a :class:`~repro.obs.SpanTracer` installed, export a Chrome
 trace-event JSON (Perfetto / ``chrome://tracing``), and reconcile the
-summed per-operation phase spans against the reported latency — they must
-agree within 1%.
+summed per-operation phase spans against the reported latency under the
+shared 1% agreement rule.
 
 Examples::
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..analysis.invariants import Verdict, reconciles, relative_error, render
 from ..cluster import TOPOLOGIES
 from ..obs import SpanTracer
 from ..obs.export import (
@@ -36,9 +37,6 @@ from .bench import (OPS, build_communicator, op_connectivity,
                     op_max_payload, render_results, run_collective, sweep)
 from .comm import CollectiveMode, collective_mode
 
-#: Reconciliation tolerance between traced phase time and reported latency.
-TRACE_TOLERANCE = 0.01
-
 
 def _csv_ints(text: str, what: str):
     try:
@@ -50,17 +48,22 @@ def _csv_ints(text: str, what: str):
     return values
 
 
-def reconcile_trace(tracer: SpanTracer, op: str, result,
-                    tolerance: float = TRACE_TOLERANCE) -> dict:
+def reconcile_trace(tracer: SpanTracer, op: str, result) -> dict:
     """Compare the summed ``phase`` spans named ``op`` with
     ``latency * iterations``; both clocks sample rank 0's driver loop."""
     stat = phase_breakdown(tracer).get(op)
     traced = stat.total if stat else 0.0
     expected = result.point.latency * result.iterations
-    rel_err = (abs(traced - expected) / expected if expected > 0
-               else (0.0 if traced == 0.0 else float("inf")))
     return {"phase": op, "traced": traced, "expected": expected,
-            "rel_err": rel_err, "ok": rel_err <= tolerance}
+            "rel_err": relative_error(traced, expected),
+            "ok": reconciles(op, traced, expected).ok}
+
+
+def _functional_check(results) -> Verdict:
+    bad = [r for r in results if not r.correct]
+    return Verdict("functional check", not bad,
+                   f"{len(results) - len(bad)}/{len(results)} measurement(s) "
+                   f"computed every rank's exact result")
 
 
 def run_traced_collective(op: str, nodes: int, size: int,
@@ -142,29 +145,26 @@ def main(argv=None) -> int:
         print(f"latency per operation : {result.latency_us:10.3f} us")
         print(f"steps per rank        : {result.steps}")
         print(f"injected bandwidth    : {result.bandwidth.mb_per_s:10.1f} MB/s")
-        print(f"functional check      : "
-              f"{'OK' if result.correct else 'FAIL'}")
         print()
         print(render_breakdown(phase_breakdown(tracer)))
         recon = reconcile_trace(tracer, op, result)
+        verdicts = [
+            _functional_check([result]),
+            reconciles(f"reconcile {op}", recon["traced"], recon["expected"]),
+        ]
         print()
-        print(f"reconcile {recon['phase']:<14}: traced "
-              f"{recon['traced'] * 1e6:.3f}us vs timing "
-              f"{recon['expected'] * 1e6:.3f}us "
-              f"(rel err {recon['rel_err'] * 100:.3f}%) "
-              f"{'OK' if recon['ok'] else 'MISMATCH'}")
+        print(render(verdicts))
         print(f"{len(tracer.spans)} spans, {len(tracer.instants)} instants, "
               f"{len(tracer.tracks())} tracks -> {args.trace}")
-        return 0 if (recon["ok"] and result.correct) else 1
+        return 0 if all(v.ok for v in verdicts) else 1
 
     results = list(sweep(ops, node_counts, sizes, mode, args.topology,
                          iterations=iterations, warmup=warmup))
     print(render_results(results))
-    bad = [r for r in results if not r.correct]
-    if bad:
-        print(f"\n{len(bad)} measurement(s) FAILED their functional check",
-              file=sys.stderr)
-    return 1 if bad else 0
+    verdict = _functional_check(results)
+    print()
+    print(render([verdict]))
+    return 0 if verdict.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

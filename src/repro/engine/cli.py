@@ -22,6 +22,7 @@ import argparse
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import invariants as inv
+from ..analysis.invariants import Verdict
 from ..cluster import build_extoll_cluster
 from ..core.message_rate import run_extoll_message_rate
 from ..core.modes import ExtollMode, RateMethod
@@ -29,7 +30,6 @@ from ..core.pingpong import run_extoll_pingpong
 from ..core.setup import setup_extoll_connection, setup_extoll_connections
 from ..obs.export import reconcile_with_point, write_chrome_trace
 from ..obs.tracer import SpanTracer
-from ..perf.profiler import RECONCILE_TOLERANCE
 from ..sim import Simulator
 from .engine import EngineConfig, EngineStats, run_engine_message_rate, \
     run_engine_pingpong
@@ -110,26 +110,26 @@ def verification(latencies: Dict[int, Dict[str, float]],
                  all_stats: Dict[int, EngineStats],
                  per_connection: int, iterations: int, warmup: int,
                  seed: int, trace_out: Optional[str] = None,
-                 ) -> List[Tuple[str, Tuple[bool, str]]]:
+                 ) -> List[Verdict]:
     """The acceptance invariants, plus trace-reconciliation runs."""
-    verdicts: List[Tuple[str, Tuple[bool, str]]] = []
+    verdicts: List[Verdict] = []
     config = EngineConfig.all_on()
 
     # 1. Small-message latency: all-on engine must beat dev2dev-direct.
     lat_row = latencies[min(latencies)]
-    verdicts.append(("latency-64B", inv.faster_than(
+    verdicts.append(Verdict("latency-64B", *inv.faster_than(
         lat_row["engine-all"], lat_row["dev2dev-direct"],
         "engine-all", "dev2dev-direct")))
 
     # 2. Many-connection rate: all-on engine >= dev2dev-hostControlled.
     top = max(rates)
-    verdicts.append((f"rate-{top}conn", inv.rate_at_least(
+    verdicts.append(Verdict(f"rate-{top}conn", *inv.rate_at_least(
         rates[top]["engine-all"], rates[top][RateMethod.HOST_CONTROLLED.value],
         "engine-all msg/s", "hostControlled msg/s")))
 
     # 3. MMIO coalescing: the configured batch factor must materialize.
     stats = all_stats[top]
-    verdicts.append(("mmio-coalescing", inv.mmio_coalesced(
+    verdicts.append(Verdict("mmio-coalescing", *inv.mmio_coalesced(
         stats.doorbells, stats.wrs, config.batch_size,
         stats.timeout_flushes, lanes=top)))
 
@@ -141,21 +141,21 @@ def verification(latencies: Dict[int, Dict[str, float]],
     nic = cluster.a.nic
     _, traced_stats = run_engine_message_rate(
         cluster, conns, config, per_connection=per_connection)
-    verdicts.append(("nic-doorbell-counter", inv.counter_reconciles(
+    verdicts.append(Verdict("nic-doorbell-counter", *inv.counter_reconciles(
         nic.batch_doorbells, traced_stats.batches, "nic batch doorbells")))
-    verdicts.append(("nic-descriptor-counter", inv.counter_reconciles(
+    verdicts.append(Verdict("nic-descriptor-counter", *inv.counter_reconciles(
         nic.batch_descriptors, traced_stats.wrs, "nic batch descriptors")))
-    verdicts.append(("trace-doorbell-counter", inv.counter_reconciles(
+    verdicts.append(Verdict("trace-doorbell-counter", *inv.counter_reconciles(
         tracer.metrics.counter("rma.batch_doorbells").value,
         traced_stats.batches, "traced batch doorbells")))
-    verdicts.append(("trace-wr-counter", inv.counter_reconciles(
+    verdicts.append(Verdict("trace-wr-counter", *inv.counter_reconciles(
         tracer.metrics.counter("rma.wr_triggers").value,
         traced_stats.wrs, "traced WR triggers")))
     if trace_out:
         write_chrome_trace(tracer, trace_out)
 
     # 5. Traced engine pingpong: driver phase spans must reconcile with the
-    # measured point within the profiler's 1% tolerance.
+    # measured point.
     ping_tracer = SpanTracer()
     cluster = _fresh_extoll(seed, tracer=ping_tracer)
     conn = setup_extoll_connection(cluster, _BUF_BYTES)
@@ -163,12 +163,9 @@ def verification(latencies: Dict[int, Dict[str, float]],
                                 iterations=iterations, warmup=warmup,
                                 config=config)
     recon = reconcile_with_point(ping_tracer, point, iterations)
-    for phase, r in recon["phases"].items():
-        verdicts.append((f"span-reconcile-{phase}", (
-            r["ok"], f"traced {r['traced'] * 1e6:.3f}us vs measured "
-                     f"{r['expected'] * 1e6:.3f}us "
-                     f"(rel err {r['rel_err'] * 100:.3f}%, "
-                     f"allowed {RECONCILE_TOLERANCE * 100:g}%)")))
+    verdicts += [inv.reconciles(f"span-reconcile-{phase}", r["traced"],
+                                r["expected"])
+                 for phase, r in recon["phases"].items()]
     return verdicts
 
 
@@ -231,19 +228,12 @@ def main(argv=None) -> int:
 
     verdicts = verification(latencies, rates, all_stats, per_connection,
                             iterations, args.warmup, args.seed, args.out)
-    failed = 0
     print("Acceptance invariants")
     print("=====================")
-    for name, (ok, detail) in verdicts:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name:<26} {detail}")
-        failed += 0 if ok else 1
+    print(inv.render(verdicts))
     if args.out:
         print(f"\ntrace written to {args.out}")
-    if failed:
-        print(f"\n{failed} invariant(s) FAILED")
-        return 1
-    print(f"\nall {len(verdicts)} invariants hold")
-    return 0
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

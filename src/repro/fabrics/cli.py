@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 
+from ..analysis.invariants import render, to_json
 from .routing import ROUTINGS
 from .sweep import (SweepConfig, forced_congestion_blame, render_report,
                     run_sweep)
@@ -101,13 +102,13 @@ def main(argv=None) -> int:
             seed=args.seed, routing=args.routing)
 
     if args.force_congestion:
-        share = forced_congestion_blame(cfg)
-        ok = share > 0
-        print(f"forced congestion canary: blocked-on-credit share "
-              f"{share * 100:.2f}% {'OK' if ok else 'MISSING'}")
+        verdicts, share = forced_congestion_blame(cfg)
+        ok = all(v.ok for v in verdicts)
+        print(render(verdicts))
         if args.json:
             with open(args.json, "w") as fh:
-                json.dump({"blocked_on_credit_share": share, "ok": ok},
+                json.dump({"blocked_on_credit_share": share,
+                           "verdicts": to_json(verdicts), "ok": ok},
                           fh, indent=2)
         return 0 if ok else 1
 

@@ -17,7 +17,7 @@ checks:
 * **replay** — an adaptive (UGAL) dragonfly run repeats bit-identically
   from the same seed,
 * **trace-reconcile** — a causally-traced run's critical paths cover the
-  measured times within 1% (exactly 0, in practice), and a forced-
+  measured times exactly (the critical-path 0% rule), and a forced-
   congestion run shows ``blocked-on-credit`` in the blame partition.
 """
 
@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..analysis.invariants import Verdict, identical, render, to_json
 from ..collectives.algorithms import expected_phases, expected_steps
 from ..sim import Simulator
 from .collective import CollectiveResult, run_collective
 from .topology import TOPOLOGY_KINDS, FabricConfig, build_topology
 from .traffic import run_permutation
-
-#: Reconcile gate on traced runs (the measured bound is exactly 0.0).
-TRACE_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -50,16 +48,6 @@ class SweepConfig:
     canary_credits: int = 2
     canary_nodes: int = 16
     perm_messages: int = 6
-
-
-@dataclass
-class Verdict:
-    name: str
-    ok: bool
-    detail: str
-
-    def row(self) -> str:
-        return f"  [{'PASS' if self.ok else 'FAIL'}] {self.name}: {self.detail}"
 
 
 @dataclass
@@ -97,8 +85,7 @@ class SweepReport:
                 "steps": r.steps, "phases": r.phases, "packets": r.packets,
                 "correct": r.correct, "events": r.events,
             } for r in self.results],
-            "verdicts": [{"name": v.name, "ok": v.ok, "detail": v.detail}
-                         for v in self.verdicts],
+            "verdicts": to_json(self.verdicts),
             "ok": self.ok,
         }
 
@@ -131,6 +118,10 @@ def run_sweep(cfg: Optional[SweepConfig] = None,
     cfg = cfg or SweepConfig()
     report = SweepReport(config=cfg)
     say = progress or (lambda _msg: None)
+    # Reject an unsupported (topology, N) pair before any run starts.
+    for kind in cfg.topologies:
+        for n in cfg.nodes:
+            build_topology(kind, n)
 
     # -- the timing matrix ---------------------------------------------------
     for kind in cfg.topologies:
@@ -154,7 +145,7 @@ def run_sweep(cfg: Optional[SweepConfig] = None,
     say("trace reconcile ...")
     report.verdicts.append(_verdict_trace(cfg))
     say("forced congestion blame ...")
-    report.verdicts.append(_verdict_congestion_blame(cfg))
+    report.verdicts += forced_congestion_blame(cfg)[0]
     return report
 
 
@@ -215,14 +206,10 @@ def _verdict_crossover(report: SweepReport) -> Verdict:
 def _verdict_zero_cost(cfg: SweepConfig) -> Verdict:
     kind = cfg.topologies[0]
     n = min(cfg.nodes)
-    times = []
-    for credits in (None, 64):
-        result, _ = _run_one(cfg, kind, n, "rh", credits=credits)
-        times.append(tuple(result.times))
-    ok = times[0] == times[1]
-    return Verdict("credits zero-cost", ok,
-                   f"{kind} N={n}: disabled vs uncontended-enabled "
-                   + ("bit-identical" if ok else f"DIFFER {times}"))
+    disabled, enabled = (_run_one(cfg, kind, n, "rh", credits=credits)[0]
+                         for credits in (None, 64))
+    return identical("credits zero-cost", {"times": tuple(disabled.times)},
+                     {"times": tuple(enabled.times)})
 
 
 def _verdict_deadlock_free(cfg: SweepConfig) -> Verdict:
@@ -241,7 +228,7 @@ def _verdict_deadlock_free(cfg: SweepConfig) -> Verdict:
 
 
 def _verdict_replay(cfg: SweepConfig) -> Verdict:
-    fingerprints = []
+    runs = []
     for _ in range(2):
         sim = Simulator(seed=cfg.seed + 3)
         topo = build_topology("dragonfly", max(cfg.canary_nodes, 32))
@@ -249,12 +236,10 @@ def _verdict_replay(cfg: SweepConfig) -> Verdict:
         inst.policy.mode = "ugal"
         r = run_permutation(inst, messages=cfg.perm_messages,
                             payload=1024, seed=cfg.seed + 4)
-        fingerprints.append((r.time, r.stalls,
-                             tuple(sorted(inst.link_packets().items()))))
-    ok = fingerprints[0] == fingerprints[1]
-    return Verdict("adaptive replay deterministic", ok,
-                   "UGAL dragonfly permutation repeats bit-identically"
-                   if ok else "replays diverged")
+        runs.append({"time": r.time, "stalls": r.stalls,
+                     "link_packets": tuple(sorted(
+                         inst.link_packets().items()))})
+    return identical("adaptive replay deterministic", *runs)
 
 
 def _verdict_trace(cfg: SweepConfig) -> Verdict:
@@ -262,24 +247,16 @@ def _verdict_trace(cfg: SweepConfig) -> Verdict:
     result, tracer = _run_one(cfg, cfg.topologies[0], min(cfg.nodes), "rh",
                               traced=True)
     rec = analyze_run(tracer).reconcile(result.times)
-    ok = rec["ok"] and rec["max_error"] <= TRACE_TOLERANCE
-    return Verdict("trace reconcile", ok,
-                   f"max path error {rec['max_error']:.2e} "
-                   f"(bound {TRACE_TOLERANCE})")
+    return Verdict("trace reconcile", rec["ok"],
+                   f"max path error {rec['max_error']:.2e} (exact rule)")
 
 
-def _verdict_congestion_blame(cfg: SweepConfig) -> Verdict:
-    share = forced_congestion_blame(cfg)
-    ok = share > 0
-    return Verdict("credit stalls on critical path", ok,
-                   f"blocked-on-credit share {share * 100:.1f}% on a "
-                   f"congested halving/doubling exchange at credits=1")
-
-
-def forced_congestion_blame(cfg: Optional[SweepConfig] = None) -> float:
+def forced_congestion_blame(cfg: Optional[SweepConfig] = None,
+                            ) -> Tuple[List[Verdict], float]:
     """Run the forced-congestion canary: a congested traced all-reduce
-    whose critical paths must contain ``blocked-on-credit`` segments.
-    Returns that category's blame share (0..1).
+    whose critical paths must reconcile exactly and contain
+    ``blocked-on-credit`` segments.  Returns those two verdicts and that
+    category's blame share (0..1).
 
     The canary runs recursive halving rather than the ring: with per-VC
     relay workers the ring's balanced neighbor traffic pipelines cleanly
@@ -296,9 +273,15 @@ def forced_congestion_blame(cfg: Optional[SweepConfig] = None) -> float:
     inst = instantiate_for(sim, topo, cfg, 1)
     result = run_collective(inst, "rh", elems_per_rank=64, iterations=2)
     analysis = analyze_run(tracer)
-    if not analysis.reconcile(result.times)["ok"]:
-        return -1.0
-    return analysis.blame_shares().get("blocked-on-credit", 0.0)
+    rec = analysis.reconcile(result.times)
+    share = analysis.blame_shares().get("blocked-on-credit", 0.0)
+    return [
+        Verdict("congested paths reconcile", rec["ok"],
+                f"max path error {rec['max_error']:.2e} (exact rule)"),
+        Verdict("credit stalls on critical path", share > 0,
+                f"blocked-on-credit share {share * 100:.2f}% on a "
+                f"congested halving/doubling exchange at credits=1"),
+    ], share
 
 
 # -- rendering -------------------------------------------------------------------------
@@ -329,12 +312,9 @@ def render_report(report: SweepReport) -> str:
     lines.append("")
     lines.append("Acceptance verdicts")
     lines.append("-------------------")
-    for v in report.verdicts:
-        lines.append(v.row())
-    lines.append("")
-    lines.append(f"overall: {'PASS' if report.ok else 'FAIL'}")
+    lines.append(render(report.verdicts))
     return "\n".join(lines)
 
 
-__all__ = ["TRACE_TOLERANCE", "SweepConfig", "SweepReport", "Verdict",
-           "forced_congestion_blame", "render_report", "run_sweep"]
+__all__ = ["SweepConfig", "SweepReport", "forced_congestion_blame",
+           "render_report", "run_sweep"]

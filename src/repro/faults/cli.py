@@ -31,6 +31,7 @@ from ..analysis.faults import (
     run_chaos_point,
     zero_cost_check,
 )
+from ..analysis.invariants import Verdict, reconciles, render
 from ..collectives.bench import OPS
 from ..collectives.comm import CollectiveMode, collective_mode
 from ..obs import SpanTracer
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
     if 0.0 not in loss_rates:
         loss_rates = [0.0] + loss_rates   # degradation needs its baseline
 
-    failures = []
+    verdicts = []
 
     # 1. The grid: every point must still compute the right answer.
     points = chaos_sweep(loss_rates, sizes, modes, nodes=nodes, op=args.op,
@@ -120,27 +121,23 @@ def main(argv=None) -> int:
           f"seed {args.seed}:")
     print(render_chaos(points))
     bad = [p for p in points if not p.correct]
-    if bad:
-        failures.append(f"{len(bad)} chaos point(s) computed a WRONG result")
+    verdicts.append(Verdict(
+        "chaos results exact", not bad,
+        f"{len(points) - len(bad)}/{len(points)} chaos points computed the "
+        f"exact result"))
 
     # 2. Zero cost when idle: FaultPlan.none() must be bit-identical.
-    zc = zero_cost_check(modes[0], sizes[0], nodes=nodes, op=args.op,
-                         iterations=iterations, warmup=warmup,
-                         seed=args.seed)
-    print(f"\nzero-cost check       : bare {zc['bare_latency'] * 1e6:.3f}us "
-          f"vs null-plan {zc['null_latency'] * 1e6:.3f}us -> "
-          f"{'bit-identical OK' if zc['ok'] else 'MISMATCH'}")
-    if not zc["ok"]:
-        failures.append("FaultPlan.none() changed a fault-free run")
+    zero_cost, _ = zero_cost_check(modes[0], sizes[0], nodes=nodes,
+                                   op=args.op, iterations=iterations,
+                                   warmup=warmup, seed=args.seed)
+    verdicts.append(zero_cost)
 
     # 3. Monotonic degradation with loss.
     mono = monotonic_check(points)
-    print(f"monotonic degradation : "
-          f"{'OK' if mono['ok'] else 'VIOLATED'}")
-    for v in mono["violations"]:
-        print(f"  {v}")
-    if not mono["ok"]:
-        failures.append("degradation is not monotonic with loss")
+    verdicts.append(Verdict(
+        "monotonic degradation", mono["ok"],
+        "; ".join(mono["violations"])
+        or "latency and goodput never improve as loss grows"))
 
     # 4. Traced run: retransmit instants vs engine counters.
     if args.trace is not None:
@@ -154,23 +151,18 @@ def main(argv=None) -> int:
         validate_chrome_trace(events)
         write_chrome_trace(tracer, args.trace)
         recon = reconcile_retransmits(tracer, comm)
-        print(f"retransmit reconcile  : trace {recon['traced']} vs "
-              f"counters {recon['counted']} "
-              f"(rel err {recon['rel_err'] * 100:.2f}%) "
-              f"{'OK' if recon['ok'] else 'MISMATCH'}")
+        verdicts.append(reconciles("retransmit reconcile", recon["traced"],
+                                   recon["counted"]))
+        verdicts.append(Verdict(
+            "traced run exact", point.correct,
+            f"all-reduce result at loss={trace_loss:g} "
+            f"{'exact' if point.correct else 'WRONG'}"))
         print(f"{len(tracer.spans)} spans, {len(tracer.instants)} instants "
               f"-> {args.trace}")
-        if not (recon["ok"] and point.correct):
-            failures.append("traced run failed reconciliation")
 
-    if failures:
-        print(f"\n{len(failures)} check(s) FAILED:", file=sys.stderr)
-        for f in failures:
-            print(f"  - {f}", file=sys.stderr)
-        return 1
-    print("\nall chaos checks passed")
-    return 0
-
+    print()
+    print(render(verdicts))
+    return 0 if all(v.ok for v in verdicts) else 1
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -11,21 +11,25 @@ of model bookkeeping:
   per round with ``phase`` spans so span totals, the LatencyPoint, and the
   chain counters reconcile three ways (the engine CLI's verification
   pattern applied to this layer).
-* :func:`run_mode_allreduce_mmio` — the PR 2 collectives stack in any of
+* :func:`run_mode_allreduce_mmio` — the collectives stack in any of
   its three control modes, counting what its control path pushes through
-  the BAR, for the host-assist-vs-triggered ablation.
+  the BAR, for the host-assist-vs-triggered ablation; and
+  :func:`engine_floor_checks`, which judges both sides of that ablation
+  against the offload engine's batched-doorbell floor.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..analysis import invariants as inv
 from ..cluster import build_extoll_cluster
 from ..collectives.algorithms import max_message_bytes, messages_per_round
 from ..collectives.bench import build_communicator, run_collective, vector
 from ..collectives.comm import CollectiveMode
 from ..core.results import LatencyPoint
+from ..engine import batched_mmio_floor
 from ..errors import MpiError
 from ..obs.export import phase_breakdown
 from ..obs.tracer import SpanTracer
@@ -120,11 +124,10 @@ def run_mpi_pingpong(size: int, iterations: int = 8, warmup: int = 2,
 def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
                       warmup: int = 1, seed: int = 11,
                       tracer: Optional[SpanTracer] = None,
-                      reconcile_tolerance: float = 0.01,
                       algorithm: str = "ring") -> MpiAllreduceResult:
     """Measured triggered-chain iallreduce rounds, with a three-way
     reconcile: NIC chain counters vs ``phase`` span totals vs the
-    LatencyPoint must agree to ``reconcile_tolerance``.  ``algorithm``
+    LatencyPoint must agree under the shared 1% rule.  ``algorithm``
     picks the staged schedule (``ring``/``rh``/``tree``); the non-ring
     schedules exchange with ``rank ^ dist`` partners and so wire
     all-pairs connectivity with slots sized for their largest message."""
@@ -168,22 +171,22 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     # the schedule implies, and traced span time vs the timed elapsed.
     expected_chains = (messages_per_round(algorithm, nodes)
                        * (iterations + warmup))
-    chain_err = (abs(delta["chains_fired"] - expected_chains)
-                 / expected_chains)
     reconcile: Dict[str, object] = {
         "chains": {"observed": delta["chains_fired"],
-                   "expected": expected_chains, "rel_err": chain_err,
-                   "ok": chain_err <= reconcile_tolerance},
+                   "expected": expected_chains,
+                   "rel_err": inv.relative_error(delta["chains_fired"],
+                                                 expected_chains),
+                   "ok": inv.reconciles("chains", delta["chains_fired"],
+                                        expected_chains).ok},
     }
     if trc is not None and trc.enabled:
         stat = phase_breakdown(trc).get("iallreduce")
         traced = stat.total if stat else 0.0
         expected_total = point.latency * measured_rounds
-        span_err = (abs(traced - expected_total) / expected_total
-                    if expected_total else 0.0)
-        reconcile["spans"] = {"traced": traced, "expected": expected_total,
-                              "rel_err": span_err,
-                              "ok": span_err <= reconcile_tolerance}
+        reconcile["spans"] = {
+            "traced": traced, "expected": expected_total,
+            "rel_err": inv.relative_error(traced, expected_total),
+            "ok": inv.reconciles("spans", traced, expected_total).ok}
     reconcile["ok"] = all(v["ok"] for k, v in reconcile.items()
                           if isinstance(v, dict))
     return MpiAllreduceResult(
@@ -211,6 +214,21 @@ def run_mode_allreduce_mmio(mode: CollectiveMode, nodes: int, size: int,
               for node in cluster.nodes)
     return {"mode": mode.value, "latency_us": result.point.latency_us,
             "correct": result.correct, "bar_mmio": mmio, "wrs_posted": wrs}
+
+
+def engine_floor_checks(triggered_mmio: int, modes: List[Dict[str, object]],
+                        ) -> Tuple[int, inv.Check, inv.Check]:
+    """The offload engine's batched-doorbell floor (batches of 8) for the
+    host-assist modes' WR count, and both checks against it: the triggered
+    path's BAR MMIO at or below the floor, and every host-assist mode's
+    above it.  ``modes`` are :func:`run_mode_allreduce_mmio` results."""
+    floor = min(batched_mmio_floor(m["wrs_posted"], 8) for m in modes)
+    below = inv.at_most(triggered_mmio, floor, "triggered MMIO",
+                        "batched floor")
+    above = (all(m["bar_mmio"] > floor for m in modes),
+             f"host-assist BAR MMIO vs batched floor {floor}: "
+             + ", ".join(f"{m['mode']} {m['bar_mmio']}" for m in modes))
+    return floor, below, above
 
 
 def pingpong_sweep(sizes: List[int], iterations: int = 8, warmup: int = 2,

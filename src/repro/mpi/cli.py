@@ -13,20 +13,21 @@ Verdicts (exit status is non-zero if any fails):
 * the MPI layer's entire sweep posts ZERO work requests through any BAR,
 * the triggered iallreduce matches the exact expected sums,
 * its chain/span/latency bookkeeping reconciles within 1%,
-* its BAR MMIO sits at or below the engine floor for the same WR count.
+* its BAR MMIO sits at or below the engine floor for the host-assist
+  modes' WR count, and every host-assist mode's sits above it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import Dict, List, Tuple
 
+from ..analysis.invariants import Verdict, render, to_json
 from ..collectives.comm import CollectiveMode
-from ..engine import batched_mmio_floor
 from ..obs.export import write_chrome_trace
 from ..obs.tracer import SpanTracer
-from .bench import pingpong_sweep, run_mode_allreduce_mmio, run_mpi_allreduce
+from .bench import (engine_floor_checks, pingpong_sweep,
+                    run_mode_allreduce_mmio, run_mpi_allreduce)
 from .comm import MpiConfig
 
 
@@ -80,31 +81,31 @@ def main(argv=None) -> int:
     modes = [run_mode_allreduce_mmio(mode, nodes, size,
                                      iterations=iterations, seed=args.seed)
              for mode in CollectiveMode]
-    floor = batched_mmio_floor(max(m["wrs_posted"] for m in modes), 8)
+    floor, below_floor, above_floor = engine_floor_checks(ar.bar_mmio,
+                                                          modes)
 
     crossover_ok = all(
         (p.rndv_sent == 0) == (p.size <= thr) and
         (p.eager_sent > 0) == (p.size <= thr) for p in pp)
-    verdicts: List[Tuple[str, bool, str]] = [
-        ("pingpong-crossover", crossover_ok,
-         f"protocol switches eager->rendezvous above {thr} B"),
-        ("zero-bar-mmio", ar.bar_mmio == 0 and all(p.bar_mmio == 0
-                                                   for p in pp),
-         f"MPI-layer BAR crossings: pingpong "
-         f"{sum(p.bar_mmio for p in pp)}, iallreduce {ar.bar_mmio}"),
-        ("allreduce-exact", ar.correct,
-         f"{nodes}-rank sums exact over {iterations} rounds"),
-        ("allreduce-reconciles", bool(ar.reconcile["ok"]),
-         "chains vs spans vs LatencyPoint within 1%"),
-        ("below-engine-floor", ar.bar_mmio <= floor,
-         f"triggered MMIO {ar.bar_mmio} <= batched floor {floor}"),
-        ("host-assist-pays-mmio", all(m["bar_mmio"] > 0 for m in modes),
-         "every PR 2 control mode crosses the BAR"),
+    verdicts = [
+        Verdict("pingpong-crossover", crossover_ok,
+                f"protocol switches eager->rendezvous above {thr} B"),
+        Verdict("zero-bar-mmio", ar.bar_mmio == 0 and all(p.bar_mmio == 0
+                                                          for p in pp),
+                f"MPI-layer BAR crossings: pingpong "
+                f"{sum(p.bar_mmio for p in pp)}, iallreduce {ar.bar_mmio}"),
+        Verdict("allreduce-exact", ar.correct,
+                f"{nodes}-rank sums exact over {iterations} rounds"),
+        Verdict("allreduce-reconciles", bool(ar.reconcile["ok"]),
+                "chains vs spans vs LatencyPoint within 1%"),
+        Verdict("below-engine-floor", *below_floor),
+        Verdict("host-assist-pays-mmio", *above_floor),
     ]
     if args.force_mismatch:
-        verdicts.append(("forced-mismatch", False,
-                         "deliberate failure requested via --force-mismatch"))
-    ok = all(v for _, v, _ in verdicts)
+        verdicts.append(Verdict(
+            "forced-mismatch", False,
+            "deliberate failure requested via --force-mismatch"))
+    ok = all(v.ok for v in verdicts)
 
     if args.json:
         print(json.dumps({
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
                 "reconcile": ar.reconcile,
             },
             "modes": modes, "engine_floor": floor,
-            "verdicts": {name: v for name, v, _ in verdicts},
+            "verdicts": to_json(verdicts),
             "ok": ok,
         }, indent=2))
         return 0 if ok else 1
@@ -145,6 +146,5 @@ def main(argv=None) -> int:
               f"{m['bar_mmio']:>10}")
     print(f"{'engine batched floor':>24} {'-':>12} {floor:>10}")
     print()
-    for name, verdict, detail in verdicts:
-        print(f"[{'PASS' if verdict else 'FAIL'}] {name}: {detail}")
+    print(render(verdicts))
     return 0 if ok else 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..analysis.invariants import reconciles, render
 from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..core.modes import ExtollMode, IbMode
 from ..core.pingpong import run_extoll_pingpong, run_ib_pingpong
@@ -120,19 +121,17 @@ def main(argv=None) -> int:
     print()
     print(render_breakdown(phase_breakdown(tracer)))
     recon = reconcile_with_point(tracer, point, args.iterations)
+    verdicts = [reconciles(f"reconcile {phase}", r["traced"], r["expected"])
+                for phase, r in recon["phases"].items()]
     print()
-    for phase, r in recon["phases"].items():
-        print(f"reconcile {phase:<16}: traced {r['traced'] * 1e6:.3f}us vs "
-              f"timing {r['expected'] * 1e6:.3f}us "
-              f"(rel err {r['rel_err'] * 100:.3f}%) "
-              f"{'OK' if r['ok'] else 'MISMATCH'}")
+    print(render(verdicts))
     print()
     print(f"{len(tracer.spans)} spans, {len(tracer.instants)} instants, "
           f"{len(tracer.tracks())} tracks -> {args.out}")
     if args.timeline:
         print()
         print(render_timeline(tracer, limit=args.timeline_limit))
-    return 0 if recon["ok"] else 1
+    return 0 if all(v.ok for v in verdicts) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Dict, List, Optional, Union
 
+from ..analysis.invariants import reconciles, relative_error
 from .tracer import SpanTracer
 
 _US = 1e6  # trace-event timestamps are microseconds
@@ -245,11 +246,11 @@ def render_breakdown(breakdown: Dict[str, PhaseStat],
     return "\n".join(lines)
 
 
-def reconcile_with_point(tracer: SpanTracer, point, iterations: int,
-                         tolerance: float = 0.01) -> dict:
+def reconcile_with_point(tracer: SpanTracer, point, iterations: int) -> dict:
     """Check the tentpole invariant: summed ``wr-generation`` / ``polling``
     phase-span durations must match ``LatencyPoint.post_time`` /
-    ``poll_time`` (which are per-iteration averages) within ``tolerance``.
+    ``poll_time`` (which are per-iteration averages) under the shared
+    agreement rule (:func:`repro.analysis.invariants.reconciles`).
 
     Returns a dict with both sides and relative errors; ``ok`` is True when
     every phase present reconciles.
@@ -260,13 +261,9 @@ def reconcile_with_point(tracer: SpanTracer, point, iterations: int,
                                   ("polling", point.poll_time * iterations)):
         stat = breakdown.get(phase)
         traced = stat.total if stat else 0.0
-        if expected_total > 0:
-            rel_err = abs(traced - expected_total) / expected_total
-        else:
-            rel_err = 0.0 if traced == 0.0 else float("inf")
-        ok = rel_err <= tolerance
-        result["phases"][phase] = {"traced": traced,
-                                   "expected": expected_total,
-                                   "rel_err": rel_err, "ok": ok}
+        ok = reconciles(phase, traced, expected_total).ok
+        result["phases"][phase] = {
+            "traced": traced, "expected": expected_total,
+            "rel_err": relative_error(traced, expected_total), "ok": ok}
         result["ok"] = result["ok"] and ok
     return result

@@ -31,7 +31,6 @@ from .harness import (
 )
 from .profiler import (
     PHASE_ORDER,
-    RECONCILE_TOLERANCE,
     ModeProfile,
     PhaseCost,
     attribute_phases,
@@ -48,7 +47,6 @@ __all__ = [
     "ModeProfile",
     "PHASE_ORDER",
     "PhaseCost",
-    "RECONCILE_TOLERANCE",
     "SCENARIOS",
     "SCHEMA_VERSION",
     "SIM_TOLERANCE",

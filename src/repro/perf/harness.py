@@ -19,9 +19,10 @@ metric, with per-kind tolerance bands:
     caller opts into ``strict_wallclock`` (CI machines vary too much for
     a hard default).
 
-Invariants are booleans re-evaluated on the fresh run (the shape checks of
-:mod:`repro.analysis.invariants`); a fresh ``False`` is always a
-regression, whatever the baseline said.
+Invariants are verdicts (:class:`~repro.analysis.invariants.Verdict`)
+re-evaluated on the fresh run; the baseline stores each one's name and
+outcome.  A fresh failure is always a regression, whatever the baseline
+said.
 
 The comparison report is designed to be read in a CI log: one line per
 deviation with the values, the relative error, and the band it violated.
@@ -33,6 +34,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
+
+from ..analysis.invariants import Check, Verdict
 
 #: Bump when the baseline file layout changes incompatibly; ``check``
 #: refuses to compare across schema versions.
@@ -82,11 +85,10 @@ class ScenarioResult:
     """What one scenario run produced."""
 
     metrics: Dict[str, Metric] = field(default_factory=dict)
-    invariants: Dict[str, bool] = field(default_factory=dict)
-    notes: Dict[str, str] = field(default_factory=dict)  # invariant details
+    verdicts: List[Verdict] = field(default_factory=list)
     #: Documentary JSON (curves, sweeps) carried into the baseline file
     #: under ``"extra"``.  ``check`` only compares ``metrics`` and
-    #: ``invariants``, so extra payloads never gate — they exist so a
+    #: ``verdicts``, so extra payloads never gate — they exist so a
     #: committed baseline doubles as a data artifact (e.g. the offered-load
     #: vs achieved-throughput saturation curve behind a knee metric).
     extra: Dict[str, object] = field(default_factory=dict)
@@ -95,15 +97,10 @@ class ScenarioResult:
                unit: str = "", tol: Optional[float] = None) -> None:
         self.metrics[name] = Metric(value, kind, unit, tol)
 
-    def invariant(self, name: str, verdict) -> None:
+    def invariant(self, name: str, check: Check) -> None:
         """Record an ``(ok, detail)`` pair from
-        :mod:`repro.analysis.invariants` (or a bare bool)."""
-        if isinstance(verdict, tuple):
-            ok, detail = verdict
-            self.invariants[name] = bool(ok)
-            self.notes[name] = detail
-        else:
-            self.invariants[name] = bool(verdict)
+        :mod:`repro.analysis.invariants` as the verdict ``name``."""
+        self.verdicts.append(Verdict(name, *check))
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,8 @@ def record(scenario: Scenario, root: str,
         "description": scenario.description,
         "recorded_at": recorded_at,
         "metrics": {k: m.to_dict() for k, m in sorted(result.metrics.items())},
-        "invariants": dict(sorted(result.invariants.items())),
+        "invariants": dict(sorted((v.name, bool(v.ok))
+                                  for v in result.verdicts)),
     }
     if result.extra:
         doc["extra"] = result.extra
@@ -271,20 +269,17 @@ def check(scenario: Scenario, root: str,
                              f"(re-record to pin it)"))
 
     base_inv = baseline.get("invariants", {})
-    for name in sorted(set(base_inv) | set(result.invariants)):
-        fresh = result.invariants.get(name)
-        note = result.notes.get(name, "")
-        if fresh is None:
+    fresh = {v.name: v for v in result.verdicts}
+    for name in sorted(set(base_inv) | set(fresh)):
+        verdict = fresh.get(name)
+        if verdict is None:
             report.deviations.append(Deviation(
                 f"invariant:{name}", "missing",
                 "in baseline but not evaluated by this run"))
-        elif not fresh:
-            report.deviations.append(Deviation(
-                f"invariant:{name}", "regression",
-                note or "shape invariant violated on fresh run"))
         else:
             report.deviations.append(Deviation(
-                f"invariant:{name}", "ok", note or "holds"))
+                f"invariant:{name}", "ok" if verdict.ok else "regression",
+                verdict.detail))
     return report
 
 

@@ -33,8 +33,9 @@ interval arithmetic (:mod:`repro.obs.query`):
 Because the driver's phase spans tile the measured region exactly
 (``sum == 2 * latency * iterations`` — enforced by tests/obs), the six
 components form an exact partition of end-to-end time, so the profile
-*reconciles*: attributed time matches the ``LatencyPoint`` to within
-:data:`RECONCILE_TOLERANCE` (in practice, to the float).
+*reconciles*: attributed time matches the ``LatencyPoint`` under the
+shared 1% agreement rule (:func:`repro.analysis.invariants.reconciles`;
+in practice, to the float).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.invariants import (Verdict, reconciles, relative_error,
+                                  render, to_json)
 from ..core.results import LatencyPoint
 from ..obs.query import (
     Interval,
@@ -52,11 +55,6 @@ from ..obs.query import (
     span_intervals,
     subtract,
 )
-
-#: Attributed-vs-measured disagreement allowed before a profile is flagged
-#: as failing reconciliation (the ISSUE's 1% acceptance bound; actual
-#: disagreement is zero because the phase spans tile the region exactly).
-RECONCILE_TOLERANCE = 0.01
 
 #: Canonical row order of a profile.
 PHASE_ORDER = ("wqe-generation", "host-assist", "doorbell-mmio", "wire",
@@ -110,13 +108,16 @@ class ModeProfile:
     @property
     def reconciliation_error(self) -> float:
         """|attributed - measured| / measured."""
-        if self.e2e <= 0:
-            return float("inf")
-        return abs(self.attributed - self.e2e) / self.e2e
+        return relative_error(self.attributed, self.e2e)
+
+    @property
+    def verdict(self) -> Verdict:
+        """Attributed phases vs the measured end-to-end time."""
+        return reconciles("reconciliation", self.attributed, self.e2e)
 
     @property
     def reconciles(self) -> bool:
-        return self.reconciliation_error <= RECONCILE_TOLERANCE
+        return self.verdict.ok
 
     def phase(self, name: str) -> PhaseCost:
         for p in self.phases:
@@ -138,6 +139,7 @@ class ModeProfile:
             "attributed_us": self.attributed * 1e6,
             "reconciliation_error": self.reconciliation_error,
             "reconciles": self.reconciles,
+            "verdicts": to_json([self.verdict]),
             "counters": self.counters,
         }
 
@@ -233,10 +235,7 @@ def render_profile(profile: ModeProfile) -> str:
     lines.append("measured e2e".ljust(20)
                  + f"{profile.e2e * 1e6 / profile.iterations:10.3f}us"
                  + f"{profile.e2e * 1e6:10.3f}us")
-    lines.append(f"reconciliation: rel err "
-                 f"{profile.reconciliation_error * 100:.4f}% "
-                 f"({'OK' if profile.reconciles else 'MISMATCH'}, "
-                 f"tolerance {RECONCILE_TOLERANCE * 100:g}%)")
+    lines.append(render([profile.verdict]))
     ratio = profile.point.poll_to_post_ratio
     if ratio == ratio and ratio != float("inf"):
         lines.append(f"poll/post ratio (Fig. 3): {ratio:.2f}x")

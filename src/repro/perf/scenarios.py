@@ -188,7 +188,8 @@ def collectives_allreduce() -> ScenarioResult:
                            iterations=4, warmup=1)
         res.metric(f"{mode.value}/latency_us", r.latency_us, unit="us")
         res.metric(f"{mode.value}/steps", r.steps, kind="count")
-        res.invariant(f"{mode.value}/correct", r.correct)
+        res.invariant(f"{mode.value}/correct",
+                      (r.correct, "every rank's result exact"))
         res.invariant(f"{mode.value}/ring-steps",
                       inv.ring_allreduce_steps(r.steps, nodes))
     # Documentary companion to the latency metrics: the causal layer's
@@ -231,10 +232,9 @@ def collectives_allreduce() -> ScenarioResult:
            "under 5% packet loss")
 def faults_overhead() -> ScenarioResult:
     res = ScenarioResult()
-    zc = zero_cost_check()
+    zero_cost, bare_latency = zero_cost_check()
     res.invariant("zero-cost-bit-identical",
-                  (zc["ok"], f"bare {zc['bare_latency'] * 1e6:.3f}us vs "
-                             f"null-plan {zc['null_latency'] * 1e6:.3f}us"))
+                  (zero_cost.ok, zero_cost.detail))
     clean, _, _ = run_chaos_point(CollectiveMode.POLL_ON_GPU, 64, loss=0.0)
     res.metric("reliable/zero-loss/latency_us", clean.latency_us, unit="us")
     res.metric("reliable/zero-loss/retransmits", clean.retransmits,
@@ -243,7 +243,7 @@ def faults_overhead() -> ScenarioResult:
                   (clean.retransmits == 0,
                    f"{clean.retransmits} retransmits at loss=0"))
     res.invariant("reliability-overhead-bounded", inv.reliability_is_free(
-        clean.latency, zc["bare_latency"], max_overhead=0.35))
+        clean.latency, bare_latency, max_overhead=0.35))
     lossy, _, _ = run_chaos_point(CollectiveMode.POLL_ON_GPU, 64, loss=0.05)
     res.metric("reliable/5pct-loss/latency_us", lossy.latency_us, unit="us")
     res.metric("reliable/5pct-loss/retransmits", lossy.retransmits,
@@ -380,20 +380,20 @@ def sim_throughput() -> ScenarioResult:
         walls_telemetry.append(time.perf_counter() - t0)
         plane.stop()
     res.metric("sim_events", events[0], kind="count", unit="events")
-    res.invariant("deterministic-event-count",
-                  (len(set(events)) == 1,
-                   f"event counts across {len(events)} repeats: {events}"))
+    res.verdicts.append(inv.identical(
+        "deterministic-event-count", {"sim_events": events[:1] * len(events)},
+        {"sim_events": events}))
     best = min(walls)
     res.metric("wall_s_best", best, kind="wallclock", unit="s")
     res.metric("wall_s_worst", max(walls), kind="wallclock", unit="s")
     res.metric("events_per_s_best", events[0] / best, kind="wallclock",
                unit="events/s")
-    res.invariant("telemetry-non-perturbation",
-                  (bare.latency == inst.latency
-                   and bare.post_time == inst.post_time
-                   and bare.poll_time == inst.poll_time,
-                   f"bare {bare.latency * 1e6:.4f}us vs instrumented "
-                   f"{inst.latency * 1e6:.4f}us at default cadence"))
+    res.verdicts.append(inv.identical(
+        "telemetry-non-perturbation",
+        {"latency": bare.latency, "post_time": bare.post_time,
+         "poll_time": bare.poll_time},
+        {"latency": inst.latency, "post_time": inst.post_time,
+         "poll_time": inst.poll_time}))
     res.metric("telemetry_samples", plane.sampler.ticks, kind="count",
                unit="samples")
     wall_telemetry = min(walls_telemetry)
@@ -550,18 +550,16 @@ def fabric_congestion() -> ScenarioResult:
         return run_fabric(i, "ring", elems_per_rank=4, iterations=3)
 
     bare, generous = ring_run(None), ring_run(64)
-    res.invariant("zero-cost-bit-identical",
-                  (bare.times == generous.times
-                   and bare.digest == generous.digest,
-                   "credits disabled vs 64 credits: identical times and "
-                   "result digest"))
-    share = forced_congestion_blame(SweepConfig())
+    res.verdicts.append(inv.identical(
+        "zero-cost-bit-identical",
+        {"times": bare.times, "digest": bare.digest},
+        {"times": generous.times, "digest": generous.digest}))
+    blame, share = forced_congestion_blame(SweepConfig())
     res.metric("blame/blocked_on_credit_pct", round(share * 100.0, 3),
                unit="%")
     res.invariant("critpath-blames-credit",
-                  (share > 0.0,
-                   f"blocked-on-credit holds {share * 100.0:.2f}% of the "
-                   f"congested ring's critical path"))
+                  (all(v.ok for v in blame),
+                   "; ".join(f"{v.name}: {v.detail}" for v in blame)))
     return res
 
 
@@ -605,8 +603,8 @@ def mpi_latency() -> ScenarioResult:
            "Triggered-chain iallreduce vs all three host-assist control "
            "modes: MMIO at or below the engine-batched floor")
 def mpi_allreduce() -> ScenarioResult:
-    from ..engine import batched_mmio_floor
-    from ..mpi.bench import run_mode_allreduce_mmio, run_mpi_allreduce
+    from ..mpi.bench import (engine_floor_checks, run_mode_allreduce_mmio,
+                             run_mpi_allreduce)
     from ..obs.tracer import SpanTracer
 
     res = ScenarioResult()
@@ -621,19 +619,17 @@ def mpi_allreduce() -> ScenarioResult:
     res.invariant("reconciles-1pct",
                   (bool(ar.reconcile["ok"]),
                    "chains vs spans vs LatencyPoint within 1%"))
-    floor = None
+    modes = []
     for mode in (CollectiveMode.POLL_ON_GPU, CollectiveMode.DIRECT,
                  CollectiveMode.HOST_CONTROLLED):
         m = run_mode_allreduce_mmio(mode, nodes, size, iterations=4,
                                     warmup=1)
+        modes.append(m)
         res.metric(f"{m['mode']}/latency_us", m["latency_us"], unit="us")
         res.metric(f"{m['mode']}/bar_mmio", m["bar_mmio"], kind="count")
         res.invariant(f"{m['mode']}/correct", (m["correct"], "sums exact"))
-        floor = batched_mmio_floor(m["wrs_posted"], 8) if floor is None \
-            else min(floor, batched_mmio_floor(m["wrs_posted"], 8))
+    floor, below_floor, above_floor = engine_floor_checks(ar.bar_mmio, modes)
     res.metric("engine_floor", floor, kind="count")
-    res.invariant("triggered-at-or-below-engine-floor", inv.at_most(
-        ar.bar_mmio, floor, "triggered MMIO", "batched floor"))
-    res.invariant("host-assist-above-floor",
-                  (ar.bar_mmio == 0, f"triggered BAR MMIO = {ar.bar_mmio}"))
+    res.invariant("triggered-at-or-below-engine-floor", below_floor)
+    res.invariant("host-assist-above-floor", above_floor)
     return res

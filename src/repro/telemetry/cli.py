@@ -18,7 +18,7 @@ Proof obligations, runnable from CI:
 * the ``faults`` scenario replays itself under a full
   :class:`~repro.obs.SpanTracer` and reconciles the flight-recorder dump's
   spans against the full trace (every retained span must appear there,
-  within a 1% mismatch allowance).
+  under the shared 1% agreement rule).
 
 Exit status: 0 on success, 1 on SLO breach (so pipelines can gate),
 2 on a verification failure.
@@ -31,7 +31,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from ..errors import ReproError
+from ..analysis.invariants import Verdict, identical, reconciles, render
 from ..sim import Simulator
 from .export import (render_series_table, write_flight_record,
                      write_prometheus, write_timeseries)
@@ -244,7 +244,7 @@ _SCENARIOS = {
 
 # -- proof obligations -------------------------------------------------------------
 
-def _verify_non_perturbation(args, scenario: str) -> Tuple[bool, str]:
+def _verify_non_perturbation(args, scenario: str) -> Verdict:
     """Run bare and instrumented with the same seed; the measured results
     must be IDENTICAL (telemetry reads, never writes)."""
     runner = _SCENARIOS[scenario]
@@ -253,30 +253,12 @@ def _verify_non_perturbation(args, scenario: str) -> Tuple[bool, str]:
     plane = _build_plane(args, sim, scenario)
     _, instrumented = runner(args, sim, plane)
     plane.stop()
-    for key, value in bare.items():
-        if instrumented.get(key) != value:
-            return False, (f"telemetry perturbed the run: {key} "
-                           f"{value!r} -> {instrumented.get(key)!r}")
-    return True, (f"bare and instrumented runs identical across "
-                  f"{len(bare)} measured quantities "
-                  f"({plane.sampler.ticks} samples taken)")
+    return identical("non-perturbation", bare, instrumented)
 
 
-def _reconcile_dump(dump: dict, tracer) -> dict:
+def _reconcile_faults_dump(args, dump: dict) -> Verdict:
     """Every span the flight recorder retained must appear, bit-identical,
     in a full trace of the same seed."""
-    full = {(s.category, s.name, s.track, s.begin, s.end)
-            for s in tracer.spans}
-    retained = [(s["category"], s["name"], s["track"], s["begin"], s["end"])
-                for s in dump["spans"]]
-    missing = [key for key in retained if key not in full]
-    total = max(len(retained), 1)
-    rel_err = len(missing) / total
-    return {"retained": len(retained), "missing": len(missing),
-            "rel_err": rel_err, "ok": rel_err <= 0.01}
-
-
-def _reconcile_faults_dump(args, dump: dict) -> dict:
     from ..analysis.faults import run_chaos_point
     from ..collectives.comm import CollectiveMode
     from ..obs.tracer import SpanTracer
@@ -285,7 +267,12 @@ def _reconcile_faults_dump(args, dump: dict) -> dict:
                     corrupt=args.loss / 2, nodes=args.nodes,
                     iterations=args.iterations, warmup=args.warmup,
                     seed=args.seed, tracer=tracer)
-    return _reconcile_dump(dump, tracer)
+    full = {(s.category, s.name, s.track, s.begin, s.end)
+            for s in tracer.spans}
+    retained = [(s["category"], s["name"], s["track"], s["begin"], s["end"])
+                for s in dump["spans"]]
+    found = sum(1 for key in retained if key in full)
+    return reconciles("dump reconciliation", found, len(retained))
 
 
 # -- entry point --------------------------------------------------------------------
@@ -355,19 +342,15 @@ def main(argv=None) -> int:
     runner = _SCENARIOS[args.scenario]
 
     if args.verify:
-        ok, detail = _verify_non_perturbation(args, args.scenario)
-        print(f"[{'PASS' if ok else 'FAIL'}] non-perturbation: {detail}")
-        if not ok:
+        verdict = _verify_non_perturbation(args, args.scenario)
+        print(render([verdict]))
+        if not verdict.ok:
             return 2
 
     sim = Simulator(seed=args.seed)
     plane = None if args.no_telemetry else _build_plane(args, sim,
                                                         args.scenario)
-    try:
-        headline, _details = runner(args, sim, plane)
-    except ReproError as exc:
-        print(f"scenario failed: {exc}")
-        return 2
+    headline, _details = runner(args, sim, plane)
     if plane is not None:
         plane.stop()
 
@@ -383,13 +366,10 @@ def main(argv=None) -> int:
     print(plane.render())
 
     if args.reconcile and args.scenario == "faults" and plane.dumps:
-        recon = _reconcile_faults_dump(args, plane.dumps[0])
+        verdict = _reconcile_faults_dump(args, plane.dumps[0])
         print()
-        print(f"[{'PASS' if recon['ok'] else 'FAIL'}] dump reconciliation: "
-              f"{recon['retained']} retained spans, "
-              f"{recon['missing']} missing from the full trace "
-              f"(rel err {recon['rel_err'] * 100:.2f}%, allowed 1%)")
-        if not recon["ok"]:
+        print(render([verdict]))
+        if not verdict.ok:
             return 2
 
     if args.out:

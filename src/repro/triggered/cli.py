@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
+from ..analysis.invariants import Verdict, render, to_json
 from ..cluster import build_extoll_cluster
 from ..extoll import NotificationCursor, NotifyFlags, RmaOp, RmaWorkRequest, \
     rma_post, rma_wait_notification
@@ -207,27 +208,29 @@ def main(argv=None) -> int:
     if args.out:
         write_chrome_trace(trig_tracer, args.out)
 
-    verdicts: List[Tuple[str, bool, str]] = [
-        ("triggered-data", bool(trig["data_ok"]),
-         "both relay rounds delivered the right bytes"),
-        ("host-assist-data", bool(host["data_ok"]),
-         "reference exchange delivered the right bytes"),
-        ("zero-host-wr-posts", trig["host_wr_posts"] == 0,
-         f"WR posts through the BAR after staging: {trig['host_wr_posts']}"),
-        ("one-doorbell-per-node", trig["doorbells"] == nodes,
-         f"counter doorbells: {trig['doorbells']} (nodes: {nodes})"),
-        ("all-chains-completed",
-         trig["chains_completed"] == trig["chains_staged"] == 2 * nodes,
-         f"{trig['chains_completed']}/{trig['chains_staged']} chains "
-         f"completed"),
+    verdicts = [
+        Verdict("triggered-data", bool(trig["data_ok"]),
+                "both relay rounds delivered the right bytes"),
+        Verdict("host-assist-data", bool(host["data_ok"]),
+                "reference exchange delivered the right bytes"),
+        Verdict("zero-host-wr-posts", trig["host_wr_posts"] == 0,
+                f"WR posts through the BAR after staging: "
+                f"{trig['host_wr_posts']}"),
+        Verdict("one-doorbell-per-node", trig["doorbells"] == nodes,
+                f"counter doorbells: {trig['doorbells']} (nodes: {nodes})"),
+        Verdict("all-chains-completed",
+                trig["chains_completed"] == trig["chains_staged"]
+                == 2 * nodes,
+                f"{trig['chains_completed']}/{trig['chains_staged']} chains "
+                f"completed"),
     ]
-    ok = all(v for _, v, _ in verdicts)
+    ok = all(v.ok for v in verdicts)
 
     if args.json:
         print(json.dumps({
             "nodes": nodes, "size": size, "seed": args.seed,
             "triggered": trig, "host_assist": host,
-            "verdicts": {name: v for name, v, _ in verdicts},
+            "verdicts": to_json(verdicts),
             "ok": ok,
         }, indent=2))
         return 0 if ok else 1
@@ -247,6 +250,5 @@ def main(argv=None) -> int:
     for label, t, h in rows:
         print(f"{label:>20} {t:>18} {h:>14}")
     print()
-    for name, verdict, detail in verdicts:
-        print(f"[{'PASS' if verdict else 'FAIL'}] {name}: {detail}")
+    print(render(verdicts))
     return 0 if ok else 1

@@ -33,9 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..errors import ReproError
+from ..analysis.invariants import Verdict, identical, render, to_json
 from ..sim import Simulator
 from ..telemetry.export import write_flight_record
 from ..telemetry.plane import TelemetryPlane
@@ -117,41 +117,30 @@ def _run_cell(args, workload: str, mode: str) -> dict:
     }
 
 
-def _check_zero_cost(args, workload: str, mode: str) -> Tuple[bool, str]:
-    """The instrumented cell against a bare re-run: identical latencies."""
-    closed = WorkloadRun(
-        workload, mode, nodes=args.nodes, size=args.size,
-        requests=args.requests, loop="closed", seed=args.seed,
-        fault_plan=_fault_plan(args), reliable=bool(args.loss)).execute()
-    rate = args.saturation / closed.mean_service
-    sim = Simulator(seed=args.seed)
-    plane = _build_plane(args, sim)
-    run = _open_run(args, workload, mode, rate, sim=sim)
-    plane.watch_workloads(run)
-    plane.start()
-    instrumented = run.execute()
-    plane.stop()
-    bare = _open_run(args, workload, mode, rate).execute()
-    same = (bare.latencies == instrumented.latencies
-            and bare.last_completion == instrumented.last_completion)
-    return same, (f"{workload}/{mode}: bare and instrumented latency "
-                  f"sequences {'identical' if same else 'DIVERGED'} "
-                  f"({len(bare.latencies)} requests, "
-                  f"{plane.sampler.ticks} samples taken)")
+def _replay_checks(args, workload: str, mode: str, rate: float,
+                   ) -> List[Verdict]:
+    """Same-seed open-loop replay, and (with telemetry) the instrumented
+    run against a bare one: both must be bit-identical."""
+    def outputs(run: WorkloadRun) -> dict:
+        result = run.execute()
+        return {"latencies": result.latencies,
+                "last_completion": result.last_completion}
 
-
-def _check_replay(args, workload: str, mode: str) -> Tuple[bool, str]:
-    closed = WorkloadRun(
-        workload, mode, nodes=args.nodes, size=args.size,
-        requests=args.requests, loop="closed", seed=args.seed,
-        fault_plan=_fault_plan(args), reliable=bool(args.loss)).execute()
-    rate = args.saturation / closed.mean_service
-    first = _open_run(args, workload, mode, rate).execute()
-    second = _open_run(args, workload, mode, rate).execute()
-    same = first.latencies == second.latencies
-    return same, (f"{workload}/{mode}: same-seed open-loop replay "
-                  f"{'bit-identical' if same else 'DIVERGED'} "
-                  f"({len(first.latencies)} latencies compared)")
+    bare = outputs(_open_run(args, workload, mode, rate))
+    verdicts = []
+    if not args.no_telemetry:
+        sim = Simulator(seed=args.seed)
+        plane = _build_plane(args, sim)
+        run = _open_run(args, workload, mode, rate, sim=sim)
+        plane.watch_workloads(run)
+        plane.start()
+        instrumented = outputs(run)
+        plane.stop()
+        verdicts.append(identical("zero-cost when disarmed", bare,
+                                  instrumented))
+    verdicts.append(identical("deterministic replay", bare,
+                              outputs(_open_run(args, workload, mode, rate))))
+    return verdicts
 
 
 def _fmt_us(seconds: float) -> str:
@@ -234,32 +223,24 @@ def main(argv=None) -> int:
     modes = args.mode or list(MODES)
 
     cells = []
-    verdicts: List[Tuple[str, bool, str]] = []
-    try:
-        for workload in workloads:
-            for mode in modes:
-                cells.append(_run_cell(args, workload, mode))
-        rep_wl, rep_mode = workloads[0], modes[0]
-        if not args.no_telemetry:
-            ok, detail = _check_zero_cost(args, rep_wl, rep_mode)
-            verdicts.append(("zero-cost when disarmed", ok, detail))
-        ok, detail = _check_replay(args, rep_wl, rep_mode)
-        verdicts.append(("deterministic replay", ok, detail))
-        knee = None
-        if args.knee:
-            knee = saturation_sweep(
-                rep_wl, rep_mode, nodes=args.nodes, size=args.size,
-                requests=args.requests, arrival=args.arrival,
-                seed=args.seed, fault_plan=_fault_plan(args),
-                reliable=bool(args.loss)).as_dict()
-    except ReproError as exc:
-        print(f"workload run failed: {exc}")
-        return 2
+    verdicts: List[Verdict] = []
+    for workload in workloads:
+        for mode in modes:
+            cells.append(_run_cell(args, workload, mode))
+    rep_wl, rep_mode = workloads[0], modes[0]
+    verdicts += _replay_checks(args, rep_wl, rep_mode, cells[0]["rate"])
+    knee = None
+    if args.knee:
+        knee = saturation_sweep(
+            rep_wl, rep_mode, nodes=args.nodes, size=args.size,
+            requests=args.requests, arrival=args.arrival,
+            seed=args.seed, fault_plan=_fault_plan(args),
+            reliable=bool(args.loss)).as_dict()
 
     # -- grid-wide proof obligations ---------------------------------------------
     bad_verify = [f"{c['workload']}/{c['mode']}" for c in cells
                   if not (c["closed"]["verified"] and c["open"]["verified"])]
-    verdicts.append((
+    verdicts.append(Verdict(
         "all results exact", not bad_verify,
         f"{2 * len(cells)} runs verified rank-by-rank against host-side "
         f"expectations" if not bad_verify
@@ -271,7 +252,7 @@ def main(argv=None) -> int:
     if args.saturation >= 0.8 and not args.loss:
         bad_gap = [f"{c['workload']}/{c['mode']}" for c in cells
                    if not c["open_ge_closed"]]
-        verdicts.append((
+        verdicts.append(Verdict(
             "open-loop p99 >= closed-loop p99", not bad_gap,
             f"queueing delay visible in every cell at "
             f"{args.saturation:.0%} saturation" if not bad_gap
@@ -279,14 +260,14 @@ def main(argv=None) -> int:
     if not args.no_telemetry:
         bad_recon = [f"{c['workload']}/{c['mode']}" for c in cells
                      if not (c["reconcile"] and c["reconcile"]["ok"])]
-        verdicts.append((
+        verdicts.append(Verdict(
             "trace<->histogram reconciliation <= 1%", not bad_recon,
             "recorder histograms match the exact latency lists on count "
             "and sum" if not bad_recon
             else f"mismatch in: {', '.join(bad_recon)}"))
 
     breached = any(c["breached"] for c in cells)
-    all_ok = all(ok for _name, ok, _detail in verdicts)
+    all_ok = all(v.ok for v in verdicts)
 
     doc = {
         "nodes": args.nodes, "size": args.size, "requests": args.requests,
@@ -294,8 +275,7 @@ def main(argv=None) -> int:
         "seed": args.seed, "loss": args.loss,
         "cells": [{k: v for k, v in c.items() if k != "dumps"}
                   for c in cells],
-        "verdicts": [{"name": n, "ok": ok, "detail": d}
-                     for n, ok, d in verdicts],
+        "verdicts": to_json(verdicts),
         "breached": breached,
         "ok": all_ok,
     }
@@ -307,8 +287,7 @@ def main(argv=None) -> int:
     else:
         print(_render_cells(cells))
         print()
-        for name, ok, detail in verdicts:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(render(verdicts))
         if args.knee and knee is not None:
             print()
             print(f"saturation knee ({rep_wl}/{rep_mode}): "

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..analysis.invariants import reconciles, relative_error
 from ..cluster import build_extoll_cluster
 from ..errors import BenchmarkError
 from ..faults.injector import FaultInjector
@@ -371,14 +372,13 @@ def reconcile(result: RunResult, recorder) -> dict:
     hist = recorder.metrics.histogram("span.workload.request")
     exact_count = len(result.latencies)
     exact_sum = sum(result.latencies)
-    count_err = (abs(hist.count - exact_count) / exact_count
-                 if exact_count else 0.0)
-    sum_err = abs(hist.total - exact_sum) / exact_sum if exact_sum else 0.0
     return {
         "span_count": hist.count, "exact_count": exact_count,
         "span_sum": hist.total, "exact_sum": exact_sum,
-        "count_err": count_err, "sum_err": sum_err,
-        "ok": count_err <= 0.01 and sum_err <= 0.01,
+        "count_err": relative_error(hist.count, exact_count),
+        "sum_err": relative_error(hist.total, exact_sum),
+        "ok": (reconciles("count", hist.count, exact_count).ok
+               and reconciles("sum", hist.total, exact_sum).ok),
     }
 
 

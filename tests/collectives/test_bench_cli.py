@@ -71,7 +71,7 @@ def test_cli_trace_export(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     validate_chrome_trace(doc["traceEvents"])
     out = capsys.readouterr().out
-    assert "rel err" in out and "MISMATCH" not in out
+    assert "[PASS] reconcile all-reduce: " in out and "[FAIL]" not in out
 
 
 def test_cli_rejects_unknown_op():

@@ -11,7 +11,8 @@ def test_quick_sweep_passes_all_invariants(capsys, tmp_path):
                "--warmup", "2", "--out", str(trace)])
     out = capsys.readouterr().out
     assert rc == 0, out
-    assert "invariants hold" in out
+    assert "[PASS] mmio-coalescing: " in out
+    assert "[PASS] span-reconcile-polling: " in out
     assert "FAIL" not in out
     # The traced rate run was exported as a loadable Chrome trace.
     events = json.loads(trace.read_text())["traceEvents"]

@@ -82,7 +82,7 @@ def test_trace_cli_writes_valid_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     validate_chrome_trace(doc["traceEvents"])
     text = capsys.readouterr().out
-    assert "reconcile wr-generation" in text and "OK" in text
+    assert "[PASS] reconcile wr-generation: " in text
 
 
 def test_trace_cli_ib_fabric(tmp_path):

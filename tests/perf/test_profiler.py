@@ -88,6 +88,6 @@ def test_to_dict_is_json_safe_and_complete(profiles):
 
 def test_render_is_readable(profiles):
     text = render_profile(profiles[("extoll", "dev2dev-direct")])
-    for needle in ("wqe-generation", "completion-polling", "reconciliation",
-                   "OK", "poll/post ratio"):
+    for needle in ("wqe-generation", "completion-polling",
+                   "[PASS] reconciliation: ", "poll/post ratio"):
         assert needle in text
