@@ -27,7 +27,7 @@ from ..collectives.bench import build_communicator, run_collective
 from ..collectives.comm import CollectiveMode
 from ..faults import FaultInjector, FaultPlan, ReliabilityConfig
 from ..sim import Simulator
-from .invariants import Verdict, identical, reconciles, relative_error
+from .invariants import Verdict, counts_match, identical, relative_error
 
 #: Latency may wobble this much between loss levels before the monotonic
 #: degradation check calls it a violation (retransmission timing is bursty
@@ -178,13 +178,13 @@ def monotonic_check(points: Sequence[ChaosPoint],
 def reconcile_retransmits(tracer, comm) -> dict:
     """The chaos harness's books must balance: ``fault/retransmit``
     instants in the Chrome trace vs the reliability engines' counters,
-    under the shared agreement rule."""
+    count for count."""
     traced = sum(1 for i in tracer.instants
                  if i.category == "fault" and i.name == "retransmit")
     counted = comm.retransmits
     return {"traced": traced, "counted": counted,
             "rel_err": relative_error(traced, counted),
-            "ok": reconciles("retransmit reconcile", traced, counted).ok}
+            "ok": counts_match("retransmit reconcile", traced, counted).ok}
 
 
 # -- rendering -------------------------------------------------------------------

@@ -4,8 +4,9 @@ check is printed and serialized.
 A :class:`Verdict` is one named check result.  Every subcommand builds its
 checks as verdicts, prints them with :func:`render` and serializes them
 with :func:`to_json`; the benchmark harness stores them too.
-:func:`reconciles` (two views of one quantity agree within
-:data:`RECONCILE_TOLERANCE`) and :func:`identical` (two runs' outputs are
+:func:`reconciles` (two views of one float quantity agree within
+:data:`RECONCILE_TOLERANCE`), :func:`counts_match` (two counts of the same
+discrete events are equal) and :func:`identical` (two runs' outputs are
 bit-identical) build verdicts from numbers.
 
 The shape helpers answer the paper's qualitative claims with an
@@ -69,11 +70,20 @@ def _agreement(observed: float, expected: float, tolerance: float) -> Check:
 
 
 def reconciles(label: str, observed: float, expected: float) -> Verdict:
-    """Two views of the same quantity must agree within
-    :data:`RECONCILE_TOLERANCE` relative error (exactly, when ``expected``
-    is zero)."""
+    """Two views of the same float quantity (a span-time sum, a latency)
+    must agree within :data:`RECONCILE_TOLERANCE` relative error (exactly,
+    when ``expected`` is zero)."""
     return Verdict(label, *_agreement(observed, expected,
                                       RECONCILE_TOLERANCE))
+
+
+def counts_match(label: str, observed: int, expected: int) -> Verdict:
+    """Two counts of the same discrete events (doorbells, retransmits,
+    spans) must be equal: one lost event fails, however large the counts —
+    the 1% rule of :func:`reconciles` would pass 255 of 256."""
+    ok = observed == expected
+    return Verdict(label, ok, f"observed {observed}, expected exactly "
+                              f"{expected}")
 
 
 def identical(label: str, a: Mapping[str, object],
@@ -204,16 +214,6 @@ def mmio_coalesced(doorbells: int, descriptors: int, batch_size: int,
                 f"over {lanes} lane(s) {'<=' if ok else 'EXCEEDS'} "
                 f"ceil(N/{batch_size})+{timeout_flushes} timeouts"
                 f"+{lanes - 1} tails = {bound}")
-
-
-def counter_reconciles(observed: float, expected: float,
-                       label: str = "counter",
-                       tolerance: float = RECONCILE_TOLERANCE) -> Check:
-    """Driver-side accounting vs the instrumented hardware counter/trace:
-    the two views of the same events must agree within ``tolerance``
-    relative error (exactly, when ``expected`` is zero)."""
-    ok, detail = _agreement(observed, expected, tolerance)
-    return ok, f"{label}: {detail}"
 
 
 def reliability_is_free(reliable_latency: float, bare_latency: float,

@@ -74,9 +74,10 @@ def main(argv=None) -> int:
     if args.trace:
         from ..obs import SpanTracer, write_chrome_trace
         from ..sim import set_default_tracer
-        # The full report runs dozens of simulations; cap the retained spans
-        # so the trace stays loadable (overflow is counted in ``dropped``).
-        tracer = SpanTracer(max_spans=1_000_000)
+        # The full report runs dozens of simulations; keep the newest 1M
+        # spans (and instants, flows) so the trace stays loadable; the
+        # evicted ones are counted in ``dropped``.
+        tracer = SpanTracer(capacity=1_000_000)
         set_default_tracer(tracer)  # every cluster built below picks it up
         try:
             generate_report(scale=args.scale)

@@ -4,7 +4,7 @@ Every message the stack moves — msglib slot puts, raw RMA/IB work
 requests, engine batches, triggered chains, MPI envelopes, workload
 requests — already flows through a handful of chokepoints (staging,
 posting, DMA, wire, delivery, drain).  This package turns the
-:meth:`~repro.sim.trace.Tracer.flow_event` breadcrumbs those chokepoints
+:meth:`~repro.obs.SpanTracer.flow_event` breadcrumbs those chokepoints
 drop into a happens-before DAG and walks it backward from each request's
 completion to its dispatch, yielding the request's **critical path**: the
 single chain of dependencies whose durations sum *exactly* to the

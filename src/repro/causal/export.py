@@ -5,16 +5,15 @@ blame category and edge classification; the Chrome exporter rides
 :func:`repro.obs.export.chrome_trace_events` (which already carries the
 per-message flow arrows) and overlays one ``s``/``f`` arrow pair per
 critical-path hop under the ``critpath`` category, so Perfetto draws the
-exact dependency chain the blame table summed.
+exact dependency chain the blame table summed.  The file is written (and
+validated) by :func:`repro.obs.export.write_trace`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import IO, Dict, List, Union
 
-from ..obs.export import chrome_trace_events, track_tids
+from ..obs.export import chrome_trace_events, track_tids, write_trace
 from ..obs.tracer import SpanTracer
 from .critpath import CriticalPath, RunAnalysis
 from .events import CATEGORY_ORDER
@@ -123,24 +122,11 @@ def annotated_trace_events(tracer: SpanTracer,
 
 def write_annotated_trace(tracer: SpanTracer, analysis: RunAnalysis,
                           out: Union[str, IO[str]], pid: int = 0) -> dict:
-    doc = {
-        "traceEvents": annotated_trace_events(tracer, analysis, pid),
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "generator": "repro.causal",
-            "requests": analysis.requests,
-            "blame": {c: v for c, v in analysis.blame().items()},
-        },
-    }
-    if isinstance(out, str):
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-    else:
-        json.dump(doc, out, indent=1)
-    return doc
+    return write_trace(annotated_trace_events(tracer, analysis, pid),
+                       {"generator": "repro.causal",
+                        "requests": analysis.requests,
+                        "blame": {c: v for c, v in analysis.blame().items()}},
+                       out)
 
 
 __all__ = ["annotated_trace_events", "render_blame", "render_slack",

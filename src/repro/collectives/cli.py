@@ -23,29 +23,18 @@ import argparse
 import sys
 
 from ..analysis.invariants import Verdict, reconciles, relative_error, render
+from ..cliargs import csv_list
 from ..cluster import TOPOLOGIES
 from ..obs import SpanTracer
 from ..obs.export import (
-    chrome_trace_events,
     phase_breakdown,
     render_breakdown,
-    validate_chrome_trace,
     write_chrome_trace,
 )
 from ..sim import Simulator
 from .bench import (OPS, build_communicator, op_connectivity,
                     op_max_payload, render_results, run_collective, sweep)
 from .comm import CollectiveMode, collective_mode
-
-
-def _csv_ints(text: str, what: str):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}")
-    if not values:
-        raise SystemExit(f"empty {what} list")
-    return values
 
 
 def reconcile_trace(tracer: SpanTracer, op: str, result) -> dict:
@@ -88,12 +77,11 @@ def main(argv=None) -> int:
         prog="python -m repro collectives",
         description="GPU-initiated collectives over put/get: scaling sweeps "
                     "and Chrome-trace export.")
-    parser.add_argument("--op", default="all",
-                        help=f"operation, or 'all' (choices: "
-                             f"{', '.join(OPS)}; default: all)")
-    parser.add_argument("--nodes", default="2,4",
+    parser.add_argument("--op", default="all", choices=("all",) + OPS,
+                        help="operation, or 'all' (default: all)")
+    parser.add_argument("--nodes", default="2,4", type=csv_list(int),
                         help="comma-separated node counts (default: 2,4)")
-    parser.add_argument("--sizes", default="8,64,256",
+    parser.add_argument("--sizes", default="8,64,256", type=csv_list(int),
                         help="comma-separated per-message payload bytes, "
                              "multiples of 8 (default: 8,64,256)")
     parser.add_argument("--topology", default="auto",
@@ -122,12 +110,7 @@ def main(argv=None) -> int:
         iterations, warmup = 3, 1
     else:
         ops = list(OPS) if args.op == "all" else [args.op]
-        for op in ops:
-            if op not in OPS:
-                raise SystemExit(f"unknown op {op!r} "
-                                 f"(choose from: {', '.join(OPS)})")
-        node_counts = _csv_ints(args.nodes, "node count")
-        sizes = _csv_ints(args.sizes, "size")
+        node_counts, sizes = args.nodes, args.sizes
         iterations, warmup = args.iterations, args.warmup
     mode = collective_mode(args.mode)
 
@@ -136,8 +119,6 @@ def main(argv=None) -> int:
         nodes, size = node_counts[0], sizes[0]
         tracer, result = run_traced_collective(
             op, nodes, size, mode, args.topology, iterations, warmup)
-        events = chrome_trace_events(tracer)
-        validate_chrome_trace(events)
         write_chrome_trace(tracer, args.trace)
 
         print(f"{op} mode={mode.value} topology={result.topology} "

@@ -10,8 +10,9 @@ Three stages:
    engine variants driven by ONE persistent proxy block.
 3. **Verification** — the acceptance invariants, cross-checked three ways:
    driver-side :class:`~repro.engine.EngineStats`, the NIC's hardware
-   counters, and the span trace's metric counters, plus the traced
-   pingpong's phase spans reconciled against the measured point within 1%.
+   counters, and the span trace's metric counters (equal, count for
+   count), plus the traced pingpong's phase spans reconciled against the
+   measured point within 1%.
 
 Exit status is non-zero if any invariant fails, so CI can gate on it.
 """
@@ -105,6 +106,24 @@ def rate_sweep(conn_counts: List[int], per_connection: int, seed: int,
     return rates, all_stats
 
 
+def counter_verdicts(nic, stats: EngineStats, metrics) -> List[Verdict]:
+    """Driver stats vs the NIC's hardware counters vs the span trace's
+    metric counters: each pair counts the same doorbells or descriptors, so
+    each must match exactly."""
+    return [
+        inv.counts_match("nic-doorbell-counter", nic.batch_doorbells,
+                         stats.batches),
+        inv.counts_match("nic-descriptor-counter", nic.batch_descriptors,
+                         stats.wrs),
+        inv.counts_match("trace-doorbell-counter",
+                         metrics.counter("rma.batch_doorbells").value,
+                         stats.batches),
+        inv.counts_match("trace-wr-counter",
+                         metrics.counter("rma.wr_triggers").value,
+                         stats.wrs),
+    ]
+
+
 def verification(latencies: Dict[int, Dict[str, float]],
                  rates: Dict[int, Dict[str, float]],
                  all_stats: Dict[int, EngineStats],
@@ -133,24 +152,13 @@ def verification(latencies: Dict[int, Dict[str, float]],
         stats.doorbells, stats.wrs, config.batch_size,
         stats.timeout_flushes, lanes=top)))
 
-    # 4. Three-way counter reconciliation on a TRACED all-on rate run:
-    # driver stats vs NIC hardware counters vs span-trace metrics.
+    # 4. Three-way counter reconciliation on a TRACED all-on rate run.
     tracer = SpanTracer()
     cluster = _fresh_extoll(seed, tracer=tracer)
     conns = setup_extoll_connections(cluster, _BUF_BYTES, top)
-    nic = cluster.a.nic
     _, traced_stats = run_engine_message_rate(
         cluster, conns, config, per_connection=per_connection)
-    verdicts.append(Verdict("nic-doorbell-counter", *inv.counter_reconciles(
-        nic.batch_doorbells, traced_stats.batches, "nic batch doorbells")))
-    verdicts.append(Verdict("nic-descriptor-counter", *inv.counter_reconciles(
-        nic.batch_descriptors, traced_stats.wrs, "nic batch descriptors")))
-    verdicts.append(Verdict("trace-doorbell-counter", *inv.counter_reconciles(
-        tracer.metrics.counter("rma.batch_doorbells").value,
-        traced_stats.batches, "traced batch doorbells")))
-    verdicts.append(Verdict("trace-wr-counter", *inv.counter_reconciles(
-        tracer.metrics.counter("rma.wr_triggers").value,
-        traced_stats.wrs, "traced WR triggers")))
+    verdicts += counter_verdicts(cluster.a.nic, traced_stats, tracer.metrics)
     if trace_out:
         write_chrome_trace(tracer, trace_out)
 

@@ -27,32 +27,11 @@ import json
 import sys
 
 from ..analysis.invariants import render, to_json
+from ..cliargs import csv_list
 from .routing import ROUTINGS
 from .sweep import (SweepConfig, forced_congestion_blame, render_report,
                     run_sweep)
 from .topology import TOPOLOGY_KINDS
-
-
-def _csv(text: str, what: str, allowed=None):
-    values = [v.strip() for v in text.split(",") if v.strip()]
-    if not values:
-        raise SystemExit(f"empty {what} list")
-    if allowed is not None:
-        for v in values:
-            if v not in allowed:
-                raise SystemExit(f"unknown {what} {v!r} "
-                                 f"(choose from: {', '.join(allowed)})")
-    return tuple(values)
-
-
-def _csv_ints(text: str, what: str):
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}")
-    if not values:
-        raise SystemExit(f"empty {what} list")
-    return values
 
 
 def main(argv=None) -> int:
@@ -61,12 +40,14 @@ def main(argv=None) -> int:
         description="Hierarchical scale-out fabrics: topology-aware "
                     "collectives, credit congestion, acceptance verdicts.")
     parser.add_argument("--topologies", default=",".join(TOPOLOGY_KINDS),
+                        type=csv_list(choices=TOPOLOGY_KINDS),
                         help=f"comma-separated topology kinds (default: "
                              f"{','.join(TOPOLOGY_KINDS)})")
     parser.add_argument("--algorithms", default="ring,rh,tree",
+                        type=csv_list(choices=("ring", "rh", "tree")),
                         help="comma-separated all-reduce schedules "
                              "(default: ring,rh,tree)")
-    parser.add_argument("--nodes", default="64,128",
+    parser.add_argument("--nodes", default="64,128", type=csv_list(int),
                         help="comma-separated power-of-two rank counts "
                              "(default: 64,128; the paper-scale run is "
                              "64,128,256,512)")
@@ -94,10 +75,8 @@ def main(argv=None) -> int:
                           routing=args.routing)
     else:
         cfg = SweepConfig(
-            topologies=_csv(args.topologies, "topology", TOPOLOGY_KINDS),
-            algorithms=_csv(args.algorithms, "algorithm",
-                            ("ring", "rh", "tree")),
-            nodes=_csv_ints(args.nodes, "node count"),
+            topologies=args.topologies, algorithms=args.algorithms,
+            nodes=args.nodes,
             elems_per_rank=args.elems, iterations=args.iterations,
             seed=args.seed, routing=args.routing)
 

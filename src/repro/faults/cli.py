@@ -5,8 +5,8 @@ with the reliability engines armed, and asserts three properties:
 
 1. every point still computes the exact correct result (retransmission
    works under loss, corruption, and reordering),
-2. a traced run's ``fault/retransmit`` instants reconcile with the
-   engines' counters within 1% (the books balance),
+2. a traced run's ``fault/retransmit`` instants match the engines'
+   counters exactly (the books balance),
 3. latency/goodput degrade monotonically with loss, and the fault layer is
    bit-for-bit free when idle (``FaultPlan.none()``).
 
@@ -31,35 +31,12 @@ from ..analysis.faults import (
     run_chaos_point,
     zero_cost_check,
 )
-from ..analysis.invariants import Verdict, reconciles, render
+from ..analysis.invariants import Verdict, counts_match, render
+from ..cliargs import csv_list
 from ..collectives.bench import OPS
 from ..collectives.comm import CollectiveMode, collective_mode
 from ..obs import SpanTracer
-from ..obs.export import (
-    chrome_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-
-
-def _csv_floats(text: str, what: str):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}")
-    if not values:
-        raise SystemExit(f"empty {what} list")
-    return values
-
-
-def _csv_ints(text: str, what: str):
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}")
-    if not values:
-        raise SystemExit(f"empty {what} list")
-    return values
+from ..obs.export import write_chrome_trace
 
 
 def main(argv=None) -> int:
@@ -72,10 +49,11 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=4,
                         help="ring size (default: 4)")
     parser.add_argument("--loss", default="0,0.005,0.01,0.02",
+                        type=csv_list(float),
                         help="comma-separated per-packet loss rates "
                              "(default: 0,0.005,0.01,0.02; corruption rides "
                              "along at half each rate)")
-    parser.add_argument("--sizes", default="64,256",
+    parser.add_argument("--sizes", default="64,256", type=csv_list(int),
                         help="comma-separated payload bytes, multiples of 8 "
                              "(default: 64,256)")
     parser.add_argument("--mode", default="all",
@@ -101,13 +79,12 @@ def main(argv=None) -> int:
         modes = [CollectiveMode.POLL_ON_GPU, CollectiveMode.HOST_CONTROLLED]
         nodes, iterations, warmup = 3, 2, 1
     else:
-        loss_rates = sorted(_csv_floats(args.loss, "loss rate"))
-        sizes = _csv_ints(args.sizes, "size")
+        loss_rates, sizes = sorted(args.loss), args.sizes
         modes = (list(CollectiveMode) if args.mode == "all"
                  else [collective_mode(args.mode)])
         nodes, iterations, warmup = args.nodes, args.iterations, args.warmup
     if any(l < 0 or l >= 1 for l in loss_rates):
-        raise SystemExit("loss rates must be in [0, 1)")
+        parser.error("loss rates must be in [0, 1)")
     if 0.0 not in loss_rates:
         loss_rates = [0.0] + loss_rates   # degradation needs its baseline
 
@@ -147,12 +124,10 @@ def main(argv=None) -> int:
             modes[0], sizes[0], trace_loss, corrupt=trace_loss / 2,
             nodes=nodes, op=args.op, iterations=iterations, warmup=warmup,
             seed=args.seed, tracer=tracer)
-        events = chrome_trace_events(tracer)
-        validate_chrome_trace(events)
         write_chrome_trace(tracer, args.trace)
         recon = reconcile_retransmits(tracer, comm)
-        verdicts.append(reconciles("retransmit reconcile", recon["traced"],
-                                   recon["counted"]))
+        verdicts.append(counts_match("retransmit reconcile",
+                                     recon["traced"], recon["counted"]))
         verdicts.append(Verdict(
             "traced run exact", point.correct,
             f"all-reduce result at loss={trace_loss:g} "

@@ -121,13 +121,24 @@ def run_mpi_pingpong(size: int, iterations: int = 8, warmup: int = 2,
         bar_mmio=_bar_mmio(delta))
 
 
+def chains_reconcile(fired: int, algorithm: str, nodes: int,
+                     rounds: int) -> dict:
+    """Chains the triggered units fired vs the closed form ``rounds``
+    all-reduces of ``algorithm`` imply: equal, chain for chain."""
+    expected = messages_per_round(algorithm, nodes) * rounds
+    return {"observed": fired, "expected": expected,
+            "rel_err": inv.relative_error(fired, expected),
+            "ok": inv.counts_match("chains", fired, expected).ok}
+
+
 def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
                       warmup: int = 1, seed: int = 11,
                       tracer: Optional[SpanTracer] = None,
                       algorithm: str = "ring") -> MpiAllreduceResult:
     """Measured triggered-chain iallreduce rounds, with a three-way
-    reconcile: NIC chain counters vs ``phase`` span totals vs the
-    LatencyPoint must agree under the shared 1% rule.  ``algorithm``
+    reconcile: the NIC chain counters must equal the schedule's closed
+    form exactly, and ``phase`` span totals must agree with the
+    LatencyPoint under the shared 1% rule.  ``algorithm``
     picks the staged schedule (``ring``/``rh``/``tree``); the non-ring
     schedules exchange with ``rank ^ dist`` partners and so wire
     all-pairs connectivity with slots sized for their largest message."""
@@ -169,15 +180,9 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
 
     # Three-way reconcile: chains the units say fired vs the chain count
     # the schedule implies, and traced span time vs the timed elapsed.
-    expected_chains = (messages_per_round(algorithm, nodes)
-                       * (iterations + warmup))
     reconcile: Dict[str, object] = {
-        "chains": {"observed": delta["chains_fired"],
-                   "expected": expected_chains,
-                   "rel_err": inv.relative_error(delta["chains_fired"],
-                                                 expected_chains),
-                   "ok": inv.reconciles("chains", delta["chains_fired"],
-                                        expected_chains).ok},
+        "chains": chains_reconcile(delta["chains_fired"], algorithm, nodes,
+                                   iterations + warmup),
     }
     if trc is not None and trc.enabled:
         stat = phase_breakdown(trc).get("iallreduce")

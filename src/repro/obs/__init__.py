@@ -29,6 +29,7 @@ from .export import (
     render_timeline,
     validate_chrome_trace,
     write_chrome_trace,
+    write_trace,
 )
 from .metrics import Counter, Histogram, MetricsRegistry
 from .query import (
@@ -36,7 +37,6 @@ from .query import (
     coverage,
     merge,
     overlap,
-    phase_windows,
     span_intervals,
     subtract,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "merge",
     "overlap",
     "phase_breakdown",
-    "phase_windows",
     "reconcile_with_point",
     "render_breakdown",
     "render_timeline",
@@ -73,4 +72,5 @@ __all__ = [
     "subtract",
     "validate_chrome_trace",
     "write_chrome_trace",
+    "write_trace",
 ]

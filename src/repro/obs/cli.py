@@ -15,20 +15,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Tuple
 
 from ..analysis.invariants import reconciles, render
 from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..core.modes import ExtollMode, IbMode
 from ..core.pingpong import run_extoll_pingpong, run_ib_pingpong
 from ..core.setup import setup_extoll_connection, setup_ib_connection
+from ..engine import PINGPONG_CONFIGS, run_engine_pingpong
+from ..errors import ConfigError
 from ..sim import Simulator
 from .export import (
-    chrome_trace_events,
     phase_breakdown,
     reconcile_with_point,
     render_breakdown,
     render_timeline,
-    validate_chrome_trace,
     write_chrome_trace,
 )
 from .tracer import SpanTracer
@@ -36,13 +37,18 @@ from .tracer import SpanTracer
 _BUF_BYTES = 64 * 1024
 
 
-def _mode_for(fabric: str, mode: str):
-    enum = ExtollMode if fabric == "extoll" else IbMode
-    for m in enum:
-        if m.value == mode:
-            return m
-    valid = ", ".join(m.value for m in enum)
-    raise SystemExit(f"unknown {fabric} mode {mode!r} (choose from: {valid})")
+def pingpong_modes(fabric: str) -> Tuple[str, ...]:
+    """Every mode :func:`run_traced_pingpong` runs on ``fabric``: the
+    paper's four, plus the offload engine's two on EXTOLL."""
+    if fabric == "ib":
+        return tuple(m.value for m in IbMode)
+    return tuple(m.value for m in ExtollMode) + tuple(PINGPONG_CONFIGS)
+
+
+#: ``--mode`` choices of the ``trace`` and ``profile`` parsers (both
+#: fabrics; :func:`run_traced_pingpong` rejects a mode of the other one).
+MODE_CHOICES = tuple(dict.fromkeys(pingpong_modes("extoll")
+                                   + pingpong_modes("ib")))
 
 
 def run_traced_pingpong(fabric: str, mode_name: str, size: int,
@@ -50,11 +56,13 @@ def run_traced_pingpong(fabric: str, mode_name: str, size: int,
                         tracer: SpanTracer | None = None):
     """Build a cluster with ``tracer`` installed, run one ping-pong
     measurement, and return ``(tracer, point)``."""
+    valid = pingpong_modes(fabric)
+    if mode_name not in valid:
+        raise ConfigError(f"unknown {fabric} mode {mode_name!r} "
+                          f"(choose from: {', '.join(valid)})")
     tracer = tracer or SpanTracer()
     sim = Simulator(tracer=tracer)
     if fabric == "extoll":
-        from ..engine import PINGPONG_CONFIGS, run_engine_pingpong
-
         cluster = build_extoll_cluster(sim=sim)
         conn = setup_extoll_connection(cluster, max(_BUF_BYTES, size))
         if mode_name in PINGPONG_CONFIGS:
@@ -62,11 +70,11 @@ def run_traced_pingpong(fabric: str, mode_name: str, size: int,
                                         iterations=iterations, warmup=warmup,
                                         config=PINGPONG_CONFIGS[mode_name])
         else:
-            mode = _mode_for(fabric, mode_name)
-            point = run_extoll_pingpong(cluster, conn, mode, size,
-                                        iterations=iterations, warmup=warmup)
+            point = run_extoll_pingpong(cluster, conn, ExtollMode(mode_name),
+                                        size, iterations=iterations,
+                                        warmup=warmup)
     else:
-        mode = _mode_for(fabric, mode_name)
+        mode = IbMode(mode_name)
         cluster = build_ib_cluster(sim=sim)
         location = "host" if mode is IbMode.BUF_ON_HOST else "gpu"
         conn = setup_ib_connection(cluster, max(_BUF_BYTES, size), location)
@@ -82,10 +90,11 @@ def main(argv=None) -> int:
     parser.add_argument("--fabric", choices=("extoll", "ib"), default="extoll",
                         help="which NIC model to trace (default: extoll)")
     parser.add_argument("--mode", default="dev2dev-direct",
-                        help="communication mode, e.g. dev2dev-direct, "
-                             "dev2dev-pollOnGPU, dev2dev-assisted, "
-                             "dev2dev-hostControlled, dev2dev-engine, "
-                             "dev2dev-engineBatched (default: dev2dev-direct)")
+                        choices=MODE_CHOICES, metavar="MODE",
+                        help=f"communication mode: "
+                             f"{', '.join(pingpong_modes('extoll'))} on "
+                             f"extoll; {', '.join(pingpong_modes('ib'))} "
+                             f"on ib (default: dev2dev-direct)")
     parser.add_argument("--size", type=int, default=64,
                         help="message size in bytes (default: 64)")
     parser.add_argument("--iterations", type=int, default=30,
@@ -109,8 +118,6 @@ def main(argv=None) -> int:
     tracer, point = run_traced_pingpong(args.fabric, args.mode, args.size,
                                         args.iterations, args.warmup, tracer)
 
-    events = chrome_trace_events(tracer)
-    validate_chrome_trace(events)
     write_chrome_trace(tracer, args.out)
 
     print(f"{args.fabric} {args.mode} size={args.size}B "

@@ -3,12 +3,14 @@
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event format (``chrome://tracing`` / Perfetto): ``B``/``E`` pairs
   per span, ``i`` instants, thread-name metadata per track.
+* :func:`write_trace` — the one writer every Chrome-trace file goes
+  through: it validates the events before it writes anything.
 * :func:`render_timeline` — a plain-text timeline (spans indented by depth).
 * :func:`phase_breakdown` / :func:`render_breakdown` — per-phase duration
   sums, the table that reconciles against
   :class:`~repro.core.results.LatencyPoint` (Fig. 3's quantity).
 * :func:`validate_chrome_trace` — structural check (pairing, nesting,
-  monotonic timestamps) used by tests and the trace CLI.
+  monotonic timestamps) run by :func:`write_trace` and by tests.
 """
 
 from __future__ import annotations
@@ -115,19 +117,15 @@ def chrome_trace_events(tracer: SpanTracer, pid: int = 0) -> List[dict]:
     return events
 
 
-def write_chrome_trace(tracer: SpanTracer, out: Union[str, IO[str]],
-                       pid: int = 0) -> dict:
-    """Serialize to a ``chrome://tracing``-loadable JSON file (or stream).
-    Returns the document that was written."""
-    doc = {
-        "traceEvents": chrome_trace_events(tracer, pid),
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "generator": "repro.obs",
-            "metrics": tracer.metrics.snapshot(),
-            "dropped": tracer.dropped,
-        },
-    }
+def write_trace(events: List[dict], other: dict,
+                out: Union[str, IO[str]]) -> dict:
+    """Validate ``events`` (:func:`validate_chrome_trace` raises before
+    anything is written), then serialize them with ``other`` as the
+    ``otherData`` block to a ``chrome://tracing``-loadable JSON file (or
+    stream).  Returns the document that was written."""
+    validate_chrome_trace(events)
+    doc = {"traceEvents": events, "displayTimeUnit": "ns",
+           "otherData": other}
     if isinstance(out, str):
         # --trace/--out may point into a directory that doesn't exist yet
         # (e.g. artifacts/run1/trace.json on a fresh checkout).
@@ -139,6 +137,16 @@ def write_chrome_trace(tracer: SpanTracer, out: Union[str, IO[str]],
     else:
         json.dump(doc, out, indent=1)
     return doc
+
+
+def write_chrome_trace(tracer: SpanTracer, out: Union[str, IO[str]],
+                       pid: int = 0) -> dict:
+    """Write ``tracer``'s trace through :func:`write_trace`, with its
+    metrics snapshot and ``dropped`` count in ``otherData``."""
+    return write_trace(chrome_trace_events(tracer, pid),
+                       {"generator": "repro.obs",
+                        "metrics": tracer.metrics.snapshot(),
+                        "dropped": tracer.dropped}, out)
 
 
 def validate_chrome_trace(events: List[dict]) -> None:

@@ -114,10 +114,3 @@ def overlap(intervals: Sequence[Interval], windows: Sequence[Interval],
     for window in windows:
         out.extend(clip(intervals, window))
     return merge(out)
-
-
-def phase_windows(tracer: SpanTracer, name: str,
-                  category: str = "phase") -> List[Interval]:
-    """The merged windows of the driver-level phase spans named ``name`` —
-    the exact partition of a benchmark's measured region."""
-    return merge(span_intervals(tracer, category=category, name=name))

@@ -1,12 +1,18 @@
 """The hierarchical span tracer — the heart of the observability layer.
 
-A :class:`SpanTracer` records three kinds of evidence:
+A :class:`SpanTracer` records four kinds of evidence:
 
 * **spans** — ``begin``/``end`` pairs with a track (timeline row), parent
   links (per-track stacks; execution within one track is sequential), and
   key/value attributes,
 * **instants** — point events on a track,
+* **flow events** — the causal hops :mod:`repro.causal` assembles into a DAG,
 * **metrics** — counters/histograms in a :class:`~repro.obs.metrics.MetricsRegistry`.
+
+It is the only tracer that records.  ``capacity`` bounds it for long or
+always-on runs (the ``report --trace`` entry point, the telemetry plane's
+flight recorder): spans, instants and flows each keep their newest
+``capacity`` records and ``dropped`` counts the evicted ones.
 
 Install one on a simulator (``sim.set_tracer(tracer)``) or, for code paths
 that build simulators internally, as the process-wide default
@@ -29,10 +35,12 @@ so the untraced path costs one attribute read and a branch.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
 
-from ..sim.trace import NULL_SPAN, TraceRecord, Tracer
+from ..errors import ConfigError
+from ..sim.trace import NULL_SPAN
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,33 +153,58 @@ class Span:
         self.end()
 
 
-class SpanTracer(Tracer):
-    """Hierarchical tracer: spans + instants + metrics + flat records.
+class SpanTracer:
+    """The recording tracer: spans + instants + flow events + metrics.
 
-    ``max_spans`` bounds memory on long runs: once reached, further spans
-    and instants are counted in ``dropped`` instead of stored (the run
-    itself is unaffected).
+    ``categories`` (``None`` = all) selects what is recorded; ``sink``, when
+    given, sees every record as it is kept.  ``capacity`` (``None`` =
+    unbounded) makes ``spans``, ``instants`` and ``flows`` rings of their
+    newest ``capacity`` records each; ``dropped`` counts the evicted ones.
+    The bound never touches the run itself or the metrics registry, whose
+    aggregates cover every event.
     """
+
+    enabled = True
 
     def __init__(self, sim: Optional["Simulator"] = None,
                  categories: Optional[Iterable[str]] = None,
-                 sink: Optional[Callable[[TraceRecord], None]] = None,
-                 min_time: Optional[float] = None,
-                 max_time: Optional[float] = None,
-                 max_spans: Optional[int] = None) -> None:
-        super().__init__(sim, categories, sink, min_time, max_time)
+                 sink: Optional[Callable[[object], None]] = None,
+                 capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ConfigError(f"capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.categories = set(categories) if categories is not None else None
+        self.capacity = capacity
         self.metrics = MetricsRegistry()
-        self.spans: List[SpanRecord] = []
-        self.instants: List[InstantRecord] = []
-        self.flows: List[FlowRecord] = []
-        self.max_spans = max_spans
+        self.spans: List[SpanRecord] = self._records()
+        self.instants: List[InstantRecord] = self._records()
+        self.flows: List[FlowRecord] = self._records()
         self.dropped = 0
+        self._sink = sink
         self._stacks: Dict[str, List[Span]] = {}
         self._ids = itertools.count(1)
         self._flow_ids = itertools.count(0)
         self._offset = 0.0
         self._latest = 0.0
         self._epoch = 0
+
+    def _records(self):
+        return [] if self.capacity is None else deque(maxlen=self.capacity)
+
+    def _keep(self, records, record) -> None:
+        if len(records) == self.capacity:
+            self.dropped += 1  # the ring evicts its oldest record
+        records.append(record)
+        if self._sink is not None:
+            self._sink(record)
+
+    def wants(self, category: str) -> bool:
+        """True when instrumentation in ``category`` should bother building
+        its records.  The microscopically hot sites (per-TLP, per-poll) use
+        ``trc.wants("pcie")`` instead of ``trc.enabled`` so a
+        category-filtered tracer (e.g. the telemetry flight recorder) skips
+        not just the span, but the *argument construction* for it."""
+        return self.categories is None or category in self.categories
 
     # -- clock -----------------------------------------------------------------
     def now(self) -> float:
@@ -201,7 +234,7 @@ class SpanTracer(Tracer):
     # -- spans -----------------------------------------------------------------
     def begin(self, category: str, name: str, track: str = "main",
               **attrs) -> Span:
-        if not self._passes_category(category):
+        if not self.wants(category):
             return NULL_SPAN  # children re-parent to the grandparent
         stack = self._stacks.get(track)
         if stack is None:
@@ -223,51 +256,26 @@ class SpanTracer(Tracer):
                 if stack[i] is span:
                     del stack[i]
                     break
-        end = self.now()
-        if self.min_time is not None and end < self.min_time:
-            return
-        if self.max_time is not None and span.begin > self.max_time:
-            return
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            return
-        record = SpanRecord(span.span_id, span.parent_id, span.category,
-                            span.name, span.track, span.begin, end,
-                            span.depth, span.attrs)
-        self.spans.append(record)
-        if self._sink is not None:
-            self._sink(record)
+        self._keep(self.spans, SpanRecord(
+            span.span_id, span.parent_id, span.category, span.name,
+            span.track, span.begin, self.now(), span.depth, span.attrs))
 
     def instant(self, category: str, name: str, track: str = "main",
                 **attrs) -> None:
-        if not self._passes_category(category):
-            return
-        time = self.now()
-        if not self._passes_window(time):
-            return
-        if self.max_spans is not None and len(self.instants) >= self.max_spans:
-            self.dropped += 1
-            return
-        record = InstantRecord(category, name, track, time, attrs)
-        self.instants.append(record)
-        if self._sink is not None:
-            self._sink(record)
+        if self.wants(category):
+            self._keep(self.instants,
+                       InstantRecord(category, name, track, self.now(), attrs))
 
     # -- causal flow events ------------------------------------------------------
     def flow_event(self, kind: str, actor: str, addr=None, **attrs) -> None:
-        if not self._passes_category("causal"):
-            return
-        time = self.now()
-        if not self._passes_window(time):
-            return
-        if self.max_spans is not None and len(self.flows) >= self.max_spans:
-            self.dropped += 1
-            return
-        record = FlowRecord(next(self._flow_ids), time, kind, actor, addr,
-                            attrs)
-        self.flows.append(record)
-        if self._sink is not None:
-            self._sink(record)
+        """Record one causal flow event (see :mod:`repro.causal`) when the
+        ``"causal"`` category passes the filter.  Emission sites guard with
+        ``trc.wants("causal")`` so the disarmed path never builds
+        arguments."""
+        if self.wants("causal"):
+            self._keep(self.flows, FlowRecord(next(self._flow_ids),
+                                              self.now(), kind, actor, addr,
+                                              attrs))
 
     # -- introspection -----------------------------------------------------------
     def open_spans(self) -> List[Span]:
@@ -281,14 +289,10 @@ class SpanTracer(Tracer):
     def spans_named(self, name: str) -> List[SpanRecord]:
         return [s for s in self.spans if s.name == name]
 
-    def spans_in(self, category: str) -> List[SpanRecord]:
-        return [s for s in self.spans if s.category == category]
-
     def children_of(self, span: SpanRecord) -> List[SpanRecord]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
     def clear(self) -> None:
-        super().clear()
         self.spans.clear()
         self.instants.clear()
         self.flows.clear()

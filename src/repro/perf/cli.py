@@ -30,6 +30,7 @@ from .scenarios import SCENARIOS, get_scenarios
 
 
 def profile_main(argv=None) -> int:
+    from ..obs.cli import MODE_CHOICES  # deferred: keeps ``bench`` light
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description="Attribute one ping-pong's cost to phases "
@@ -37,7 +38,9 @@ def profile_main(argv=None) -> int:
     parser.add_argument("--fabric", choices=("extoll", "ib"),
                         default="extoll")
     parser.add_argument("--mode", default="dev2dev-direct",
-                        help="communication mode (default: dev2dev-direct)")
+                        choices=MODE_CHOICES, metavar="MODE",
+                        help="communication mode, as for ``trace`` "
+                             "(default: dev2dev-direct)")
     parser.add_argument("--size", type=int, default=64,
                         help="message size in bytes (default: 64)")
     parser.add_argument("--iterations", type=int, default=10)

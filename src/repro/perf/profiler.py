@@ -51,7 +51,6 @@ from ..obs.query import (
     coverage,
     merge,
     overlap,
-    phase_windows,
     span_intervals,
     subtract,
 )

@@ -292,9 +292,10 @@ def engine_latency() -> ScenarioResult:
     res.invariant("engine-all-beats-direct-64B", inv.faster_than(
         points[("all", 64)].latency, points[("direct", 64)].latency,
         "engine-all", "direct"))
-    res.invariant("engine-baseline-matches-direct", inv.counter_reconciles(
-        points[("baseline", 64)].latency, points[("direct", 64)].latency,
-        "baseline latency", tolerance=0.001))
+    res.invariant("engine-baseline-matches-direct", inv.within(
+        inv.relative_error(points[("baseline", 64)].latency,
+                           points[("direct", 64)].latency),
+        0.0, 0.001, "baseline vs direct latency rel err"))
     res.invariant("warp-parallelism-helps", inv.faster_than(
         points[("warp", 64)].post_time, points[("baseline", 64)].post_time,
         "warp post", "baseline post"))

@@ -20,8 +20,6 @@ from .trace import (
     NULL_TRACER,
     NullSpan,
     NullTracer,
-    TraceRecord,
-    Tracer,
     get_default_tracer,
     set_default_tracer,
 )
@@ -40,13 +38,11 @@ __all__ = [
     "Mutex",
     "Resource",
     "Store",
-    "Tracer",
     "NullTracer",
     "NullSpan",
     "NULL_TRACER",
     "NULL_SPAN",
     "NULL_METRICS",
-    "TraceRecord",
     "get_default_tracer",
     "set_default_tracer",
 ]

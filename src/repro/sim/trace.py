@@ -1,39 +1,26 @@
-"""Tracing protocol: flat records, the span/metrics interface, null objects.
+"""Tracing protocol: the null tracer, span and metrics objects, and the
+default-tracer hook.
 
-Two tracer families implement this protocol:
-
-* :class:`Tracer` (here) — the original flat ``(time, category, message)``
-  recorder, kept for lightweight tests and as the base class,
-* :class:`repro.obs.SpanTracer` — the full observability tracer with
-  hierarchical spans, instants, and a metrics registry.
-
-Every :class:`~repro.sim.engine.Simulator` carries a ``tracer`` attribute
-(default :data:`NULL_TRACER`), so models reach it as ``self.sim.tracer``.
-Tracing is off by default; the hot paths pay one attribute check
-(``tracer.enabled``) plus, at most, a no-op method call on the null objects.
+The one recording tracer is :class:`repro.obs.SpanTracer` (hierarchical
+spans, instants, causal flow events, a metrics registry, and an optional
+ring bound).  Every :class:`~repro.sim.engine.Simulator` carries a
+``tracer`` attribute (default :data:`NULL_TRACER`), so models reach it as
+``self.sim.tracer``.  Tracing is off by default; the hot paths pay one
+attribute check (``tracer.enabled``) plus, at most, a no-op method call on
+the null objects.
 
 This module deliberately knows nothing about :mod:`repro.obs` — the
 dependency points the other way — but it hosts the *null* implementations
-of the span and metrics interfaces so the default path needs no imports.
+of the tracer, span and metrics interfaces so the default path needs no
+imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time: float
-    category: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.time * 1e6:12.3f}us] {self.category:<12} {self.message}"
 
 
 # -- null span / metrics --------------------------------------------------------
@@ -98,105 +85,14 @@ class NullMetricsRegistry:
 NULL_METRICS = NullMetricsRegistry()
 
 
-# -- tracers --------------------------------------------------------------------
-
-class Tracer:
-    """Collects flat trace records, optionally filtered by category and by a
-    ``[min_time, max_time]`` simulated-time window.
-
-    Subclasses (notably :class:`repro.obs.SpanTracer`) extend this with
-    hierarchical spans; the base class accepts the span calls but degrades
-    them to nothing, so a flat tracer can be installed as ``sim.tracer``
-    without breaking instrumented models.
-    """
-
-    enabled = True
-
-    def __init__(self, sim: Optional["Simulator"] = None,
-                 categories: Optional[Iterable[str]] = None,
-                 sink: Optional[Callable[[TraceRecord], None]] = None,
-                 min_time: Optional[float] = None,
-                 max_time: Optional[float] = None) -> None:
-        if (min_time is not None and max_time is not None
-                and min_time > max_time):
-            raise ValueError(f"empty trace window [{min_time}, {max_time}]")
-        self.sim = sim
-        self.categories = set(categories) if categories is not None else None
-        self.min_time = min_time
-        self.max_time = max_time
-        self.records: List[TraceRecord] = []
-        self.metrics = NULL_METRICS
-        self._sink = sink
-
-    # -- wiring ---------------------------------------------------------------
-    def bind(self, sim: "Simulator") -> None:
-        """Adopt ``sim`` as the clock source.  Called by the simulator when
-        this tracer is installed on it."""
-        self.sim = sim
-
-    def now(self) -> float:
-        return self.sim.now if self.sim is not None else 0.0
-
-    # -- filtering -------------------------------------------------------------
-    def wants(self, category: str) -> bool:
-        """True when instrumentation in ``category`` should bother building
-        its records.  The microscopically hot sites (per-TLP, per-poll) use
-        ``trc.wants("pcie")`` instead of ``trc.enabled`` so a
-        category-filtered tracer (e.g. the telemetry flight recorder) skips
-        not just the span, but the *argument construction* for it."""
-        return self.categories is None or category in self.categories
-
-    def _passes_category(self, category: str) -> bool:
-        return self.categories is None or category in self.categories
-
-    def _passes_window(self, time: float) -> bool:
-        if self.min_time is not None and time < self.min_time:
-            return False
-        if self.max_time is not None and time > self.max_time:
-            return False
-        return True
-
-    # -- flat records ------------------------------------------------------------
-    def emit(self, category: str, message: str) -> None:
-        if not self._passes_category(category):
-            return
-        time = self.now()
-        if not self._passes_window(time):
-            return
-        rec = TraceRecord(time, category, message)
-        self.records.append(rec)
-        if self._sink is not None:
-            self._sink(rec)
-
-    def filter(self, category: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.category == category]
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    # -- span interface (degraded: flat tracers keep no hierarchy) ---------------
-    def begin(self, category: str, name: str, track: str = "main",
-              **attrs) -> NullSpan:
-        return NULL_SPAN
-
-    def instant(self, category: str, name: str, track: str = "main",
-                **attrs) -> None:
-        self.emit(category, name)
-
-    # -- causal flow events (degraded: flat tracers keep no flow log) -------------
-    def flow_event(self, kind: str, actor: str, addr=None, **attrs) -> None:
-        """Record one causal flow event (see :mod:`repro.causal`).  Flat
-        tracers drop them; :class:`repro.obs.SpanTracer` stores them when the
-        ``"causal"`` category passes its filter.  Emission sites guard with
-        ``trc.wants("causal")`` so the disarmed path never builds arguments."""
-
+# -- null tracer ----------------------------------------------------------------
 
 class NullTracer:
-    """A tracer that drops everything (the default).  Shares the full
-    protocol — ``emit``, ``begin``, ``instant``, ``metrics`` — as no-ops."""
+    """A tracer that drops everything (the default).  Shares the recording
+    tracer's protocol — ``begin``, ``instant``, ``flow_event``, ``wants``,
+    ``metrics`` — as no-ops."""
 
     enabled = False
-    records: List[TraceRecord] = []
     metrics = NULL_METRICS
 
     def bind(self, sim: "Simulator") -> None:
@@ -208,9 +104,6 @@ class NullTracer:
     def wants(self, category: str) -> bool:
         return False
 
-    def emit(self, category: str, message: str) -> None:
-        pass
-
     def begin(self, category: str, name: str, track: str = "main",
               **attrs) -> NullSpan:
         return NULL_SPAN
@@ -220,12 +113,6 @@ class NullTracer:
         pass
 
     def flow_event(self, kind: str, actor: str, addr=None, **attrs) -> None:
-        pass
-
-    def filter(self, category: str) -> List[TraceRecord]:
-        return []
-
-    def clear(self) -> None:
         pass
 
 

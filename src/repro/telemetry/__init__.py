@@ -8,10 +8,10 @@ phase breakdowns), this package watches a run *while it executes*:
   simulator event loop (one re-arming heap entry, zero model perturbation),
 * :class:`Objective` / :class:`SloMonitor` — declarative service-level
   objectives with multi-window burn-rate verdicts,
-* :class:`FlightRecorder` — a bounded ring of recent spans/instants,
-  dumped automatically on faults, retry exhaustion, or SLO breaches,
 * :class:`TelemetryPlane` — the facade wiring all of it onto one
-  simulator,
+  simulator, including the flight recorder: a ring-bounded
+  :class:`~repro.obs.SpanTracer` of recent spans/instants, dumped
+  automatically on retry exhaustion or SLO breaches,
 * exporters — JSON time series, Prometheus text, flight-record files.
 
 Like the tracing layer, everything here is opt-in: a run that never
@@ -19,11 +19,10 @@ constructs a plane keeps :data:`~repro.sim.trace.NULL_TRACER` and is
 bit-identical to one where this package was never imported.
 """
 
-from .recorder import DEFAULT_TRIGGERS, FlightRecorder
 from .sampler import Sampler
 from .series import Point, Series, SeriesBank
 from .slo import Objective, SloMonitor, render_verdicts
-from .plane import TelemetryPlane
+from .plane import DEFAULT_TRIGGERS, TelemetryPlane
 from .export import (
     prometheus_text,
     render_series_table,
@@ -35,7 +34,6 @@ from .export import (
 
 __all__ = [
     "DEFAULT_TRIGGERS",
-    "FlightRecorder",
     "Objective",
     "Point",
     "Sampler",

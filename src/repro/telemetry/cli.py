@@ -18,7 +18,7 @@ Proof obligations, runnable from CI:
 * the ``faults`` scenario replays itself under a full
   :class:`~repro.obs.SpanTracer` and reconciles the flight-recorder dump's
   spans against the full trace (every retained span must appear there,
-  under the shared 1% agreement rule).
+  bit-identical).
 
 Exit status: 0 on success, 1 on SLO breach (so pipelines can gate),
 2 on a verification failure.
@@ -31,7 +31,7 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from ..analysis.invariants import Verdict, identical, reconciles, render
+from ..analysis.invariants import Verdict, counts_match, identical, render
 from ..sim import Simulator
 from .export import (render_series_table, write_flight_record,
                      write_prometheus, write_timeseries)
@@ -256,9 +256,17 @@ def _verify_non_perturbation(args, scenario: str) -> Verdict:
     return identical("non-perturbation", bare, instrumented)
 
 
+def dump_reconciliation(dump: dict, spans) -> Verdict:
+    """Every span a flight-recorder dump retained must appear,
+    bit-identical, among ``spans`` (a full trace of the same seed)."""
+    full = {(s.category, s.name, s.track, s.begin, s.end) for s in spans}
+    retained = [(s["category"], s["name"], s["track"], s["begin"], s["end"])
+                for s in dump["spans"]]
+    found = sum(1 for key in retained if key in full)
+    return counts_match("dump reconciliation", found, len(retained))
+
+
 def _reconcile_faults_dump(args, dump: dict) -> Verdict:
-    """Every span the flight recorder retained must appear, bit-identical,
-    in a full trace of the same seed."""
     from ..analysis.faults import run_chaos_point
     from ..collectives.comm import CollectiveMode
     from ..obs.tracer import SpanTracer
@@ -267,12 +275,7 @@ def _reconcile_faults_dump(args, dump: dict) -> Verdict:
                     corrupt=args.loss / 2, nodes=args.nodes,
                     iterations=args.iterations, warmup=args.warmup,
                     seed=args.seed, tracer=tracer)
-    full = {(s.category, s.name, s.track, s.begin, s.end)
-            for s in tracer.spans}
-    retained = [(s["category"], s["name"], s["track"], s["begin"], s["end"])
-                for s in dump["spans"]]
-    found = sum(1 for key in retained if key in full)
-    return reconciles("dump reconciliation", found, len(retained))
+    return dump_reconciliation(dump, tracer.spans)
 
 
 # -- entry point --------------------------------------------------------------------

@@ -2,16 +2,27 @@
 
 Construction wires the three pieces together on one simulator:
 
-* a :class:`~repro.telemetry.FlightRecorder` installed as ``sim.tracer``
-  (so models feed it spans/instants/metrics, and span durations become
-  live latency histograms),
+* a flight recorder — a ring-bounded :class:`~repro.obs.SpanTracer`
+  installed as ``sim.tracer`` that keeps the newest ``recorder_capacity``
+  spans/instants/flows of the :data:`DEFAULT_CATEGORIES`.  Its sink folds
+  every completed span into a ``span.{category}.{name}`` histogram and
+  counts every flow event as ``flow.{kind}``, so aggregates stay exact for
+  the whole run while the rings stay bounded,
 * a :class:`~repro.telemetry.Sampler` ticking on the event loop, watching
   the recorder's metrics registry out of the box (add model stats with
   :meth:`watch_stats` / :meth:`watch_counters` / :meth:`watch_gauge`),
 * one :class:`~repro.telemetry.SloMonitor` per declared objective,
-  evaluated live from the sampler's tick hook; an objective's FIRST breach
-  trips the flight recorder, so the dump captures the spans around the
-  moment service went bad.
+  evaluated live from the sampler's tick hook.
+
+When something goes wrong the plane **trips**: a :data:`DEFAULT_TRIGGERS`
+instant (retry exhaustion), an objective's FIRST breach, or an explicit
+:meth:`trip` call.  Tripping snapshots the recorder into a *dump* — a
+JSON-safe dict of the retained spans/instants/flows, the open spans and
+the counters — the black box readout for the moments leading up to the
+failure, at ring-buffer cost instead of full-trace cost.  Because the
+retained spans are literally the tail of what an unbounded
+:class:`~repro.obs.SpanTracer` records for the same seed, a dump matches a
+full trace of the same run exactly (``monitor faults --reconcile``).
 
 The zero-cost story mirrors :class:`~repro.sim.trace.NullTracer`: a
 simulation that never constructs a plane keeps ``NULL_TRACER`` and pays
@@ -21,12 +32,30 @@ nothing — not an event, not a branch.  The plane is opt-in per run
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Callable, Dict, Iterable, List, Optional
 
+from ..obs.tracer import FlowRecord, InstantRecord, SpanRecord, SpanTracer
 from ..sim import Simulator
-from .recorder import DEFAULT_CATEGORIES, DEFAULT_TRIGGERS, FlightRecorder
 from .sampler import Sampler
 from .slo import Objective, SloMonitor, render_verdicts
+
+#: Instant names that trip the flight recorder.
+DEFAULT_TRIGGERS = ("retry-exhausted",)
+
+#: What the flight recorder records: the API, phase, fault, wire and
+#: kernel layers — every category EXCEPT the microscopic ones whose span
+#: volume would both churn the rings uselessly and slow the run: per-TLP
+#: ``pcie``, per-access ``gpu.sysmem``, per-descriptor ``dma``, and the
+#: per-message polling layer (``gpu.spin``, ``rma.poll``, ``ib.poll``).
+#: Their hot sites gate on :meth:`~repro.obs.SpanTracer.wants`, so
+#: filtering skips even the argument construction.
+DEFAULT_CATEGORIES = ("bench", "causal", "collective", "fault", "gpu.block",
+                      "gpu.kernel", "ib", "ib.api", "mpi", "net", "phase",
+                      "rel", "rma", "rma.api", "trig", "workload")
+
+#: Samples in each SLO monitor's short burn-rate window.
+SHORT_WINDOWS = 5
 
 
 class TelemetryPlane:
@@ -35,28 +64,23 @@ class TelemetryPlane:
     def __init__(self, sim: Simulator, interval: float = 5e-6,
                  capacity: int = 4096,
                  objectives: Iterable[Objective] = (),
-                 recorder_capacity: int = 512,
-                 triggers: Iterable[str] = DEFAULT_TRIGGERS,
-                 span_categories: Optional[Iterable[str]] = DEFAULT_CATEGORIES,
-                 short_windows: int = 5) -> None:
+                 recorder_capacity: int = 512) -> None:
         self.sim = sim
-        self.recorder = FlightRecorder(capacity=recorder_capacity,
-                                       triggers=triggers,
-                                       categories=span_categories)
+        self.recorder = SpanTracer(capacity=recorder_capacity,
+                                   categories=DEFAULT_CATEGORIES,
+                                   sink=self._observe)
         sim.set_tracer(self.recorder)
         self.sampler = Sampler(sim, interval=interval, capacity=capacity)
         self.sampler.watch_registry(self.recorder.metrics)
-        self._short_windows = short_windows
         self.monitors: List[SloMonitor] = [
-            SloMonitor(o, short_windows) for o in objectives]
+            SloMonitor(o, SHORT_WINDOWS) for o in objectives]
         self.dumps: List[dict] = []
-        self.recorder.on_trip.append(lambda _reason, dump:
-                                     self.dumps.append(dump))
+        self.trips: List[dict] = []
         self.sampler.on_tick.append(self._evaluate)
 
     # -- wiring ----------------------------------------------------------------
     def add_objective(self, objective: Objective) -> SloMonitor:
-        monitor = SloMonitor(objective, self._short_windows)
+        monitor = SloMonitor(objective, SHORT_WINDOWS)
         self.monitors.append(monitor)
         return monitor
 
@@ -161,8 +185,53 @@ class TelemetryPlane:
             ok = monitor.observe(sampler, t)
             if ok is False and monitor.breaches == 1:
                 # First breach of this objective: capture the black box.
-                self.recorder.trip(f"slo:{monitor.objective.name}",
-                                   detail=monitor.verdict())
+                self.trip(f"slo:{monitor.objective.name}",
+                          detail=monitor.verdict())
+
+    # -- flight recorder -----------------------------------------------------------
+    def _observe(self, record) -> None:
+        """The recorder's sink: exact aggregates plus trip-on-fault."""
+        metrics = self.recorder.metrics
+        if isinstance(record, SpanRecord):
+            metrics.histogram(
+                f"span.{record.category}.{record.name}").observe(
+                    record.duration)
+        elif isinstance(record, InstantRecord):
+            if record.name in DEFAULT_TRIGGERS:
+                self.trip(f"{record.category}/{record.name}",
+                          detail=dict(record.attrs))
+        elif isinstance(record, FlowRecord):
+            metrics.counter(f"flow.{record.kind}").inc()
+
+    def trip(self, reason: str, detail: Optional[dict] = None) -> dict:
+        """Snapshot the recorder into :attr:`dumps` and log the trip;
+        returns the dump."""
+        dump = self.dump(reason, detail)
+        self.trips.append({"time": dump["time"], "reason": reason})
+        self.dumps.append(dump)
+        return dump
+
+    def dump(self, reason: str = "manual",
+             detail: Optional[dict] = None) -> dict:
+        """JSON-safe snapshot of everything the recorder holds right now."""
+        rec = self.recorder
+        return {
+            "reason": reason,
+            "detail": detail or {},
+            "time": rec.now(),
+            "capacity": rec.capacity,
+            "spans": [asdict(s) for s in rec.spans],
+            "instants": [asdict(i) for i in rec.instants],
+            "flows": [asdict(f) for f in rec.flows],
+            "open_spans": [{"category": s.category, "name": s.name,
+                            "track": s.track, "begin": s.begin}
+                           for s in rec.open_spans()],
+            "counters": rec.metrics.counter_values(),
+        }
+
+    @property
+    def tripped(self) -> bool:
+        return bool(self.trips)
 
     # -- reporting ----------------------------------------------------------------
     def verdicts(self) -> List[dict]:
@@ -179,7 +248,7 @@ class TelemetryPlane:
             "series": self.sampler.bank.names(),
             "histograms": self.sampler.histogram_names(),
             "objectives": self.verdicts(),
-            "trips": list(self.recorder.trips),
+            "trips": list(self.trips),
             "dumps": len(self.dumps),
         }
 
@@ -191,10 +260,10 @@ class TelemetryPlane:
         if self.monitors:
             lines.append("")
             lines.append(render_verdicts(self.verdicts()))
-        if self.recorder.trips:
+        if self.trips:
             lines.append("")
             lines.append("flight recorder trips:")
-            for trip in self.recorder.trips:
+            for trip in self.trips:
                 lines.append(f"  [{trip['time'] * 1e6:12.3f}us] "
                              f"{trip['reason']}")
         return "\n".join(lines)

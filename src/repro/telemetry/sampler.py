@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from ..errors import ConfigError
 from ..obs.metrics import Histogram
 from ..sim import Simulator
 from .series import Series, SeriesBank
@@ -54,7 +55,9 @@ class Sampler:
     def __init__(self, sim: Simulator, interval: float = 5e-6,
                  capacity: int = 4096) -> None:
         if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval!r}")
+            raise ConfigError(f"interval must be > 0, got {interval!r}")
+        if capacity < 1:
+            raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.interval = interval
         self.bank = SeriesBank(capacity)

@@ -13,7 +13,7 @@ Proof obligations, runnable from CI:
   p99 must be at or above the closed-loop p99 (queueing delay exists and
   the closed loop cannot see it);
 * **reconciliation** — the recorder's ``span.workload.request`` histogram
-  must agree with the generator's exact latency list on count and sum
+  must agree with the generator's exact latency list: count exactly, sum
   within 1%;
 * **zero-cost** — one representative cell re-runs bare (no plane): the
   latency sequence must be bit-identical (telemetry observes, never

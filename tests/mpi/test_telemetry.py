@@ -6,7 +6,7 @@ from repro.cluster import build_extoll_cluster
 from repro.mpi import MpiCommunicator
 from repro.sim import Simulator
 from repro.telemetry import TelemetryPlane
-from repro.telemetry.recorder import DEFAULT_CATEGORIES
+from repro.telemetry.plane import DEFAULT_CATEGORIES
 
 
 def test_recorder_keeps_trig_and_mpi_categories():

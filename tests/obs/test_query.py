@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import clip, coverage, merge, overlap, phase_windows, span_intervals, subtract
+from repro.obs import clip, coverage, merge, overlap, span_intervals, subtract
 from repro.obs.cli import run_traced_pingpong
 
 
@@ -49,7 +49,7 @@ def test_partition_identity_on_a_real_trace():
     """clip + subtract must partition a window exactly: covered + remainder
     == window, on real span data with thousands of intervals."""
     tracer, _ = run_traced_pingpong("extoll", "dev2dev-direct", 64, 4, 1)
-    polling = phase_windows(tracer, "polling")
+    polling = merge(span_intervals(tracer, category="phase", name="polling"))
     pcie = merge(span_intervals(tracer, category="pcie"))
     inside = overlap(pcie, polling)
     rest = subtract(polling, inside)

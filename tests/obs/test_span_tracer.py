@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.obs import NULL_SPAN, SpanTracer
-from repro.sim import Simulator
+import json
+
+from repro.obs import NULL_SPAN, SpanTracer, write_chrome_trace
+from repro.sim import Simulator, set_default_tracer
 
 
 class FakeClock:
@@ -91,34 +93,49 @@ def test_open_spans_reports_leaks_and_clear_resets():
     assert trc.spans == [] and trc.instants == []
 
 
-def test_max_spans_drops_beyond_cap():
+def test_capacity_keeps_newest_and_counts_dropped():
     clock = FakeClock()
-    trc = SpanTracer(sim=clock, max_spans=2)
+    trc = SpanTracer(sim=clock, capacity=2)
     for i in range(4):
+        clock.now = float(i)
         trc.begin("cat", f"s{i}").end()
         trc.instant("cat", f"i{i}")
-    assert len(trc.spans) == 2
-    assert len(trc.instants) == 2
+    assert [s.name for s in trc.spans] == ["s2", "s3"]
+    assert [i.name for i in trc.instants] == ["i2", "i3"]
     assert trc.dropped == 4
 
 
-def test_window_filter_applies_to_spans_and_instants():
-    clock = FakeClock()
-    trc = SpanTracer(sim=clock, min_time=1.0, max_time=3.0)
-    early = trc.begin("cat", "ends-too-early")
-    clock.now = 0.5
-    early.end()                      # ends before min_time: filtered
-    span = trc.begin("cat", "in-window")
-    clock.now = 2.0
-    span.end()
-    trc.instant("cat", "in")         # t=2.0: kept
-    clock.now = 3.5
-    late = trc.begin("cat", "begins-too-late")
-    clock.now = 4.0
-    late.end()                       # begins after max_time: filtered
-    trc.instant("cat", "out")        # t=4.0: filtered
-    assert [s.name for s in trc.spans] == ["in-window"]
-    assert [i.name for i in trc.instants] == ["in"]
+def test_default_tracer_bounds_sequential_simulators(tmp_path):
+    """The ``report --trace`` path: one ring-bounded tracer installed as
+    the default records every simulator built after it, in sequence."""
+    tracer = SpanTracer(capacity=3)
+    set_default_tracer(tracer)
+    try:
+        for label in ("first", "second"):
+            sim = Simulator()
+            assert sim.tracer is tracer
+
+            def body(sim=sim, label=label):
+                for k in range(2):
+                    span = sim.tracer.begin("phase", f"{label}{k}")
+                    yield sim.timeout(1.0)
+                    span.end()
+                    sim.tracer.instant("phase", f"{label}{k}-done")
+
+            sim.process(body())
+            sim.run()
+    finally:
+        set_default_tracer(None)
+
+    assert [s.name for s in tracer.spans] == ["first1", "second0", "second1"]
+    assert [i.name for i in tracer.instants] == \
+        ["first1-done", "second0-done", "second1-done"]
+    assert tracer.dropped == 2                 # first0 and first0-done
+    stamps = [t for s in tracer.spans for t in (s.begin, s.end)]
+    assert stamps == sorted(stamps) == [1.0, 2.0, 2.0, 3.0, 3.0, 4.0]
+    path = tmp_path / "report-trace.json"
+    write_chrome_trace(tracer, str(path))      # validates before writing
+    assert json.loads(path.read_text())["otherData"]["dropped"] == 2
 
 
 def test_rebind_rebases_clock_monotonically():

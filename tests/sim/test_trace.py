@@ -1,120 +1,100 @@
-"""Unit tests for the tracing facility."""
+"""Unit tests for the tracing facility: the null tracer every simulator
+starts with, and the one recording tracer (:class:`repro.obs.SpanTracer`)
+seen through the protocol models use."""
 
 import pytest
 
-from repro.sim import NULL_TRACER, NullTracer, Simulator, TraceRecord, Tracer
+from repro.errors import ConfigError
+from repro.obs import FlowRecord, InstantRecord, SpanTracer
+from repro.sim import NULL_SPAN, NULL_TRACER, NullTracer, Simulator
 
 
 def test_tracer_records_time_and_category():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = SpanTracer(sim)
 
     def body():
         yield sim.timeout(2.0)
-        tracer.emit("rma", "posted WR")
+        tracer.instant("rma", "posted WR")
 
     sim.process(body())
     sim.run()
-    assert len(tracer.records) == 1
-    rec = tracer.records[0]
+    assert len(tracer.instants) == 1
+    rec = tracer.instants[0]
     assert rec.time == 2.0
     assert rec.category == "rma"
-    assert "posted WR" in rec.message
+    assert rec.name == "posted WR"
 
 
 def test_tracer_category_filtering():
     sim = Simulator()
-    tracer = Tracer(sim, categories={"keep"})
-    tracer.emit("keep", "a")
-    tracer.emit("drop", "b")
-    assert [r.category for r in tracer.records] == ["keep"]
-
-
-def test_tracer_filter_method():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.emit("x", "1")
-    tracer.emit("y", "2")
-    tracer.emit("x", "3")
-    assert [r.message for r in tracer.filter("x")] == ["1", "3"]
+    tracer = SpanTracer(sim, categories={"keep"})
+    tracer.instant("keep", "a")
+    tracer.instant("drop", "b")
+    tracer.flow_event("pst", "n0")        # flows need the "causal" category
+    assert [r.category for r in tracer.instants] == ["keep"]
+    assert list(tracer.flows) == []
+    assert tracer.wants("keep") and not tracer.wants("causal")
 
 
 def test_tracer_sink_callback():
     sim = Simulator()
     seen = []
-    tracer = Tracer(sim, sink=seen.append)
-    tracer.emit("cat", "msg")
+    tracer = SpanTracer(sim, sink=seen.append)
+    tracer.flow_event("pst", "n0", addr=(1, 0x40))
     assert len(seen) == 1
-    assert isinstance(seen[0], TraceRecord)
+    assert isinstance(seen[0], FlowRecord)
+    assert seen[0].addr == (1, 0x40)
 
 
 def test_tracer_clear():
     sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.emit("a", "b")
+    tracer = SpanTracer(sim, capacity=1)
+    tracer.instant("a", "b")
+    tracer.instant("a", "c")               # evicts "b"
+    tracer.flow_event("pst", "n0")
+    tracer.metrics.counter("x").inc()
     tracer.clear()
-    assert tracer.records == []
+    assert list(tracer.instants) == [] and list(tracer.flows) == []
+    assert tracer.dropped == 0
+    assert tracer.metrics.snapshot() == {}
 
 
 def test_null_tracer_is_inert():
-    NULL_TRACER.emit("anything", "goes")
-    assert NULL_TRACER.records == []
-    assert NULL_TRACER.filter("anything") == []
-    NULL_TRACER.clear()
+    assert NULL_TRACER.begin("anything", "goes") is NULL_SPAN
+    NULL_TRACER.instant("anything", "goes")
+    NULL_TRACER.flow_event("pst", "n0")
+    assert not NULL_TRACER.wants("anything")
+    assert NULL_TRACER.metrics.snapshot() == {}
     assert not NullTracer.enabled
-    assert Tracer.enabled
+    assert SpanTracer.enabled
 
 
 def test_trace_record_str_format():
-    rec = TraceRecord(time=1.5e-6, category="pcie", message="TLP sent")
+    rec = InstantRecord(category="pcie", name="TLP sent", track="link.up",
+                        time=1.5e-6)
     s = str(rec)
     assert "1.500us" in s and "pcie" in s and "TLP sent" in s
 
 
-def _emit_at(sim, tracer, times):
-    def body():
-        last = 0.0
-        for t in times:
-            yield sim.timeout(t - last)
-            tracer.emit("cat", f"at-{t}")
-            last = t
-    sim.process(body())
-    sim.run()
-
-
-def test_tracer_time_window_filters_records():
-    sim = Simulator()
-    tracer = Tracer(sim, min_time=1.0, max_time=3.0)
-    _emit_at(sim, tracer, [0.5, 1.0, 2.0, 3.0, 4.0])
-    assert [r.time for r in tracer.records] == [1.0, 2.0, 3.0]
-
-
-def test_tracer_window_is_inclusive_and_half_open_forms():
-    sim = Simulator()
-    lo_only = Tracer(sim, min_time=2.0)
-    hi_only = Tracer(sim, max_time=2.0)
-    for t in (1.0, 2.0, 3.0):
-        sim._now = t  # drive the clock directly; emit() reads sim.now
-        lo_only.emit("c", "m")
-        hi_only.emit("c", "m")
-    assert [r.time for r in lo_only.records] == [2.0, 3.0]
-    assert [r.time for r in hi_only.records] == [1.0, 2.0]
-
-
 def test_tracer_rejects_empty_window():
-    with pytest.raises(ValueError):
-        Tracer(Simulator(), min_time=5.0, max_time=1.0)
+    # A ring that keeps nothing is a configuration error, not a silent
+    # no-op tracer.
+    with pytest.raises(ConfigError):
+        SpanTracer(Simulator(), capacity=0)
 
 
 def test_tracer_sink_sees_only_filtered_records():
-    # The sink must observe exactly what gets recorded: category and
-    # window filters apply before the sink fires, not after.
+    # The sink must observe exactly what gets recorded: the category filter
+    # applies before the sink fires.  The ring bound does not: the sink
+    # sees every kept record, including ones the ring later evicts.
     sim = Simulator()
     seen = []
-    tracer = Tracer(sim, categories={"keep"}, min_time=1.0, max_time=3.0,
-                    sink=seen.append)
-    for t, cat in [(0.5, "keep"), (1.5, "drop"), (2.0, "keep"), (3.5, "keep")]:
+    tracer = SpanTracer(sim, categories={"keep"}, sink=seen.append,
+                        capacity=1)
+    for t, cat in [(0.5, "keep"), (1.5, "drop"), (2.0, "keep")]:
         sim._now = t
-        tracer.emit(cat, f"{cat}@{t}")
-    assert [r.time for r in tracer.records] == [2.0]
-    assert seen == tracer.records
+        tracer.instant(cat, f"{cat}@{t}")
+    assert [r.time for r in tracer.instants] == [2.0]
+    assert [r.time for r in seen] == [0.5, 2.0]
+    assert tracer.dropped == 1

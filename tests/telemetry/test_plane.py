@@ -37,8 +37,8 @@ def test_first_slo_breach_trips_the_flight_recorder_once():
     assert plane.breached
     monitor = plane.monitors[0]
     assert monitor.breaches >= 2              # kept breaching...
-    assert len(plane.recorder.trips) == 1     # ...but tripped once
-    assert plane.recorder.trips[0]["reason"] == "slo:impossible"
+    assert len(plane.trips) == 1              # ...but tripped once
+    assert plane.trips[0]["reason"] == "slo:impossible"
     assert len(plane.dumps) == 1
     assert plane.dumps[0]["detail"]["status"] == "breach"
 
@@ -61,7 +61,7 @@ def test_model_instrumentation_feeds_the_plane():
 
     v = plane.verdicts()[0]
     assert v["status"] == "breach"
-    assert plane.recorder.tripped
+    assert plane.tripped
     # The breach dump retains the offending span.
     names = {s["name"] for s in plane.dumps[0]["spans"]}
     assert "put" in names

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 from repro.telemetry import Sampler
@@ -154,5 +155,5 @@ def test_on_tick_hook_sees_every_sample():
 
 
 def test_bad_interval_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Sampler(Simulator(), interval=0.0)

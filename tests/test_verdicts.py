@@ -80,6 +80,12 @@ def _fail_agreement(monkeypatch):
     monkeypatch.setattr(inv, "_agreement", lambda o, e, t: (False, "forced"))
 
 
+def _fail_retransmit_count(monkeypatch):
+    from repro.faults import cli
+    monkeypatch.setattr(cli, "counts_match",
+                        lambda name, a, b: Verdict(name, False, "forced"))
+
+
 def _fail_triggered(monkeypatch):
     from repro.triggered import cli
     real = cli.run_host_assist
@@ -118,7 +124,7 @@ COMMANDS = {
                 ["fabrics", "--force-congestion", "--json", "{json}"], 1,
                 _fail_congestion),
     "faults": (["faults", "--quick", "--trace", "{trace}"], None, 1,
-               _fail_agreement),
+               _fail_retransmit_count),
     "collectives": (["collectives", "--trace", "{trace}", "--op",
                      "all-reduce", "--nodes", "3", "--sizes", "64",
                      "--iterations", "2", "--warmup", "1"], None, 1,
@@ -205,3 +211,30 @@ def test_repro_error_is_one_stderr_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# -- a bad flag value is a usage error: exit 2, never 1 ------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--mode", "bogus"],
+    ["profile", "--mode", "bogus"],
+    ["faults", "--loss", "2"],
+    ["faults", "--sizes", "x"],
+    ["collectives", "--op", "bogus"],
+    ["collectives", "--nodes", ","],
+    ["fabrics", "--topologies", "bogus"],
+    ["fabrics", "--nodes", "x"],
+    ["monitor", "pingpong", "--quick", "--recorder-capacity", "0"],
+    ["monitor", "pingpong", "--quick", "--capacity", "0"],
+    ["monitor", "pingpong", "--quick", "--interval", "0"],
+    ["workloads", "--quick", "--interval", "0"],
+])
+def test_bad_flag_value_exits_2(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
