@@ -16,7 +16,6 @@ Run:  python examples/quickstart.py
 
 from repro import build_extoll_cluster
 from repro.core import (
-    gpu_rma_poll_last_element,
     gpu_rma_post,
     gpu_rma_wait_notification,
     setup_extoll_connection,
@@ -54,8 +53,8 @@ def main() -> None:
         """Runs on node 1's GPU — spin until the last element arrives."""
         expected = int.from_bytes(message[-8:], "little")
         t0 = ctx.sim.now
-        yield from gpu_rma_poll_last_element(
-            ctx, receiver.recv_buf.base + size - 8, expected)
+        yield from ctx.spin_until_u64(receiver.recv_buf.base + size - 8,
+                                      lambda v: v == expected)
         return ctx.sim.now - t0
 
     send = sender.node.gpu.launch(send_kernel)

@@ -122,10 +122,6 @@ class CausalDag:
             return None
         return self._chains[ev.addr][pos - 1]
 
-    def chain_last(self, addr) -> Optional[FlowRecord]:
-        chain = self._chains.get(addr)
-        return chain[-1] if chain else None
-
     def wave_pred(self, kind: str,
                   ev: FlowRecord) -> Optional[FlowRecord]:
         """``kind``'s event in the same wave at ``ev``'s address."""

@@ -24,14 +24,12 @@ from .msglib import (
 )
 from .gpu_rma import (
     GpuNotificationCursor,
-    gpu_rma_poll_last_element,
     gpu_rma_post,
     gpu_rma_wait_notification,
 )
 from .gpu_verbs import (
     GpuCqConsumer,
     gpu_poll_cq,
-    gpu_poll_last_element,
     gpu_post_recv,
     gpu_post_send,
     gpu_wait_cq,
@@ -68,9 +66,8 @@ __all__ = [
     "Channel", "ChannelEnd", "create_channel", "create_channel_between",
     "gpu_send", "gpu_recv", "gpu_recv_ready",
     "GpuNotificationCursor", "gpu_rma_post", "gpu_rma_wait_notification",
-    "gpu_rma_poll_last_element",
     "GpuCqConsumer", "gpu_post_send", "gpu_post_recv", "gpu_poll_cq",
-    "gpu_wait_cq", "gpu_poll_last_element",
+    "gpu_wait_cq",
     "run_extoll_pingpong", "run_ib_pingpong",
     "run_extoll_bandwidth", "run_ib_bandwidth", "default_message_count",
     "run_extoll_message_rate", "run_ib_message_rate",

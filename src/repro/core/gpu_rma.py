@@ -8,9 +8,9 @@ Device threads drive the RMA unit directly:
   host memory* (one PCIe round trip per poll), then consume and free it:
   two 64-bit zeroing stores plus the 32-bit read-pointer store, exactly the
   traffic Table I decomposes.
-* :func:`gpu_rma_poll_last_element` — the ``dev2dev-pollOnGPU`` alternative:
-  spin on the last payload element in *device memory*, where the poll loop
-  runs out of the L2.
+* the ``dev2dev-pollOnGPU`` alternative needs no API call: the thread
+  spins (:meth:`~repro.gpu.ThreadCtx.spin_until_u64`) on the last payload
+  element in *device memory*, where the poll loop runs out of the L2.
 
 Instruction budgets (ALU work around the memory operations) are charged
 explicitly so ``instructions executed`` in Table I emerges from execution.
@@ -22,6 +22,7 @@ from ..errors import RmaError
 from ..extoll import Notification, NotificationCursor, RmaWorkRequest
 from ..gpu import ThreadCtx
 from ..sim import NULL_SPAN
+from ..sim.spin import spin
 
 # ALU instruction budgets (loads/stores add their own instruction counts).
 POST_ASSEMBLE_COST = 34        # pack the three descriptor words
@@ -31,7 +32,6 @@ POST_ASSEMBLE_COST = 34        # pack the three descriptor words
 # notification-polling kernel executing ~2x the instructions.
 POLL_LOOP_COST = 26
 CONSUME_COST = 22              # decode, ring bookkeeping after a hit
-DEVICE_POLL_LOOP_COST = 4      # compare + branch on the payload flag
 
 
 # The consumer state is the same whether a host thread or a device thread
@@ -68,45 +68,13 @@ def gpu_rma_wait_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor,
     a full PCIe round trip from the GPU's point of view.  Returns
     ``(Notification, polls)``.
     """
-    trc = ctx.sim.tracer
     # Notification waits are the polling layer — one span per *wait*, but
     # there are as many waits as messages, so this is a microscopic
     # category ("rma.poll") that the telemetry flight recorder filters out
-    # by default; gate on wants() so the filtered case pays one check.
-    traced = trc.wants("rma.poll")
-    span = (trc.begin("rma.poll", "wait-notification", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        word0 = yield from ctx.load_u64(cursor.slot_addr)
-        polls += 1
-        yield from ctx.alu(POLL_LOOP_COST)
-        if Notification.is_valid_word(word0):
-            break
-        if max_polls is not None and polls >= max_polls:
-            raise RmaError(f"GPU notification wait exceeded {max_polls} polls")
-        if polls > 64:  # long wait: progressive backoff (see ThreadCtx.spin_until_u64)
-            yield ctx.sim.timeout(min(1e-6 * (2 ** ((polls - 64) // 32)), 50e-6))
-    record = yield from _consume_notification(ctx, cursor)
-    span.end(polls=polls)
-    if traced:
-        trc.metrics.histogram("rma.notification_polls").observe(polls)
-    return record, polls
-
-
-def _consume_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor):
-    """Read, decode, and free the current slot; advance the cursor."""
-    raw = yield from ctx.load(cursor.slot_addr, 16)
-    record = Notification.decode(raw)
-    yield from ctx.alu(CONSUME_COST)
-    # Free the record (128 bits, two 64-bit stores) and publish the new
-    # 32-bit read pointer — all system-memory writes (§V-A3).
-    yield from ctx.store_u64(cursor.slot_addr, 0)
-    yield from ctx.store_u64(cursor.slot_addr + 8, 0)
-    cursor.read_index += 1
-    yield from ctx.store_u32(cursor.queue.read_ptr_addr,
-                             cursor.read_index % (1 << 32))
-    return record
+    # by default; spin() gates on wants() so the filtered case pays one check.
+    return spin(ctx, _poll_notification, (ctx, cursor), max_polls, RmaError,
+                "GPU notification wait", ("rma.poll", "wait-notification"),
+                "rma.notification_polls")
 
 
 def gpu_rma_try_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor):
@@ -118,23 +86,29 @@ def gpu_rma_try_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor):
     plus the loop ALU work; a hit additionally pays the consume sequence.
     Returns the :class:`Notification` or ``None``.
     """
+    record = yield from _poll_notification(ctx, cursor)
+    if record is not None:
+        trc = ctx.sim.tracer
+        if trc.enabled:
+            trc.metrics.counter("rma.try_notification_hits").inc()
+    return record
+
+
+def _poll_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor):
+    """One poll of the next slot: on a hit, read, decode and free it, and
+    advance the cursor.  Returns the :class:`Notification` or ``None``."""
     word0 = yield from ctx.load_u64(cursor.slot_addr)
     yield from ctx.alu(POLL_LOOP_COST)
     if not Notification.is_valid_word(word0):
         return None
-    record = yield from _consume_notification(ctx, cursor)
-    trc = ctx.sim.tracer
-    if trc.enabled:
-        trc.metrics.counter("rma.try_notification_hits").inc()
+    raw = yield from ctx.load(cursor.slot_addr, 16)
+    record = Notification.decode(raw)
+    yield from ctx.alu(CONSUME_COST)
+    # Free the record (128 bits, two 64-bit stores) and publish the new
+    # 32-bit read pointer — all system-memory writes (§V-A3).
+    yield from ctx.store_u64(cursor.slot_addr, 0)
+    yield from ctx.store_u64(cursor.slot_addr + 8, 0)
+    cursor.read_index += 1
+    yield from ctx.store_u32(cursor.queue.read_ptr_addr,
+                             cursor.read_index % (1 << 32))
     return record
-
-
-def gpu_rma_poll_last_element(ctx: ThreadCtx, flag_addr: int, expected: int,
-                              max_polls: int | None = 5_000_000):
-    """``dev2dev-pollOnGPU``: spin on the last 64-bit element the incoming
-    message will write, in device memory.  Valid because EXTOLL delivers
-    in-order.  Returns the poll count."""
-    _value, polls = yield from ctx.spin_until_u64(
-        flag_addr, lambda v: v == expected,
-        loop_instructions=DEVICE_POLL_LOOP_COST, max_polls=max_polls)
-    return polls

@@ -26,6 +26,7 @@ from ..errors import VerbsError
 from ..gpu import ThreadCtx
 from ..ib import CQE_BYTES, Cqe, Wqe
 from ..sim import NULL_SPAN
+from ..sim.spin import spin
 from ..ib.hca import Hca, encode_doorbell
 from ..ib.qp import QueuePair
 from ..ib.wqe import (
@@ -129,32 +130,7 @@ def gpu_wait_cq(ctx: ThreadCtx, consumer: GpuCqConsumer,
                 max_polls: int | None = 1_000_000):
     """Spin :func:`gpu_poll_cq` until a completion arrives.  Returns
     ``(Cqe, polls)``."""
-    trc = ctx.sim.tracer
     # Polling layer ("ib.poll"): per-message span volume, filtered out of
     # the telemetry flight recorder by default (see gpu_rma_wait_notification).
-    traced = trc.wants("ib.poll")
-    span = (trc.begin("ib.poll", "gpu_wait_cq", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        cqe = yield from gpu_poll_cq(ctx, consumer)
-        polls += 1
-        if cqe is not None:
-            span.end(polls=polls)
-            if traced:
-                trc.metrics.histogram("ib.gpu_cq_polls").observe(polls)
-            return cqe, polls
-        if max_polls is not None and polls >= max_polls:
-            raise VerbsError(f"GPU CQ wait exceeded {max_polls} polls")
-        if polls > 64:  # long wait: progressive backoff
-            yield ctx.sim.timeout(min(1e-6 * (2 ** ((polls - 64) // 32)), 50e-6))
-
-
-def gpu_poll_last_element(ctx: ThreadCtx, flag_addr: int, expected: int,
-                          max_polls: int | None = 5_000_000):
-    """Poll the last received element (in-order RC delivery makes this safe,
-    §V-B1).  Returns the poll count."""
-    _value, polls = yield from ctx.spin_until_u64(
-        flag_addr, lambda v: v == expected, loop_instructions=4,
-        max_polls=max_polls)
-    return polls
+    return spin(ctx, gpu_poll_cq, (ctx, consumer), max_polls, VerbsError,
+                "GPU CQ wait", ("ib.poll", "gpu_wait_cq"), "ib.gpu_cq_polls")

@@ -22,18 +22,8 @@ from ..extoll import (
 )
 from ..ib import IbOpcode, Wqe, ibv_post_recv, ibv_post_send, ibv_wait_cq
 from ..sim import NULL_SPAN
-from .gpu_rma import (
-    GpuNotificationCursor,
-    gpu_rma_poll_last_element,
-    gpu_rma_post,
-    gpu_rma_wait_notification,
-)
-from .gpu_verbs import (
-    GpuCqConsumer,
-    gpu_poll_last_element,
-    gpu_post_send,
-    gpu_wait_cq,
-)
+from .gpu_rma import gpu_rma_post, gpu_rma_wait_notification
+from .gpu_verbs import gpu_post_send, gpu_wait_cq
 from .modes import ExtollMode, IbMode
 from .results import LatencyPoint
 from .setup import ExtollConnection, IbConnection

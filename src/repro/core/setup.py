@@ -124,16 +124,11 @@ class IbEnd:
 
         self._gpu_send_consumer = GpuCqConsumer(self.qp.send_cq.buffer.base,
                                                 self.qp.send_cq.entries)
-        self._gpu_recv_consumer = GpuCqConsumer(self.qp.recv_cq.buffer.base,
-                                                self.qp.recv_cq.entries)
         self._host_send_consumer = CqConsumer(self.qp.send_cq)
         self._host_recv_consumer = CqConsumer(self.qp.recv_cq)
 
     def send_cq_consumer(self) -> GpuCqConsumer:
         return self._gpu_send_consumer
-
-    def recv_cq_consumer(self) -> GpuCqConsumer:
-        return self._gpu_recv_consumer
 
     def host_send_cq_consumer(self):
         return self._host_send_consumer

@@ -15,6 +15,7 @@ from ..errors import ConfigError
 from ..memory import Memory
 from ..pcie import PciePort
 from ..sim import Process, Simulator
+from ..sim.spin import HOST_BACKOFF, spin
 from .config import CpuConfig
 
 
@@ -52,12 +53,12 @@ class Cpu:
         ctx = HostThread(self, track=name or f"{self.name}.t{self.threads_spawned}")
         return self.sim.process(fn(ctx), name=name or f"{self.name}.t{self.threads_spawned}")
 
-    def thread_ctx(self) -> "HostThread":
-        return HostThread(self)
-
 
 class HostThread:
     """Execution context of one host thread."""
+
+    #: Long waits back off PAUSE-loop style (see :mod:`repro.sim.spin`).
+    BACKOFF = HOST_BACKOFF
 
     def __init__(self, cpu: Cpu, track: str = "") -> None:
         self.cpu = cpu
@@ -115,32 +116,22 @@ class HostThread:
 
     # -- polling -----------------------------------------------------------------
     def spin_until_u64(self, addr: int, predicate: Callable[[int], bool],
-                       max_polls: Optional[int] = None,
-                       backoff_after: int = 256,
-                       backoff_base: float = 0.2e-6,
-                       backoff_max: float = 20e-6) -> Generator:
-        """Poll a host-memory u64 until ``predicate`` holds.
+                       max_polls: Optional[int] = None) -> Generator:
+        """Poll a u64 until ``predicate`` holds.  Returns (value, polls).
 
         Polling a host-memory line is nearly free on the CPU (it stays in the
         LLC until a DMA write invalidates it), which is why CPU-controlled
-        completion detection wins in the paper.  Returns (value, polls).
-        Long waits back off progressively (PAUSE-loop style) to bound event
-        counts on multi-millisecond transfers.
+        completion detection wins in the paper.
         """
         cached = self._is_host(addr, 8)
-        polls = 0
-        while True:
-            if cached:
-                yield self.sim.timeout(self.cpu.config.cached_poll_latency)
-                value = self.cpu.host_mem.read_u64(addr)
-            else:
-                value = yield from self.read_u64(addr)
-            polls += 1
-            if predicate(value):
-                return value, polls
-            if max_polls is not None and polls >= max_polls:
-                raise ConfigError(f"spin at {addr:#x} exceeded {max_polls} polls")
-            if polls > backoff_after:
-                over = polls - backoff_after
-                delay = min(backoff_base * (2 ** (over // 64)), backoff_max)
-                yield self.sim.timeout(delay)
+        return spin(self, self._poll_u64, (addr, predicate, cached),
+                    max_polls, ConfigError, "spin at {0:#x}")
+
+    def _poll_u64(self, addr: int, predicate: Callable[[int], bool],
+                  cached: bool) -> Generator:
+        if cached:
+            yield self.sim.timeout(self.cpu.config.cached_poll_latency)
+            value = self.cpu.host_mem.read_u64(addr)
+        else:
+            value = yield from self.read_u64(addr)
+        return value if predicate(value) else None

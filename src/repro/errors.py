@@ -74,10 +74,6 @@ class QpStateError(VerbsError):
     """Operation attempted on a queue pair in an incompatible state."""
 
 
-class CompletionError(VerbsError):
-    """A work request completed with an error status."""
-
-
 class RegistrationError(NicError):
     """Memory (de)registration failed or a key/NLA did not validate."""
 

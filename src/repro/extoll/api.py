@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from ..cpu import HostThread
 from ..errors import RmaError
 from ..sim import NULL_SPAN
+from ..sim.spin import spin
 from .descriptor import RmaWorkRequest
 from .notification import Notification, NotificationQueue
 
@@ -49,24 +50,20 @@ def rma_wait_notification(ctx: HostThread, cursor: NotificationCursor,
                           max_polls: int | None = 2_000_000):
     """Spin on the next queue slot until its valid bit is set, then consume
     and free it.  Returns the decoded :class:`Notification`."""
-    trc = ctx.sim.tracer
     # Polling layer (see gpu_rma_wait_notification): per-message span
     # volume, filtered out of the flight recorder by default.
-    traced = trc.wants("rma.poll")
-    span = (trc.begin("rma.poll", "wait-notification", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        word0 = yield from ctx.read_u64(cursor.slot_addr)
-        polls += 1
-        if Notification.is_valid_word(word0):
-            break
-        if max_polls is not None and polls >= max_polls:
-            span.end(polls=polls, error="poll budget exhausted")
-            raise RmaError(f"notification wait exceeded {max_polls} polls "
-                           f"on {cursor.queue.name}")
-        if polls > 256:  # long wait: progressive backoff
-            yield ctx.sim.timeout(min(0.2e-6 * (2 ** ((polls - 256) // 64)), 20e-6))
+    record, _polls = yield from spin(
+        ctx, _poll_notification, (ctx, cursor), max_polls, RmaError,
+        "notification wait on {1.queue.name}",
+        ("rma.poll", "wait-notification"), "rma.host_notification_polls")
+    return record
+
+
+def _poll_notification(ctx: HostThread, cursor: NotificationCursor):
+    """One poll of the next slot: on a hit, read, free and publish it."""
+    word0 = yield from ctx.read_u64(cursor.slot_addr)
+    if not Notification.is_valid_word(word0):
+        return None
     raw = yield from ctx.read(cursor.slot_addr, 16)
     record = Notification.decode(raw)
     # Free: reset both words to zero, then publish the new read pointer.
@@ -75,9 +72,6 @@ def rma_wait_notification(ctx: HostThread, cursor: NotificationCursor,
     cursor.read_index += 1
     yield from ctx.write_u32(cursor.queue.read_ptr_addr,
                              cursor.read_index % (1 << 32))
-    span.end(polls=polls)
-    if traced:
-        trc.metrics.histogram("rma.host_notification_polls").observe(polls)
     return record
 
 
@@ -86,5 +80,7 @@ def rma_try_notification(ctx: HostThread, cursor: NotificationCursor):
     word0 = yield from ctx.read_u64(cursor.slot_addr)
     if not Notification.is_valid_word(word0):
         return None
+    # The wait reads word 0 again; the host message-rate baselines include
+    # that read's modeled time.
     record = yield from rma_wait_notification(ctx, cursor, max_polls=1)
     return record

@@ -41,10 +41,6 @@ class RmaPort:
     completer_queue: NotificationQueue
     responder_queue: NotificationQueue
 
-    @property
-    def page_range(self) -> AddressRange:
-        return AddressRange(self.page_addr, WR_BYTES)
-
 
 class ExtollNic:
     """One EXTOLL card in a node."""
@@ -207,6 +203,3 @@ class ExtollNic:
         BAR1 ranges alike.  Returns the NLA window."""
         self._require_attached()
         return self.atu.register(phys)
-
-    def deregister_memory(self, nla: AddressRange) -> None:
-        self.atu.deregister(nla)

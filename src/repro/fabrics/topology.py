@@ -13,10 +13,10 @@ module-level ``FORWARD_TIME`` constant became a per-link config field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import NetworkError
+from ..errors import ConfigError, NetworkError
 from ..network.link import FORWARD_TIME, NetLinkConfig
 from ..units import GB_PER_S, NS
 
@@ -54,6 +54,15 @@ class FabricConfig:
     #: dragonfly Valiant (one bump per global hop).
     vcs: int = 3
 
+    def __post_init__(self) -> None:
+        # A fabric is valid iff every link class makes a valid link config;
+        # reject it here rather than when instantiate() builds the links.
+        for cls in ("edge", "local", "global"):
+            try:
+                self.link_config(cls)
+            except NetworkError as exc:
+                raise ConfigError(f"bad fabric config: {exc}") from None
+
     def link_config(self, cls: str) -> NetLinkConfig:
         if cls == "edge":
             latency, fwd = self.edge_latency, self.edge_forward
@@ -66,9 +75,6 @@ class FabricConfig:
         return NetLinkConfig(bandwidth=self.bandwidth, latency=latency,
                              forward_time=fwd, credits=self.credits,
                              vcs=self.vcs)
-
-    def without_flow(self) -> "FabricConfig":
-        return replace(self, credits=None)
 
 
 @dataclass(frozen=True)

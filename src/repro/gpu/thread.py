@@ -21,6 +21,7 @@ from typing import Callable, Generator, List, Optional, TYPE_CHECKING
 from ..errors import GpuError
 from ..memory import MemorySpace
 from ..sim import NULL_SPAN, AllOf, Process
+from ..sim.spin import GPU_BACKOFF, spin
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .device import Gpu
@@ -57,6 +58,12 @@ class BlockBarrier:
 
 class ThreadCtx:
     """Execution context of one device thread."""
+
+    #: After 64 misses a poll loop idles between polls (the warp is
+    #: descheduled by the scoreboard).  This only engages on waits far
+    #: longer than the latency-path waits the paper's counter analysis
+    #: covers; see :mod:`repro.sim.spin`.
+    BACKOFF = GPU_BACKOFF
 
     def __init__(self, gpu: "Gpu", block_idx: int, thread_idx: int,
                  block_dim: int, grid_dim: int,
@@ -162,10 +169,6 @@ class ThreadCtx:
         data = yield from self.load(vaddr, 8)
         return int.from_bytes(data, "little")
 
-    def load_u32(self, vaddr: int) -> Generator:
-        data = yield from self.load(vaddr, 4)
-        return int.from_bytes(data, "little")
-
     # -- stores ------------------------------------------------------------------------
     def store(self, vaddr: int, data: bytes) -> Generator:
         """Store bytes to a UVA address.
@@ -259,43 +262,20 @@ class ThreadCtx:
 
     # -- spinning -------------------------------------------------------------------
     def spin_until_u64(self, vaddr: int, predicate: Callable[[int], bool],
-                       loop_instructions: int = 4,
-                       max_polls: Optional[int] = None,
-                       backoff_after: int = 64,
-                       backoff_base: float = 1e-6,
-                       backoff_max: float = 50e-6) -> Generator:
+                       max_polls: Optional[int] = None) -> Generator:
         """Poll a 64-bit location until ``predicate(value)`` holds.
 
         Returns ``(value, polls)``.  Each iteration pays the load latency of
         wherever ``vaddr`` lives — the crux of the paper's polling analysis —
-        plus ``loop_instructions`` of ALU overhead (compare/branch).
-
-        After ``backoff_after`` consecutive misses the loop inserts growing
-        idle gaps (the warp is descheduled by the scoreboard); this only
-        engages on waits far longer than the latency-path waits the paper's
-        counter analysis covers, and keeps multi-millisecond transfers from
-        being dominated by poll events.
+        plus 4 ALU instructions of compare/branch.  Long waits back off
+        (see :data:`BACKOFF`).
         """
-        trc = self.sim.tracer
-        traced = trc.wants("gpu.spin")
-        span = (trc.begin("gpu.spin", "spin", track=self.track,
-                          addr=hex(vaddr))
-                if traced else NULL_SPAN)
-        polls = 0
-        while True:
-            value = yield from self.load_u64(vaddr)
-            polls += 1
-            yield from self.alu(loop_instructions)
-            if predicate(value):
-                span.end(polls=polls)
-                if traced:
-                    trc.metrics.histogram("gpu.spin_polls").observe(polls)
-                return value, polls
-            if max_polls is not None and polls >= max_polls:
-                raise GpuError(
-                    f"spin_until_u64 at {vaddr:#x} exceeded {max_polls} polls"
-                )
-            if polls > backoff_after:
-                over = polls - backoff_after
-                delay = min(backoff_base * (2 ** (over // 32)), backoff_max)
-                yield self.sim.timeout(delay)
+        return spin(self, self._poll_u64, (vaddr, predicate), max_polls,
+                    GpuError, "spin_until_u64 at {0:#x}",
+                    ("gpu.spin", "spin", {"addr": "{0:#x}"}), "gpu.spin_polls")
+
+    def _poll_u64(self, vaddr: int,
+                  predicate: Callable[[int], bool]) -> Generator:
+        value = yield from self.load_u64(vaddr)
+        yield from self.alu(4)
+        return value if predicate(value) else None

@@ -16,6 +16,7 @@ from ..errors import VerbsError
 from ..memory import AddressRange
 from ..node import Node
 from ..sim import NULL_SPAN
+from ..sim.spin import spin
 from .cq import CQE_BYTES, CompletionQueue, Cqe
 from .hca import Hca, encode_doorbell
 from .qp import QueuePair
@@ -138,23 +139,11 @@ def ibv_poll_cq(ctx: HostThread, consumer: CqConsumer):
 
 def ibv_wait_cq(ctx: HostThread, consumer: CqConsumer,
                 max_polls: int | None = 2_000_000):
-    """Spin ``ibv_poll_cq`` until a completion arrives."""
-    trc = ctx.sim.tracer
+    """Spin ``ibv_poll_cq`` until a completion arrives.  Returns the
+    :class:`Cqe`."""
     # Polling layer ("ib.poll"): per-message span volume, filtered out of
     # the telemetry flight recorder by default (see gpu_rma_wait_notification).
-    traced = trc.wants("ib.poll")
-    span = (trc.begin("ib.poll", "ibv_wait_cq", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        cqe = yield from ibv_poll_cq(ctx, consumer)
-        if cqe is not None:
-            span.end(polls=polls + 1)
-            if traced:
-                trc.metrics.histogram("ib.cq_polls").observe(polls + 1)
-            return cqe
-        polls += 1
-        if max_polls is not None and polls >= max_polls:
-            raise VerbsError(f"CQ wait exceeded {max_polls} polls")
-        if polls > 256:  # long wait: progressive backoff
-            yield ctx.sim.timeout(min(0.2e-6 * (2 ** ((polls - 256) // 64)), 20e-6))
+    cqe, _polls = yield from spin(ctx, ibv_poll_cq, (ctx, consumer), max_polls,
+                                  VerbsError, "CQ wait",
+                                  ("ib.poll", "ibv_wait_cq"), "ib.cq_polls")
+    return cqe

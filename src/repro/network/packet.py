@@ -57,11 +57,6 @@ class Packet:
     def compute_checksum(self) -> int:
         return zlib.crc32(self.payload)
 
-    def seal(self) -> "Packet":
-        """Stamp the link-layer CRC of the current payload."""
-        self.checksum = self.compute_checksum()
-        return self
-
     @property
     def is_corrupt(self) -> bool:
         """True iff the packet was sealed and the payload no longer matches

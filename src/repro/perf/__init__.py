@@ -16,7 +16,6 @@ Two instruments, built on the observability layer:
 
 from .harness import (
     SCHEMA_VERSION,
-    SIM_TOLERANCE,
     WALLCLOCK_FLOOR,
     CheckReport,
     Deviation,
@@ -49,7 +48,6 @@ __all__ = [
     "PhaseCost",
     "SCENARIOS",
     "SCHEMA_VERSION",
-    "SIM_TOLERANCE",
     "Scenario",
     "ScenarioResult",
     "WALLCLOCK_FLOOR",

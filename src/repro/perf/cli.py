@@ -93,8 +93,8 @@ def bench_main(argv=None) -> int:
                         help="treat wall-clock collapses as regressions, "
                              "not warnings")
     parser.add_argument("--verbose", action="store_true",
-                        help="also print metrics that are within "
-                             "tolerance")
+                        help="also print metrics that match their "
+                             "baseline")
     args = parser.parse_args(argv)
 
     if args.list:

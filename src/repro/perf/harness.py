@@ -3,15 +3,14 @@
 Every canonical scenario (:mod:`repro.perf.scenarios`) produces *metrics*
 and *invariants*.  ``record`` serializes them to ``BENCH_<NAME>.json`` at
 the repository root; ``check`` re-runs the scenario and compares, metric by
-metric, with per-kind tolerance bands:
+metric, by kind:
 
 ``sim``
     Simulated-time quantities (latencies, bandwidths, ratios).  The
-    simulator is deterministic, so these must agree to
-    :data:`SIM_TOLERANCE` — effectively exact; the band only absorbs
-    float-formatting round trips.
+    simulator is deterministic and JSON round-trips floats exactly, so
+    these must be equal: a single simulated ulp is a regression.
 ``count``
-    Event/step/retransmit counts.  Exact by default.
+    Event/step/retransmit counts.  Exact.
 ``wallclock``
     Host-dependent quantities (seconds of real time, simulated events per
     second).  Never exact; the check only *warns* when throughput falls
@@ -41,15 +40,9 @@ from ..analysis.invariants import Check, Verdict
 #: refuses to compare across schema versions.
 SCHEMA_VERSION = 1
 
-#: Relative tolerance for ``sim``-kind metrics (deterministic simulator:
-#: this only needs to absorb JSON float round-tripping).
-SIM_TOLERANCE = 1e-3
-
 #: A wall-clock throughput below this fraction of the baseline draws a
 #: warning (or a failure under ``strict_wallclock``).
 WALLCLOCK_FLOOR = 0.25
-
-_DEFAULT_TOLERANCE = {"sim": SIM_TOLERANCE, "count": 0.0}
 
 
 @dataclass(frozen=True)
@@ -59,25 +52,17 @@ class Metric:
     value: float
     kind: str = "sim"              # "sim" | "count" | "wallclock"
     unit: str = ""
-    tol: Optional[float] = None    # relative band; None -> default by kind
-
-    def tolerance(self) -> Optional[float]:
-        if self.tol is not None:
-            return self.tol
-        return _DEFAULT_TOLERANCE.get(self.kind)  # wallclock -> None
 
     def to_dict(self) -> dict:
         out = {"value": self.value, "kind": self.kind}
         if self.unit:
             out["unit"] = self.unit
-        if self.tol is not None:
-            out["tol"] = self.tol
         return out
 
     @staticmethod
     def from_dict(d: dict) -> "Metric":
         return Metric(value=d["value"], kind=d.get("kind", "sim"),
-                      unit=d.get("unit", ""), tol=d.get("tol"))
+                      unit=d.get("unit", ""))
 
 
 @dataclass
@@ -94,8 +79,8 @@ class ScenarioResult:
     extra: Dict[str, object] = field(default_factory=dict)
 
     def metric(self, name: str, value: float, kind: str = "sim",
-               unit: str = "", tol: Optional[float] = None) -> None:
-        self.metrics[name] = Metric(value, kind, unit, tol)
+               unit: str = "") -> None:
+        self.metrics[name] = Metric(value, kind, unit)
 
     def invariant(self, name: str, check: Check) -> None:
         """Record an ``(ok, detail)`` pair from
@@ -210,8 +195,6 @@ def _compare_metric(name: str, base: Metric, cur: Optional[Metric],
     if cur is None:
         return Deviation(name, "regression",
                          "present in baseline but missing from this run")
-    denom = max(abs(base.value), 1e-12)
-    rel = abs(cur.value - base.value) / denom
     unit = f" {base.unit}" if base.unit else ""
     if base.kind == "wallclock":
         # Direction by unit: rates ("…/s") collapse downward, durations
@@ -229,13 +212,13 @@ def _compare_metric(name: str, base: Metric, cur: Optional[Metric],
         return Deviation(name, "ok",
                          f"{cur.value:.4g}{unit} vs baseline "
                          f"{base.value:.4g}{unit} (wallclock, informational)")
-    tol = base.tolerance() or 0.0
-    if rel > tol:
+    if cur.value != base.value:
+        rel = (cur.value - base.value) / max(abs(base.value), 1e-12)
         return Deviation(name, "regression",
-                         f"{base.value:.6g} -> {cur.value:.6g}{unit} "
-                         f"({rel * 100:+.3f}% rel, tolerance {tol * 100:g}%)")
-    return Deviation(name, "ok",
-                     f"{cur.value:.6g}{unit} (rel err {rel * 100:.4f}%)")
+                         f"{base.value!r} -> {cur.value!r}{unit} "
+                         f"({rel * 100:+.3g}% rel; tolerance 0, must be "
+                         f"exact)")
+    return Deviation(name, "ok", f"{cur.value:.6g}{unit} (exact)")
 
 
 def check(scenario: Scenario, root: str,

@@ -92,12 +92,10 @@ class Simulator:
         wall-clock: the default seed is 0.
     """
 
-    def __init__(self, trace: Optional[Callable[[float, str], None]] = None,
-                 tracer=None, seed: int = 0) -> None:
+    def __init__(self, tracer=None, seed: int = 0) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq: int = 0
-        self._trace = trace
         self._processes: Dict[Any, None] = {}   # live, in spawn order
         #: Unobserved failures as (sim time, event); see :meth:`_exit`.
         self._failures: List[Tuple[float, Event]] = []
@@ -172,8 +170,6 @@ class Simulator:
             raise SimulationError("time went backwards")
         self._now = when
         self.events_processed += 1
-        if self._trace is not None:
-            self._trace(when, repr(event))
         event._run_callbacks()
 
     def run(self, until: Optional[float] = None) -> None:

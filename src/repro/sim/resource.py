@@ -40,10 +40,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         return len(self._waiters)
 
@@ -104,10 +100,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def getters_waiting(self) -> int:
-        return len(self._getters)
 
     def put(self, item: Any) -> Event:
         ev = self.sim.event(f"put:{self.name}")

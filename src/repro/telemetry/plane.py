@@ -115,20 +115,6 @@ class TelemetryPlane:
                 and run.transport.mode == "engine":
             self.watch_stats("workload.engine", run.transport.engine_stats)
 
-    def watch_causal(self) -> None:
-        """Flow-event emission rates (→ ``flow.{kind}`` series) plus a
-        live backlog gauge: posts whose delivery has not yet been observed
-        (``flow.in_flight``) — a cheap congestion indicator built from the
-        recorder's causal counters, no DAG assembly required."""
-        counters = self.recorder.metrics
-
-        def in_flight() -> float:
-            posted = counters.counter("flow.pst").value
-            delivered = counters.counter("flow.dlv").value
-            return float(max(0, posted - delivered))
-
-        self.watch_gauge("flow.in_flight", in_flight)
-
     def watch_fabrics(self, instance) -> None:
         """A scale-out fabric's congestion accounting (→ aggregate
         ``fabric.stalls`` / ``fabric.stall_time`` / ``fabric.bytes``

@@ -151,25 +151,6 @@ class TriggeredUnit:
                 pass
         return unregister
 
-    @staticmethod
-    def count_cqes(cq, counter: TriggerCounter, amount: int = 1,
-                   ) -> Callable[[], None]:
-        """Tick ``counter`` for every CQE an InfiniBand HCA lands in ``cq``
-        — the IB flavor of counting completions.  Returns an unregister
-        callable."""
-
-        def listener(_cqe) -> None:
-            counter.add(amount)
-
-        cq.listeners.append(listener)
-
-        def unregister() -> None:
-            try:
-                cq.listeners.remove(listener)
-            except ValueError:
-                pass
-        return unregister
-
     # -- chains --------------------------------------------------------------------
     def chain(self, name: str = "") -> DescriptorChain:
         self.stats.chains_staged += 1

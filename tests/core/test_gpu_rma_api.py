@@ -5,7 +5,6 @@ import pytest
 from repro import build_extoll_cluster
 from repro.core import (
     GpuNotificationCursor,
-    gpu_rma_poll_last_element,
     gpu_rma_post,
     gpu_rma_wait_notification,
     setup_extoll_connection,
@@ -105,8 +104,8 @@ def test_poll_last_element_sees_put(testbed):
                                 put_wr(conn, flags=NotifyFlags.NONE))
 
     def receiver(ctx):
-        polls = yield from gpu_rma_poll_last_element(
-            ctx, conn.b.recv_buf.base + 56, 0xFEED)
+        _value, polls = yield from ctx.spin_until_u64(
+            conn.b.recv_buf.base + 56, lambda v: v == 0xFEED)
         return polls
 
     hs = conn.a.node.gpu.launch(sender)

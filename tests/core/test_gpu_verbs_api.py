@@ -5,7 +5,6 @@ import pytest
 from repro import build_ib_cluster
 from repro.core import (
     gpu_poll_cq,
-    gpu_poll_last_element,
     gpu_post_send,
     gpu_wait_cq,
     setup_ib_connection,
@@ -127,8 +126,8 @@ def test_ping_pong_markers_via_poll_last_element(testbed):
         yield from gpu_wait_cq(ctx, conn.a.send_cq_consumer())
 
     def receiver(ctx):
-        polls = yield from gpu_poll_last_element(
-            ctx, conn.b.recv_buf.base + 56, 0xBEEF)
+        _value, polls = yield from ctx.spin_until_u64(
+            conn.b.recv_buf.base + 56, lambda v: v == 0xBEEF)
         return polls
 
     hs = conn.a.node.gpu.launch(sender)

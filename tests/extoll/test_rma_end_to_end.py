@@ -1,8 +1,11 @@
 """Integration tests: EXTOLL put/get across the two-node cluster."""
 
+import re
+
 import pytest
 
 from repro.cluster import build_extoll_cluster
+from repro.errors import RmaError
 from repro.extoll import (
     NotificationCursor,
     NotifyFlags,
@@ -23,6 +26,20 @@ def testbed():
     port_a = a.nic.open_port(0)
     port_b = b.nic.open_port(0)
     return cluster, a, b, port_a, port_b
+
+
+def test_wait_notification_max_polls(testbed):
+    cluster, a, _b, port_a, _port_b = testbed
+    queue = port_a.requester_queue
+
+    def waiter(ctx):
+        yield from rma_wait_notification(ctx, NotificationCursor(queue),
+                                         max_polls=300)
+
+    a.cpu.spawn(waiter)
+    with pytest.raises(RmaError, match=re.escape(
+            f"notification wait on {queue.name} exceeded 300 polls")):
+        cluster.sim.run(until=cluster.sim.now + 500 * US)
 
 
 def test_host_controlled_put_moves_host_data(testbed):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import ConfigError, NetworkError
 from repro.fabrics import build_topology, dragonfly, fat_tree, torus
-from repro.fabrics.topology import TOPOLOGY_KINDS
+from repro.fabrics.topology import TOPOLOGY_KINDS, FabricConfig
 
 
 def test_topology_kinds_cover_the_builders():
@@ -57,3 +57,16 @@ def test_dragonfly_groups_scale_with_n():
 def test_unknown_kind_is_an_error():
     with pytest.raises(NetworkError):
         build_topology("hypercube", 16)
+
+
+@pytest.mark.parametrize("bad", [dict(credits=0), dict(vcs=0),
+                                 dict(bandwidth=0.0),
+                                 dict(global_latency=-1e-9),
+                                 dict(core_forward=-1e-9)])
+def test_fabric_config_rejects_bad_values_at_construction(bad):
+    with pytest.raises(ConfigError, match="bad fabric config"):
+        FabricConfig(**bad)
+
+
+def test_fabric_config_accepts_infinite_buffers():
+    assert FabricConfig(credits=None).link_config("edge").credits is None

@@ -1,7 +1,7 @@
 """Unit tests for the regression harness — no simulator involved.
 
 Synthetic scenarios with hand-built results exercise every comparison
-path: tolerance bands per metric kind, missing/new metrics, invariant
+path: exact sim/count comparison, missing/new metrics, invariant
 verdicts, wall-clock direction handling, schema guarding.
 """
 
@@ -53,7 +53,7 @@ def test_record_then_identical_check_passes(tmp_path):
 
 
 def test_sim_metric_outside_tolerance_regresses(tmp_path):
-    s = make_scenario([result(), result(latency=10.02)])  # +0.2% > 0.1%
+    s = make_scenario([result(), result(latency=10.02)])  # +0.2%
     record(s, str(tmp_path))
     report = check(s, str(tmp_path))
     assert not report.ok
@@ -62,10 +62,11 @@ def test_sim_metric_outside_tolerance_regresses(tmp_path):
     assert "FAIL" in report.render()
 
 
-def test_sim_metric_inside_tolerance_passes(tmp_path):
+def test_sim_metric_is_exact(tmp_path):
     s = make_scenario([result(), result(latency=10.0 + 10.0 * 5e-4)])
     record(s, str(tmp_path))
-    assert check(s, str(tmp_path)).ok
+    report = check(s, str(tmp_path))
+    assert [d.name for d in report.regressions] == ["latency_us"]
 
 
 def test_count_metric_is_exact(tmp_path):
@@ -73,16 +74,6 @@ def test_count_metric_is_exact(tmp_path):
     record(s, str(tmp_path))
     report = check(s, str(tmp_path))
     assert [d.name for d in report.regressions] == ["events"]
-
-
-def test_custom_tolerance_band(tmp_path):
-    res = ScenarioResult()
-    res.metric("noisy", 100.0, tol=0.10)
-    res2 = ScenarioResult()
-    res2.metric("noisy", 108.0, tol=0.10)   # +8% < 10%
-    s = make_scenario([res, res2])
-    record(s, str(tmp_path))
-    assert check(s, str(tmp_path)).ok
 
 
 def test_wallclock_collapse_warns_not_fails(tmp_path):
@@ -173,8 +164,5 @@ def test_render_reports_summarizes(tmp_path):
 
 
 def test_metric_roundtrip():
-    m = Metric(3.5, kind="count", unit="events", tol=0.5)
+    m = Metric(3.5, kind="count", unit="events")
     assert Metric.from_dict(m.to_dict()) == m
-    assert Metric(1.0).tolerance() == pytest.approx(1e-3)
-    assert Metric(1.0, kind="count").tolerance() == 0.0
-    assert Metric(1.0, kind="wallclock").tolerance() is None

@@ -164,12 +164,3 @@ def test_deterministic_schedules_across_runs():
         return log
 
     assert build_and_run() == build_and_run()
-
-
-def test_trace_hook_sees_every_event():
-    seen = []
-    sim = Simulator(trace=lambda t, desc: seen.append(t))
-    sim.timeout(1.0)
-    sim.timeout(2.0)
-    sim.run()
-    assert seen == [1.0, 2.0]
