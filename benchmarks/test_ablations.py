@@ -15,6 +15,8 @@ from repro.analysis import (
     ablate_p2p_pathology,
 )
 
+pytestmark = [pytest.mark.quick]
+
 
 @pytest.fixture(scope="module")
 def notification_placement():
@@ -51,7 +53,7 @@ def test_abl_endianness_conversion(benchmark, endianness):
     r = benchmark.pedantic(lambda: endianness, rounds=1, iterations=1)
     benchmark.extra_info.update({k: v for k, v in r.items()})
     assert r["optimized_instructions"] < r["full_conversion_instructions"]
-    assert r["optimized_latency"] <= r["full_conversion_latency"]
+    assert r["optimized_latency"] < r["full_conversion_latency"]
 
 
 def test_abl_p2p_pathology(benchmark, p2p):

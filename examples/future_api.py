@@ -21,7 +21,6 @@ from repro.core import (
     run_extoll_pingpong,
     run_future_extoll_pingpong,
     setup_extoll_connection,
-    setup_future_extoll_connection,
 )
 from repro.units import KIB
 
@@ -39,7 +38,8 @@ def main() -> None:
         host = run_extoll_pingpong(cluster, conn, ExtollMode.HOST_CONTROLLED,
                                    size, iterations=ITERS)
         cluster2 = build_extoll_cluster()
-        conn2 = setup_future_extoll_connection(cluster2, max(size, 4 * KIB))
+        conn2 = setup_extoll_connection(cluster2, max(size, 4 * KIB),
+                                        notification_location="gpu")
         future = run_future_extoll_pingpong(cluster2, conn2, size,
                                             iterations=ITERS)
         rows.append((size, today, future, host))

@@ -23,14 +23,6 @@ from repro.core import (
 )
 from repro.units import KIB
 
-IB_LOCATION = {
-    IbMode.BUF_ON_GPU: "gpu",
-    IbMode.BUF_ON_HOST: "host",
-    IbMode.ASSISTED: "host",
-    IbMode.HOST_CONTROLLED: "host",
-}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+",
@@ -56,7 +48,7 @@ def main() -> None:
         for size in args.sizes:
             cluster = build_ib_cluster()
             conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=IB_LOCATION[mode])
+                                       buffer_location=mode.ring_location)
             series.points.append(run_ib_pingpong(
                 cluster, conn, mode, size, iterations=args.iterations))
         ib_series.append(series)

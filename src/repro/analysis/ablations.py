@@ -9,6 +9,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List
 
 from ..cluster import build_extoll_cluster, build_ib_cluster
@@ -81,22 +82,11 @@ def ablate_endianness_conversion(size: int = 256,
     lat = {}
     for optimized in (False, True):
         cluster = build_ib_cluster()
-        conn = setup_ib_connection(cluster, max(size, 4 * KIB), "gpu")
-        # Patch the posting path: wrap gpu_post_send with the chosen flavor
-        # by running the ping-pong with a one-off mode below.
-        from ..core import pingpong as pp
-
-        original = pp.gpu_post_send
-
-        def patched(ctx, hca, qp, wqe, idx, optimized=optimized):
-            return original(ctx, hca, qp, wqe, idx, optimized=optimized)
-
-        pp.gpu_post_send = patched
-        try:
-            point = pp.run_ib_pingpong(cluster, conn, IbMode.BUF_ON_GPU, size,
-                                       iterations=iterations)
-        finally:
-            pp.gpu_post_send = original
+        conn = setup_ib_connection(cluster, max(size, 4 * KIB),
+                                   IbMode.BUF_ON_GPU.ring_location)
+        point = run_ib_pingpong(
+            cluster, conn, IbMode.BUF_ON_GPU, size, iterations=iterations,
+            post_send=partial(gpu_post_send, optimized=optimized))
         lat["optimized" if optimized else "full"] = point.latency
     results["full_conversion_latency"] = lat["full"]
     results["optimized_latency"] = lat["optimized"]
@@ -149,17 +139,15 @@ def ablate_future_interface(size: int = 256,
                             iterations: int = 20) -> AblationResult:
     """§VI wholesale: wide (thread-collaborative) posting + device-resident
     notification queues vs today's dev2dev-direct, same semantics."""
-    from ..core import (
-        run_future_extoll_pingpong,
-        setup_future_extoll_connection,
-    )
+    from ..core import run_future_extoll_pingpong
 
     cluster = build_extoll_cluster()
     conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
     today = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, size,
                                 iterations=iterations).latency
     cluster2 = build_extoll_cluster()
-    conn2 = setup_future_extoll_connection(cluster2, max(size, 4 * KIB))
+    conn2 = setup_extoll_connection(cluster2, max(size, 4 * KIB),
+                                    notification_location="gpu")
     future = run_future_extoll_pingpong(cluster2, conn2, size,
                                         iterations=iterations).latency
     return AblationResult(

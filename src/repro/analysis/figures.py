@@ -142,14 +142,6 @@ def fig3_polling_ratio(scale: float = 1.0, iterations: int = 10,
 
 # --- Fig. 4a: InfiniBand latency ----------------------------------------------------
 
-_IB_MODE_LOCATION = {
-    IbMode.BUF_ON_GPU: "gpu",
-    IbMode.BUF_ON_HOST: "host",
-    IbMode.ASSISTED: "host",
-    IbMode.HOST_CONTROLLED: "host",
-}
-
-
 def fig4a_ib_latency(scale: float = 1.0, iterations: int = 20,
                      sizes: Optional[List[int]] = None) -> List[Series]:
     sizes = sizes or _sizes(LATENCY_SIZES, scale)
@@ -160,7 +152,7 @@ def fig4a_ib_latency(scale: float = 1.0, iterations: int = 20,
         for size in sizes:
             cluster = build_ib_cluster()
             conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=_IB_MODE_LOCATION[mode])
+                                       buffer_location=mode.ring_location)
             series.points.append(run_ib_pingpong(
                 cluster, conn, mode, size,
                 iterations=_iters(iterations, size, scale), warmup=2))
@@ -180,7 +172,7 @@ def fig4b_ib_bandwidth(scale: float = 1.0,
         for size in sizes:
             cluster = build_ib_cluster()
             conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=_IB_MODE_LOCATION[mode])
+                                       buffer_location=mode.ring_location)
             count = max(6, min(32, int((6 * MIB) * max(scale, 0.3)) // max(size, 1)))
             series.points.append(run_ib_bandwidth(cluster, conn, mode, size,
                                                   count=count))

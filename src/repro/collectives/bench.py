@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from ..cluster import Cluster, build_extoll_cluster
 from ..errors import BenchmarkError
+from ..core.drive import run_measured
 from ..core.results import BandwidthPoint, LatencyPoint
 from ..sim import NULL_SPAN, Simulator
 from .algorithms import (all_gather, all_reduce, barrier, broadcast,
@@ -211,14 +212,9 @@ def run_collective(cluster: Cluster, comm: Communicator, op: str, size: int,
         if rc.rank == 0:
             timing.end = ctx.sim.now
 
-    handles = comm.launch(body)
-    bench = (trc.begin("bench", f"collective:{op}", track="bench",
-                       nodes=comm.size, size=size, mode=comm.mode.value,
-                       iterations=iterations, warmup=warmup)
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles,
-                                   limit=cluster.sim.now + 600.0)
-    bench.end()
+    run_measured(cluster, comm.launch(body), f"collective:{op}",
+                 nodes=comm.size, size=size, mode=comm.mode.value,
+                 iterations=iterations, warmup=warmup)
 
     elapsed = timing.end - timing.start
     point = LatencyPoint(size=size, latency=elapsed / iterations)

@@ -8,11 +8,7 @@ from .counters import (
     measure_ib_buffer_counters,
     measure_single_op_instructions,
 )
-from .future import (
-    gpu_rma_post_wide,
-    run_future_extoll_pingpong,
-    setup_future_extoll_connection,
-)
+from .future import gpu_rma_post_wide, run_future_extoll_pingpong
 from .msglib import (
     Channel,
     ChannelEnd,
@@ -62,7 +58,6 @@ from .setup import (
 __all__ = [
     "ExtollMode", "IbMode", "RateMethod", "FabricKind",
     "gpu_rma_post_wide", "run_future_extoll_pingpong",
-    "setup_future_extoll_connection",
     "Channel", "ChannelEnd", "create_channel", "create_channel_between",
     "gpu_send", "gpu_recv", "gpu_recv_ready",
     "GpuNotificationCursor", "gpu_rma_post", "gpu_rma_wait_notification",

@@ -50,11 +50,11 @@ def measure_ib_buffer_counters(
         payload: int = TABLE_PAYLOAD) -> Tuple[CounterReport, CounterReport]:
     """Table II: (buffer on host, buffer on GPU) reports."""
     reports = []
-    for location, mode, label in (("host", IbMode.BUF_ON_HOST, "Buffer on Host"),
-                                  ("gpu", IbMode.BUF_ON_GPU, "Buffer on GPU")):
+    for mode, label in ((IbMode.BUF_ON_HOST, "Buffer on Host"),
+                        (IbMode.BUF_ON_GPU, "Buffer on GPU")):
         cluster = build_ib_cluster()
         conn = setup_ib_connection(cluster, max(payload, 4 * KIB),
-                                   buffer_location=location)
+                                   buffer_location=mode.ring_location)
         gpu = conn.a.node.gpu
         before = gpu.counters.snapshot()
         run_ib_pingpong(cluster, conn, mode, payload,
@@ -68,9 +68,8 @@ def measure_single_op_instructions() -> dict:
     """§V-B3 single-operation costs, measured by executing exactly one op on
     an otherwise idle GPU: instructions for one ``ibv_post_send`` and one
     successful ``ibv_poll_cq``, plus the EXTOLL posting cost for contrast."""
-    from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
-    from ..ib import IbOpcode, Wqe
-    from .gpu_rma import gpu_rma_post
+    from ..extoll import NotifyFlags
+    from .drive import extoll_put, gpu_put, ib_write_wqe
     from .gpu_verbs import gpu_post_send, gpu_wait_cq
 
     out = {}
@@ -79,13 +78,10 @@ def measure_single_op_instructions() -> dict:
     cluster = build_extoll_cluster()
     conn = setup_extoll_connection(cluster, 4 * KIB)
     gpu = conn.a.node.gpu
-    wr = RmaWorkRequest(op=RmaOp.PUT, port=conn.a.port.port_id, dst_node=1,
-                        src_nla=conn.a.send_nla.base,
-                        dst_nla=conn.b.recv_nla.base, size=64,
-                        flags=NotifyFlags.NONE)
+    wr = extoll_put(conn.a, conn.b, 64, NotifyFlags.NONE)
 
     def extoll_post(ctx):
-        yield from gpu_rma_post(ctx, conn.a.port.page_addr, wr)
+        yield from gpu_put(ctx, conn.a, wr)
 
     before = gpu.counters.snapshot()
     h = gpu.launch(extoll_post)
@@ -97,9 +93,7 @@ def measure_single_op_instructions() -> dict:
     cluster = build_ib_cluster()
     conn = setup_ib_connection(cluster, 4 * KIB, buffer_location="gpu")
     gpu = conn.a.node.gpu
-    wqe = Wqe(opcode=IbOpcode.RDMA_WRITE, wr_id=1,
-              local_addr=conn.a.send_buf.base, lkey=conn.a.lkey, length=64,
-              remote_addr=conn.a.remote_recv_addr, rkey=conn.a.rkey_remote)
+    wqe = ib_write_wqe(conn.a, 64, wr_id=1)
 
     marks = {}
 

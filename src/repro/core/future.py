@@ -13,10 +13,10 @@ This module builds that API on the EXTOLL substrate:
 
 * :func:`gpu_rma_post_wide` posts the 192-bit descriptor as ONE
   warp-coalesced store (claim 2) instead of three dependent scalar stores,
-* :func:`setup_future_extoll_connection` opens ports whose notification
-  queues live in **GPU device memory** (claims 1 and 3): the NIC DMA-writes
-  the 16-byte records over PCIe once, and the polling loop runs entirely
-  out of the L2,
+* ``setup_extoll_connection(..., notification_location="gpu")`` opens
+  ports whose notification queues live in **GPU device memory** (claims 1
+  and 3): the NIC DMA-writes the 16-byte records over PCIe once, and the
+  polling loop runs entirely out of the L2,
 * :func:`run_future_extoll_pingpong` is the dev2dev-direct program on the
   new interface, so the gain is measured under identical semantics
   (explicit requester/completer notifications, no last-element trick).
@@ -25,16 +25,13 @@ This module builds that API on the EXTOLL substrate:
 from __future__ import annotations
 
 from ..cluster import Cluster
-from ..errors import BenchmarkError
-from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
+from ..extoll import RmaWorkRequest
 from ..gpu import ThreadCtx
-from .gpu_rma import (
-    POST_ASSEMBLE_COST,
-    GpuNotificationCursor,
-    gpu_rma_wait_notification,
-)
+from .drive import run_measured
+from .gpu_rma import POST_ASSEMBLE_COST
+from .pingpong import _PingTiming, _validate, notified_pingpong
 from .results import LatencyPoint
-from .setup import ExtollConnection, ExtollEnd
+from .setup import ExtollConnection
 
 # A warp assembles descriptor words in parallel: the packing work divides
 # across lanes instead of serializing on one thread.
@@ -50,36 +47,8 @@ def gpu_rma_post_wide(ctx: ThreadCtx, page_addr: int, wr: RmaWorkRequest):
     return ctx.sim.now - start
 
 
-def setup_future_extoll_connection(cluster: Cluster, buf_bytes: int,
-                                   port_id: int | None = None) -> ExtollConnection:
-    """Like :func:`repro.core.setup_extoll_connection`, but the notification
-    queues are allocated in each GPU's device memory (§VI claims 1/3)."""
-    from ..memory import AddressRange
-
-    ends = []
-    ports = [
-        cluster.a.nic.open_port(port_id,
-                                notification_alloc=cluster.a.gpu.allocator),
-        cluster.b.nic.open_port(port_id,
-                                notification_alloc=cluster.b.gpu.allocator),
-    ]
-    for node, port in zip(cluster.nodes, ports):
-        send_buf = node.gpu_malloc(buf_bytes)
-        recv_buf = node.gpu_malloc(buf_bytes)
-        flag_page = node.host_malloc(4096)
-        node.host_mem.fill(flag_page.base, flag_page.size, 0)
-        end = ExtollEnd(
-            node=node, port=port,
-            send_buf=send_buf, recv_buf=recv_buf,
-            send_nla=node.nic.register_memory(send_buf),
-            recv_nla=node.nic.register_memory(recv_buf),
-            flag_page=flag_page,
-        )
-        node.gpu.map_mmio(AddressRange(port.page_addr, 4096))
-        # No host mappings needed: queues already live in device memory.
-        node.gpu.map_host_memory(flag_page)
-        ends.append(end)
-    return ExtollConnection(*ends)
+def _wide_put(ctx, end, wr: RmaWorkRequest):
+    return gpu_rma_post_wide(ctx, end.port.page_addr, wr)
 
 
 def run_future_extoll_pingpong(cluster: Cluster, conn: ExtollConnection,
@@ -87,53 +56,10 @@ def run_future_extoll_pingpong(cluster: Cluster, conn: ExtollConnection,
                                warmup: int = 3) -> LatencyPoint:
     """dev2dev-direct semantics on the future interface: wide posting plus
     notification polling that hits in the L2."""
-    if size <= 0:
-        raise BenchmarkError(f"message size must be positive, got {size}")
-    if size > conn.a.send_buf.size:
-        raise BenchmarkError(f"size {size} exceeds buffer {conn.a.send_buf.size}")
-    if iterations < 1 or warmup < 0:
-        raise BenchmarkError("need iterations >= 1 and warmup >= 0")
-    total = iterations + warmup
-    flags = NotifyFlags.REQUESTER | NotifyFlags.COMPLETER
-    timing = {"start": 0.0, "end": 0.0, "post": 0.0, "poll": 0.0}
-
-    def wr_for(end: ExtollEnd, peer: ExtollEnd) -> RmaWorkRequest:
-        return RmaWorkRequest(op=RmaOp.PUT, port=end.port.port_id,
-                              dst_node=peer.node.node_id,
-                              src_nla=end.send_nla.base,
-                              dst_nla=peer.recv_nla.base, size=size,
-                              flags=flags)
-
-    wr_ping = wr_for(conn.a, conn.b)
-    wr_pong = wr_for(conn.b, conn.a)
-
-    def ping(ctx):
-        req_cur = conn.a.requester_cursor()
-        cmpl_cur = conn.a.completer_cursor()
-        for i in range(1, total + 1):
-            if i == warmup + 1:
-                timing["start"] = ctx.sim.now
-            t0 = ctx.sim.now
-            yield from gpu_rma_post_wide(ctx, conn.a.port.page_addr, wr_ping)
-            t1 = ctx.sim.now
-            yield from gpu_rma_wait_notification(ctx, req_cur)
-            yield from gpu_rma_wait_notification(ctx, cmpl_cur)
-            if i > warmup:
-                timing["post"] += t1 - t0
-                timing["poll"] += ctx.sim.now - t1
-        timing["end"] = ctx.sim.now
-
-    def pong(ctx):
-        req_cur = conn.b.requester_cursor()
-        cmpl_cur = conn.b.completer_cursor()
-        for i in range(1, total + 1):
-            yield from gpu_rma_wait_notification(ctx, cmpl_cur)
-            yield from gpu_rma_post_wide(ctx, conn.b.port.page_addr, wr_pong)
-            yield from gpu_rma_wait_notification(ctx, req_cur)
-
-    handles = [conn.a.node.gpu.launch(ping), conn.b.node.gpu.launch(pong)]
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    elapsed = timing["end"] - timing["start"]
-    return LatencyPoint(size=size, latency=elapsed / (2 * iterations),
-                        post_time=timing["post"] / iterations,
-                        poll_time=timing["poll"] / iterations)
+    _validate(conn, size, iterations, warmup)
+    timing = _PingTiming()
+    handles = notified_pingpong(conn, size, iterations + warmup, warmup,
+                                timing, _wide_put)
+    run_measured(cluster, handles, "pingpong:future", size=size,
+                 iterations=iterations, warmup=warmup)
+    return timing.point(size, iterations)

@@ -14,6 +14,9 @@ Methods:
   request, the thread is blocked for all other aspirants"),
 * ``dev2dev-hostControlled`` — one CPU thread drives all connections,
   pipelining posts and reaping notifications/CQEs.
+
+Each method is one skeleton for both fabrics; a fabric supplies only its
+post, reap and probe steps (:class:`_ExtollSteps`, :class:`_IbSteps`).
 """
 
 from __future__ import annotations
@@ -23,20 +26,24 @@ from typing import List
 
 from ..cluster import Cluster
 from ..errors import BenchmarkError
-from ..extoll import (
-    NotifyFlags,
-    RmaOp,
-    RmaWorkRequest,
-    rma_post,
-    rma_try_notification,
-    rma_wait_notification,
+from ..extoll import NotifyFlags, rma_try_notification
+from ..ib import ibv_poll_cq
+from .drive import (
+    FLAG_REQUEST,
+    FLAG_SENT,
+    cpu_put,
+    extoll_put,
+    gpu_put,
+    gpu_request,
+    host_put,
+    host_send,
+    ib_write_wqe,
+    post_wqe,
+    run_measured,
 )
-from ..ib import IbOpcode, Wqe, ibv_poll_cq, ibv_post_send, ibv_wait_cq
-from ..sim import NULL_SPAN
-from .gpu_rma import gpu_rma_post, gpu_rma_wait_notification
+from .gpu_rma import gpu_rma_wait_notification
 from .gpu_verbs import gpu_post_send, gpu_wait_cq
 from .modes import RateMethod
-from .pingpong import FLAG_REQUEST, FLAG_SENT
 from .results import RatePoint
 from .setup import ExtollConnection, IbConnection
 
@@ -52,6 +59,11 @@ class _RateTiming:
     def elapsed(self) -> float:
         return max(self.ends) - min(self.starts)
 
+    def point(self, connections: int, per_connection: int) -> RatePoint:
+        return RatePoint(connections=connections,
+                         messages=connections * per_connection,
+                         elapsed=self.elapsed)
+
 
 def _check(connections, per_connection):
     if not connections:
@@ -60,266 +72,161 @@ def _check(connections, per_connection):
         raise BenchmarkError("need at least one message per connection")
 
 
-# =============================================================================
-# EXTOLL (Fig. 2)
-# =============================================================================
+class _ExtollSteps:
+    """Fig. 2: 64 B puts, each requesting a requester notification."""
 
-def _extoll_rate_wr(conn: ExtollConnection) -> RmaWorkRequest:
-    return RmaWorkRequest(
-        op=RmaOp.PUT, port=conn.a.port.port_id, dst_node=1,
-        src_nla=conn.a.send_nla.base, dst_nla=conn.b.recv_nla.base,
-        size=MESSAGE_BYTES, flags=NotifyFlags.REQUESTER)
+    prefix = ""
+    host_window = 2
+
+    @staticmethod
+    def put(conn: ExtollConnection):
+        return extoll_put(conn.a, conn.b, MESSAGE_BYTES, NotifyFlags.REQUESTER)
+
+    @classmethod
+    def gpu_post(cls, ctx, conn, i):
+        return gpu_put(ctx, conn.a, cls.put(conn))
+
+    @staticmethod
+    def gpu_reap(ctx, conn):
+        return gpu_rma_wait_notification(ctx, conn.a.requester_cursor())
+
+    @classmethod
+    def host_serve(cls, ctx, conn, i):
+        return host_put(ctx, conn.a, cls.put(conn))
+
+    @classmethod
+    def host_post(cls, ctx, conn, i):
+        return cpu_put(ctx, conn.a, cls.put(conn))
+
+    @staticmethod
+    def host_probe(ctx, conn):
+        return rma_try_notification(ctx, conn.a.requester_cursor())
+
+    @staticmethod
+    def engine_handles(*args):
+        from ..engine import engine_extoll_rate_handles
+        return engine_extoll_rate_handles(*args)
+
+
+class _IbSteps:
+    """Fig. 5: 64 B RDMA writes, each reaped from the send CQ."""
+
+    prefix = "ib-"
+    host_window = 4
+
+    @staticmethod
+    def gpu_post(ctx, conn, i):
+        return post_wqe(ctx, conn.a, ib_write_wqe(conn.a, MESSAGE_BYTES, i),
+                        gpu_post_send)
+
+    @staticmethod
+    def gpu_reap(ctx, conn):
+        return gpu_wait_cq(ctx, conn.a.send_cq_consumer())
+
+    @staticmethod
+    def host_serve(ctx, conn, i):
+        return host_send(ctx, conn.a, ib_write_wqe(conn.a, MESSAGE_BYTES, i))
+
+    @staticmethod
+    def host_post(ctx, conn, i):
+        return post_wqe(ctx, conn.a, ib_write_wqe(conn.a, MESSAGE_BYTES, i))
+
+    @staticmethod
+    def host_probe(ctx, conn):
+        return ibv_poll_cq(ctx, conn.a.host_send_cq_consumer())
+
+    @staticmethod
+    def engine_handles(*args):
+        from ..engine import engine_ib_rate_handles
+        return engine_ib_rate_handles(*args)
 
 
 def run_extoll_message_rate(cluster: Cluster,
                             connections: List[ExtollConnection],
                             method: RateMethod,
                             per_connection: int = 120) -> RatePoint:
+    return _message_rate(cluster, connections, method, per_connection,
+                         _ExtollSteps)
+
+
+def run_ib_message_rate(cluster: Cluster, connections: List[IbConnection],
+                        method: RateMethod,
+                        per_connection: int = 120) -> RatePoint:
+    return _message_rate(cluster, connections, method, per_connection,
+                         _IbSteps)
+
+
+def _message_rate(cluster, connections, method, per_connection,
+                  steps) -> RatePoint:
     _check(connections, per_connection)
     timing = _RateTiming()
     for conn in connections:
         conn.a.reset_flags()
         conn.b.reset_flags()
 
-    if method is RateMethod.BLOCKS:
-        handles = _extoll_rate_blocks(cluster, connections, per_connection,
-                                      timing, kernels=False)
-    elif method is RateMethod.KERNELS:
-        handles = _extoll_rate_blocks(cluster, connections, per_connection,
-                                      timing, kernels=True)
+    if method in (RateMethod.BLOCKS, RateMethod.KERNELS):
+        handles = _blocks(connections, per_connection, timing,
+                          method is RateMethod.KERNELS, steps)
     elif method is RateMethod.ASSISTED:
-        handles = _extoll_rate_assisted(cluster, connections, per_connection,
-                                        timing)
+        handles = _assisted(connections, per_connection, timing, steps)
     elif method is RateMethod.HOST_CONTROLLED:
-        handles = _extoll_rate_host(cluster, connections, per_connection,
-                                    timing)
+        handles = _host(connections, per_connection, timing, steps)
     elif method in (RateMethod.ENGINE, RateMethod.ENGINE_BATCHED):
-        handles = _extoll_rate_engine(cluster, connections, per_connection,
-                                      timing, method)
+        # The offload-engine methods: one persistent proxy block multiplexes
+        # every connection (imports deferred — repro.engine builds on this
+        # module).
+        from ..engine import EngineConfig
+
+        config = (EngineConfig.all_on() if method is RateMethod.ENGINE_BATCHED
+                  else EngineConfig.warp_only())
+        handles = steps.engine_handles(cluster, connections, per_connection,
+                                       timing, config)
     else:  # pragma: no cover
         raise BenchmarkError(f"unknown method {method}")
 
-    trc = cluster.sim.tracer
-    bench = (trc.begin("bench", f"message-rate:{method.value}", track="bench",
-                       connections=len(connections),
-                       per_connection=per_connection)
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    bench.end()
-    return RatePoint(connections=len(connections),
-                     messages=len(connections) * per_connection,
-                     elapsed=timing.elapsed)
+    run_measured(cluster, handles, f"message-rate:{method.value}",
+                 connections=len(connections), per_connection=per_connection)
+    return timing.point(len(connections), per_connection)
 
 
-def _extoll_rate_engine(cluster: Cluster, connections: List[ExtollConnection],
-                        per_connection: int, timing: _RateTiming,
-                        method: RateMethod) -> List:
-    """The offload-engine methods: one persistent proxy block multiplexes
-    every connection (import deferred — repro.engine builds on this
-    module)."""
-    from ..engine import EngineConfig, engine_extoll_rate_handles
+def _blocks(connections, per_connection, timing, kernels: bool, steps):
+    """One CUDA block per connection, posting a message and reaping its
+    completion in turn."""
+    gpu = connections[0].a.node.gpu
 
-    config = (EngineConfig.all_on() if method is RateMethod.ENGINE_BATCHED
-              else EngineConfig.warp_only())
-    return engine_extoll_rate_handles(cluster, connections, per_connection,
-                                      timing, config)
-
-
-def _extoll_block_body(conn: ExtollConnection, per_connection: int,
-                       timing: _RateTiming):
-    wr = _extoll_rate_wr(conn)
-
-    def body(ctx):
-        req_cur = conn.a.requester_cursor()
+    def body(ctx, conn):
         timing.starts.append(ctx.sim.now)
-        for _ in range(per_connection):
-            yield from gpu_rma_post(ctx, conn.a.port.page_addr, wr)
-            yield from gpu_rma_wait_notification(ctx, req_cur)
+        for i in range(1, per_connection + 1):
+            yield from steps.gpu_post(ctx, conn, i)
+            yield from steps.gpu_reap(ctx, conn)
         timing.ends.append(ctx.sim.now)
 
-    return body
-
-
-def _extoll_rate_blocks(cluster, connections, per_connection, timing, kernels):
-    gpu = connections[0].a.node.gpu
-    bodies = [_extoll_block_body(c, per_connection, timing)
-              for c in connections]
     if kernels:
         # One single-block kernel per stream (§V-A2).
-        return [gpu.launch(body, grid=1, block=1, stream=gpu.stream())
-                for body in bodies]
+        return [gpu.launch(body, grid=1, block=1, args=(conn,),
+                           stream=gpu.stream())
+                for conn in connections]
 
-    # One kernel, one block per connection: block_idx selects the body.
+    # One kernel, one block per connection: block_idx selects the connection.
     def dispatch(ctx):
-        yield from bodies[ctx.block_idx](ctx)
+        return body(ctx, connections[ctx.block_idx])
 
     return [gpu.launch(dispatch, grid=len(connections), block=1)]
 
 
-def _extoll_rate_assisted(cluster, connections, per_connection, timing):
+def _assisted(connections, per_connection, timing, steps):
     """One CPU proxy serves every block's requests round-robin."""
     gpu = connections[0].a.node.gpu
     cpu = connections[0].a.node.cpu
 
     def gpu_block(ctx):
-        conn = connections[ctx.block_idx]
-        flags = conn.a.flag_page.base
+        flags = connections[ctx.block_idx].a.flag_page.base
         timing.starts.append(ctx.sim.now)
         for i in range(1, per_connection + 1):
-            yield from ctx.store_u64(flags + FLAG_REQUEST, i)
-            yield from ctx.spin_until_u64(flags + FLAG_SENT,
-                                          lambda v, i=i: v == i)
+            yield from gpu_request(ctx, flags, i)
         timing.ends.append(ctx.sim.now)
 
     def proxy(ctx):
-        wrs = [_extoll_rate_wr(c) for c in connections]
-        cursors = [c.a.requester_cursor() for c in connections]
-        served = [0] * len(connections)
-        acked = [0] * len(connections)
-        while any(s < per_connection for s in served):
-            progressed = False
-            for j, conn in enumerate(connections):
-                if served[j] >= per_connection:
-                    continue
-                flags = conn.a.flag_page.base
-                req = yield from ctx.read_u64(flags + FLAG_REQUEST)
-                if req > acked[j]:
-                    # Serve this block, blocking all other aspirants (§V-B2).
-                    yield from rma_post(ctx, conn.a.port.page_addr, wrs[j])
-                    yield from rma_wait_notification(ctx, cursors[j])
-                    acked[j] += 1
-                    served[j] += 1
-                    yield from ctx.write_u64(flags + FLAG_SENT, acked[j])
-                    progressed = True
-            if not progressed:
-                yield from ctx.sleep(0.5e-6)
-
-    return [gpu.launch(gpu_block, grid=len(connections), block=1),
-            cpu.spawn(proxy, name="rate-proxy")]
-
-
-def _extoll_rate_host(cluster, connections, per_connection, timing):
-    """One CPU thread pipelines posts across every port, reaping requester
-    notifications to bound per-port outstanding descriptors."""
-    cpu = connections[0].a.node.cpu
-
-    def body(ctx):
-        wrs = [_extoll_rate_wr(c) for c in connections]
-        cursors = [c.a.requester_cursor() for c in connections]
-        posted = [0] * len(connections)
-        reaped = [0] * len(connections)
-        timing.starts.append(ctx.sim.now)
-        while any(r < per_connection for r in reaped):
-            for j, conn in enumerate(connections):
-                if posted[j] < per_connection and posted[j] - reaped[j] < 2:
-                    yield from rma_post(ctx, conn.a.port.page_addr, wrs[j])
-                    posted[j] += 1
-                if reaped[j] < posted[j]:
-                    note = yield from rma_try_notification(ctx, cursors[j])
-                    if note is not None:
-                        reaped[j] += 1
-        timing.ends.append(ctx.sim.now)
-
-    return [cpu.spawn(body, name="rate-host")]
-
-
-# =============================================================================
-# InfiniBand (Fig. 5)
-# =============================================================================
-
-def run_ib_message_rate(cluster: Cluster, connections: List[IbConnection],
-                        method: RateMethod,
-                        per_connection: int = 120) -> RatePoint:
-    _check(connections, per_connection)
-    timing = _RateTiming()
-    for conn in connections:
-        conn.a.reset_flags()
-        conn.b.reset_flags()
-
-    if method is RateMethod.BLOCKS:
-        handles = _ib_rate_blocks(cluster, connections, per_connection,
-                                  timing, kernels=False)
-    elif method is RateMethod.KERNELS:
-        handles = _ib_rate_blocks(cluster, connections, per_connection,
-                                  timing, kernels=True)
-    elif method is RateMethod.ASSISTED:
-        handles = _ib_rate_assisted(cluster, connections, per_connection,
-                                    timing)
-    elif method is RateMethod.HOST_CONTROLLED:
-        handles = _ib_rate_host(cluster, connections, per_connection, timing)
-    elif method in (RateMethod.ENGINE, RateMethod.ENGINE_BATCHED):
-        from ..engine import EngineConfig, engine_ib_rate_handles
-
-        config = (EngineConfig.all_on() if method is RateMethod.ENGINE_BATCHED
-                  else EngineConfig.warp_only())
-        handles = engine_ib_rate_handles(cluster, connections, per_connection,
-                                         timing, config)
-    else:  # pragma: no cover
-        raise BenchmarkError(f"unknown method {method}")
-
-    trc = cluster.sim.tracer
-    bench = (trc.begin("bench", f"message-rate:{method.value}", track="bench",
-                       connections=len(connections),
-                       per_connection=per_connection)
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    bench.end()
-    return RatePoint(connections=len(connections),
-                     messages=len(connections) * per_connection,
-                     elapsed=timing.elapsed)
-
-
-def _ib_rate_wqe(conn: IbConnection, wr_id: int) -> Wqe:
-    return Wqe(opcode=IbOpcode.RDMA_WRITE, wr_id=wr_id,
-               local_addr=conn.a.send_buf.base, lkey=conn.a.lkey,
-               length=MESSAGE_BYTES, remote_addr=conn.a.remote_recv_addr,
-               rkey=conn.a.rkey_remote)
-
-
-def _ib_block_body(conn: IbConnection, per_connection: int,
-                   timing: _RateTiming):
-    def body(ctx):
-        consumer = conn.a.send_cq_consumer()
-        timing.starts.append(ctx.sim.now)
-        for i in range(1, per_connection + 1):
-            conn.a.sq_index = yield from gpu_post_send(
-                ctx, conn.a.node.nic, conn.a.qp, _ib_rate_wqe(conn, i),
-                conn.a.sq_index)
-            yield from gpu_wait_cq(ctx, consumer)
-        timing.ends.append(ctx.sim.now)
-
-    return body
-
-
-def _ib_rate_blocks(cluster, connections, per_connection, timing, kernels):
-    gpu = connections[0].a.node.gpu
-    bodies = [_ib_block_body(c, per_connection, timing) for c in connections]
-    if kernels:
-        return [gpu.launch(body, grid=1, block=1, stream=gpu.stream())
-                for body in bodies]
-
-    def dispatch(ctx):
-        yield from bodies[ctx.block_idx](ctx)
-
-    return [gpu.launch(dispatch, grid=len(connections), block=1)]
-
-
-def _ib_rate_assisted(cluster, connections, per_connection, timing):
-    gpu = connections[0].a.node.gpu
-    cpu = connections[0].a.node.cpu
-
-    def gpu_block(ctx):
-        conn = connections[ctx.block_idx]
-        flags = conn.a.flag_page.base
-        timing.starts.append(ctx.sim.now)
-        for i in range(1, per_connection + 1):
-            yield from ctx.store_u64(flags + FLAG_REQUEST, i)
-            yield from ctx.spin_until_u64(flags + FLAG_SENT,
-                                          lambda v, i=i: v == i)
-        timing.ends.append(ctx.sim.now)
-
-    def proxy(ctx):
-        consumers = [c.a.host_send_cq_consumer() for c in connections]
         served = [0] * len(connections)
         while any(s < per_connection for s in served):
             progressed = False
@@ -329,39 +236,37 @@ def _ib_rate_assisted(cluster, connections, per_connection, timing):
                 flags = conn.a.flag_page.base
                 req = yield from ctx.read_u64(flags + FLAG_REQUEST)
                 if req > served[j]:
-                    conn.a.sq_index = yield from ibv_post_send(
-                        ctx, conn.a.node.nic, conn.a.qp,
-                        _ib_rate_wqe(conn, served[j] + 1), conn.a.sq_index)
-                    yield from ibv_wait_cq(ctx, consumers[j])
+                    # Serve this block, blocking all other aspirants (§V-B2).
                     served[j] += 1
+                    yield from steps.host_serve(ctx, conn, served[j])
                     yield from ctx.write_u64(flags + FLAG_SENT, served[j])
                     progressed = True
             if not progressed:
                 yield from ctx.sleep(0.5e-6)
 
     return [gpu.launch(gpu_block, grid=len(connections), block=1),
-            cpu.spawn(proxy, name="ib-rate-proxy")]
+            cpu.spawn(proxy, name=f"{steps.prefix}rate-proxy")]
 
 
-def _ib_rate_host(cluster, connections, per_connection, timing):
+def _host(connections, per_connection, timing, steps):
+    """One CPU thread pipelines posts across every connection, probing for
+    completions to bound each one's outstanding messages."""
     cpu = connections[0].a.node.cpu
+    window = steps.host_window
 
     def body(ctx):
-        consumers = [c.a.host_send_cq_consumer() for c in connections]
         posted = [0] * len(connections)
         reaped = [0] * len(connections)
         timing.starts.append(ctx.sim.now)
         while any(r < per_connection for r in reaped):
             for j, conn in enumerate(connections):
-                if posted[j] < per_connection and posted[j] - reaped[j] < 4:
-                    conn.a.sq_index = yield from ibv_post_send(
-                        ctx, conn.a.node.nic, conn.a.qp,
-                        _ib_rate_wqe(conn, posted[j] + 1), conn.a.sq_index)
+                if posted[j] < per_connection and posted[j] - reaped[j] < window:
                     posted[j] += 1
+                    yield from steps.host_post(ctx, conn, posted[j])
                 if reaped[j] < posted[j]:
-                    cqe = yield from ibv_poll_cq(ctx, consumers[j])
-                    if cqe is not None:
+                    hit = yield from steps.host_probe(ctx, conn)
+                    if hit is not None:
                         reaped[j] += 1
         timing.ends.append(ctx.sim.now)
 
-    return [cpu.spawn(body, name="ib-rate-host")]
+    return [cpu.spawn(body, name=f"{steps.prefix}rate-host")]

@@ -24,8 +24,14 @@ class IbMode(enum.Enum):
 
     BUF_ON_GPU = "dev2dev-bufOnGPU"        # GPU controls; WQ/CQ rings in GPU memory
     BUF_ON_HOST = "dev2dev-bufOnHost"      # GPU controls; rings in host memory
-    ASSISTED = "dev2dev-assisted"
-    HOST_CONTROLLED = "dev2dev-hostControlled"
+    ASSISTED = "dev2dev-assisted"          # CPU proxy runs the verbs; rings in host memory
+    HOST_CONTROLLED = "dev2dev-hostControlled"  # CPU controls; rings in host memory
+
+    @property
+    def ring_location(self) -> str:
+        """Where the mode's WQ/CQ rings live, as ``setup_ib_connection``'s
+        ``buffer_location``: GPU memory for bufOnGPU only."""
+        return "gpu" if self is IbMode.BUF_ON_GPU else "host"
 
 
 class RateMethod(enum.Enum):

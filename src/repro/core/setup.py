@@ -64,10 +64,22 @@ class ExtollConnection:
 
 
 def setup_extoll_connection(cluster: Cluster, buf_bytes: int,
-                            port_id: Optional[int] = None) -> ExtollConnection:
-    """Open one port pair and register GPU payload buffers on both nodes."""
+                            port_id: Optional[int] = None,
+                            notification_location: str = "host",
+                            ) -> ExtollConnection:
+    """Open one port pair and register GPU payload buffers on both nodes.
+
+    ``notification_location`` places the ports' notification queues:
+    ``"host"`` is the stock driver's kernel memory (§III-B), ``"gpu"`` each
+    GPU's device memory (the §VI proposal)."""
+    if notification_location not in ("gpu", "host"):
+        raise BenchmarkError(
+            f"bad notification location {notification_location!r}")
+    on_gpu = notification_location == "gpu"
     ends = []
-    ports = [cluster.a.nic.open_port(port_id), cluster.b.nic.open_port(port_id)]
+    ports = [node.nic.open_port(port_id, notification_alloc=(
+                 node.gpu.allocator if on_gpu else None))
+             for node in (cluster.a, cluster.b)]
     for node, port in zip(cluster.nodes, ports):
         send_buf = node.gpu_malloc(buf_bytes)
         recv_buf = node.gpu_malloc(buf_bytes)
@@ -81,10 +93,12 @@ def setup_extoll_connection(cluster: Cluster, buf_bytes: int,
             flag_page=flag_page,
         )
         # Device-side access: the requester page (driver patch, §III-C), the
-        # kernel-space notification queues, and the assisted-mode flag page.
+        # notification queues when they live in host memory, and the
+        # assisted-mode flag page.
         node.gpu.map_mmio(AddressRange(port.page_addr, 4096))
-        for q in (port.requester_queue, port.completer_queue):
-            node.gpu.map_host_memory(q.range)
+        if not on_gpu:
+            for q in (port.requester_queue, port.completer_queue):
+                node.gpu.map_host_memory(q.range)
         node.gpu.map_host_memory(flag_page)
         ends.append(end)
     return ExtollConnection(*ends)

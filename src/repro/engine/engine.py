@@ -26,19 +26,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Cluster
 from ..errors import BenchmarkError, ConfigError
-from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
-from ..ib import WQE_FLAG_UNSIGNALED, IbOpcode, Wqe
-from ..sim import NULL_SPAN
-from ..core.gpu_rma import gpu_rma_post, gpu_rma_try_notification, \
-    gpu_rma_wait_notification
+from ..extoll import NotifyFlags, RmaWorkRequest
+from ..core.drive import extoll_put, gpu_put, ib_write_wqe, run_measured
+from ..core.gpu_rma import gpu_rma_try_notification
 from ..core.gpu_verbs import gpu_poll_cq
-from ..core.message_rate import MESSAGE_BYTES, _RateTiming
+from ..core.message_rate import MESSAGE_BYTES, _check, _RateTiming
 from ..core.msglib import Channel, gpu_recv, gpu_send
-from ..core.pingpong import _PingTiming, _phase, _validate
+from ..core.pingpong import _PingTiming, _validate, notified_pingpong
 from ..core.results import LatencyPoint, RatePoint
 from ..core.setup import ExtollConnection, IbConnection
 from .batch import Aggregator, DoorbellBatcher, FlushPolicy
@@ -194,13 +193,6 @@ def aggregate_schedule(per_connection: int, message_bytes: int,
 # Latency: engine ping-pong (dev2dev-direct semantics)
 # =============================================================================
 
-def _engine_wr(end, peer, size: int) -> RmaWorkRequest:
-    return RmaWorkRequest(
-        op=RmaOp.PUT, port=end.port.port_id, dst_node=peer.node.node_id,
-        src_nla=end.send_nla.base, dst_nla=peer.recv_nla.base, size=size,
-        flags=NotifyFlags.REQUESTER | NotifyFlags.COMPLETER)
-
-
 def _engine_post(ctx, end, wr: RmaWorkRequest, config: EngineConfig):
     """Post one descriptor through whichever engine path is armed."""
     ncfg = end.node.nic.config
@@ -213,7 +205,7 @@ def _engine_post(ctx, end, wr: RmaWorkRequest, config: EngineConfig):
         yield from engine_rma_post(ctx, end.port.page_addr, wr,
                                    config.wqe_lanes)
     else:
-        yield from gpu_rma_post(ctx, end.port.page_addr, wr)
+        yield from gpu_put(ctx, end, wr)
 
 
 def run_engine_pingpong(cluster: Cluster, conn: ExtollConnection, size: int,
@@ -223,59 +215,16 @@ def run_engine_pingpong(cluster: Cluster, conn: ExtollConnection, size: int,
     explicit requester+completer notifications, identical semantics to the
     baseline — only WR generation and doorbell mechanics differ."""
     config = config or EngineConfig.all_on()
-    _validate(size, iterations, warmup)
-    if size > conn.a.send_buf.size:
-        raise BenchmarkError(f"size {size} exceeds buffer {conn.a.send_buf.size}")
-    total = iterations + warmup
+    _validate(conn, size, iterations, warmup)
     timing = _PingTiming()
     for end in (conn.a, conn.b):
         end.reset_flags()
-
-    wr_ping = _engine_wr(conn.a, conn.b, size)
-    wr_pong = _engine_wr(conn.b, conn.a, size)
-
-    def ping(ctx):
-        trc = ctx.sim.tracer
-        req_cur = conn.a.requester_cursor()
-        cmpl_cur = conn.a.completer_cursor()
-        for i in range(1, total + 1):
-            if i == warmup + 1:
-                timing.start = ctx.sim.now
-            measured = trc.enabled and i > warmup
-            span = _phase(trc, "wr-generation", measured, i)
-            t0 = ctx.sim.now
-            yield from _engine_post(ctx, conn.a, wr_ping, config)
-            t1 = ctx.sim.now
-            span.end()
-            span = _phase(trc, "polling", measured, i)
-            yield from gpu_rma_wait_notification(ctx, req_cur)
-            yield from gpu_rma_wait_notification(ctx, cmpl_cur)
-            span.end()
-            if i > warmup:
-                timing.post_time += t1 - t0
-                timing.poll_time += ctx.sim.now - t1
-        timing.end = ctx.sim.now
-
-    def pong(ctx):
-        req_cur = conn.b.requester_cursor()
-        cmpl_cur = conn.b.completer_cursor()
-        for i in range(1, total + 1):
-            yield from gpu_rma_wait_notification(ctx, cmpl_cur)
-            yield from _engine_post(ctx, conn.b, wr_pong, config)
-            yield from gpu_rma_wait_notification(ctx, req_cur)
-
-    handles = [conn.a.node.gpu.launch(ping), conn.b.node.gpu.launch(pong)]
-    trc = cluster.sim.tracer
-    bench = (trc.begin("bench", "pingpong:engine", track="bench", size=size,
-                       iterations=iterations, warmup=warmup,
-                       engine=config.describe())
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    bench.end()
-    elapsed = timing.end - timing.start
-    return LatencyPoint(size=size, latency=elapsed / (2 * iterations),
-                        post_time=timing.post_time / iterations,
-                        poll_time=timing.poll_time / iterations)
+    handles = notified_pingpong(conn, size, iterations + warmup, warmup,
+                                timing, partial(_engine_post, config=config))
+    run_measured(cluster, handles, "pingpong:engine", size=size,
+                 iterations=iterations, warmup=warmup,
+                 engine=config.describe())
+    return timing.point(size, iterations)
 
 
 # =============================================================================
@@ -296,14 +245,6 @@ def engine_extoll_rate_handles(cluster: Cluster,
         per_connection, MESSAGE_BYTES,
         config.aggregate_bytes if config.aggregating else 0)
     target_wrs = len(schedule)
-
-    def make_wr(conn: ExtollConnection, nbytes: int,
-                signal: bool) -> RmaWorkRequest:
-        return RmaWorkRequest(
-            op=RmaOp.PUT, port=conn.a.port.port_id,
-            dst_node=conn.b.node.node_id, src_nla=conn.a.send_nla.base,
-            dst_nla=conn.b.recv_nla.base, size=nbytes,
-            flags=NotifyFlags.REQUESTER if signal else NotifyFlags.NONE)
 
     def proxy(ctx):
         sched = Scheduler(lanes_n, config.policy, config.priorities)
@@ -328,7 +269,10 @@ def engine_extoll_rate_handles(cluster: Cluster,
             conn = connections[j]
             ncfg = conn.a.node.nic.config
             last = len(sizes) - 1
-            wrs = [make_wr(conn, nbytes, signal=(i == last or not config.batching))
+            wrs = [extoll_put(conn.a, conn.b, nbytes,
+                              NotifyFlags.REQUESTER
+                              if i == last or not config.batching
+                              else NotifyFlags.NONE)
                    for i, nbytes in enumerate(sizes)]
             if config.batching:
                 yield from engine_post_batch(
@@ -339,11 +283,7 @@ def engine_extoll_rate_handles(cluster: Cluster,
                 inflight[j].append(len(wrs))
             else:
                 for wr in wrs:
-                    if config.warp_parallel:
-                        yield from engine_rma_post(ctx, conn.a.port.page_addr,
-                                                   wr, config.wqe_lanes)
-                    else:
-                        yield from gpu_rma_post(ctx, conn.a.port.page_addr, wr)
+                    yield from _engine_post(ctx, conn.a, wr, config)
                     stats.doorbells += 1
                     inflight[j].append(1)
             stats.wrs += len(wrs)
@@ -420,10 +360,7 @@ def run_engine_message_rate(cluster: Cluster,
     (for the MMIO-coalescing invariants).  Pass ``stats`` to share the
     accounting object with a live observer (the telemetry sampler polls it
     mid-run); omitted, a fresh one is created."""
-    if not connections:
-        raise BenchmarkError("need at least one connection")
-    if per_connection < 1:
-        raise BenchmarkError("need at least one message per connection")
+    _check(connections, per_connection)
     config = config or EngineConfig.all_on()
     timing = _RateTiming()
     stats = stats if stats is not None else EngineStats()
@@ -432,18 +369,10 @@ def run_engine_message_rate(cluster: Cluster,
         conn.b.reset_flags()
     handles = engine_extoll_rate_handles(cluster, connections, per_connection,
                                          timing, config, stats)
-    trc = cluster.sim.tracer
-    bench = (trc.begin("bench", "message-rate:engine", track="bench",
-                       connections=len(connections),
-                       per_connection=per_connection,
-                       engine=config.describe())
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    bench.end()
-    point = RatePoint(connections=len(connections),
-                      messages=len(connections) * per_connection,
-                      elapsed=timing.elapsed)
-    return point, stats
+    run_measured(cluster, handles, "message-rate:engine",
+                 connections=len(connections), per_connection=per_connection,
+                 engine=config.describe())
+    return timing.point(len(connections), per_connection), stats
 
 
 # =============================================================================
@@ -461,13 +390,6 @@ def engine_ib_rate_handles(cluster: Cluster,
     stats = stats if stats is not None else EngineStats()
     gpu = connections[0].a.node.gpu
     lanes_n = len(connections)
-
-    def make_wqe(conn: IbConnection, wr_id: int, signal: bool) -> Wqe:
-        return Wqe(opcode=IbOpcode.RDMA_WRITE, wr_id=wr_id,
-                   local_addr=conn.a.send_buf.base, lkey=conn.a.lkey,
-                   length=MESSAGE_BYTES, remote_addr=conn.a.remote_recv_addr,
-                   rkey=conn.a.rkey_remote,
-                   flags=0 if signal else WQE_FLAG_UNSIGNALED)
 
     def proxy(ctx):
         sched = Scheduler(lanes_n, config.policy, config.priorities)
@@ -492,8 +414,10 @@ def engine_ib_rate_handles(cluster: Cluster,
                 # ordering lets the batch's last WQE carry the only CQE.
                 k = min(config.batch_size, todo)
                 if 1 <= k <= room:
-                    wqes = [make_wqe(conn, posted[j] + i + 1,
-                                     signal=(i == k - 1 or not config.batching))
+                    wqes = [ib_write_wqe(conn.a, MESSAGE_BYTES,
+                                         posted[j] + i + 1,
+                                         signaled=(i == k - 1
+                                                   or not config.batching))
                             for i in range(k)]
                     conn.a.sq_index = yield from engine_post_send_batch(
                         ctx, conn.a.node.nic, conn.a.qp, wqes,
@@ -538,27 +462,16 @@ def run_engine_ib_message_rate(cluster: Cluster,
                                config: Optional[EngineConfig] = None,
                                per_connection: int = 120,
                                ) -> Tuple[RatePoint, EngineStats]:
-    if not connections:
-        raise BenchmarkError("need at least one connection")
-    if per_connection < 1:
-        raise BenchmarkError("need at least one message per connection")
+    _check(connections, per_connection)
     config = config or EngineConfig.all_on()
     timing = _RateTiming()
     stats = EngineStats()
     handles = engine_ib_rate_handles(cluster, connections, per_connection,
                                      timing, config, stats)
-    trc = cluster.sim.tracer
-    bench = (trc.begin("bench", "message-rate:ib-engine", track="bench",
-                       connections=len(connections),
-                       per_connection=per_connection,
-                       engine=config.describe())
-             if trc.enabled else NULL_SPAN)
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + 600.0)
-    bench.end()
-    point = RatePoint(connections=len(connections),
-                      messages=len(connections) * per_connection,
-                      elapsed=timing.elapsed)
-    return point, stats
+    run_measured(cluster, handles, "message-rate:ib-engine",
+                 connections=len(connections), per_connection=per_connection,
+                 engine=config.describe())
+    return timing.point(len(connections), per_connection), stats
 
 
 # =============================================================================

@@ -76,8 +76,8 @@ def run_traced_pingpong(fabric: str, mode_name: str, size: int,
     else:
         mode = IbMode(mode_name)
         cluster = build_ib_cluster(sim=sim)
-        location = "host" if mode is IbMode.BUF_ON_HOST else "gpu"
-        conn = setup_ib_connection(cluster, max(_BUF_BYTES, size), location)
+        conn = setup_ib_connection(cluster, max(_BUF_BYTES, size),
+                                   mode.ring_location)
         point = run_ib_pingpong(cluster, conn, mode, size,
                                 iterations=iterations, warmup=warmup)
     return tracer, point

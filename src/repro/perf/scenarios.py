@@ -73,8 +73,7 @@ def _extoll_point(mode: ExtollMode, size: int, iterations: int = 10,
 def _ib_point(mode: IbMode, size: int, iterations: int = 10,
               warmup: int = 2):
     cluster = build_ib_cluster()
-    location = "host" if mode is IbMode.BUF_ON_HOST else "gpu"
-    conn = setup_ib_connection(cluster, max(size, 4 * KIB), location)
+    conn = setup_ib_connection(cluster, max(size, 4 * KIB), mode.ring_location)
     return run_ib_pingpong(cluster, conn, mode, size,
                            iterations=iterations, warmup=warmup)
 

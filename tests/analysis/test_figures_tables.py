@@ -16,6 +16,8 @@ from repro.analysis import (
     table1_extoll_polling,
 )
 from repro.analysis.figures import _iters, _sizes
+from repro.core import IbMode
+from repro.perf.scenarios import SCENARIOS
 from repro.units import KIB
 
 
@@ -57,6 +59,24 @@ def test_fig4a_generator_uses_right_buffer_locations():
     assert {s.label for s in series} == {
         "dev2dev-bufOnGPU", "dev2dev-bufOnHost", "dev2dev-assisted",
         "dev2dev-hostControlled"}
+
+
+@pytest.fixture(scope="module")
+def ib_latency_64b():
+    """The ``ib-latency`` bench scenario, and Fig. 4a at its 64 B point."""
+    scenario = SCENARIOS["ib-latency"].run()
+    fig = {s.label: s.points[0]
+           for s in fig4a_ib_latency(sizes=[64], iterations=10)}
+    return scenario, fig
+
+
+@pytest.mark.parametrize("mode", list(IbMode), ids=lambda m: m.value)
+def test_ib_latency_scenario_matches_fig4a(ib_latency_64b, mode):
+    """BENCH_IB_LATENCY.json's "Fig. 4a slice" places each mode's rings
+    where Fig. 4a does, so their 64 B points are the same run."""
+    scenario, fig = ib_latency_64b
+    metric = scenario.metrics[f"{mode.value}/64B/latency_us"]
+    assert metric.value == fig[mode.value].latency_us
 
 
 def test_table1_driver_small():

@@ -9,17 +9,23 @@ from repro.core import (
     run_extoll_pingpong,
     run_future_extoll_pingpong,
     setup_extoll_connection,
-    setup_future_extoll_connection,
 )
 from repro.errors import BenchmarkError
 from repro.extoll import NotifyFlags, RmaOp, RmaWorkRequest
 from repro.memory import MemorySpace
+from repro.obs import SpanTracer, reconcile_with_point
+from repro.sim import Simulator
 from repro.units import KIB, US
+
+
+def setup_future_connection(cluster):
+    return setup_extoll_connection(cluster, 4 * KIB,
+                                   notification_location="gpu")
 
 
 def test_future_queues_live_in_gpu_memory():
     cluster = build_extoll_cluster()
-    conn = setup_future_extoll_connection(cluster, 4 * KIB)
+    conn = setup_future_connection(cluster)
     for end in (conn.a, conn.b):
         q = end.port.requester_queue
         space = end.node.address_map.space_of(q.slot_addr(0))
@@ -28,7 +34,7 @@ def test_future_queues_live_in_gpu_memory():
 
 def test_wide_post_is_one_sysmem_transaction():
     cluster = build_extoll_cluster()
-    conn = setup_future_extoll_connection(cluster, 4 * KIB)
+    conn = setup_future_connection(cluster)
     gpu = conn.a.node.gpu
     wr = RmaWorkRequest(op=RmaOp.PUT, port=conn.a.port.port_id, dst_node=1,
                         src_nla=conn.a.send_nla.base,
@@ -47,7 +53,7 @@ def test_wide_post_is_one_sysmem_transaction():
 
 def test_wide_post_still_triggers_transfer():
     cluster = build_extoll_cluster()
-    conn = setup_future_extoll_connection(cluster, 4 * KIB)
+    conn = setup_future_connection(cluster)
     conn.a.node.gpu.dram.write(conn.a.send_buf.base, b"W" * 64)
     wr = RmaWorkRequest(op=RmaOp.PUT, port=conn.a.port.port_id, dst_node=1,
                         src_nla=conn.a.send_nla.base,
@@ -71,7 +77,7 @@ def test_future_pingpong_runs_and_beats_direct():
     direct = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, size,
                                  iterations=8, warmup=2)
     cluster2 = build_extoll_cluster()
-    conn2 = setup_future_extoll_connection(cluster2, 4 * KIB)
+    conn2 = setup_future_connection(cluster2)
     future = run_future_extoll_pingpong(cluster2, conn2, size,
                                         iterations=8, warmup=2)
     assert future.latency < direct.latency * 0.85
@@ -79,7 +85,7 @@ def test_future_pingpong_runs_and_beats_direct():
 
 def test_future_polling_runs_out_of_l2():
     cluster = build_extoll_cluster()
-    conn = setup_future_extoll_connection(cluster, 4 * KIB)
+    conn = setup_future_connection(cluster)
     gpu = conn.a.node.gpu
     before = gpu.counters.snapshot()
     run_future_extoll_pingpong(cluster, conn, 256, iterations=10, warmup=0)
@@ -92,10 +98,28 @@ def test_future_polling_runs_out_of_l2():
 
 def test_future_pingpong_validation():
     cluster = build_extoll_cluster()
-    conn = setup_future_extoll_connection(cluster, 4 * KIB)
+    conn = setup_future_connection(cluster)
     with pytest.raises(BenchmarkError):
         run_future_extoll_pingpong(cluster, conn, 0)
     with pytest.raises(BenchmarkError):
         run_future_extoll_pingpong(cluster, conn, 64 * KIB)
     with pytest.raises(BenchmarkError):
         run_future_extoll_pingpong(cluster, conn, 64, iterations=0)
+
+
+def test_traced_future_pingpong_records_phases_and_bench_span():
+    """The §VI driver times its ping side with the shared skeleton: one
+    phase span per measured round and step, reconciling with its
+    LatencyPoint, inside one ``pingpong:future`` bench span."""
+    iterations = 8
+    tracer = SpanTracer()
+    cluster = build_extoll_cluster(sim=Simulator(tracer=tracer))
+    conn = setup_future_connection(cluster)
+    point = run_future_extoll_pingpong(cluster, conn, 64,
+                                       iterations=iterations, warmup=2)
+    assert len(tracer.spans_named("wr-generation")) == iterations
+    assert len(tracer.spans_named("polling")) == iterations
+    res = reconcile_with_point(tracer, point, iterations)
+    assert res["ok"], res
+    bench = [s.name for s in tracer.spans if s.category == "bench"]
+    assert bench == ["pingpong:future"]

@@ -15,14 +15,6 @@ from repro.errors import BenchmarkError
 from repro.units import KIB
 
 
-IB_LOCATION = {
-    IbMode.BUF_ON_GPU: "gpu",
-    IbMode.BUF_ON_HOST: "host",
-    IbMode.ASSISTED: "host",
-    IbMode.HOST_CONTROLLED: "host",
-}
-
-
 @pytest.mark.parametrize("mode", list(ExtollMode))
 def test_extoll_pingpong_runs_every_mode(mode):
     cluster = build_extoll_cluster()
@@ -37,7 +29,7 @@ def test_extoll_pingpong_runs_every_mode(mode):
 def test_ib_pingpong_runs_every_mode(mode):
     cluster = build_ib_cluster()
     conn = setup_ib_connection(cluster, 4 * KIB,
-                               buffer_location=IB_LOCATION[mode])
+                               buffer_location=mode.ring_location)
     p = run_ib_pingpong(cluster, conn, mode, 256, iterations=5, warmup=1)
     assert 0 < p.latency < 1e-3
 
@@ -60,7 +52,7 @@ def test_ib_host_beats_gpu_modes():
     for mode in (IbMode.BUF_ON_GPU, IbMode.HOST_CONTROLLED):
         cluster = build_ib_cluster()
         conn = setup_ib_connection(cluster, 4 * KIB,
-                                   buffer_location=IB_LOCATION[mode])
+                                   buffer_location=mode.ring_location)
         lat[mode] = run_ib_pingpong(cluster, conn, mode, 16,
                                     iterations=8, warmup=2).latency
     assert lat[IbMode.HOST_CONTROLLED] < lat[IbMode.BUF_ON_GPU]

@@ -88,6 +88,8 @@ def test_bad_inputs_rejected():
     cluster = build_extoll_cluster()
     with pytest.raises(BenchmarkError):
         setup_extoll_connections(cluster, 4 * KIB, 0)
+    with pytest.raises(BenchmarkError):
+        setup_extoll_connection(cluster, 4 * KIB, notification_location="tape")
     cluster2 = build_ib_cluster()
     with pytest.raises(BenchmarkError):
         setup_ib_connection(cluster2, 4 * KIB, buffer_location="tape")

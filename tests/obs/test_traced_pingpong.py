@@ -1,9 +1,10 @@
 """End-to-end: trace a ping-pong run, export it, reconcile the phases.
 
-This is the tentpole acceptance check as a test: a traced dev2dev-direct
-64 B ping-pong must yield a structurally valid Chrome trace whose summed
-WR-generation / polling span durations match the driver's own
-``LatencyPoint.post_time`` / ``poll_time`` within 1%.
+This is the tentpole acceptance check as a test: a traced 64 B ping-pong
+must yield a structurally valid Chrome trace whose summed WR-generation /
+polling span durations match the driver's own ``LatencyPoint.post_time`` /
+``poll_time`` within 1% — in every mode ``trace`` accepts, since every
+mode's ping side is the same ``ping_rounds`` skeleton.
 """
 
 import json
@@ -11,9 +12,20 @@ import json
 import pytest
 
 from repro.obs import chrome_trace_events, reconcile_with_point, validate_chrome_trace
-from repro.obs.cli import main as trace_main, run_traced_pingpong
+from repro.obs.cli import main as trace_main, pingpong_modes, run_traced_pingpong
 
 ITER, WARMUP = 8, 2
+
+#: Every (fabric, mode) pair the ``trace`` subcommand runs.
+MODES = [(fabric, mode) for fabric in ("extoll", "ib")
+         for mode in pingpong_modes(fabric)]
+
+
+def mode_id(param):
+    """``direct``, ..., ``ib-hostControlled``: EXTOLL is trace's default."""
+    fabric, mode = param
+    name = mode.replace("dev2dev-", "")
+    return name if fabric == "extoll" else f"ib-{name}"
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +33,21 @@ def traced_direct():
     return run_traced_pingpong("extoll", "dev2dev-direct", 64, ITER, WARMUP)
 
 
-def test_phases_reconcile_within_one_percent(traced_direct):
-    tracer, point = traced_direct
+@pytest.fixture(scope="module", params=MODES, ids=mode_id)
+def traced_mode(request):
+    return run_traced_pingpong(*request.param, 64, ITER, WARMUP)
+
+
+def test_phases_reconcile_within_one_percent(traced_mode):
+    tracer, point = traced_mode
     res = reconcile_with_point(tracer, point, ITER)
     assert res["ok"], res
     for phase in ("wr-generation", "polling"):
         assert res["phases"][phase]["rel_err"] <= 0.01
 
 
-def test_phase_span_count_matches_measured_iterations(traced_direct):
-    tracer, _ = traced_direct
+def test_phase_span_count_matches_measured_iterations(traced_mode):
+    tracer, _ = traced_mode
     # One span per measured iteration, warmup excluded.
     assert len(tracer.spans_named("wr-generation")) == ITER
     assert len(tracer.spans_named("polling")) == ITER
