@@ -10,18 +10,15 @@ Run:  python examples/mode_comparison.py [--sizes 16 1024 65536]
 
 import argparse
 
-from repro import build_extoll_cluster, build_ib_cluster
 from repro.core import (
     ExtollMode,
     IbMode,
     Series,
+    measure_pingpong,
     render_latency_table,
-    run_extoll_pingpong,
-    run_ib_pingpong,
-    setup_extoll_connection,
-    setup_ib_connection,
 )
 from repro.units import KIB
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -30,28 +27,16 @@ def main() -> None:
     parser.add_argument("--iterations", type=int, default=15)
     args = parser.parse_args()
 
-    extoll_series = []
-    for mode in ExtollMode:
-        series = Series(mode.value)
-        for size in args.sizes:
-            cluster = build_extoll_cluster()
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            series.points.append(run_extoll_pingpong(
-                cluster, conn, mode, size, iterations=args.iterations))
-        extoll_series.append(series)
+    def curves(modes):
+        return [Series(mode.value,
+                       [measure_pingpong(mode, size, args.iterations)
+                        for size in args.sizes])
+                for mode in modes]
+
+    extoll_series = curves(ExtollMode)
     print(render_latency_table(extoll_series, "EXTOLL ping-pong latency"))
     print()
-
-    ib_series = []
-    for mode in IbMode:
-        series = Series(mode.value)
-        for size in args.sizes:
-            cluster = build_ib_cluster()
-            conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=mode.ring_location)
-            series.points.append(run_ib_pingpong(
-                cluster, conn, mode, size, iterations=args.iterations))
-        ib_series.append(series)
+    ib_series = curves(IbMode)
     print(render_latency_table(ib_series, "InfiniBand ping-pong latency"))
 
     # The paper's summary line (§VI): CPU control always wins today.

@@ -17,12 +17,11 @@ from ..core import (
     ExtollMode,
     IbMode,
     RateMethod,
-    run_extoll_bandwidth,
-    run_extoll_pingpong,
-    run_extoll_message_rate,
+    measure_bandwidth,
+    measure_message_rate,
+    measure_pingpong,
     run_ib_pingpong,
     setup_extoll_connection,
-    setup_extoll_connections,
     setup_ib_connection,
 )
 from ..core.gpu_verbs import gpu_post_send
@@ -55,12 +54,8 @@ def ablate_notification_placement(size: int = 1 * KIB,
     polls.  Compare dev2dev-direct (notifications in host memory) against
     dev2dev-pollOnGPU (completion signal observed in device memory) — the
     closest realizable 'move the signal into GPU memory' variant."""
-    lat = {}
-    for mode in (ExtollMode.DIRECT, ExtollMode.POLL_ON_GPU):
-        cluster = build_extoll_cluster()
-        conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-        lat[mode] = run_extoll_pingpong(cluster, conn, mode, size,
-                                        iterations=iterations).latency
+    lat = {mode: measure_pingpong(mode, size, iterations).latency
+           for mode in (ExtollMode.DIRECT, ExtollMode.POLL_ON_GPU)}
     return AblationResult(
         name="notification-placement",
         baseline=lat[ExtollMode.DIRECT],
@@ -98,12 +93,9 @@ def ablate_p2p_pathology(size: int = 4 * MIB, count: int = 8) -> AblationResult:
     read pathology; disabling the model removes the drop."""
     bw = {}
     for enabled in (True, False):
-        node_cfg = NodeConfig(pcie=FabricConfig(p2p_pathology_enabled=enabled))
-        cluster = build_extoll_cluster(node_cfg)
-        conn = setup_extoll_connection(cluster, size)
-        bw[enabled] = run_extoll_bandwidth(
-            cluster, conn, ExtollMode.HOST_CONTROLLED, size, count=count
-        ).mb_per_s
+        node = NodeConfig(pcie=FabricConfig(p2p_pathology_enabled=enabled))
+        bw[enabled] = measure_bandwidth(ExtollMode.HOST_CONTROLLED, size,
+                                        count, node_config=node).mb_per_s
     return AblationResult(
         name="p2p-read-pathology",
         baseline=bw[True],
@@ -118,14 +110,10 @@ def ablate_connection_sharing(connections: int = 8,
     """§VI claim 2: single-thread interfaces serialize.  Compare N blocks on
     N private connections against N blocks funneled through ONE CPU proxy
     (the assisted mode — the sharing structure the paper shows flat-lining)."""
-    cluster = build_extoll_cluster()
-    conns = setup_extoll_connections(cluster, 4 * KIB, connections)
-    private = run_extoll_message_rate(cluster, conns, RateMethod.BLOCKS,
-                                      per_connection=per_connection)
-    cluster2 = build_extoll_cluster()
-    conns2 = setup_extoll_connections(cluster2, 4 * KIB, connections)
-    shared = run_extoll_message_rate(cluster2, conns2, RateMethod.ASSISTED,
-                                     per_connection=per_connection)
+    private = measure_message_rate(RateMethod.BLOCKS, connections,
+                                   per_connection)
+    shared = measure_message_rate(RateMethod.ASSISTED, connections,
+                                  per_connection)
     return AblationResult(
         name="connection-sharing",
         baseline=shared.messages_per_s,
@@ -141,14 +129,11 @@ def ablate_future_interface(size: int = 256,
     notification queues vs today's dev2dev-direct, same semantics."""
     from ..core import run_future_extoll_pingpong
 
+    today = measure_pingpong(ExtollMode.DIRECT, size, iterations).latency
     cluster = build_extoll_cluster()
-    conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-    today = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, size,
-                                iterations=iterations).latency
-    cluster2 = build_extoll_cluster()
-    conn2 = setup_extoll_connection(cluster2, max(size, 4 * KIB),
-                                    notification_location="gpu")
-    future = run_future_extoll_pingpong(cluster2, conn2, size,
+    conn = setup_extoll_connection(cluster, max(size, 4 * KIB),
+                                   notification_location="gpu")
+    future = run_future_extoll_pingpong(cluster, conn, size,
                                         iterations=iterations).latency
     return AblationResult(
         name="future-interface",
@@ -164,14 +149,10 @@ def ablate_asic_nic(size: int = 1 * KIB, iterations: int = 15) -> AblationResult
     significantly' — swap the 157 MHz FPGA card for the projected ASIC."""
     from ..extoll import asic_config
 
-    cluster = build_extoll_cluster()
-    conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-    fpga = run_extoll_pingpong(cluster, conn, ExtollMode.HOST_CONTROLLED,
-                               size, iterations=iterations).latency
-    cluster2 = build_extoll_cluster(nic_config=asic_config())
-    conn2 = setup_extoll_connection(cluster2, max(size, 4 * KIB))
-    asic = run_extoll_pingpong(cluster2, conn2, ExtollMode.HOST_CONTROLLED,
-                               size, iterations=iterations).latency
+    fpga = measure_pingpong(ExtollMode.HOST_CONTROLLED, size,
+                            iterations).latency
+    asic = measure_pingpong(ExtollMode.HOST_CONTROLLED, size, iterations,
+                            nic_config=asic_config()).latency
     return AblationResult(
         name="asic-nic",
         baseline=fpga,

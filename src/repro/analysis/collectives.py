@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from ..cluster import build_extoll_cluster
 from ..collectives import CollectiveMode, build_communicator, run_collective
 from ..collectives.algorithms import expected_phases, expected_steps
 from ..collectives.bench import ALLREDUCE_OPS, op_connectivity, op_max_payload
-from ..core import ExtollMode, run_extoll_pingpong, setup_extoll_connection
+from ..core import ExtollMode, measure_pingpong
 
 
 def step_message_bytes(algorithm: str, nodes: int, size: int) -> int:
@@ -109,11 +108,8 @@ class ScalingPoint:
 def pingpong_baseline(size: int = SCALING_SIZE, iterations: int = 8,
                       warmup: int = 2) -> float:
     """The 2-node ``dev2dev-pollOnGPU`` one-way latency at ``size``."""
-    cluster = build_extoll_cluster()
-    conn = setup_extoll_connection(cluster, buf_bytes=max(4096, size))
-    point = run_extoll_pingpong(cluster, conn, ExtollMode.POLL_ON_GPU, size,
-                                iterations=iterations, warmup=warmup)
-    return point.latency
+    return measure_pingpong(ExtollMode.POLL_ON_GPU, size, iterations,
+                            warmup).latency
 
 
 def allreduce_scaling(node_counts: Sequence[int] = SCALING_NODES,

@@ -9,22 +9,14 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..core import (
     ExtollMode,
     IbMode,
     RateMethod,
     Series,
-    run_extoll_bandwidth,
-    run_extoll_message_rate,
-    run_extoll_pingpong,
-    run_ib_bandwidth,
-    run_ib_message_rate,
-    run_ib_pingpong,
-    setup_extoll_connection,
-    setup_extoll_connections,
-    setup_ib_connection,
-    setup_ib_connections,
+    measure_bandwidth,
+    measure_message_rate,
+    measure_pingpong,
 )
 from ..node import NodeConfig
 from ..gpu import GpuConfig
@@ -59,23 +51,45 @@ def _big_gpu_node() -> NodeConfig:
     return NodeConfig(gpu=GpuConfig(dram_bytes=384 * MIB))
 
 
+def _latency_series(label: str, mode, sizes: List[int], iterations: int,
+                    scale: float, warmup: int,
+                    node_config: Optional[NodeConfig] = None) -> Series:
+    return Series(label, [measure_pingpong(
+        mode, size, _iters(iterations, size, scale), warmup,
+        node_config=node_config) for size in sizes])
+
+
+def _bandwidth_series(mode, sizes: List[int], scale: float) -> Series:
+    def count(size: int) -> int:
+        return max(6, min(32, int((6 * MIB) * max(scale, 0.3))
+                          // max(size, 1)))
+    return Series(mode.value, [measure_bandwidth(mode, size, count(size))
+                               for size in sizes])
+
+
+#: The paper's four message-rate methods (Figs. 2 and 5).
+RATE_METHODS = (RateMethod.BLOCKS, RateMethod.KERNELS, RateMethod.ASSISTED,
+                RateMethod.HOST_CONTROLLED)
+
+
+def _rate_series(fabric: str, scale: float,
+                 connection_counts: Optional[List[int]],
+                 per_connection: int) -> List[Series]:
+    counts = connection_counts or CONNECTION_COUNTS
+    per_connection = max(20, int(per_connection * scale))
+    return [Series(method.value, [measure_message_rate(
+        method, n, per_connection, fabric) for n in counts])
+        for method in RATE_METHODS]
+
+
 # --- Fig. 1a: EXTOLL latency ---------------------------------------------------
 
 def fig1a_extoll_latency(scale: float = 1.0, iterations: int = 20,
                          sizes: Optional[List[int]] = None) -> List[Series]:
     sizes = sizes or _sizes(LATENCY_SIZES, scale)
-    out = []
-    for mode in (ExtollMode.DIRECT, ExtollMode.POLL_ON_GPU,
-                 ExtollMode.ASSISTED, ExtollMode.HOST_CONTROLLED):
-        series = Series(mode.value)
-        for size in sizes:
-            cluster = build_extoll_cluster()
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            series.points.append(run_extoll_pingpong(
-                cluster, conn, mode, size,
-                iterations=_iters(iterations, size, scale), warmup=2))
-        out.append(series)
-    return out
+    return [_latency_series(mode.value, mode, sizes, iterations, scale,
+                            warmup=2)
+            for mode in ExtollMode]
 
 
 # --- Fig. 1b: EXTOLL bandwidth --------------------------------------------------
@@ -83,18 +97,9 @@ def fig1a_extoll_latency(scale: float = 1.0, iterations: int = 20,
 def fig1b_extoll_bandwidth(scale: float = 1.0,
                            sizes: Optional[List[int]] = None) -> List[Series]:
     sizes = sizes or _sizes(BANDWIDTH_SIZES, scale)
-    out = []
-    for mode in (ExtollMode.DIRECT, ExtollMode.ASSISTED,
-                 ExtollMode.HOST_CONTROLLED):
-        series = Series(mode.value)
-        for size in sizes:
-            cluster = build_extoll_cluster()
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            count = max(6, min(32, int((6 * MIB) * max(scale, 0.3)) // max(size, 1)))
-            series.points.append(run_extoll_bandwidth(cluster, conn, mode,
-                                                      size, count=count))
-        out.append(series)
-    return out
+    return [_bandwidth_series(mode, sizes, scale)
+            for mode in (ExtollMode.DIRECT, ExtollMode.ASSISTED,
+                         ExtollMode.HOST_CONTROLLED)]
 
 
 # --- Fig. 2: EXTOLL message rate ---------------------------------------------------
@@ -102,19 +107,7 @@ def fig1b_extoll_bandwidth(scale: float = 1.0,
 def fig2_extoll_message_rate(scale: float = 1.0,
                              connection_counts: Optional[List[int]] = None,
                              per_connection: int = 100) -> List[Series]:
-    counts = connection_counts or CONNECTION_COUNTS
-    per_connection = max(20, int(per_connection * scale))
-    out = []
-    for method in (RateMethod.BLOCKS, RateMethod.KERNELS, RateMethod.ASSISTED,
-                   RateMethod.HOST_CONTROLLED):
-        series = Series(method.value)
-        for n in counts:
-            cluster = build_extoll_cluster()
-            conns = setup_extoll_connections(cluster, 4 * KIB, n)
-            series.points.append(run_extoll_message_rate(
-                cluster, conns, method, per_connection=per_connection))
-        out.append(series)
-    return out
+    return _rate_series("extoll", scale, connection_counts, per_connection)
 
 
 # --- Fig. 3: put time vs polling time ------------------------------------------------
@@ -126,18 +119,10 @@ def fig3_polling_ratio(scale: float = 1.0, iterations: int = 10,
     ~10x the posting time; at large sizes the data transfer dominates both."""
     sizes = sizes or _sizes(FIG3_SIZES, scale)
     node_config = _big_gpu_node()
-    out = []
-    for mode, label in ((ExtollMode.DIRECT, "system memory"),
-                        (ExtollMode.POLL_ON_GPU, "device memory")):
-        series = Series(label)
-        for size in sizes:
-            cluster = build_extoll_cluster(node_config)
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            series.points.append(run_extoll_pingpong(
-                cluster, conn, mode, size,
-                iterations=_iters(iterations, size, scale), warmup=1))
-        out.append(series)
-    return out
+    return [_latency_series(label, mode, sizes, iterations, scale, warmup=1,
+                            node_config=node_config)
+            for mode, label in ((ExtollMode.DIRECT, "system memory"),
+                                (ExtollMode.POLL_ON_GPU, "device memory"))]
 
 
 # --- Fig. 4a: InfiniBand latency ----------------------------------------------------
@@ -145,19 +130,9 @@ def fig3_polling_ratio(scale: float = 1.0, iterations: int = 10,
 def fig4a_ib_latency(scale: float = 1.0, iterations: int = 20,
                      sizes: Optional[List[int]] = None) -> List[Series]:
     sizes = sizes or _sizes(LATENCY_SIZES, scale)
-    out = []
-    for mode in (IbMode.BUF_ON_GPU, IbMode.BUF_ON_HOST, IbMode.ASSISTED,
-                 IbMode.HOST_CONTROLLED):
-        series = Series(mode.value)
-        for size in sizes:
-            cluster = build_ib_cluster()
-            conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=mode.ring_location)
-            series.points.append(run_ib_pingpong(
-                cluster, conn, mode, size,
-                iterations=_iters(iterations, size, scale), warmup=2))
-        out.append(series)
-    return out
+    return [_latency_series(mode.value, mode, sizes, iterations, scale,
+                            warmup=2)
+            for mode in IbMode]
 
 
 # --- Fig. 4b: InfiniBand bandwidth ---------------------------------------------------
@@ -165,19 +140,7 @@ def fig4a_ib_latency(scale: float = 1.0, iterations: int = 20,
 def fig4b_ib_bandwidth(scale: float = 1.0,
                        sizes: Optional[List[int]] = None) -> List[Series]:
     sizes = sizes or _sizes(BANDWIDTH_SIZES, scale)
-    out = []
-    for mode in (IbMode.BUF_ON_GPU, IbMode.BUF_ON_HOST, IbMode.ASSISTED,
-                 IbMode.HOST_CONTROLLED):
-        series = Series(mode.value)
-        for size in sizes:
-            cluster = build_ib_cluster()
-            conn = setup_ib_connection(cluster, max(size, 4 * KIB),
-                                       buffer_location=mode.ring_location)
-            count = max(6, min(32, int((6 * MIB) * max(scale, 0.3)) // max(size, 1)))
-            series.points.append(run_ib_bandwidth(cluster, conn, mode, size,
-                                                  count=count))
-        out.append(series)
-    return out
+    return [_bandwidth_series(mode, sizes, scale) for mode in IbMode]
 
 
 # --- Fig. 5: InfiniBand message rate ---------------------------------------------------
@@ -185,19 +148,4 @@ def fig4b_ib_bandwidth(scale: float = 1.0,
 def fig5_ib_message_rate(scale: float = 1.0,
                          connection_counts: Optional[List[int]] = None,
                          per_connection: int = 100) -> List[Series]:
-    counts = connection_counts or CONNECTION_COUNTS
-    per_connection = max(20, int(per_connection * scale))
-    out = []
-    for method in (RateMethod.BLOCKS, RateMethod.KERNELS, RateMethod.ASSISTED,
-                   RateMethod.HOST_CONTROLLED):
-        location = "gpu" if method in (RateMethod.BLOCKS, RateMethod.KERNELS) \
-            else "host"
-        series = Series(method.value)
-        for n in counts:
-            cluster = build_ib_cluster()
-            conns = setup_ib_connections(cluster, 4 * KIB, n,
-                                         buffer_location=location)
-            series.points.append(run_ib_message_rate(
-                cluster, conns, method, per_connection=per_connection))
-        out.append(series)
-    return out
+    return _rate_series("ib", scale, connection_counts, per_connection)

@@ -57,11 +57,10 @@ def _functional_check(results) -> Verdict:
 
 def run_traced_collective(op: str, nodes: int, size: int,
                           mode: CollectiveMode, topology: str,
-                          iterations: int, warmup: int,
-                          tracer: SpanTracer | None = None):
+                          iterations: int, warmup: int):
     """Build a traced cluster, run one collective, return
     ``(tracer, result)``."""
-    tracer = tracer or SpanTracer()
+    tracer = SpanTracer()
     sim = Simulator(tracer=tracer)
     cluster, comm = build_communicator(
         nodes, size, mode, topology, sim=sim,

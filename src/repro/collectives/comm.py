@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 
 from ..cluster import Cluster
 from ..errors import BenchmarkError
+from ..sim import SampledStats
 from ..extoll import (
     NotificationCursor,
     NotifyFlags,
@@ -73,7 +74,7 @@ def collective_mode(name: str) -> CollectiveMode:
                          f"(choose from: {valid})")
 
 
-class Communicator:
+class Communicator(SampledStats):
     """N ranks (one per cluster node) wired with ring or all-pairs channels.
 
     ``connectivity="ring"`` (the default) lays one channel per ring edge —
@@ -154,14 +155,6 @@ class Communicator:
                 out[name] += value
         return out
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
     def channel(self, a: int, b: int) -> Channel:
         try:

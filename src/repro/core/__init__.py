@@ -30,6 +30,13 @@ from .gpu_verbs import (
     gpu_post_send,
     gpu_wait_cq,
 )
+from .measure import (
+    measure_bandwidth,
+    measure_message_rate,
+    measure_pingpong,
+    pingpong_mode,
+    pingpong_modes,
+)
 from .message_rate import run_extoll_message_rate, run_ib_message_rate
 from .modes import ExtollMode, FabricKind, IbMode, RateMethod
 from .pingpong import run_extoll_pingpong, run_ib_pingpong
@@ -68,6 +75,8 @@ __all__ = [
     "run_extoll_message_rate", "run_ib_message_rate",
     "measure_extoll_polling_counters", "measure_ib_buffer_counters",
     "measure_single_op_instructions",
+    "measure_pingpong", "measure_bandwidth", "measure_message_rate",
+    "pingpong_modes", "pingpong_mode",
     "LatencyPoint", "BandwidthPoint", "RatePoint", "Series", "CounterReport",
     "render_latency_table", "render_bandwidth_table", "render_rate_table",
     "render_counter_table",

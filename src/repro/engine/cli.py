@@ -24,18 +24,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis import invariants as inv
 from ..analysis.invariants import Verdict
-from ..cluster import build_extoll_cluster
-from ..core.message_rate import run_extoll_message_rate
+from ..core.measure import measure_message_rate, measure_pingpong
 from ..core.modes import ExtollMode, RateMethod
-from ..core.pingpong import run_extoll_pingpong
-from ..core.setup import setup_extoll_connection, setup_extoll_connections
 from ..obs.export import reconcile_with_point, write_chrome_trace
 from ..obs.tracer import SpanTracer
 from ..sim import Simulator
-from .engine import EngineConfig, EngineStats, run_engine_message_rate, \
-    run_engine_pingpong
-
-_BUF_BYTES = 64 * 1024
+from .engine import EngineConfig, EngineStats
 
 #: The sweep's engine variants, in ablation order.
 VARIANTS: List[Tuple[str, EngineConfig]] = [
@@ -51,32 +45,18 @@ FULL_CONNECTIONS = [1, 2, 4, 8, 16, 32]
 QUICK_CONNECTIONS = [1, 32]
 
 
-def _fresh_extoll(seed: int, tracer: Optional[SpanTracer] = None):
-    sim = Simulator(seed=seed, tracer=tracer)
-    return build_extoll_cluster(sim=sim)
-
-
 def latency_sweep(sizes: List[int], iterations: int, warmup: int,
                   seed: int) -> Dict[int, Dict[str, float]]:
     """Half-round-trip latency per size: direct reference + every engine
     variant.  Each cell runs on a fresh cluster so ports/cursors are
     independent."""
-    out: Dict[int, Dict[str, float]] = {}
-    for size in sizes:
-        row: Dict[str, float] = {}
-        cluster = _fresh_extoll(seed)
-        conn = setup_extoll_connection(cluster, max(_BUF_BYTES, size))
-        row["dev2dev-direct"] = run_extoll_pingpong(
-            cluster, conn, ExtollMode.DIRECT, size,
-            iterations=iterations, warmup=warmup).latency
-        for name, config in VARIANTS:
-            cluster = _fresh_extoll(seed)
-            conn = setup_extoll_connection(cluster, max(_BUF_BYTES, size))
-            row[name] = run_engine_pingpong(
-                cluster, conn, size, iterations=iterations, warmup=warmup,
-                config=config).latency
-        out[size] = row
-    return out
+    def latency(mode, size: int) -> float:
+        return measure_pingpong(mode, size, iterations, warmup,
+                                sim=Simulator(seed=seed)).latency
+
+    modes = [("dev2dev-direct", ExtollMode.DIRECT)] + VARIANTS
+    return {size: {name: latency(mode, size) for name, mode in modes}
+            for size in sizes}
 
 
 def rate_sweep(conn_counts: List[int], per_connection: int, seed: int,
@@ -89,17 +69,14 @@ def rate_sweep(conn_counts: List[int], per_connection: int, seed: int,
     for n in conn_counts:
         row: Dict[str, float] = {}
         for method in (RateMethod.HOST_CONTROLLED, RateMethod.BLOCKS):
-            cluster = _fresh_extoll(seed)
-            conns = setup_extoll_connections(cluster, _BUF_BYTES, n)
-            row[method.value] = run_extoll_message_rate(
-                cluster, conns, method,
-                per_connection=per_connection).messages_per_s
+            row[method.value] = measure_message_rate(
+                method, n, per_connection,
+                sim=Simulator(seed=seed)).messages_per_s
         for name, config in VARIANTS:
-            cluster = _fresh_extoll(seed)
-            conns = setup_extoll_connections(cluster, _BUF_BYTES, n)
-            point, stats = run_engine_message_rate(
-                cluster, conns, config, per_connection=per_connection)
-            row[name] = point.messages_per_s
+            stats = EngineStats()
+            row[name] = measure_message_rate(
+                config, n, per_connection, sim=Simulator(seed=seed),
+                stats=stats).messages_per_s
             if name == "engine-all":
                 all_stats[n] = stats
         rates[n] = row
@@ -154,22 +131,21 @@ def verification(latencies: Dict[int, Dict[str, float]],
 
     # 4. Three-way counter reconciliation on a TRACED all-on rate run.
     tracer = SpanTracer()
-    cluster = _fresh_extoll(seed, tracer=tracer)
-    conns = setup_extoll_connections(cluster, _BUF_BYTES, top)
-    _, traced_stats = run_engine_message_rate(
-        cluster, conns, config, per_connection=per_connection)
-    verdicts += counter_verdicts(cluster.a.nic, traced_stats, tracer.metrics)
+    traced_stats = EngineStats()
+    clusters = []
+    measure_message_rate(config, top, per_connection,
+                         sim=Simulator(seed=seed, tracer=tracer),
+                         stats=traced_stats, on_setup=clusters.append)
+    verdicts += counter_verdicts(clusters[0].a.nic, traced_stats,
+                                 tracer.metrics)
     if trace_out:
         write_chrome_trace(tracer, trace_out)
 
     # 5. Traced engine pingpong: driver phase spans must reconcile with the
     # measured point.
     ping_tracer = SpanTracer()
-    cluster = _fresh_extoll(seed, tracer=ping_tracer)
-    conn = setup_extoll_connection(cluster, _BUF_BYTES)
-    point = run_engine_pingpong(cluster, conn, min(latencies),
-                                iterations=iterations, warmup=warmup,
-                                config=config)
+    point = measure_pingpong(config, min(latencies), iterations, warmup,
+                             sim=Simulator(seed=seed, tracer=ping_tracer))
     recon = reconcile_with_point(ping_tracer, point, iterations)
     verdicts += [inv.reconciles(f"span-reconcile-{phase}", r["traced"],
                                 r["expected"])

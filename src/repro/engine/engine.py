@@ -40,6 +40,7 @@ from ..core.msglib import Channel, gpu_recv, gpu_send
 from ..core.pingpong import _PingTiming, _validate, notified_pingpong
 from ..core.results import LatencyPoint, RatePoint
 from ..core.setup import ExtollConnection, IbConnection
+from ..sim import SampledStats
 from .batch import Aggregator, DoorbellBatcher, FlushPolicy
 from .scheduler import AdaptiveBackoff, Scheduler
 from .wqe_gen import (
@@ -128,7 +129,7 @@ PINGPONG_CONFIGS: Dict[str, EngineConfig] = {
 
 
 @dataclass
-class EngineStats:
+class EngineStats(SampledStats):
     """Driver-side accounting of one engine run — reconciled against the
     NIC's hardware counters and the span trace by the invariant checks.
 
@@ -160,17 +161,6 @@ class EngineStats:
         """Point-in-time copy of every counter and gauge (plain dict)."""
         return self.as_dict()
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Counters accumulated since ``earlier`` (a prior
-        :meth:`snapshot`); gauges report their *current* level, not a
-        delta.  Fields unseen by ``earlier`` diff against zero."""
-        out = {}
-        for name, value in self.as_dict().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
 
 def aggregate_schedule(per_connection: int, message_bytes: int,

@@ -19,11 +19,11 @@ timeline exporters show the fault windows alongside the traffic they hit.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
 from ..network import NetLink, NetworkFabric, Packet
-from ..sim import NULL_SPAN, Simulator
+from ..sim import NULL_SPAN, SampledStats, Simulator
 from .plan import FaultPlan, LinkFaults
 
 
@@ -143,7 +143,7 @@ class LinkFaultState:
                 "transitions": self.transitions, "up": int(self.up)}
 
 
-class FaultInjector:
+class FaultInjector(SampledStats):
     """Attaches a :class:`FaultPlan` to a cluster's network fabric."""
 
     def __init__(self, sim: Simulator, plan: Optional[FaultPlan] = None) -> None:
@@ -245,13 +245,3 @@ class FaultInjector:
                 "links_down": sum(0 if s.up else 1
                                   for s in self.states.values())}
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        """Change since an ``earlier`` :meth:`snapshot` (gauges pass through
-        as levels, counters as deltas)."""
-        out: Dict[str, int] = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out

@@ -32,7 +32,7 @@ from typing import Optional, TYPE_CHECKING
 from ..errors import ConfigError, RetryExhaustedError
 from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
 from ..network import Packet
-from ..sim import Simulator
+from ..sim import SampledStats, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.msglib import ChannelEnd
@@ -68,7 +68,7 @@ def _memory_for(node: "Node", addr: int):
     return node.host_mem
 
 
-class ChannelReliability:
+class ChannelReliability(SampledStats):
     """One direction's retransmission engine (sender side) plus duplicate
     re-ack hook (receiver side)."""
 
@@ -125,14 +125,6 @@ class ChannelReliability:
                 "exhausted": int(self.error is not None),
                 "outstanding": self.outstanding}
 
-    def diff(self, earlier: dict) -> dict:
-        out = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
     # -- sender engine ------------------------------------------------------------
     def _tx_loop(self):

@@ -73,7 +73,7 @@ class MpiAllreduceResult:
 
 
 def _build(num_nodes: int, seed: int, config: MpiConfig,
-           tracer: Optional[SpanTracer]):
+           tracer: Optional[SpanTracer] = None):
     sim = Simulator(seed=seed, tracer=tracer)
     cluster = build_extoll_cluster(
         sim=sim, num_nodes=num_nodes,
@@ -88,12 +88,12 @@ def _bar_mmio(delta: Dict[str, int]) -> int:
 
 def run_mpi_pingpong(size: int, iterations: int = 8, warmup: int = 2,
                      seed: int = 11, config: Optional[MpiConfig] = None,
-                     tracer: Optional[SpanTracer] = None) -> MpiPingPongResult:
+                     ) -> MpiPingPongResult:
     """Half-round-trip latency of a tagged 2-rank ping-pong at ``size``."""
     if size < 1 or iterations < 1 or warmup < 0:
         raise MpiError("need size >= 1, iterations >= 1, warmup >= 0")
     config = config or MpiConfig()
-    comm = _build(2, seed, config, tracer)
+    comm = _build(2, seed, config)
     r0, r1 = comm.ranks
     trc = comm.sim.tracer
     payload = bytes(i & 0xFF for i in range(size))

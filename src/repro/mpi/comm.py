@@ -34,6 +34,7 @@ from ..core.msglib import _HEADER_BYTES, _SEQ_SHIFT, Channel, ChannelEnd, \
     create_channel_between
 from ..errors import MpiError
 from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
+from ..sim import SampledStats
 from ..triggered import DescriptorChain, TriggerCounter, TriggeredUnit, \
     triggered_unit
 from .envelope import ANY_SOURCE, ANY_TAG, ENVELOPE_BYTES, Envelope, MsgKind
@@ -89,7 +90,7 @@ class _SendWindow:
         self.chains: Dict[int, DescriptorChain] = {}   # seq -> chain
 
 
-class MpiCommunicator:
+class MpiCommunicator(SampledStats):
     """N ranks over one cluster, point-to-point compiled to chains."""
 
     GAUGES = ("pending_sends", "posted_depth", "unexpected_depth",
@@ -340,14 +341,6 @@ class MpiCommunicator:
             out["trigger_doorbells"] += node.nic.trigger_doorbells
         return out
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
 
 class MpiRank:

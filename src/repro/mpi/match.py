@@ -15,9 +15,10 @@ communicator's arrival hooks, with no simulated host cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from ..sim import SampledStats
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,7 +41,7 @@ class Inbound:
         return self.envelope.tag
 
 
-class MatchEngine:
+class MatchEngine(SampledStats):
     """Posted-receive and unexpected-message queues for one rank."""
 
     GAUGES = ("posted_depth", "unexpected_depth")
@@ -102,11 +103,3 @@ class MatchEngine:
             "unexpected_depth": len(self.unexpected),
         }
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out

@@ -15,15 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Tuple
 
 from ..analysis.invariants import reconciles, render
-from ..cluster import build_extoll_cluster, build_ib_cluster
-from ..core.modes import ExtollMode, IbMode
-from ..core.pingpong import run_extoll_pingpong, run_ib_pingpong
-from ..core.setup import setup_extoll_connection, setup_ib_connection
-from ..engine import PINGPONG_CONFIGS, run_engine_pingpong
-from ..errors import ConfigError
+from ..core.measure import measure_pingpong, pingpong_mode, pingpong_modes
 from ..sim import Simulator
 from .export import (
     phase_breakdown,
@@ -34,17 +28,6 @@ from .export import (
 )
 from .tracer import SpanTracer
 
-_BUF_BYTES = 64 * 1024
-
-
-def pingpong_modes(fabric: str) -> Tuple[str, ...]:
-    """Every mode :func:`run_traced_pingpong` runs on ``fabric``: the
-    paper's four, plus the offload engine's two on EXTOLL."""
-    if fabric == "ib":
-        return tuple(m.value for m in IbMode)
-    return tuple(m.value for m in ExtollMode) + tuple(PINGPONG_CONFIGS)
-
-
 #: ``--mode`` choices of the ``trace`` and ``profile`` parsers (both
 #: fabrics; :func:`run_traced_pingpong` rejects a mode of the other one).
 MODE_CHOICES = tuple(dict.fromkeys(pingpong_modes("extoll")
@@ -54,32 +37,12 @@ MODE_CHOICES = tuple(dict.fromkeys(pingpong_modes("extoll")
 def run_traced_pingpong(fabric: str, mode_name: str, size: int,
                         iterations: int, warmup: int,
                         tracer: SpanTracer | None = None):
-    """Build a cluster with ``tracer`` installed, run one ping-pong
-    measurement, and return ``(tracer, point)``."""
-    valid = pingpong_modes(fabric)
-    if mode_name not in valid:
-        raise ConfigError(f"unknown {fabric} mode {mode_name!r} "
-                          f"(choose from: {', '.join(valid)})")
+    """Run one ping-pong measurement with ``tracer`` installed, and return
+    ``(tracer, point)``."""
+    mode = pingpong_mode(fabric, mode_name)
     tracer = tracer or SpanTracer()
-    sim = Simulator(tracer=tracer)
-    if fabric == "extoll":
-        cluster = build_extoll_cluster(sim=sim)
-        conn = setup_extoll_connection(cluster, max(_BUF_BYTES, size))
-        if mode_name in PINGPONG_CONFIGS:
-            point = run_engine_pingpong(cluster, conn, size,
-                                        iterations=iterations, warmup=warmup,
-                                        config=PINGPONG_CONFIGS[mode_name])
-        else:
-            point = run_extoll_pingpong(cluster, conn, ExtollMode(mode_name),
-                                        size, iterations=iterations,
-                                        warmup=warmup)
-    else:
-        mode = IbMode(mode_name)
-        cluster = build_ib_cluster(sim=sim)
-        conn = setup_ib_connection(cluster, max(_BUF_BYTES, size),
-                                   mode.ring_location)
-        point = run_ib_pingpong(cluster, conn, mode, size,
-                                iterations=iterations, warmup=warmup)
+    point = measure_pingpong(mode, size, iterations, warmup,
+                             sim=Simulator(tracer=tracer))
     return tracer, point
 
 

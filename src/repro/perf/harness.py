@@ -21,7 +21,7 @@ metric, by kind:
 Invariants are verdicts (:class:`~repro.analysis.invariants.Verdict`)
 re-evaluated on the fresh run; the baseline stores each one's name and
 outcome.  A fresh failure is always a regression, whatever the baseline
-said.
+said, and so is a baseline invariant the fresh run no longer evaluates.
 
 The comparison report is designed to be read in a CI log: one line per
 deviation with the values, the relative error, and the band it violated.
@@ -151,7 +151,7 @@ class Deviation:
     """One comparison line: a metric delta or an invariant verdict."""
 
     name: str
-    status: str        # "ok" | "regression" | "warning" | "new" | "missing"
+    status: str        # "ok" | "regression" | "warning" | "new"
     detail: str
 
 
@@ -257,7 +257,7 @@ def check(scenario: Scenario, root: str,
         verdict = fresh.get(name)
         if verdict is None:
             report.deviations.append(Deviation(
-                f"invariant:{name}", "missing",
+                f"invariant:{name}", "regression",
                 "in baseline but not evaluated by this run"))
         else:
             report.deviations.append(Deviation(

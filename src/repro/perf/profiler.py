@@ -41,7 +41,7 @@ in practice, to the float).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.invariants import (Verdict, reconciles, relative_error,
                                   render, to_json)
@@ -203,13 +203,12 @@ def profile_from_trace(tracer, point: LatencyPoint, fabric: str, mode: str,
 
 
 def profile_pingpong(fabric: str, mode: str, size: int,
-                     iterations: int = 10, warmup: int = 2,
-                     tracer=None) -> ModeProfile:
+                     iterations: int = 10, warmup: int = 2) -> ModeProfile:
     """Run one traced ping-pong and attribute its cost.  ``mode`` is the
     CLI spelling (e.g. ``dev2dev-direct``, ``bufOnGPU``)."""
     from ..obs.cli import run_traced_pingpong  # deferred: avoids CLI deps
     tracer, point = run_traced_pingpong(fabric, mode, size,
-                                        iterations, warmup, tracer)
+                                        iterations, warmup)
     return profile_from_trace(tracer, point, fabric, mode, iterations)
 
 

@@ -19,17 +19,15 @@ from typing import Dict, Iterable, List, Optional
 
 from ..analysis import invariants as inv
 from ..analysis.faults import run_chaos_point, zero_cost_check
-from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..collectives.bench import build_communicator, run_collective
 from ..collectives.comm import CollectiveMode
 from ..core import (
     ExtollMode,
     IbMode,
-    run_extoll_bandwidth,
-    run_extoll_pingpong,
-    run_ib_pingpong,
-    setup_extoll_connection,
-    setup_ib_connection,
+    RateMethod,
+    measure_bandwidth,
+    measure_message_rate,
+    measure_pingpong,
 )
 from ..sim import Simulator
 from ..units import KIB, MIB
@@ -62,22 +60,6 @@ def get_scenarios(names: Optional[Iterable[str]] = None,
     return [s for s in SCENARIOS.values() if s.quick or not quick_only]
 
 
-def _extoll_point(mode: ExtollMode, size: int, iterations: int = 10,
-                  warmup: int = 2):
-    cluster = build_extoll_cluster()
-    conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-    return run_extoll_pingpong(cluster, conn, mode, size,
-                               iterations=iterations, warmup=warmup)
-
-
-def _ib_point(mode: IbMode, size: int, iterations: int = 10,
-              warmup: int = 2):
-    cluster = build_ib_cluster()
-    conn = setup_ib_connection(cluster, max(size, 4 * KIB), mode.ring_location)
-    return run_ib_pingpong(cluster, conn, mode, size,
-                           iterations=iterations, warmup=warmup)
-
-
 # -- Fig. 1a: EXTOLL latency ----------------------------------------------------
 
 @_register("extoll-latency",
@@ -89,7 +71,7 @@ def extoll_latency() -> ScenarioResult:
     for mode in (ExtollMode.DIRECT, ExtollMode.POLL_ON_GPU,
                  ExtollMode.ASSISTED, ExtollMode.HOST_CONTROLLED):
         for size in (64, 4 * KIB, 64 * KIB):
-            p = _extoll_point(mode, size)
+            p = measure_pingpong(mode, size, iterations=10, warmup=2)
             points[(mode, size)] = p
             res.metric(f"{mode.value}/{size}B/latency_us", p.latency_us,
                        unit="us")
@@ -114,9 +96,7 @@ def extoll_bandwidth() -> ScenarioResult:
     for mode in (ExtollMode.DIRECT, ExtollMode.HOST_CONTROLLED):
         curve = []
         for size in (256 * KIB, 1 * MIB, 4 * MIB):
-            cluster = build_extoll_cluster()
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            p = run_extoll_bandwidth(cluster, conn, mode, size, count=8)
+            p = measure_bandwidth(mode, size, count=8)
             curve.append((size, p.mb_per_s))
             res.metric(f"{mode.value}/{size}B/mb_per_s", p.mb_per_s,
                        unit="MB/s")
@@ -137,7 +117,7 @@ def extoll_poll_ratio() -> ScenarioResult:
     for mode, label in ((ExtollMode.DIRECT, "sysmem"),
                         (ExtollMode.POLL_ON_GPU, "devmem")):
         for size in (64, 4 * KIB):
-            p = _extoll_point(mode, size)
+            p = measure_pingpong(mode, size, iterations=10, warmup=2)
             ratios[(label, size)] = p.poll_to_post_ratio
             res.metric(f"{label}/{size}B/poll_to_post_ratio",
                        p.poll_to_post_ratio, unit="x")
@@ -158,7 +138,7 @@ def ib_latency() -> ScenarioResult:
     for mode in (IbMode.BUF_ON_GPU, IbMode.BUF_ON_HOST, IbMode.ASSISTED,
                  IbMode.HOST_CONTROLLED):
         for size in (64, 4 * KIB):
-            p = _ib_point(mode, size)
+            p = measure_pingpong(mode, size, iterations=10, warmup=2)
             points[(mode, size)] = p
             res.metric(f"{mode.value}/{size}B/latency_us", p.latency_us,
                        unit="us")
@@ -266,7 +246,7 @@ def faults_overhead() -> ScenarioResult:
            "Offload-engine ping-pong latency vs dev2dev-direct: baseline, "
            "warp-parallel, batched, all-on")
 def engine_latency() -> ScenarioResult:
-    from ..engine import EngineConfig, run_engine_pingpong
+    from ..engine import EngineConfig
 
     res = ScenarioResult()
     variants = [("baseline", EngineConfig.baseline()),
@@ -275,14 +255,12 @@ def engine_latency() -> ScenarioResult:
                 ("all", EngineConfig.all_on())]
     points = {}
     for size in (64, 4 * KIB):
-        p = _extoll_point(ExtollMode.DIRECT, size)
+        p = measure_pingpong(ExtollMode.DIRECT, size, iterations=10,
+                             warmup=2)
         points[("direct", size)] = p
         res.metric(f"direct/{size}B/latency_us", p.latency_us, unit="us")
         for name, config in variants:
-            cluster = build_extoll_cluster()
-            conn = setup_extoll_connection(cluster, max(size, 4 * KIB))
-            p = run_engine_pingpong(cluster, conn, size, iterations=10,
-                                    warmup=2, config=config)
+            p = measure_pingpong(config, size, iterations=10, warmup=2)
             points[(name, size)] = p
             res.metric(f"engine-{name}/{size}B/latency_us", p.latency_us,
                        unit="us")
@@ -305,26 +283,20 @@ def engine_latency() -> ScenarioResult:
            "Offload-engine 32-connection message rate vs hostControlled, "
            "with MMIO-coalescing accounting")
 def engine_rate() -> ScenarioResult:
-    from ..core.modes import RateMethod
-    from ..core.message_rate import run_extoll_message_rate
-    from ..core.setup import setup_extoll_connections
-    from ..engine import EngineConfig, run_engine_message_rate
+    from ..engine import EngineConfig, EngineStats
 
     res = ScenarioResult()
     connections, per_connection = 32, 40
-    cluster = build_extoll_cluster()
-    conns = setup_extoll_connections(cluster, 4 * KIB, connections)
-    host = run_extoll_message_rate(cluster, conns, RateMethod.HOST_CONTROLLED,
-                                   per_connection=per_connection)
+    host = measure_message_rate(RateMethod.HOST_CONTROLLED, connections,
+                                per_connection)
     res.metric("hostControlled/mmsgs_per_s", host.messages_per_s / 1e6,
                unit="M/s")
     rates = {}
     for name, config in (("warp", EngineConfig.warp_only()),
                          ("all", EngineConfig.all_on())):
-        cluster = build_extoll_cluster()
-        conns = setup_extoll_connections(cluster, 4 * KIB, connections)
-        point, stats = run_engine_message_rate(cluster, conns, config,
-                                               per_connection=per_connection)
+        stats = EngineStats()
+        point = measure_message_rate(config, connections, per_connection,
+                                     stats=stats)
         rates[name] = point
         res.metric(f"engine-{name}/mmsgs_per_s", point.messages_per_s / 1e6,
                    unit="M/s")
@@ -349,6 +321,20 @@ def engine_rate() -> ScenarioResult:
 def sim_throughput() -> ScenarioResult:
     from ..telemetry import TelemetryPlane
 
+    def timed(sim, plane=None):
+        """The reference run on ``sim`` and its wall time, clocked from
+        the end of set-up (where ``plane``, if any, starts sampling)."""
+        t0 = []
+
+        def on_setup(cluster):
+            if plane is not None:
+                plane.start()
+            t0.append(time.perf_counter())
+
+        point = measure_pingpong(ExtollMode.DIRECT, 64, sim=sim,
+                                 on_setup=on_setup)
+        return point, time.perf_counter() - t0[0]
+
     res = ScenarioResult()
     events, walls, walls_telemetry = [], [], []
     bare = inst = plane = None
@@ -356,12 +342,8 @@ def sim_throughput() -> ScenarioResult:
     # sides equally; the overhead metric compares best against best.
     for _rep in range(5):
         sim = Simulator()
-        cluster = build_extoll_cluster(sim=sim)
-        conn = setup_extoll_connection(cluster, 4 * KIB)
-        t0 = time.perf_counter()
-        bare = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, 64,
-                                   iterations=30, warmup=3)
-        walls.append(time.perf_counter() - t0)
+        bare, wall = timed(sim)
+        walls.append(wall)
         events.append(sim.events_processed)
 
         # The same reference run under the live telemetry plane at its
@@ -371,13 +353,8 @@ def sim_throughput() -> ScenarioResult:
         # target < 5%).
         sim = Simulator()
         plane = TelemetryPlane(sim)
-        cluster = build_extoll_cluster(sim=sim)
-        conn = setup_extoll_connection(cluster, 4 * KIB)
-        plane.start()
-        t0 = time.perf_counter()
-        inst = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, 64,
-                                   iterations=30, warmup=3)
-        walls_telemetry.append(time.perf_counter() - t0)
+        inst, wall = timed(sim, plane)
+        walls_telemetry.append(wall)
         plane.stop()
     res.metric("sim_events", events[0], kind="count", unit="events")
     res.verdicts.append(inv.identical(

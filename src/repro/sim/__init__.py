@@ -20,6 +20,7 @@ from .trace import (
     NULL_TRACER,
     NullSpan,
     NullTracer,
+    SampledStats,
     get_default_tracer,
     set_default_tracer,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "NULL_TRACER",
     "NULL_SPAN",
     "NULL_METRICS",
+    "SampledStats",
     "get_default_tracer",
     "set_default_tracer",
 ]

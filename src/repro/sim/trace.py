@@ -1,5 +1,5 @@
-"""Tracing protocol: the null tracer, span and metrics objects, and the
-default-tracer hook.
+"""Tracing protocol: the null tracer, span and metrics objects, the
+default-tracer hook, and the base of the sampler's stats objects.
 
 The one recording tracer is :class:`repro.obs.SpanTracer` (hierarchical
 spans, instants, causal flow events, a metrics registry, and an optional
@@ -17,7 +17,7 @@ imports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -83,6 +83,30 @@ class NullMetricsRegistry:
 
 
 NULL_METRICS = NullMetricsRegistry()
+
+
+# -- the sampler's stats protocol -----------------------------------------------
+
+class SampledStats:
+    """Base of every stats object the telemetry sampler polls.
+
+    A subclass defines ``snapshot()`` (a flat ``{name: number}``) and
+    names its level-valued keys in ``GAUGES``; every other key is a
+    monotonic counter."""
+
+    GAUGES: Tuple[str, ...] = ()
+
+    def snapshot(self) -> Dict[str, float]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def diff(self, earlier: Dict[str, float]) -> Dict[str, float]:
+        """Change since an ``earlier`` :meth:`snapshot`: counters as
+        deltas, ``GAUGES`` as their current level.  A key ``earlier``
+        lacks diffs against zero."""
+        gauges = self.GAUGES
+        return {name: value if name in gauges
+                else value - earlier.get(name, 0)
+                for name, value in self.snapshot().items()}
 
 
 # -- null tracer ----------------------------------------------------------------

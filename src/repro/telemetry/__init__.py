@@ -22,7 +22,12 @@ bit-identical to one where this package was never imported.
 from .sampler import Sampler
 from .series import Point, Series, SeriesBank
 from .slo import Objective, SloMonitor, render_verdicts
-from .plane import DEFAULT_TRIGGERS, TelemetryPlane
+from .plane import (
+    DEFAULT_TRIGGERS,
+    FORCE_BREACH,
+    TelemetryPlane,
+    plane_from_args,
+)
 from .export import (
     prometheus_text,
     render_series_table,
@@ -34,6 +39,7 @@ from .export import (
 
 __all__ = [
     "DEFAULT_TRIGGERS",
+    "FORCE_BREACH",
     "Objective",
     "Point",
     "Sampler",
@@ -41,6 +47,7 @@ __all__ = [
     "SeriesBank",
     "SloMonitor",
     "TelemetryPlane",
+    "plane_from_args",
     "prometheus_text",
     "render_series_table",
     "render_verdicts",

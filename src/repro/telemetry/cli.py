@@ -29,16 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..analysis.invariants import Verdict, counts_match, identical, render
 from ..sim import Simulator
 from .export import (render_series_table, write_flight_record,
                      write_prometheus, write_timeseries)
-from .plane import TelemetryPlane
+from .plane import TelemetryPlane, plane_from_args
 from .slo import Objective
-
-_BUF_BYTES = 64 * 1024
 
 #: Conservative default objectives per scenario — thresholds sit well
 #: outside the model's nominal envelope so a healthy run passes, and the
@@ -80,21 +78,20 @@ _PRESETS = {
     ],
 }
 
-_FORCE_BREACH = Objective("forced breach (sim always makes progress)",
-                          "sim.events", "total", "<=", 0.0, budget=0.0)
 
+def _arm(plane: Optional[TelemetryPlane], **stats):
+    """The ``on_setup(cluster)`` hook that arms ``plane`` on a wired model:
+    it watches ``stats`` (prefix → stats object), then the cluster's
+    links, then starts sampling.  None for a bare run."""
+    if plane is None:
+        return None
 
-def _build_plane(args, sim: Simulator, scenario: str) -> TelemetryPlane:
-    objectives: List[Objective] = []
-    if not args.no_presets:
-        objectives.extend(_PRESETS.get(scenario, ()))
-    for spec in args.slo or ():
-        objectives.append(Objective.parse(spec))
-    if args.force_breach:
-        objectives.append(_FORCE_BREACH)
-    return TelemetryPlane(sim, interval=args.interval,
-                          capacity=args.capacity, objectives=objectives,
-                          recorder_capacity=args.recorder_capacity)
+    def on_setup(cluster) -> None:
+        for prefix, obj in stats.items():
+            plane.watch_stats(prefix, obj)
+        plane.watch_fabric(cluster.net)
+        plane.start()
+    return on_setup
 
 
 # -- scenario runners -----------------------------------------------------------
@@ -104,17 +101,9 @@ def _build_plane(args, sim: Simulator, scenario: str) -> TelemetryPlane:
 
 def _run_pingpong(args, sim: Simulator, plane: Optional[TelemetryPlane],
                   ) -> Tuple[str, dict]:
-    from ..cluster import build_extoll_cluster
-    from ..core.modes import ExtollMode
-    from ..core.pingpong import run_extoll_pingpong
-    from ..core.setup import setup_extoll_connection
-    cluster = build_extoll_cluster(sim=sim)
-    conn = setup_extoll_connection(cluster, max(_BUF_BYTES, args.size))
-    if plane is not None:
-        plane.watch_fabric(cluster.net)
-        plane.start()
-    point = run_extoll_pingpong(cluster, conn, ExtollMode.DIRECT, args.size,
-                                iterations=args.iterations, warmup=args.warmup)
+    from ..core import ExtollMode, measure_pingpong
+    point = measure_pingpong(ExtollMode.DIRECT, args.size, args.iterations,
+                             args.warmup, sim=sim, on_setup=_arm(plane))
     return (f"pingpong dev2dev-direct {args.size}B: "
             f"{point.latency_us:.3f}us half round trip",
             {"latency": point.latency, "post_time": point.post_time,
@@ -123,18 +112,10 @@ def _run_pingpong(args, sim: Simulator, plane: Optional[TelemetryPlane],
 
 def _run_rate(args, sim: Simulator, plane: Optional[TelemetryPlane],
               ) -> Tuple[str, dict]:
-    from ..cluster import build_extoll_cluster
-    from ..core.message_rate import run_extoll_message_rate
-    from ..core.modes import RateMethod
-    from ..core.setup import setup_extoll_connections
-    cluster = build_extoll_cluster(sim=sim)
-    conns = setup_extoll_connections(cluster, _BUF_BYTES, args.connections)
-    if plane is not None:
-        plane.watch_fabric(cluster.net)
-        plane.start()
-    point = run_extoll_message_rate(cluster, conns,
-                                    RateMethod.HOST_CONTROLLED,
-                                    per_connection=args.per_connection)
+    from ..core import RateMethod, measure_message_rate
+    point = measure_message_rate(RateMethod.HOST_CONTROLLED,
+                                 args.connections, args.per_connection,
+                                 sim=sim, on_setup=_arm(plane))
     return (f"rate hostControlled x{args.connections}: "
             f"{point.messages_per_s / 1e6:.3f} M msg/s",
             {"messages_per_s": point.messages_per_s,
@@ -143,20 +124,12 @@ def _run_rate(args, sim: Simulator, plane: Optional[TelemetryPlane],
 
 def _run_engine(args, sim: Simulator, plane: Optional[TelemetryPlane],
                 ) -> Tuple[str, dict]:
-    from ..cluster import build_extoll_cluster
-    from ..core.setup import setup_extoll_connections
-    from ..engine.engine import (EngineConfig, EngineStats,
-                                 run_engine_message_rate)
-    cluster = build_extoll_cluster(sim=sim)
-    conns = setup_extoll_connections(cluster, _BUF_BYTES, args.connections)
+    from ..core import measure_message_rate
+    from ..engine.engine import EngineConfig, EngineStats
     stats = EngineStats()
-    if plane is not None:
-        plane.watch_stats("engine", stats)
-        plane.watch_fabric(cluster.net)
-        plane.start()
-    point, stats = run_engine_message_rate(
-        cluster, conns, EngineConfig.all_on(),
-        per_connection=args.per_connection, stats=stats)
+    point = measure_message_rate(EngineConfig.all_on(), args.connections,
+                                 args.per_connection, sim=sim, stats=stats,
+                                 on_setup=_arm(plane, engine=stats))
     return (f"engine all-on x{args.connections}: "
             f"{point.messages_per_s / 1e6:.3f} M msg/s "
             f"({stats.wrs} WRs, {stats.doorbells} doorbells)",
@@ -171,8 +144,7 @@ def _run_collectives(args, sim: Simulator, plane: Optional[TelemetryPlane],
     cluster, comm = build_communicator(args.nodes, args.size,
                                        CollectiveMode.POLL_ON_GPU, sim=sim)
     if plane is not None:
-        plane.watch_fabric(cluster.net)
-        plane.start()
+        _arm(plane)(cluster)
     result = run_collective(cluster, comm, "all-reduce", args.size,
                             iterations=args.iterations, warmup=args.warmup)
     return (f"all-reduce N={args.nodes} {args.size}B: "
@@ -188,10 +160,7 @@ def _run_faults(args, sim: Simulator, plane: Optional[TelemetryPlane],
 
     def on_setup(_sim, cluster, comm, injector) -> None:
         if plane is not None:
-            plane.watch_stats("faults", injector)
-            plane.watch_stats("rel", comm)
-            plane.watch_fabric(cluster.net)
-            plane.start()
+            _arm(plane, faults=injector, rel=comm)(cluster)
 
     point, _comm, _injector = run_chaos_point(
         CollectiveMode.POLL_ON_GPU, args.size, args.loss,
@@ -242,6 +211,12 @@ _SCENARIOS = {
 }
 
 
+def _plane(args, sim: Simulator, scenario: str) -> TelemetryPlane:
+    return plane_from_args(sim, args, _PRESETS.get(scenario, ()),
+                           capacity=args.capacity,
+                           recorder_capacity=args.recorder_capacity)
+
+
 # -- proof obligations -------------------------------------------------------------
 
 def _verify_non_perturbation(args, scenario: str) -> Verdict:
@@ -250,7 +225,7 @@ def _verify_non_perturbation(args, scenario: str) -> Verdict:
     runner = _SCENARIOS[scenario]
     _, bare = runner(args, Simulator(seed=args.seed), None)
     sim = Simulator(seed=args.seed)
-    plane = _build_plane(args, sim, scenario)
+    plane = _plane(args, sim, scenario)
     _, instrumented = runner(args, sim, plane)
     plane.stop()
     return identical("non-perturbation", bare, instrumented)
@@ -351,8 +326,7 @@ def main(argv=None) -> int:
             return 2
 
     sim = Simulator(seed=args.seed)
-    plane = None if args.no_telemetry else _build_plane(args, sim,
-                                                        args.scenario)
+    plane = None if args.no_telemetry else _plane(args, sim, args.scenario)
     headline, _details = runner(args, sim, plane)
     if plane is not None:
         plane.stop()

@@ -57,6 +57,11 @@ DEFAULT_CATEGORIES = ("bench", "causal", "collective", "fault", "gpu.block",
 #: Samples in each SLO monitor's short burn-rate window.
 SHORT_WINDOWS = 5
 
+#: The objective ``--force-breach`` arms: the simulator always makes
+#: progress, so the first sample window breaches it.
+FORCE_BREACH = Objective("forced breach (sim always makes progress)",
+                         "sim.events", "total", "<=", 0.0, budget=0.0)
+
 
 class TelemetryPlane:
     """Live telemetry for one simulator: sampler + SLOs + flight recorder."""
@@ -253,3 +258,17 @@ class TelemetryPlane:
                 lines.append(f"  [{trip['time'] * 1e6:12.3f}us] "
                              f"{trip['reason']}")
         return "\n".join(lines)
+
+
+def plane_from_args(sim: Simulator, args, presets: Iterable[Objective],
+                    **kwargs) -> TelemetryPlane:
+    """The plane a monitoring subcommand arms from its flags: ``presets``
+    unless ``--no-presets``, then each ``--slo`` spec, then
+    :data:`FORCE_BREACH` under ``--force-breach``, sampled every
+    ``--interval``.  ``kwargs`` go on to :class:`TelemetryPlane`."""
+    objectives = [] if args.no_presets else list(presets)
+    objectives += [Objective.parse(spec) for spec in args.slo or ()]
+    if args.force_breach:
+        objectives.append(FORCE_BREACH)
+    return TelemetryPlane(sim, interval=args.interval, objectives=objectives,
+                          **kwargs)

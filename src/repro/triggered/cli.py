@@ -37,7 +37,7 @@ from .unit import TriggeredUnit
 _LIMIT = 1.0  # simulated-seconds cap per run
 
 
-def _build(num_nodes: int, seed: int, tracer: Optional[SpanTracer]):
+def _build(num_nodes: int, seed: int, tracer: Optional[SpanTracer] = None):
     sim = Simulator(seed=seed, tracer=tracer)
     cluster = build_extoll_cluster(sim=sim, num_nodes=num_nodes,
                                    topology="ring" if num_nodes > 2 else "pair")
@@ -133,8 +133,8 @@ def run_triggered(num_nodes: int, size: int, seed: int,
 
 
 def run_host_assist(num_nodes: int, size: int, seed: int,
-                    tracer: Optional[SpanTracer] = None) -> Dict[str, object]:
-    cluster = _build(num_nodes, seed, tracer)
+                    ) -> Dict[str, object]:
+    cluster = _build(num_nodes, seed)
     n = num_nodes
     tokens, recv1, recv2 = _buffers(cluster, size)
 

@@ -21,12 +21,12 @@ from typing import Callable, Dict, Optional
 
 from ..errors import TriggeredError
 from ..extoll import ExtollNic, RmaWorkRequest
-from ..sim import NULL_SPAN
+from ..sim import NULL_SPAN, SampledStats
 from .chain import ChainState, DescriptorChain, TriggeredWorkRequest
 from .counter import TriggerCounter
 
 
-class TriggeredStats:
+class TriggeredStats(SampledStats):
     """Counters in the uniform ``snapshot()/diff()`` shape the telemetry
     sampler polls; ``armed`` is a live gauge (armed-chain depth)."""
 
@@ -60,14 +60,6 @@ class TriggeredStats:
             "armed": self._unit.armed_chains,
         }
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for name, value in self.snapshot().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
 
 class TriggeredUnit:

@@ -38,7 +38,7 @@ from typing import List, Optional
 from ..analysis.invariants import Verdict, identical, render, to_json
 from ..sim import Simulator
 from ..telemetry.export import write_flight_record
-from ..telemetry.plane import TelemetryPlane
+from ..telemetry.plane import plane_from_args
 from ..telemetry.slo import Objective
 from .apps import WORKLOADS
 from .generator import WorkloadRun, reconcile, saturation_sweep
@@ -52,22 +52,6 @@ _PRESETS = [
     Objective("no failed requests", "workload.failures", "total", "<=",
               0.0, budget=0.0),
 ]
-
-_FORCE_BREACH = Objective("forced breach (sim always makes progress)",
-                          "sim.events", "total", "<=", 0.0, budget=0.0)
-
-
-def _build_plane(args, sim: Simulator) -> TelemetryPlane:
-    objectives: List[Objective] = []
-    if not args.no_presets:
-        objectives.extend(_PRESETS)
-    for spec in args.slo or ():
-        objectives.append(Objective.parse(spec))
-    if args.force_breach:
-        objectives.append(_FORCE_BREACH)
-    return TelemetryPlane(sim, interval=args.interval,
-                          objectives=objectives)
-
 
 def _fault_plan(args):
     if not args.loss:
@@ -99,7 +83,7 @@ def _run_cell(args, workload: str, mode: str) -> dict:
         recon = None
     else:
         sim = Simulator(seed=args.seed)
-        plane = _build_plane(args, sim)
+        plane = plane_from_args(sim, args, _PRESETS)
         run = _open_run(args, workload, mode, rate, sim=sim)
         plane.watch_workloads(run)
         plane.start()
@@ -130,7 +114,7 @@ def _replay_checks(args, workload: str, mode: str, rate: float,
     verdicts = []
     if not args.no_telemetry:
         sim = Simulator(seed=args.seed)
-        plane = _build_plane(args, sim)
+        plane = plane_from_args(sim, args, _PRESETS)
         run = _open_run(args, workload, mode, rate, sim=sim)
         plane.watch_workloads(run)
         plane.start()

@@ -30,7 +30,7 @@ from ..analysis.invariants import counts_match, reconciles, relative_error
 from ..cluster import build_extoll_cluster
 from ..errors import BenchmarkError
 from ..faults.injector import FaultInjector
-from ..sim import Simulator
+from ..sim import SampledStats, Simulator
 from .apps import Workload, get_workload
 from .arrivals import arrival_process
 from .transport import WorkloadTransport
@@ -44,7 +44,7 @@ KNEE_EFFICIENCY = 0.95
 
 
 @dataclass
-class WorkloadStats:
+class WorkloadStats(SampledStats):
     """Live request accounting, in the uniform ``snapshot()``/``diff()``
     shape the telemetry sampler polls (counters accumulate; the two
     gauges report instantaneous levels)."""
@@ -64,14 +64,6 @@ class WorkloadStats:
     def snapshot(self) -> Dict[str, int]:
         return self.as_dict()
 
-    def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for name, value in self.as_dict().items():
-            if name in self.GAUGES:
-                out[name] = value
-            else:
-                out[name] = value - earlier.get(name, 0)
-        return out
 
 
 def exact_percentile(values: List[float], q: float) -> float:

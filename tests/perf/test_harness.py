@@ -133,6 +133,24 @@ def test_fresh_invariant_violation_is_regression(tmp_path):
     assert "detail line" in report.render()
 
 
+def test_dropped_invariant_is_regression(tmp_path):
+    """A baseline invariant the fresh run no longer evaluates fails the
+    check, so a refactor cannot silently drop a paper-shape claim."""
+    def run(with_claim):
+        res = ScenarioResult()
+        res.metric("latency_us", 10.0, unit="us")
+        if with_claim:
+            res.invariant("claim", (True, "holds"))
+        return res
+
+    s = make_scenario([run(True), run(False)])
+    record(s, str(tmp_path))
+    report = check(s, str(tmp_path))
+    assert not report.ok
+    assert [d.name for d in report.regressions] == ["invariant:claim"]
+    assert "not evaluated" in report.render()
+
+
 def test_missing_baseline_reports_error(tmp_path):
     s = make_scenario([result()])
     report = check(s, str(tmp_path))

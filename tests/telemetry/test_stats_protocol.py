@@ -81,3 +81,55 @@ def test_communicator_protocol_aggregates_reliability():
     for key in ("retransmits", "timeouts", "ack_replays", "exhausted",
                 "outstanding"):
         assert key in snap
+
+
+def test_channel_reliability_protocol():
+    from repro.collectives.bench import build_communicator
+
+    _cluster, comm = build_communicator(2, 64, sim=Simulator(seed=3),
+                                        reliable=True)
+    assert comm.reliability_engines
+    for engine in comm.reliability_engines:
+        assert "outstanding" in _check_protocol(engine)
+
+
+def test_mpi_protocols():
+    """The communicator's aggregate, each rank's matching queues and each
+    node's triggered unit."""
+    from repro.cluster import build_extoll_cluster
+    from repro.mpi.comm import MpiCommunicator
+
+    comm = MpiCommunicator(build_extoll_cluster(sim=Simulator(seed=3)))
+    assert "posted_depth" in _check_protocol(comm)
+    for rank in comm.ranks:
+        _check_protocol(rank.matcher)
+    for unit in comm.units:
+        assert "armed" in _check_protocol(unit.stats)
+
+
+def test_workload_stats_protocol():
+    from repro.workloads.generator import WorkloadStats
+
+    stats = WorkloadStats(issued=5, completed=3, queue_depth=2, inflight=1)
+    snap = _check_protocol(stats)
+    stats.completed += 2
+    stats.queue_depth = 0
+    d = stats.diff(snap)
+    assert d["completed"] == 2       # counter: windowed delta
+    assert d["queue_depth"] == 0     # gauge: current level
+
+
+def test_one_diff_for_every_stats_class():
+    """Every stats class the sampler polls inherits the one ``diff``."""
+    from repro.collectives import Communicator
+    from repro.faults.reliability import ChannelReliability
+    from repro.mpi.comm import MpiCommunicator
+    from repro.mpi.match import MatchEngine
+    from repro.sim import SampledStats
+    from repro.triggered.unit import TriggeredStats
+    from repro.workloads.generator import WorkloadStats
+
+    for cls in (EngineStats, Communicator, ChannelReliability, FaultInjector,
+                MatchEngine, MpiCommunicator, WorkloadStats, TriggeredStats):
+        assert issubclass(cls, SampledStats), cls
+        assert "diff" not in vars(cls), cls
