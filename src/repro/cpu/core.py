@@ -98,7 +98,7 @@ class HostThread:
         # links keep same-target ordering.
         yield self.sim.timeout(self.cpu.config.mmio_write_overhead)
         self.sim.process(self.cpu.port.write(addr, data),
-                         name=f"cpu-posted-store@{addr:#x}")
+                         name=("cpu-posted-store@{:#x}", addr))
 
     def read_u64(self, addr: int) -> Generator:
         data = yield from self.read(addr, 8)

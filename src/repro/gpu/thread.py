@@ -200,7 +200,7 @@ class ThreadCtx:
             trc.metrics.counter("gpu.sysmem_writes").inc()
         yield self.sim.timeout(gpu.config.sysmem_issue_overhead)
         proc = self.sim.process(gpu.port.write(phys, data),
-                                name=f"posted-store@{vaddr:#x}")
+                                name=("posted-store@{:#x}", vaddr))
         self._outstanding_stores.append(proc)
         # Drop references to completed stores so the list stays small.
         self._outstanding_stores = [p for p in self._outstanding_stores if p.pending]
@@ -231,7 +231,7 @@ class ThreadCtx:
         gpu.counters.sysmem_write_transactions += _sectors(len(data))
         yield self.sim.timeout(gpu.config.sysmem_issue_overhead)
         proc = self.sim.process(gpu.port.write(phys, data),
-                                name=f"posted-wide-store@{vaddr:#x}")
+                                name=("posted-wide-store@{:#x}", vaddr))
         self._outstanding_stores.append(proc)
         self._outstanding_stores = [p for p in self._outstanding_stores if p.pending]
 

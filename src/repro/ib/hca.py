@@ -376,7 +376,7 @@ class Hca:
                 continue
             # A bad packet fails only its own process: an IB async event.
             self.sim.process(self._handle_packet(packet),
-                             name=f"{self.name}.pkt{packet.seq}")
+                             name=("{}.pkt{}", self.name, packet.seq))
 
     def _handle_packet(self, packet: Packet):
         kind = packet.kind

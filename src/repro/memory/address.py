@@ -14,8 +14,9 @@ The conventional layout mirrors a real PCIe system:
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..errors import AddressError
 
@@ -76,6 +77,69 @@ class AddressRange:
         return f"[{self.base:#x}, {self.end:#x})"
 
 
+class RangeIndex:
+    """Non-overlapping address ranges in base order, each with a value,
+    looked up by bisection.
+
+    :meth:`find` and :meth:`holding` give the answers a front-to-back scan
+    of the ranges would give.  Ends rise with bases, so the first range
+    whose end reaches ``addr + length`` is the only one that can hold the
+    access, even for ``length <= 0``.
+    """
+
+    def __init__(self) -> None:
+        self._bases: List[int] = []
+        self._ends: List[int] = []
+        self._entries: List[Tuple[AddressRange, Any]] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def values(self) -> List[Any]:
+        """The values, in base order."""
+        return [value for _, value in self._entries]
+
+    def overlap(self, rng: AddressRange) -> Optional[AddressRange]:
+        """The lowest range that overlaps ``rng``, or None.  Only the
+        neighbours of ``rng.base`` can."""
+        i = bisect_right(self._bases, rng.base)
+        for existing, _ in self._entries[max(i - 1, 0):i + 1]:
+            if existing.overlaps(rng):
+                return existing
+        return None
+
+    def insert(self, rng: AddressRange, value: Any) -> None:
+        """Add ``rng``, which must not overlap a range already held."""
+        i = bisect_right(self._bases, rng.base)
+        self._bases.insert(i, rng.base)
+        self._ends.insert(i, rng.end)
+        self._entries.insert(i, (rng, value))
+
+    def remove(self, rng: AddressRange) -> bool:
+        """Drop the range equal to ``rng``; False if none is."""
+        i = bisect_left(self._bases, rng.base)
+        if i == len(self._entries) or self._entries[i][0] != rng:
+            return False
+        del self._bases[i], self._ends[i], self._entries[i]
+        return True
+
+    def find(self, addr: int, length: int) -> Optional[Tuple[AddressRange, Any]]:
+        """The ``(range, value)`` whose range holds ``[addr, addr+length)``
+        (``range.contains(addr, length)``), or None."""
+        i = bisect_left(self._ends, addr + length)
+        if i < len(self._bases) and self._bases[i] <= addr:
+            return self._entries[i]
+        return None
+
+    def holding(self, addr: int) -> Optional[AddressRange]:
+        """The range that holds the byte at ``addr``, or None.  After a
+        :meth:`find` miss, a range here is one the access straddles."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and addr < self._ends[i]:
+            return self._entries[i][0]
+        return None
+
+
 class AddressMap:
     """Routes physical addresses to mapped targets.
 
@@ -86,25 +150,25 @@ class AddressMap:
     """
 
     def __init__(self) -> None:
-        self._entries: List[Tuple[AddressRange, object]] = []
+        self._index = RangeIndex()
 
     def add(self, target: object) -> None:
         rng: AddressRange = getattr(target, "range")
-        for existing, _ in self._entries:
-            if existing.overlaps(rng):
-                raise AddressError(f"mapping {rng} overlaps existing {existing}")
-        self._entries.append((rng, target))
-        self._entries.sort(key=lambda e: e[0].base)
+        existing = self._index.overlap(rng)
+        if existing is not None:
+            raise AddressError(f"mapping {rng} overlaps existing {existing}")
+        self._index.insert(rng, target)
 
     def resolve(self, addr: int, length: int = 1) -> Tuple[object, int]:
         """Return ``(target, offset_within_target)`` for an access."""
-        for rng, target in self._entries:
-            if rng.contains(addr, length):
-                return target, addr - rng.base
-            if rng.contains(addr) and not rng.contains(addr, length):
-                raise AddressError(
-                    f"access [{addr:#x}, {addr + length:#x}) straddles mapping {rng}"
-                )
+        hit = self._index.find(addr, length)
+        if hit is not None:
+            return hit[1], addr - hit[0].base
+        rng = self._index.holding(addr)
+        if rng is not None:
+            raise AddressError(
+                f"access [{addr:#x}, {addr + length:#x}) straddles mapping {rng}"
+            )
         raise AddressError(f"unmapped physical address {addr:#x} (+{length})")
 
     def space_of(self, addr: int) -> MemorySpace:
@@ -112,4 +176,4 @@ class AddressMap:
         return getattr(target, "space")
 
     def targets(self) -> List[object]:
-        return [t for _, t in self._entries]
+        return self._index.values()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from ..errors import ConfigError
 
@@ -68,81 +68,91 @@ class Cache:
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config or CacheConfig()
         self.stats = CacheStats()
-        # One OrderedDict per set: tag -> True, LRU order = insertion order.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.config.num_sets)]
+        self._line = self.config.line_bytes
+        self._num_sets = self.config.num_sets
+        self._ways = self.config.ways
+        # Per set, None until its first sector lands, then an OrderedDict
+        # tag -> True whose insertion order is the LRU order.  Line ``n``
+        # lives in set ``n % num_sets`` under tag ``n // num_sets``.
+        self._sets: List[Optional[OrderedDict]] = [None] * self._num_sets
 
-    # -- address math -----------------------------------------------------------
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_bytes
-        set_idx = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return set_idx, tag
+    def _lines(self, addr: int, length: int) -> tuple[int, int]:
+        """First and last line an access of ``length`` bytes touches (a
+        zero-length access touches the line at ``addr``)."""
+        line = self._line
+        return addr // line, (addr + (length if length > 1 else 1) - 1) // line
 
-    def _touch(self, set_idx: int, tag: int) -> bool:
-        """Return hit/miss and update LRU; fills on miss."""
-        s = self._sets[set_idx]
-        if tag in s:
-            s.move_to_end(tag)
-            return True
-        s[tag] = True
-        if len(s) > self.config.ways:
-            s.popitem(last=False)  # evict LRU
-        return False
-
-    def _sectors(self, addr: int, length: int) -> range:
-        first = addr // self.config.line_bytes
-        last = (addr + max(length, 1) - 1) // self.config.line_bytes
-        return range(first, last + 1)
+    def _access(self, addr: int, length: int) -> tuple[int, int]:
+        """Touch every sector of the access, filling misses and evicting
+        the LRU tag of a full set; returns (hits, misses)."""
+        first, last = self._lines(addr, length)
+        num_sets, ways, sets = self._num_sets, self._ways, self._sets
+        hits = 0
+        for line in range(first, last + 1):
+            set_idx = line % num_sets
+            tag = line // num_sets
+            s = sets[set_idx]
+            if s is None:
+                s = sets[set_idx] = OrderedDict()
+            if tag in s:
+                s.move_to_end(tag)
+                hits += 1
+            else:
+                s[tag] = True
+                if len(s) > ways:
+                    s.popitem(last=False)  # evict LRU
+        return hits, last - first + 1 - hits
 
     # -- access API ---------------------------------------------------------------
     def read(self, addr: int, length: int) -> tuple[int, int]:
         """Access ``length`` bytes at ``addr``.  Returns (hits, misses) in
         sector units and updates stats."""
-        hits = misses = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if self._touch(set_idx, tag):
-                hits += 1
-            else:
-                misses += 1
-        self.stats.read_requests += hits + misses
-        self.stats.read_hits += hits
-        self.stats.read_misses += misses
+        hits, misses = self._access(addr, length)
+        stats = self.stats
+        stats.read_requests += hits + misses
+        stats.read_hits += hits
+        stats.read_misses += misses
         return hits, misses
 
     def write(self, addr: int, length: int) -> tuple[int, int]:
         """Write-allocate access; returns (hits, misses) in sector units."""
-        hits = misses = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if self._touch(set_idx, tag):
-                hits += 1
-            else:
-                misses += 1
-        self.stats.write_requests += hits + misses
-        self.stats.write_hits += hits
-        self.stats.write_misses += misses
+        hits, misses = self._access(addr, length)
+        stats = self.stats
+        stats.write_requests += hits + misses
+        stats.write_hits += hits
+        stats.write_misses += misses
         return hits, misses
 
     def invalidate(self, addr: int, length: int) -> int:
         """Drop any resident sectors overlapping the range (used when another
         PCIe agent DMA-writes device memory); returns sectors dropped."""
+        first, last = self._lines(addr, length)
+        num_sets, sets = self._num_sets, self._sets
+        # Most DMA writes land where nothing is resident: the range's sets
+        # are one slice (two if it wraps past the last set), tested in C.
+        lo = first % num_sets
+        hi = lo + last - first + 1
+        if not any(sets[lo:hi]) and (
+                hi <= num_sets or not any(sets[:hi - num_sets])):
+            return 0
         dropped = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if tag in self._sets[set_idx]:
-                del self._sets[set_idx][tag]
-                dropped += 1
+        for line in range(first, last + 1):
+            s = sets[line % num_sets]
+            if s:
+                tag = line // num_sets
+                if tag in s:
+                    del s[tag]
+                    dropped += 1
         return dropped
 
     def contains(self, addr: int) -> bool:
-        set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
+        line = addr // self._line
+        s = self._sets[line % self._num_sets]
+        return s is not None and line // self._num_sets in s
 
     @property
     def resident_sectors(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s)
 
     def flush(self) -> None:
-        for s in self._sets:
-            s.clear()
+        self._sets = [None] * self._num_sets

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import TranslationError
-from .address import AddressRange
+from .address import AddressRange, RangeIndex
 
 
 @dataclass(frozen=True)
@@ -27,53 +27,46 @@ class Mapping:
     writable: bool = True
     label: str = ""
 
-    def translate(self, vaddr: int, length: int) -> int:
-        if not self.virtual.contains(vaddr, length):
-            raise TranslationError(f"{vaddr:#x}+{length} outside {self.virtual}")
-        return self.physical_base + (vaddr - self.virtual.base)
-
 
 class TranslationTable:
     """An ordered collection of non-overlapping virtual mappings."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._mappings: list[Mapping] = []
+        self._index = RangeIndex()
 
     def map(self, virtual: AddressRange, physical_base: int, *,
             writable: bool = True, label: str = "") -> Mapping:
-        for m in self._mappings:
-            if m.virtual.overlaps(virtual):
-                raise TranslationError(
-                    f"{self.name}: new mapping {virtual} overlaps {m.virtual}"
-                )
+        existing = self._index.overlap(virtual)
+        if existing is not None:
+            raise TranslationError(
+                f"{self.name}: new mapping {virtual} overlaps {existing}"
+            )
         mapping = Mapping(virtual, physical_base, writable, label)
-        self._mappings.append(mapping)
-        self._mappings.sort(key=lambda m: m.virtual.base)
+        self._index.insert(virtual, mapping)
         return mapping
 
     def unmap(self, virtual: AddressRange) -> None:
-        for i, m in enumerate(self._mappings):
-            if m.virtual == virtual:
-                del self._mappings[i]
-                return
-        raise TranslationError(f"{self.name}: no mapping at {virtual}")
+        if not self._index.remove(virtual):
+            raise TranslationError(f"{self.name}: no mapping at {virtual}")
 
     def lookup(self, vaddr: int, length: int = 1) -> Mapping:
-        for m in self._mappings:
-            if m.virtual.contains(vaddr, length):
-                return m
-            if m.virtual.contains(vaddr) and not m.virtual.contains(vaddr, length):
-                raise TranslationError(
-                    f"{self.name}: access {vaddr:#x}+{length} straddles {m.virtual}"
-                )
+        hit = self._index.find(vaddr, length)
+        if hit is not None:
+            return hit[1]
+        straddled = self._index.holding(vaddr)
+        if straddled is not None:
+            raise TranslationError(
+                f"{self.name}: access {vaddr:#x}+{length} straddles {straddled}"
+            )
         raise TranslationError(f"{self.name}: translation fault at {vaddr:#x}")
 
     def translate(self, vaddr: int, length: int = 1, *, write: bool = False) -> int:
         m = self.lookup(vaddr, length)
         if write and not m.writable:
             raise TranslationError(f"{self.name}: write to read-only {m.virtual}")
-        return m.translate(vaddr, length)
+        # lookup() found the mapping that holds the access.
+        return m.physical_base + (vaddr - m.virtual.base)
 
     def try_translate(self, vaddr: int, length: int = 1) -> Optional[int]:
         try:
@@ -83,7 +76,7 @@ class TranslationTable:
 
     @property
     def mappings(self) -> list[Mapping]:
-        return list(self._mappings)
+        return self._index.values()
 
     def __len__(self) -> int:
-        return len(self._mappings)
+        return len(self._index)

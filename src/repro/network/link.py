@@ -247,10 +247,10 @@ class NetLink:
 
         if extra_delay > 0.0:
             self.sim.process(deliver_late(),
-                             name=f"{self.name}.deliver-late{packet.seq}")
+                             name=("{}.deliver-late{}", self.name, packet.seq))
         else:
             self._last_delivery[endpoint] = self.sim.process(
-                deliver(), name=f"{self.name}.deliver{packet.seq}")
+                deliver(), name=("{}.deliver{}", self.name, packet.seq))
 
     def release_credit(self, consumer_side: int, packet: Packet,
                        vc: Optional[int] = None) -> None:

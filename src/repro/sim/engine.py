@@ -11,13 +11,17 @@ number, so two runs of the same model produce identical schedules.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
-from .event import Event, Timeout
+from .event import PROCESSED, Event, Name, Timeout
+from .process import Process
 from .trace import NULL_TRACER, get_default_tracer
+
+
+_INF = float("inf")
 
 
 class ScheduledCall:
@@ -121,18 +125,16 @@ class Simulator:
         return self._now
 
     # -- event construction -----------------------------------------------------
-    def event(self, name: str = "") -> Event:
+    def event(self, name: Name = "") -> Event:
         """A fresh pending event bound to this simulator."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
+    def timeout(self, delay: float, value: Any = None, name: Name = "") -> Timeout:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value, name)
 
-    def process(self, generator: Generator, name: str = "") -> "Process":
+    def process(self, generator: Generator, name: Name = "") -> Process:
         """Spawn a coroutine process (see :mod:`repro.sim.process`)."""
-        from .process import Process  # local import to avoid a cycle
-
         return Process(self, generator, name)
 
     def call_later(self, delay: float, fn: Callable[[], None],
@@ -150,12 +152,6 @@ class Simulator:
         ev.add_callback(handle._run)
         return handle
 
-    # -- scheduling -------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        when = self._now + delay
-        heapq.heappush(self._heap, (when, self._seq, event))
-        self._seq += 1
-
     # -- running ----------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
@@ -165,12 +161,36 @@ class Simulator:
         """Process exactly one event."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:  # pragma: no cover - guarded by _schedule
-            raise SimulationError("time went backwards")
-        self._now = when
-        self.events_processed += 1
-        event._run_callbacks()
+        self._loop(self._heap[0][0], [1], once=True)
+
+    def _loop(self, horizon: float, left: List[int], once: bool = False) -> None:
+        """Process events in (time, seq) order until ``left[0]`` is 0, the
+        schedule drains, or the next event lies past ``horizon``; with
+        ``once``, process one event.
+
+        Processing an event sets it processed and runs its callbacks; a
+        failure with no callback to observe it is recorded, and the run
+        call raises it on exit (see :meth:`_exit`).
+        """
+        heap = self._heap
+        while left[0] and heap:
+            if heap[0][0] > horizon:
+                return
+            if once:
+                left[0] = 0
+            when, _seq, event = heappop(heap)
+            if when < self._now:  # pragma: no cover - delays are never negative
+                raise SimulationError("time went backwards")
+            self._now = when
+            self.events_processed += 1
+            event._state = PROCESSED
+            callbacks = event.callbacks
+            if callbacks:
+                event.callbacks = []
+                for cb in callbacks:
+                    cb(event)
+            elif event._ok is False:
+                self._failures.append((when, event))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time reaches ``until``.
@@ -184,9 +204,7 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until!r} is in the past (now={self._now!r})")
-        heap = self._heap
-        while heap and (until is None or heap[0][0] <= until):
-            self.step()
+        self._loop(_INF if until is None else until, [1])
         if until is not None:
             self._now = until
         self._exit(self._deadlock("schedule drained")
@@ -201,29 +219,25 @@ class Simulator:
         """
         if not events:
             raise SimulationError("run_until_complete() needs at least one event")
-        remaining = len(events)
+        left = [len(events)]
 
         def awaited(ev: Event) -> None:
-            nonlocal remaining
-            remaining -= 1
+            left[0] -= 1
             if not ev._ok:
                 self._failures.append((self._now, ev))
-                remaining = 0
+                left[0] = 0
 
         for ev in events:
             ev.add_callback(awaited)
-        heap = self._heap
+        self._loop(_INF if limit is None else limit, left)
         stuck = None
-        while remaining > 0:
-            if not heap:
+        if left[0] > 0:
+            if not self._heap:
                 stuck = self._deadlock(
                     "schedule drained before awaited events completed: "
                     + ", ".join(repr(e) for e in events if not e.processed))
-                break
-            if limit is not None and heap[0][0] > limit:
+            else:
                 stuck = SimulationError(f"simulated time limit {limit!r}s exceeded")
-                break
-            self.step()
         for ev in events:
             if not ev.processed:      # nobody awaits it any more
                 ev.callbacks.remove(awaited)

@@ -4,23 +4,42 @@ An :class:`Event` starts *pending*, is *triggered* exactly once (either
 succeeded with a value or failed with an exception), and then runs its
 callbacks when the simulator processes it.  Processes wait on events by
 ``yield``-ing them; see :mod:`repro.sim.process`.
+
+Triggering pushes the event onto the simulator's heap as
+``(now + delay, seq, event)``.  Equal times fire in ``seq`` order, so the
+heap order is the model; :meth:`Event.succeed` and :class:`Timeout` make
+that push themselves, in one frame.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from heapq import heappush
+from typing import Any, Callable, List, Optional, Tuple, Union, TYPE_CHECKING
 
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
+#: An event label: a string, or a ``(template, *args)`` tuple that
+#: ``template.format(*args)`` turns into the string the first time the
+#: name is read.  Hot paths name their events lazily, since a name is read
+#: only by tracing and error messages.
+Name = Union[str, Tuple[Any, ...]]
+
 
 class EventState(enum.Enum):
     PENDING = "pending"
     TRIGGERED = "triggered"  # scheduled, callbacks not yet run
     PROCESSED = "processed"  # callbacks have run
+
+
+# Module aliases: the hot paths test states by identity without an enum
+# attribute lookup.
+PENDING = EventState.PENDING
+TRIGGERED = EventState.TRIGGERED
+PROCESSED = EventState.PROCESSED
 
 
 class Event:
@@ -31,18 +50,30 @@ class Event:
     sim:
         The owning simulator.  Events are bound to exactly one simulator.
     name:
-        Optional label used by tracing and ``repr``.
+        Optional label used by tracing and ``repr`` (see :data:`Name`).
     """
 
-    __slots__ = ("sim", "name", "_state", "_value", "_ok", "callbacks")
+    __slots__ = ("sim", "_name", "_state", "_value", "_ok", "callbacks")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: Name = "") -> None:
         self.sim = sim
-        self.name = name
-        self._state = EventState.PENDING
+        self._name = name
+        self._state = PENDING
         self._value: Any = None
         self._ok: Optional[bool] = None
         self.callbacks: List[Callable[["Event"], None]] = []
+
+    @property
+    def name(self) -> str:
+        """The label; a ``(template, *args)`` name is formatted here once."""
+        name = self._name
+        if name.__class__ is tuple:
+            name = self._name = name[0].format(*name[1:])
+        return name
+
+    @name.setter
+    def name(self, name: Name) -> None:
+        self._name = name
 
     # -- state inspection ---------------------------------------------------
     @property
@@ -51,15 +82,15 @@ class Event:
 
     @property
     def pending(self) -> bool:
-        return self._state is EventState.PENDING
+        return self._state is PENDING
 
     @property
     def triggered(self) -> bool:
-        return self._state is not EventState.PENDING
+        return self._state is not PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state is EventState.PROCESSED
+        return self._state is PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -71,7 +102,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The success value or the failure exception."""
-        if self._state is EventState.PENDING:
+        if self._state is PENDING:
             raise SimulationError(f"{self!r} has no value yet")
         return self._value
 
@@ -79,41 +110,32 @@ class Event:
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully, scheduling callbacks after
         ``delay`` seconds of simulated time."""
-        self._trigger(True, value, delay)
+        if self._state is not PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        if delay < 0.0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        self._state = TRIGGERED
+        self._ok = True
+        self._value = value
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Trigger the event as failed with ``exc``."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc, delay)
+        self.succeed(exc, delay)
+        # Nothing runs between the push and this store: callbacks run only
+        # when the simulator pops the event.
+        self._ok = False
         return self
-
-    def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._state is not EventState.PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        if delay < 0.0:
-            raise SimulationError(f"negative delay: {delay!r}")
-        self._state = EventState.TRIGGERED
-        self._ok = ok
-        self._value = value
-        self.sim._schedule(self, delay)
-
-    def _run_callbacks(self) -> None:
-        """Called by the simulator when the event's time arrives.  A failure
-        with no callback to observe it is handed to the simulator, which
-        raises it when the current run call exits."""
-        self._state = EventState.PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        if not callbacks and self._ok is False:
-            self.sim._failures.append((self.sim._now, self))
-        for cb in callbacks:
-            cb(self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register ``cb`` to run when the event is processed.  If the event
         was already processed the callback runs immediately."""
-        if self._state is EventState.PROCESSED:
+        if self._state is PROCESSED:
             cb(self)
         else:
             self.callbacks.append(cb)
@@ -130,9 +152,17 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
-                 name: str = "") -> None:
+                 name: Name = "") -> None:
         if delay < 0.0:
             raise SimulationError(f"negative timeout: {delay!r}")
-        super().__init__(sim, name or f"timeout({delay:g})")
+        # Event.__init__ and succeed() in one frame: a timeout is born
+        # triggered, and its default name is formatted only if read.
+        self.sim = sim
+        self._name = name or ("timeout({:g})", delay)
+        self._state = TRIGGERED
+        self._ok = True
+        self._value = value
+        self.callbacks = []
         self.delay = delay
-        self.succeed(value, delay=delay)
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Generator, TYPE_CHECKING
 
 from ..errors import SimulationError
-from .event import Event
+from .event import PROCESSED, Event, Name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -34,7 +34,7 @@ class Process(Event):
 
     __slots__ = ("_generator", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
+    def __init__(self, sim: "Simulator", generator: Generator, name: Name = "") -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process body must be a generator, got {type(generator).__name__} "
@@ -47,7 +47,7 @@ class Process(Event):
         # Kick off the coroutine via an immediately-scheduled event so that
         # process start order is deterministic and start happens *inside* the
         # event loop.
-        start = Event(sim, f"start:{self.name}")
+        start = Event(sim, ("start:{.name}", self))
         start.callbacks.append(self._resume)
         start.succeed()
 
@@ -79,10 +79,10 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
         try:
-            if trigger.ok:
-                nxt = self._generator.send(trigger.value)
+            if trigger._ok:
+                nxt = self._generator.send(trigger._value)
             else:
-                nxt = self._generator.throw(trigger.value)
+                nxt = self._generator.throw(trigger._value)
             if not isinstance(nxt, Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded {nxt!r}; processes may "
@@ -99,12 +99,19 @@ class Process(Event):
             # nothing joins, the simulator raises it when the run call exits.
             self._finish(False, exc)
         else:
+            # What add_callback() does, without its frame.
             self._waiting_on = nxt
-            nxt.add_callback(self._resume)
+            if nxt._state is PROCESSED:
+                self._resume(nxt)
+            else:
+                nxt.callbacks.append(self._resume)
 
     def _finish(self, ok: bool, value: Any) -> None:
         del self.sim._processes[self]
-        self._trigger(ok, value, 0.0)
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
 
 
 def join_result(process: Process) -> Any:

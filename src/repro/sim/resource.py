@@ -45,7 +45,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """An event that fires when a slot is granted to the caller."""
-        ev = self.sim.event(f"acquire:{self.name}")
+        ev = Event(self.sim, ("acquire:{}", self.name))
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed()
@@ -102,7 +102,7 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        ev = self.sim.event(f"put:{self.name}")
+        ev = Event(self.sim, ("put:{}", self.name))
         if self._getters:
             # Hand straight to a waiting consumer.
             self._getters.popleft().succeed(item)
@@ -115,7 +115,7 @@ class Store:
         return ev
 
     def get(self) -> Event:
-        ev = self.sim.event(f"get:{self.name}")
+        ev = Event(self.sim, ("get:{}", self.name))
         if self._items:
             item = self._items.popleft()
             # A blocked producer can now deposit its item.

@@ -1,6 +1,7 @@
 """Unit tests for AddressRange and AddressMap."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import AddressError
 from repro.memory import AddressMap, AddressRange, Memory, MemorySpace
@@ -86,3 +87,42 @@ def test_space_of():
     amap.add(Memory("gpu", 0x100, 0x100, MemorySpace.GPU_DRAM))
     assert amap.space_of(0x10) is MemorySpace.HOST_DRAM
     assert amap.space_of(0x110) is MemorySpace.GPU_DRAM
+
+
+def scan_resolve(amap, addr, length):
+    """The front-to-back scan ``AddressMap.resolve`` replaced; kept as the
+    reference its bisection must match."""
+    for target in amap.targets():
+        rng = target.range
+        if rng.contains(addr, length):
+            return target, addr - rng.base
+        if rng.contains(addr) and not rng.contains(addr, length):
+            raise AddressError(
+                f"access [{addr:#x}, {addr + length:#x}) straddles mapping {rng}")
+    raise AddressError(f"unmapped physical address {addr:#x} (+{length})")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AddressError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=1, max_value=6)),
+                min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                          st.integers(min_value=-2, max_value=12)),
+                min_size=1, max_size=40))
+def test_property_resolve_matches_linear_scan(layout, probes):
+    amap, addr = AddressMap(), 0
+    for i, (gap, size) in enumerate(reversed(layout)):
+        amap.add(Memory(f"m{i}", 100 - addr - gap - size, size,
+                        MemorySpace.HOST_DRAM))
+        addr += gap + size
+    bases = [t.range.base for t in amap.targets()]
+    assert bases == sorted(bases)
+    for addr, length in probes:
+        assert outcome(amap.resolve, addr, length) == \
+            outcome(scan_resolve, amap, addr, length)

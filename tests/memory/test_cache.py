@@ -122,3 +122,95 @@ def test_property_immediate_rereference_always_hits(addrs):
         c.read(a, 1)
         hits, misses = c.read(a, 1)
         assert (hits, misses) == (1, 0)
+
+
+class ReferenceCache:
+    """The per-sector L2 model: every sector located and touched one by
+    one.  The fast paths of :class:`Cache` must match it exactly."""
+
+    def __init__(self, config):
+        self.line, self.ways = config.line_bytes, config.ways
+        self.num_sets = config.num_sets
+        self.sets = [[] for _ in range(self.num_sets)]   # LRU first
+
+    def _lines(self, addr, length):
+        first = addr // self.line
+        return range(first, (addr + max(length, 1) - 1) // self.line + 1)
+
+    def access(self, addr, length):
+        hits = misses = 0
+        for line in self._lines(addr, length):
+            s, tag = self.sets[line % self.num_sets], line // self.num_sets
+            if tag in s:
+                s.remove(tag)
+                hits += 1
+            else:
+                misses += 1
+                if len(s) == self.ways:
+                    del s[0]
+            s.append(tag)
+        return hits, misses
+
+    def invalidate(self, addr, length):
+        dropped = 0
+        for line in self._lines(addr, length):
+            s, tag = self.sets[line % self.num_sets], line // self.num_sets
+            if tag in s:
+                s.remove(tag)
+                dropped += 1
+        return dropped
+
+
+def resident(cache):
+    """Each set's tags in LRU order."""
+    return [list(s) if s else [] for s in cache._sets]
+
+
+GEOMETRY = st.tuples(st.sampled_from([8, 32, 64]),      # line bytes
+                     st.integers(min_value=1, max_value=4),   # ways
+                     st.integers(min_value=1, max_value=12))  # sets
+OPS = st.lists(st.tuples(st.sampled_from(["read", "write", "invalidate"]),
+                         st.integers(min_value=0, max_value=4096),
+                         st.integers(min_value=0, max_value=1500)),
+               min_size=1, max_size=60)
+
+
+@given(GEOMETRY, OPS)
+def test_property_matches_per_sector_reference(geometry, ops):
+    """Random geometry, fills and unaligned ranges, many of them longer
+    than the set count: same results, same resident tags in the same LRU
+    order."""
+    line, ways, sets = geometry
+    config = CacheConfig(size_bytes=line * ways * sets, line_bytes=line,
+                         ways=ways)
+    cache, ref = Cache(config), ReferenceCache(config)
+    for op, addr, length in ops:
+        if op == "invalidate":
+            assert cache.invalidate(addr, length) == ref.invalidate(addr, length)
+        else:
+            assert getattr(cache, op)(addr, length) == ref.access(addr, length)
+        assert resident(cache) == ref.sets
+        assert cache.resident_sectors == sum(map(len, ref.sets))
+    for addr in range(0, 4096 + 1500, line):
+        assert cache.contains(addr) == (
+            addr // line // ref.num_sets
+            in ref.sets[addr // line % ref.num_sets])
+
+
+def test_sets_are_allocated_on_first_fill():
+    c = small_cache(ways=2, sets=4)
+    assert c.resident_sectors == 0 and not c.contains(0)
+    assert c.invalidate(0, 4096) == 0
+    c.write(32, 1)
+    assert [s is not None for s in c._sets] == [False, True, False, False]
+    c.flush()
+    assert c.resident_sectors == 0 and not c.contains(32)
+
+
+def test_invalidate_range_that_wraps_past_the_last_set():
+    c = small_cache(ways=2, sets=4, line=32)
+    c.write(4 * 32, 1)                 # line 4: set 0, tag 1
+    # Lines 3 and 4 sit in sets 3 and 0: the range wraps, and only its
+    # wrapped part holds a tag.
+    assert c.invalidate(3 * 32, 64) == 1
+    assert not c.contains(4 * 32)

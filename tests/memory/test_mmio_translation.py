@@ -117,3 +117,61 @@ def test_property_translation_preserves_offsets(base, size, phys, probe):
     tt.map(AddressRange(base, size), physical_base=phys)
     v = base + (probe % size)
     assert tt.translate(v) - phys == v - base
+
+
+def scan_lookup(tt, vaddr, length):
+    """The front-to-back scan ``TranslationTable.lookup`` replaced; kept
+    as the reference its bisection must match."""
+    for m in tt.mappings:
+        if m.virtual.contains(vaddr, length):
+            return m
+        if m.virtual.contains(vaddr) and not m.virtual.contains(vaddr, length):
+            raise TranslationError(
+                f"{tt.name}: access {vaddr:#x}+{length} straddles {m.virtual}")
+    raise TranslationError(f"{tt.name}: translation fault at {vaddr:#x}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TranslationError as exc:
+        return str(exc)
+
+
+#: Mappings as (gap before, size) pairs: a gap of 0 makes two mappings
+#: adjacent, where a zero-length lookup at the boundary resolves left.
+LAYOUTS = st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                             st.integers(min_value=1, max_value=6)),
+                   min_size=1, max_size=8)
+
+
+@given(LAYOUTS, st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=80),
+                          st.integers(min_value=-2, max_value=12)),
+                min_size=1, max_size=40))
+def test_property_lookup_matches_linear_scan(layout, rnd, probes):
+    ranges, addr = [], 0
+    for gap, size in layout:
+        ranges.append(AddressRange(addr + gap, size))
+        addr += gap + size
+    rnd.shuffle(ranges)             # map() keeps base order itself
+    tt = TranslationTable("tt")
+    for i, rng in enumerate(ranges):
+        tt.map(rng, physical_base=0x1000 * i)
+    assert [m.virtual for m in tt.mappings] == sorted(ranges,
+                                                      key=lambda r: r.base)
+    for vaddr, length in probes:
+        assert outcome(tt.lookup, vaddr, length) == \
+            outcome(scan_lookup, tt, vaddr, length)
+    # An overlapping map names the lowest mapping it overlaps.
+    for vaddr, length in probes:
+        if length < 1:
+            continue
+        new = AddressRange(vaddr, length)
+        hit = next((m.virtual for m in tt.mappings
+                    if m.virtual.overlaps(new)), None)
+        if hit is None:
+            continue
+        with pytest.raises(TranslationError) as err:
+            tt.map(new, physical_base=0)
+        assert str(err.value) == f"tt: new mapping {new} overlaps {hit}"
