@@ -32,22 +32,18 @@ from ..sim import SampledStats
 from ..extoll import (
     NotificationCursor,
     NotifyFlags,
-    RmaOp,
-    RmaWorkRequest,
     rma_post,
     rma_wait_notification,
 )
 from ..core.gpu_rma import gpu_rma_wait_notification
 from ..core.msglib import (
-    _HEADER_BYTES,
-    _LEN_MASK,
-    _SEQ_SHIFT,
     Channel,
     ChannelEnd,
-    create_channel_between,
+    gate_send,
     gpu_recv,
     gpu_recv_ready,
     gpu_send,
+    wire_channels,
 )
 
 _NOTIFIED = NotifyFlags.REQUESTER | NotifyFlags.COMPLETER
@@ -101,30 +97,18 @@ class Communicator(SampledStats):
         self.connectivity = connectivity
         self.slot_size = slot_size
         self.reliable = reliable
-        self._channels: Dict[Tuple[int, int], Channel] = {}
         # Replayed puts must re-arm the receive path: both notified modes
         # (direct and hostControlled) wait on completer notifications, so
         # their retransmissions carry the COMPLETER flag; pollOnGPU spins on
         # the slot header and replays stay notification-free.
         replay_flags = (NotifyFlags.NONE if mode is CollectiveMode.POLL_ON_GPU
                         else NotifyFlags.COMPLETER)
-        # Two nodes share ONE bidirectional channel (a 2-ring would lay a
-        # duplicate channel over the same pair).
-        if connectivity == "full":
-            edges = [(i, j) for i in range(self.size)
-                     for j in range(i + 1, self.size)]
-        elif self.size == 2:
-            edges = [(0, 1)]
-        else:
-            edges = [(k, (k + 1) % self.size) for k in range(self.size)]
-        for port_id, (i, j) in enumerate(edges):
-            self._channels[(min(i, j), max(i, j))] = create_channel_between(
-                cluster, cluster.node(i), cluster.node(j),
-                slot_size=slot_size, slots=slots, port_id=port_id,
-                map_notifications=(mode is CollectiveMode.DIRECT),
-                control_space="host" if mode.host_driven else "gpu",
-                reliable=reliable, reliability_config=reliability_config,
-                replay_flags=replay_flags)
+        self._channels: Dict[Tuple[int, int], Channel] = dict(wire_channels(
+            cluster, connectivity, slot_size=slot_size, slots=slots,
+            map_notifications=(mode is CollectiveMode.DIRECT),
+            control_space="host" if mode.host_driven else "gpu",
+            reliable=reliable, reliability_config=reliability_config,
+            replay_flags=replay_flags))
         self.ranks = [RankComm(self, r) for r in range(self.size)]
 
     @property
@@ -279,11 +263,8 @@ class RankComm:
             if trc.wants("causal"):
                 # gpu_send advanced next_seq; re-derive the slot just sent.
                 seq = end.next_seq - 1
-                trc.flow_event(
-                    "snd.done", f"n{end.src_node_id}",
-                    addr=(end.dst_node_id,
-                          end.ring_nla.base + end.slot_offset(seq)),
-                    seq=seq)
+                trc.flow_event("snd.done", f"n{end.src_node_id}",
+                               addr=end.slot_key(seq), seq=seq)
         else:
             yield from self._host_send(ctx, end, peer, data)
 
@@ -301,11 +282,8 @@ class RankComm:
                 # wait, and a late ``rcv`` would re-anchor the walk past
                 # the remote delivery, hiding the blocked-on-remote join.
                 seq = end.consumed + 1
-                trc.flow_event(
-                    "rcv", f"n{end.dst_node_id}",
-                    addr=(end.dst_node_id,
-                          end.ring_nla.base + end.slot_offset(seq)),
-                    seq=seq, via="notif")
+                trc.flow_event("rcv", f"n{end.dst_node_id}",
+                               addr=end.slot_key(seq), seq=seq, via="notif")
             yield from gpu_rma_wait_notification(ctx, self._cmpl_cursor(peer))
             if self.comm.reliable:
                 # Under faults a completer notification may belong to a
@@ -326,94 +304,56 @@ class RankComm:
     # hostControlled division of labor.
 
     def _host_send(self, ctx, end: ChannelEnd, peer: int, data: bytes):
-        if len(data) > end.payload_capacity:
-            raise BenchmarkError(
-                f"message of {len(data)} bytes exceeds slot payload "
-                f"{end.payload_capacity}")
-        seq = end.next_seq
+        seq = yield from gate_send(ctx, end, data)
+        slot, padded, header_addr, header = end.slot_image(seq, data)
+        gpu = self.node.gpu
+        if padded:
+            gpu.dram.write(slot, padded)
+        gpu.dram.write_u64(header_addr, header)
+        yield from ctx.compute(4 + len(data) // 8)  # kernel producing the slot
         trc = ctx.sim.tracer
         causal = trc.wants("causal")
         if causal:
-            addr = (end.dst_node_id, end.ring_nla.base + end.slot_offset(seq))
+            addr = end.slot_key(seq)
             actor = f"n{end.src_node_id}"
-            trc.flow_event("snd", actor, addr=addr, seq=seq, bytes=len(data))
-        gated = seq - 1 >= end.slots
-        if gated:
-            min_credit = seq - end.slots
-            yield from ctx.spin_until_u64(end.credit_word.base,
-                                          lambda v, m=min_credit: v >= m)
-        if causal:
-            trc.flow_event("crd", actor, addr=addr, seq=seq, gated=gated,
-                           waited_on=(end.src_node_id,
-                                      end.credit_word_nla.base))
-        stage = end.staging.base + end.slot_offset(seq)
-        gpu = self.node.gpu
-        padded = data + bytes(-len(data) % 8)
-        if padded:
-            gpu.dram.write(stage, padded)
-        gpu.dram.write_u64(stage + end.slot_size - _HEADER_BYTES,
-                           (seq << _SEQ_SHIFT) | len(data))
-        yield from ctx.compute(4 + len(data) // 8)  # kernel producing the slot
-        if causal:
             trc.flow_event("stg", actor, addr=addr, seq=seq, via="host",
                            bytes=len(data))
-        wr = RmaWorkRequest(
-            op=RmaOp.PUT, port=end.port_id, dst_node=end.dst_node_id,
-            src_nla=end.staging_nla.base + end.slot_offset(seq),
-            dst_nla=end.ring_nla.base + end.slot_offset(seq),
-            size=end.slot_size, flags=_NOTIFIED)
-        yield from rma_post(ctx, end.page_addr, wr)
+        yield from rma_post(ctx, end.page_addr, end.slot_put(seq, _NOTIFIED))
         if causal:
             trc.flow_event("pst", actor, addr=addr, seq=seq, via="host")
         yield from rma_wait_notification(ctx, self._req_cursor(peer))
         if causal:
             trc.flow_event("snd.done", actor, addr=addr, seq=seq)
-        end.next_seq += 1
-        if end.reliability is not None:
-            end.reliability.note_send(seq)
+        end.finish_send(seq)
 
     def _host_recv(self, ctx, end: ChannelEnd, reverse: ChannelEnd,
                    peer: int):
         trc = ctx.sim.tracer
         causal = trc.wants("causal")
         if causal:
-            trc.flow_event(
-                "rcv", f"n{end.dst_node_id}",
-                addr=(end.dst_node_id,
-                      end.ring_nla.base + end.slot_offset(end.consumed + 1)),
-                seq=end.consumed + 1, via="notif")
+            trc.flow_event("rcv", f"n{end.dst_node_id}",
+                           addr=end.slot_key(end.consumed + 1),
+                           seq=end.consumed + 1, via="notif")
         yield from rma_wait_notification(ctx, self._cmpl_cursor(peer))
         seq = end.consumed + 1
-        gpu = self.node.gpu
-        slot = end.ring.base + end.slot_offset(seq)
-        header = gpu.dram.read_u64(slot + end.slot_size - _HEADER_BYTES)
-        while (header >> _SEQ_SHIFT) != seq:
+        dram = self.node.gpu.dram
+        carried, data = end.read_slot(dram, seq)
+        while data is None:
             if not self.comm.reliable:
                 raise BenchmarkError(
-                    f"host recv: slot carries seq {header >> _SEQ_SHIFT}, "
-                    f"expected {seq}")
+                    f"host recv: slot carries seq {carried}, expected {seq}")
             # Under faults the notification may belong to a duplicate
             # (replayed) put; wait for the real message to land.
             yield from ctx.sleep(2e-6)
-            header = gpu.dram.read_u64(slot + end.slot_size - _HEADER_BYTES)
-        length = header & _LEN_MASK
-        data = bytes(gpu.dram.read(slot, length)) if length else b""
-        yield from ctx.compute(4 + length // 8)  # kernel draining the slot
+            carried, data = end.read_slot(dram, seq)
+        yield from ctx.compute(4 + len(data) // 8)  # kernel draining the slot
         end.consumed = seq
         if causal:
             trc.flow_event("rcd", f"n{end.dst_node_id}",
-                           addr=(end.dst_node_id,
-                                 end.ring_nla.base + end.slot_offset(seq)),
-                           seq=seq, via="notif", bytes=length)
-        if (end.consumed - end.credits_returned
-                >= (end.credit_interval or max(1, end.slots // 2))):
+                           addr=end.slot_key(seq), seq=seq, via="notif",
+                           bytes=len(data))
+        if end.credit_due():
             yield from ctx.write_u64(end.credit_staging.base, end.consumed)
-            credit_wr = RmaWorkRequest(
-                op=RmaOp.PUT, port=reverse.port_id,
-                dst_node=reverse.dst_node_id,
-                src_nla=end.credit_staging_nla.base,
-                dst_nla=end.credit_word_nla.base, size=8,
-                flags=NotifyFlags.NONE)
-            yield from rma_post(ctx, reverse.page_addr, credit_wr)
+            yield from rma_post(ctx, reverse.page_addr, end.credit_put())
             end.credits_returned = end.consumed
         return data

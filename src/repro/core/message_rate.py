@@ -102,11 +102,6 @@ class _ExtollSteps:
     def host_probe(ctx, conn):
         return rma_try_notification(ctx, conn.a.requester_cursor())
 
-    @staticmethod
-    def engine_handles(*args):
-        from ..engine import engine_extoll_rate_handles
-        return engine_extoll_rate_handles(*args)
-
 
 class _IbSteps:
     """Fig. 5: 64 B RDMA writes, each reaped from the send CQ."""
@@ -134,11 +129,6 @@ class _IbSteps:
     @staticmethod
     def host_probe(ctx, conn):
         return ibv_poll_cq(ctx, conn.a.host_send_cq_consumer())
-
-    @staticmethod
-    def engine_handles(*args):
-        from ..engine import engine_ib_rate_handles
-        return engine_ib_rate_handles(*args)
 
 
 def run_extoll_message_rate(cluster: Cluster,
@@ -171,16 +161,6 @@ def _message_rate(cluster, connections, method, per_connection,
         handles = _assisted(connections, per_connection, timing, steps)
     elif method is RateMethod.HOST_CONTROLLED:
         handles = _host(connections, per_connection, timing, steps)
-    elif method in (RateMethod.ENGINE, RateMethod.ENGINE_BATCHED):
-        # The offload-engine methods: one persistent proxy block multiplexes
-        # every connection (imports deferred — repro.engine builds on this
-        # module).
-        from ..engine import EngineConfig
-
-        config = (EngineConfig.all_on() if method is RateMethod.ENGINE_BATCHED
-                  else EngineConfig.warp_only())
-        handles = steps.engine_handles(cluster, connections, per_connection,
-                                       timing, config)
     else:  # pragma: no cover
         raise BenchmarkError(f"unknown method {method}")
 

@@ -41,7 +41,3 @@ class RateMethod(enum.Enum):
     KERNELS = "dev2dev-kernels"            # one single-block kernel per stream
     ASSISTED = "dev2dev-assisted"          # one CPU proxy serves all blocks
     HOST_CONTROLLED = "dev2dev-hostControlled"
-    # Offload-engine methods (repro.engine): ONE persistent proxy block
-    # multiplexes every connection through the engine posting paths.
-    ENGINE = "dev2dev-engine"              # warp-parallel generation only
-    ENGINE_BATCHED = "dev2dev-engineBatched"  # + doorbell coalescing + aggregation

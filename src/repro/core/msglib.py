@@ -18,12 +18,20 @@ Wire format of a slot: ``payload .. | header:u64`` where
 ``header = (seq << 16) | length``.  EXTOLL delivers puts in order, so the
 header landing implies the payload landed (§V-B1's last-element argument).
 Messages up to ``slot_size - 8`` bytes travel in one slot.
+
+This module is the protocol's one definition: the header, the slot and
+credit puts, the credit gate and cadence, the causal slot key and the
+channel wiring live here and on :class:`ChannelEnd`.  Its drivers — GPU
+threads (below), host threads (:mod:`repro.collectives.comm`), NIC-fired
+descriptor chains (:mod:`repro.mpi.comm`) and the retransmission engine
+(:mod:`repro.faults.reliability`) — keep only their memory accesses and
+their posts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Iterator, Optional, Tuple, TYPE_CHECKING
 
 from ..cluster import Cluster
 from ..errors import BenchmarkError
@@ -34,11 +42,27 @@ from .future import gpu_rma_post_wide
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..extoll import RmaPort
+    from ..memory import Memory
     from ..node import Node
 
 _HEADER_BYTES = 8
 _SEQ_SHIFT = 16
 _LEN_MASK = (1 << _SEQ_SHIFT) - 1
+
+
+def encode_header(seq: int, length: int) -> int:
+    """The header word that closes the slot of message ``seq``."""
+    return (seq << _SEQ_SHIFT) | length
+
+
+def decode_header(header: int) -> Tuple[int, int]:
+    """``(seq, length)`` of a header word; seq 0 is a never-written slot."""
+    return header >> _SEQ_SHIFT, header & _LEN_MASK
+
+
+def payload_capacity(slot_size: int) -> int:
+    """Bytes a slot of ``slot_size`` carries in front of its header."""
+    return slot_size - _HEADER_BYTES
 
 
 @dataclass
@@ -69,6 +93,11 @@ class ChannelEnd:
     # i.e. local to whoever calls gpu_recv on this end's messages).
     credit_staging: AddressRange = None
     credit_staging_nla: AddressRange = None
+    # The memories holding the credit word (sender's) and the credit
+    # staging word (receiver's): device DRAM, or host DRAM when the
+    # channel's control state lives with the host threads.
+    credit_mem: Optional["Memory"] = None
+    credit_staging_mem: Optional["Memory"] = None
     # Progress counters (software state).
     next_seq: int = 1              # sender: next message sequence number
     consumed: int = 0              # receiver: messages taken out of the ring
@@ -86,10 +115,104 @@ class ChannelEnd:
 
     @property
     def payload_capacity(self) -> int:
-        return self.slot_size - _HEADER_BYTES
+        return payload_capacity(self.slot_size)
 
     def slot_offset(self, seq: int) -> int:
         return ((seq - 1) % self.slots) * self.slot_size
+
+    def _header_of(self, slot: int) -> int:
+        return slot + self.slot_size - _HEADER_BYTES
+
+    # -- addresses ---------------------------------------------------------------
+    def slot_key(self, seq: int) -> Tuple[int, int]:
+        """Causal address key of message ``seq``: (receiver, slot NLA).
+        The sender, the NICs and the receiver each stamp it on their flow
+        events, so the critical-path walk joins their hops."""
+        return (self.dst_node_id, self.ring_nla.base + self.slot_offset(seq))
+
+    @property
+    def credit_key(self) -> Tuple[int, int]:
+        """Causal address key of the credit word a gated send waits on."""
+        return (self.src_node_id, self.credit_word_nla.base)
+
+    def slot_image(self, seq: int, body: bytes) -> Tuple[int, bytes, int, int]:
+        """What staging message ``seq`` writes into the sender's staging
+        area: ``(slot address, body padded to 8-byte words, header
+        address, header)``."""
+        slot = self.staging.base + self.slot_offset(seq)
+        return (slot, body + bytes(-len(body) % 8), self._header_of(slot),
+                encode_header(seq, len(body)))
+
+    def ring_slot(self, seq: int) -> Tuple[int, int]:
+        """``(slot address, header address)`` of message ``seq`` in the
+        receiver's ring."""
+        slot = self.ring.base + self.slot_offset(seq)
+        return slot, self._header_of(slot)
+
+    # -- model-level reads (host threads, NIC engines) ---------------------------
+    def read_slot(self, mem: "Memory",
+                  seq: int) -> Tuple[int, Optional[bytes]]:
+        """Read ring slot ``seq`` out of the receiver's memory ``mem``:
+        ``(the seq its header carries, its payload)``.  The payload is
+        ``None`` while the header carries another seq: message ``seq`` has
+        not landed."""
+        slot, header_addr = self.ring_slot(seq)
+        carried, length = decode_header(mem.read_u64(header_addr))
+        if carried != seq:
+            return carried, None
+        return carried, bytes(mem.read(slot, length))
+
+    def landed_seq(self, mem: "Memory", dst_nla: int) -> int:
+        """The seq in the header of the ring slot a put to ``dst_nla``
+        landed in, read out of the receiver's memory ``mem``."""
+        slot = self.ring.base + (dst_nla - self.ring_nla.base)
+        return decode_header(mem.read_u64(self._header_of(slot)))[0]
+
+    def read_credit(self) -> int:
+        """The credit word: the receiver's cumulative consumed count."""
+        return self.credit_mem.read_u64(self.credit_word.base)
+
+    # -- the flow-control rules --------------------------------------------------
+    def credit_needed(self, seq: int) -> int:
+        """The credit message ``seq`` waits for: with at most ``slots``
+        messages in flight, ``seq`` needs ``seq - slots`` consumed; 0 means
+        it needs none."""
+        return max(0, seq - self.slots)
+
+    def credit_due(self) -> bool:
+        """Whether the receiver owes the sender a credit return: one per
+        ``credit_interval`` consumed messages (default half the ring)."""
+        return (self.consumed - self.credits_returned
+                >= (self.credit_interval or max(1, self.slots // 2)))
+
+    # -- the two puts ------------------------------------------------------------
+    def slot_put(self, seq: int,
+                 flags: NotifyFlags = NotifyFlags.NONE) -> RmaWorkRequest:
+        """The put carrying message ``seq``: its whole staging slot into
+        the same slot of the receiver's ring."""
+        offset = self.slot_offset(seq)
+        return RmaWorkRequest(
+            op=RmaOp.PUT, port=self.port_id, dst_node=self.dst_node_id,
+            src_nla=self.staging_nla.base + offset,
+            dst_nla=self.ring_nla.base + offset,
+            size=self.slot_size, flags=flags)
+
+    def credit_put(self) -> RmaWorkRequest:
+        """The put returning credit: the receiver's staging word into the
+        sender's credit word, through the channel's port (both NICs open
+        the same port id)."""
+        return RmaWorkRequest(
+            op=RmaOp.PUT, port=self.port_id, dst_node=self.src_node_id,
+            src_nla=self.credit_staging_nla.base,
+            dst_nla=self.credit_word_nla.base, size=8,
+            flags=NotifyFlags.NONE)
+
+    def finish_send(self, seq: int) -> None:
+        """Message ``seq`` was posted: move ``next_seq`` past it and let the
+        reliability engine, when armed, start tracking it."""
+        self.next_seq = max(self.next_seq, seq + 1)
+        if self.reliability is not None:
+            self.reliability.note_send(seq)
 
 
 @dataclass
@@ -164,11 +287,12 @@ def create_channel_between(cluster: Cluster, src: "Node", dst: "Node",
         if control_space == "gpu":
             credit = end_src.gpu_malloc(8)
             credit_staging = end_dst.gpu_malloc(8)  # receiver-side scratch
-            end_src.gpu.dram.write_u64(credit.base, 0)
+            credit_mem, staging_mem = end_src.gpu.dram, end_dst.gpu.dram
         else:
             credit = end_src.host_malloc(8)
             credit_staging = end_dst.host_malloc(8)
-            end_src.host_mem.write_u64(credit.base, 0)
+            credit_mem, staging_mem = end_src.host_mem, end_dst.host_mem
+        credit_mem.write_u64(credit.base, 0)
         ring = end_dst.gpu_malloc(slot_size * slots)
         end_dst.gpu.dram.fill(ring.base, ring.size, 0)
         end_src.gpu.map_mmio(AddressRange(port.page_addr, 4096))
@@ -185,6 +309,7 @@ def create_channel_between(cluster: Cluster, src: "Node", dst: "Node",
             credit_word_nla=end_src.nic.register_memory(credit),
             credit_staging=credit_staging,
             credit_staging_nla=end_dst.nic.register_memory(credit_staging),
+            credit_mem=credit_mem, credit_staging_mem=staging_mem,
             ring=ring, ring_nla=end_dst.nic.register_memory(ring),
             slot_size=slot_size, slots=slots,
             credit_interval=1 if reliable else max(1, slots // 2),
@@ -213,7 +338,52 @@ def create_channel(cluster: Cluster, slot_size: int = 256,
                                   slot_size=slot_size, slots=slots)
 
 
+def wire_channels(cluster: Cluster, connectivity: str = "ring",
+                  **channel_args) -> Iterator[Tuple[Tuple[int, int], Channel]]:
+    """Yield ``((low rank, high rank), channel)`` for each channel of a
+    communicator over ``cluster``: rank ``k`` to ``k+1 (mod N)`` for
+    ``"ring"``, every pair for ``"full"``, and one shared channel for two
+    nodes.  Channel ``k`` pins port id ``k`` on both NICs.  Channels are
+    created one per step, so a caller that hooks each as it arrives keeps
+    the order of everything it allocates or registers."""
+    size = len(cluster)
+    if connectivity == "full" or size == 2:
+        edges = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    else:
+        edges = [(k, (k + 1) % size) for k in range(size)]
+    for port_id, (i, j) in enumerate(edges):
+        yield (min(i, j), max(i, j)), create_channel_between(
+            cluster, cluster.node(i), cluster.node(j), port_id=port_id,
+            **channel_args)
+
+
 # --- device-side API --------------------------------------------------------------
+
+def gate_send(ctx, end: ChannelEnd, data: bytes):
+    """Admit the next message into the ring and return its seq (GPU or
+    host sending thread): check that ``data`` fits a slot, then spin on the
+    local credit word until at most ``slots`` messages are unacked.  Stamps
+    the causal ``snd`` before the gate and ``crd`` after it."""
+    if len(data) > end.payload_capacity:
+        raise BenchmarkError(
+            f"message of {len(data)} bytes exceeds slot payload "
+            f"{end.payload_capacity}")
+    seq = end.next_seq
+    trc = ctx.sim.tracer
+    causal = trc.wants("causal")
+    if causal:
+        addr = end.slot_key(seq)
+        actor = f"n{end.src_node_id}"
+        trc.flow_event("snd", actor, addr=addr, seq=seq, bytes=len(data))
+    need = end.credit_needed(seq)
+    if need:
+        yield from ctx.spin_until_u64(end.credit_word.base,
+                                      lambda v, m=need: v >= m)
+    if causal:
+        trc.flow_event("crd", actor, addr=addr, seq=seq, gated=need > 0,
+                       waited_on=end.credit_key)
+    return seq
+
 
 def gpu_stage_send(ctx: ThreadCtx, end: ChannelEnd, data: bytes,
                    flags: NotifyFlags = NotifyFlags.NONE):
@@ -227,56 +397,26 @@ def gpu_stage_send(ctx: ThreadCtx, end: ChannelEnd, data: bytes,
     or the offload engine's batched doorbell — and must call
     :func:`gpu_finish_send` once the post is issued.
     """
-    if len(data) > end.payload_capacity:
-        raise BenchmarkError(
-            f"message of {len(data)} bytes exceeds slot payload "
-            f"{end.payload_capacity}")
-    seq = end.next_seq
-    trc = ctx.sim.tracer
-    causal = trc.wants("causal")
-    if causal:
-        # The slot put's address key; every later hop (NIC, receiver)
-        # recomputes the same key from its own view of the protocol state.
-        addr = (end.dst_node_id, end.ring_nla.base + end.slot_offset(seq))
-        actor = f"n{end.src_node_id}"
-        trc.flow_event("snd", actor, addr=addr, seq=seq, bytes=len(data))
-    # Flow control: at most ``slots`` unacked messages in flight.
-    gated = seq - 1 >= end.slots
-    if gated:
-        min_credit = seq - end.slots
-        yield from ctx.spin_until_u64(end.credit_word.base,
-                                      lambda v, m=min_credit: v >= m)
-    if causal:
-        trc.flow_event("crd", actor, addr=addr, seq=seq, gated=gated,
-                       waited_on=(end.src_node_id, end.credit_word_nla.base))
+    seq = yield from gate_send(ctx, end, data)
     # Stage payload (padded to 8-byte words) then the header, in this
     # message's staging slot.
-    stage_base = end.staging.base + end.slot_offset(seq)
-    padded = data + bytes(-len(data) % 8)
+    slot, padded, header_addr, header = end.slot_image(seq, data)
     offset = 0
     while offset < len(padded):
-        chunk = padded[offset:offset + 8]
-        yield from ctx.store(stage_base + offset, chunk)
+        yield from ctx.store(slot + offset, padded[offset:offset + 8])
         offset += 8
-    header = (seq << _SEQ_SHIFT) | len(data)
-    yield from ctx.store_u64(stage_base + end.slot_size - _HEADER_BYTES,
-                             header)
-    if causal:
-        trc.flow_event("stg", actor, addr=addr, seq=seq, bytes=len(data))
-    return RmaWorkRequest(
-        op=RmaOp.PUT, port=end.port_id, dst_node=end.dst_node_id,
-        src_nla=end.staging_nla.base + end.slot_offset(seq),
-        dst_nla=end.ring_nla.base + end.slot_offset(seq),
-        size=end.slot_size, flags=flags)
+    yield from ctx.store_u64(header_addr, header)
+    trc = ctx.sim.tracer
+    if trc.wants("causal"):
+        trc.flow_event("stg", f"n{end.src_node_id}", addr=end.slot_key(seq),
+                       seq=seq, bytes=len(data))
+    return end.slot_put(seq, flags)
 
 
 def gpu_finish_send(end: ChannelEnd) -> None:
     """Advance the sender's sequence after a staged message was posted
     (and let the reliability engine, when armed, start tracking it)."""
-    seq = end.next_seq
-    end.next_seq += 1
-    if end.reliability is not None:
-        end.reliability.note_send(seq)
+    end.finish_send(end.next_seq)
 
 
 def gpu_send(ctx: ThreadCtx, end: ChannelEnd, data: bytes,
@@ -303,23 +443,21 @@ def gpu_recv(ctx: ThreadCtx, end: ChannelEnd, reverse: ChannelEnd,
     """Receive the next message (device code, receiver side).
 
     ``reverse`` is the opposite-direction end (sender side on this node),
-    used to put credit returns back.  Returns the payload bytes.
+    whose BAR page posts credit returns.  Returns the payload bytes.
     ``announce=False`` suppresses the causal ``rcv`` breadcrumb for callers
     that already stamped the receive at its true call time (before their
     own wait), so the walk sees the wait and not a late re-anchor.
     """
     seq = end.consumed + 1
-    slot_base = end.ring.base + end.slot_offset(seq)
+    slot, header_addr = end.ring_slot(seq)
     trc = ctx.sim.tracer
     if announce and trc.wants("causal"):
-        trc.flow_event("rcv", f"n{end.dst_node_id}",
-                       addr=(end.dst_node_id,
-                             end.ring_nla.base + end.slot_offset(seq)),
+        trc.flow_event("rcv", f"n{end.dst_node_id}", addr=end.slot_key(seq),
                        seq=seq)
-    header_addr = slot_base + end.slot_size - _HEADER_BYTES
+    # decode_header's seq, inlined: this predicate runs on every poll.
     header, _polls = yield from ctx.spin_until_u64(
         header_addr, lambda v, s=seq: (v >> _SEQ_SHIFT) == s)
-    data = yield from _consume_slot(ctx, end, reverse, seq, header)
+    data = yield from _consume_slot(ctx, end, reverse, seq, slot, header)
     return data
 
 
@@ -335,54 +473,45 @@ def gpu_recv_ready(ctx: ThreadCtx, end: ChannelEnd, reverse: ChannelEnd,
     ``announce``).
     """
     seq = end.consumed + 1
-    slot_base = end.ring.base + end.slot_offset(seq)
+    slot, header_addr = end.ring_slot(seq)
     trc = ctx.sim.tracer
     if announce and trc.wants("causal"):
-        trc.flow_event("rcv", f"n{end.dst_node_id}",
-                       addr=(end.dst_node_id,
-                             end.ring_nla.base + end.slot_offset(seq)),
+        trc.flow_event("rcv", f"n{end.dst_node_id}", addr=end.slot_key(seq),
                        seq=seq, via="notif")
-    header = yield from ctx.load_u64(slot_base + end.slot_size - _HEADER_BYTES)
-    if (header >> _SEQ_SHIFT) != seq:
+    header = yield from ctx.load_u64(header_addr)
+    carried, _ = decode_header(header)
+    if carried != seq:
         raise BenchmarkError(
-            f"gpu_recv_ready: slot carries seq {header >> _SEQ_SHIFT}, "
+            f"gpu_recv_ready: slot carries seq {carried}, "
             f"expected {seq} (arrival not proven?)")
-    data = yield from _consume_slot(ctx, end, reverse, seq, header,
+    data = yield from _consume_slot(ctx, end, reverse, seq, slot, header,
                                     via="notif")
     return data
 
 
 def _consume_slot(ctx: ThreadCtx, end: ChannelEnd, reverse: ChannelEnd,
-                  seq: int, header: int, via: str = "poll"):
+                  seq: int, slot: int, header: int, via: str = "poll"):
     """Drain one arrived slot and return credits when due."""
-    slot_base = end.ring.base + end.slot_offset(seq)
-    length = header & _LEN_MASK
+    _, length = decode_header(header)
     data = b""
     offset = 0
     while offset < length:
         step = min(8, length - offset)
-        word = yield from ctx.load(slot_base + offset, 8)
+        word = yield from ctx.load(slot + offset, 8)
         data += word[:step]
         offset += step
     end.consumed = seq
     trc = ctx.sim.tracer
     if trc.wants("causal"):
-        trc.flow_event("rcd", f"n{end.dst_node_id}",
-                       addr=(end.dst_node_id,
-                             end.ring_nla.base + end.slot_offset(seq)),
+        trc.flow_event("rcd", f"n{end.dst_node_id}", addr=end.slot_key(seq),
                        seq=seq, via=via, bytes=length)
     # Return credits every half ring so the sender rarely stalls, and the
     # control traffic stays at one 8-byte put per slots/2 messages (§VI-3).
-    # The scratch word and the outgoing port both belong to *this* node:
-    # `end.credit_staging` lives in the receiver's GPU, `reverse` is this
-    # node's sending direction.
-    if (end.consumed - end.credits_returned
-            >= (end.credit_interval or max(1, end.slots // 2))):
+    # The scratch word and the outgoing BAR page both belong to *this*
+    # node: `end.credit_staging` lives in the receiver's GPU, `reverse` is
+    # this node's sending direction.
+    if end.credit_due():
         yield from ctx.store_u64(end.credit_staging.base, end.consumed)
-        credit_wr = RmaWorkRequest(
-            op=RmaOp.PUT, port=reverse.port_id, dst_node=reverse.dst_node_id,
-            src_nla=end.credit_staging_nla.base,
-            dst_nla=end.credit_word_nla.base, size=8, flags=NotifyFlags.NONE)
-        yield from gpu_rma_post_wide(ctx, reverse.page_addr, credit_wr)
+        yield from gpu_rma_post_wide(ctx, reverse.page_addr, end.credit_put())
         end.credits_returned = end.consumed
     return data

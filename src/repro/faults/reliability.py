@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import ConfigError, RetryExhaustedError
-from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
+from ..extoll import NotifyFlags
 from ..network import Packet
 from ..sim import SampledStats, Simulator
 
@@ -59,18 +59,10 @@ class ReliabilityConfig:
             raise ConfigError("need max_retries >= 1")
 
 
-def _memory_for(node: "Node", addr: int):
-    """The Memory object (GPU DRAM or host DRAM) backing ``addr`` — the
-    reliability engines read/write protocol state at model level, like the
-    NIC's DMA units they stand in for."""
-    if node.gpu.dram.range.contains(addr, 8):
-        return node.gpu.dram
-    return node.host_mem
-
-
 class ChannelReliability(SampledStats):
     """One direction's retransmission engine (sender side) plus duplicate
-    re-ack hook (receiver side)."""
+    re-ack hook (receiver side).  Both read and write the protocol state at
+    model level, like the NIC's DMA units they stand in for."""
 
     def __init__(self, sim: Simulator, src_node: "Node", dst_node: "Node",
                  end: "ChannelEnd", config: Optional[ReliabilityConfig] = None,
@@ -81,8 +73,6 @@ class ChannelReliability(SampledStats):
         self.end = end
         self.config = config or ReliabilityConfig()
         self.replay_flags = replay_flags
-        self._credit_mem = _memory_for(src_node, end.credit_word.base)
-        self._staging_mem = _memory_for(dst_node, end.credit_staging.base)
         # Stats the chaos harness reconciles against the Chrome trace.
         self.retransmits = 0          # replayed data puts
         self.timeouts = 0             # fruitless RTO expirations
@@ -97,7 +87,7 @@ class ChannelReliability(SampledStats):
     # -- sender-visible state -----------------------------------------------------
     def acked(self) -> int:
         """Cumulative ack: the credit word in the sender's memory."""
-        return self._credit_mem.read_u64(self.end.credit_word.base)
+        return self.end.read_credit()
 
     @property
     def highest_sent(self) -> int:
@@ -179,12 +169,7 @@ class ChannelReliability(SampledStats):
             # Raced ack while pacing the replays: stop re-sending old data.
             if self.acked() >= seq:
                 continue
-            wr = RmaWorkRequest(
-                op=RmaOp.PUT, port=end.port_id, dst_node=end.dst_node_id,
-                src_nla=end.staging_nla.base + end.slot_offset(seq),
-                dst_nla=end.ring_nla.base + end.slot_offset(seq),
-                size=end.slot_size, flags=self.replay_flags)
-            self.src_node.nic.rma.post(wr)
+            self.src_node.nic.rma.post(end.slot_put(seq, self.replay_flags))
             self.retransmits += 1
             if trc.enabled:
                 trc.instant("fault", "retransmit",
@@ -202,10 +187,7 @@ class ChannelReliability(SampledStats):
         dst_nla = meta.get("dst_nla")
         if dst_nla is None or not end.ring_nla.contains(dst_nla, 1):
             return
-        offset = dst_nla - end.ring_nla.base
-        header_addr = end.ring.base + offset + end.slot_size - 8
-        ring_mem = self.dst_node.gpu.dram
-        seq = ring_mem.read_u64(header_addr) >> 16
+        seq = end.landed_seq(self.dst_node.gpu.dram, dst_nla)
         if seq == 0 or seq > end.consumed:
             return                       # fresh data: the normal path owns it
         if self._ack_replay_pending:
@@ -222,13 +204,8 @@ class ChannelReliability(SampledStats):
         consumed = end.consumed
         if consumed == 0:
             return
-        self._staging_mem.write_u64(end.credit_staging.base, consumed)
-        wr = RmaWorkRequest(
-            op=RmaOp.PUT, port=end.port_id, dst_node=end.src_node_id,
-            src_nla=end.credit_staging_nla.base,
-            dst_nla=end.credit_word_nla.base, size=8,
-            flags=NotifyFlags.NONE)
-        self.dst_node.nic.rma.post(wr)
+        end.credit_staging_mem.write_u64(end.credit_staging.base, consumed)
+        self.dst_node.nic.rma.post(end.credit_put())
         self.ack_replays += 1
         trc = self.sim.tracer
         if trc.enabled:

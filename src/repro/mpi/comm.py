@@ -30,8 +30,8 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster import Cluster
-from ..core.msglib import _HEADER_BYTES, _SEQ_SHIFT, Channel, ChannelEnd, \
-    create_channel_between
+from ..core.msglib import Channel, ChannelEnd, payload_capacity, \
+    wire_channels
 from ..errors import MpiError
 from ..extoll import NotifyFlags, RmaOp, RmaWorkRequest
 from ..sim import SampledStats
@@ -40,8 +40,6 @@ from ..triggered import DescriptorChain, TriggerCounter, TriggeredUnit, \
 from .envelope import ANY_SOURCE, ANY_TAG, ENVELOPE_BYTES, Envelope, MsgKind
 from .match import Inbound, MatchEngine
 from .request import MpiRequest
-
-_LEN_MASK = (1 << _SEQ_SHIFT) - 1
 
 
 def _round8(n: int) -> int:
@@ -65,8 +63,7 @@ class MpiConfig:
     def __post_init__(self) -> None:
         if self.eager_threshold < 0:
             raise MpiError("eager_threshold must be >= 0")
-        if self.slot_size - _HEADER_BYTES - ENVELOPE_BYTES \
-                < self.eager_threshold:
+        if self.payload_capacity < self.eager_threshold:
             raise MpiError(
                 f"slot_size {self.slot_size} cannot carry the envelope plus "
                 f"an eager payload of {self.eager_threshold} bytes")
@@ -75,7 +72,7 @@ class MpiConfig:
 
     @property
     def payload_capacity(self) -> int:
-        return self.slot_size - _HEADER_BYTES - ENVELOPE_BYTES
+        return payload_capacity(self.slot_size) - ENVELOPE_BYTES
 
 
 class _SendWindow:
@@ -113,20 +110,12 @@ class MpiCommunicator(SampledStats):
             triggered_unit(node) for node in cluster.nodes]
         self._channels: Dict[Tuple[int, int], Channel] = {}
         self._windows: Dict[Tuple[int, int], _SendWindow] = {}
-        if self.config.connectivity == "full" or self.size == 2:
-            edges = [(i, j) for i in range(self.size)
-                     for j in range(i + 1, self.size)]
-        else:
-            edges = ([(0, 1)] if self.size == 2 else
-                     [(k, (k + 1) % self.size) for k in range(self.size)])
-        for port_id, (i, j) in enumerate(edges):
-            channel = create_channel_between(
-                cluster, cluster.node(i), cluster.node(j),
+        for key, channel in wire_channels(
+                cluster, self.config.connectivity,
                 slot_size=self.config.slot_size, slots=self.config.slots,
-                port_id=port_id, reliable=reliable,
-                reliability_config=reliability_config,
-                replay_flags=NotifyFlags.NONE)
-            self._channels[(min(i, j), max(i, j))] = channel
+                reliable=reliable, reliability_config=reliability_config,
+                replay_flags=NotifyFlags.NONE):
+            self._channels[key] = channel
             for end in (channel.a_to_b, channel.b_to_a):
                 self._attach_direction(end)
         self.ranks = [MpiRank(self, r) for r in range(self.size)]
@@ -143,16 +132,14 @@ class MpiCommunicator(SampledStats):
         # Credit returns land in the sender's credit word; convert the
         # cumulative value into counter ticks (replays deliver the same
         # value again — the delta is then 0 and nothing ticks).
-        sender_node = self.cluster.node(end.src_node_id)
-
-        def on_credit(_packet, window=window, node=sender_node) -> None:
-            value = self._credit_value(node, window.end)
+        def on_credit(_packet, window=window) -> None:
+            value = window.end.read_credit()
             delta = value - window.credit_seen
             if delta > 0:
                 window.credit_seen = value
                 window.counter.add(delta)
 
-        sender_node.nic.rma.put_listeners.append(
+        self.cluster.node(end.src_node_id).nic.rma.put_listeners.append(
             self._window_filter(end.credit_word_nla.base, 8, on_credit))
         # Arrivals: drain the ring in sequence order at the receiver.
         recv_node = self.cluster.node(end.dst_node_id)
@@ -171,9 +158,6 @@ class MpiCommunicator(SampledStats):
             if base <= dst < base + size:
                 fn(packet)
         return listener
-
-    def _credit_value(self, node, end: ChannelEnd) -> int:
-        return node.gpu.dram.read_u64(end.credit_word.base)
 
     # -- topology ------------------------------------------------------------------
     def channel(self, a: int, b: int) -> Channel:
@@ -210,22 +194,16 @@ class MpiCommunicator(SampledStats):
                 f"exhausted: more than {end.slots} staged sends in flight")
         window.stage_seq = seq
         window.chains.pop(seq - end.slots, None)
-        node = self.cluster.node(end.src_node_id)
-        stage = end.staging.base + end.slot_offset(seq)
-        body = envelope.encode() + payload
-        padded = body + bytes(-len(body) % 8)
-        node.gpu.dram.write(stage, padded)
-        node.gpu.dram.write_u64(stage + end.slot_size - _HEADER_BYTES,
-                                (seq << _SEQ_SHIFT) | len(body))
-        wr = RmaWorkRequest(
-            op=RmaOp.PUT, port=end.port_id, dst_node=end.dst_node_id,
-            src_nla=end.staging_nla.base + end.slot_offset(seq),
-            dst_nla=end.ring_nla.base + end.slot_offset(seq),
-            size=end.slot_size, flags=NotifyFlags.NONE)
+        dram = self.cluster.node(end.src_node_id).gpu.dram
+        slot, padded, header_addr, header = end.slot_image(
+            seq, envelope.encode() + payload)
+        dram.write(slot, padded)
+        dram.write_u64(header_addr, header)
+        wr = end.slot_put(seq)
         trc = self.sim.tracer
         if trc.wants("causal"):
             trc.flow_event("stg", f"n{end.src_node_id}",
-                           addr=(end.dst_node_id, wr.dst_nla), seq=seq,
+                           addr=end.slot_key(seq), seq=seq,
                            msg=envelope.kind.name.lower(),
                            bytes=len(payload))
         return seq, wr
@@ -235,35 +213,26 @@ class MpiCommunicator(SampledStats):
         """Fire the chain once credit admits ``seq`` into the remote ring."""
         end = window.end
 
-        def on_fired(_ev, end=end, seq=seq) -> None:
-            end.next_seq = max(end.next_seq, seq + 1)
-            if end.reliability is not None:
-                end.reliability.note_send(seq)
-
-        chain.completed.add_callback(on_fired)
+        chain.completed.add_callback(lambda _ev: end.finish_send(seq))
         window.chains[seq] = chain
         # The arming counter counts credit deliveries into the sender's
         # credit word; name that address so the chain's causal `pst` can
         # carry the credit->send edge.
-        chain.wait_hint = (end.src_node_id, end.credit_word_nla.base)
-        chain.arm(window.counter, max(0, seq - end.slots))
+        chain.wait_hint = end.credit_key
+        chain.arm(window.counter, end.credit_needed(seq))
 
     # -- the NIC-resident receive engine -------------------------------------------
     def _drain(self, end: ChannelEnd) -> None:
         """Consume every contiguous arrived slot of one inbound direction
         (inside the RMA unit's put-completion process, which a protocol
         error fails)."""
-        node = self.cluster.node(end.dst_node_id)
+        dram = self.cluster.node(end.dst_node_id).gpu.dram
         rank = self.ranks[end.dst_node_id]
         while True:
             seq = end.consumed + 1
-            slot = end.ring.base + end.slot_offset(seq)
-            header = node.gpu.dram.read_u64(
-                slot + end.slot_size - _HEADER_BYTES)
-            if (header >> _SEQ_SHIFT) != seq:
+            _, body = end.read_slot(dram, seq)
+            if body is None:
                 return                      # out of order / duplicate / idle
-            length = header & _LEN_MASK
-            body = bytes(node.gpu.dram.read(slot, length))
             end.consumed = seq
             self._return_credit(end)
             trc = self.sim.tracer
@@ -273,9 +242,8 @@ class MpiCommunicator(SampledStats):
                 # synchronously at this same instant, so actor program-order
                 # links it to the rest of the rank's timeline.
                 trc.flow_event("mrx", f"n{end.dst_node_id}",
-                               addr=(end.dst_node_id,
-                                     end.ring_nla.base + end.slot_offset(seq)),
-                               seq=seq, bytes=length)
+                               addr=end.slot_key(seq), seq=seq,
+                               bytes=len(body))
             envelope = Envelope.decode(body[:ENVELOPE_BYTES])
             if envelope.comm_id != self.comm_id:
                 raise MpiError(
@@ -286,19 +254,10 @@ class MpiCommunicator(SampledStats):
     def _return_credit(self, end: ChannelEnd) -> None:
         """Put the cumulative credit back to the sender — NIC-internal post,
         zero MMIO, mirroring the reliability engine's ack path."""
-        interval = end.credit_interval or max(1, end.slots // 2)
-        if end.consumed - end.credits_returned < interval:
+        if not end.credit_due():
             return
-        node = self.cluster.node(end.dst_node_id)
-        node.gpu.dram.write_u64(end.credit_staging.base, end.consumed)
-        reverse = self.channel(end.src_node_id,
-                               end.dst_node_id).end_for_sender(
-                                   end.dst_node_id)
-        node.nic.rma.post(RmaWorkRequest(
-            op=RmaOp.PUT, port=reverse.port_id, dst_node=reverse.dst_node_id,
-            src_nla=end.credit_staging_nla.base,
-            dst_nla=end.credit_word_nla.base, size=8,
-            flags=NotifyFlags.NONE))
+        end.credit_staging_mem.write_u64(end.credit_staging.base, end.consumed)
+        self.cluster.node(end.dst_node_id).nic.rma.post(end.credit_put())
         end.credits_returned = end.consumed
 
     # -- host-side conveniences ----------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from repro import build_extoll_cluster
 from repro.core import setup_extoll_connection
-from repro.core.modes import ExtollMode, RateMethod
+from repro.core.modes import ExtollMode
 from repro.core.pingpong import run_extoll_pingpong
-from repro.engine import PINGPONG_CONFIGS, EngineConfig, run_engine_pingpong
+from repro.engine import EngineConfig, run_engine_pingpong
 from repro.errors import BenchmarkError, ConfigError
 from repro.obs.tracer import SpanTracer
 from repro.sim import Simulator
@@ -53,13 +53,6 @@ def test_config_window_accommodates_the_batch():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         EngineConfig(**kwargs)
-
-
-def test_pingpong_config_names_are_rate_methods():
-    """The CLI mode names double as RateMethod values so every surface
-    (trace, bench, rate sweeps) spells the engine the same way."""
-    values = {m.value for m in RateMethod}
-    assert set(PINGPONG_CONFIGS) <= values
 
 
 # -- latency ------------------------------------------------------------------

@@ -97,28 +97,6 @@ def test_engine_baseline_issues_one_doorbell_per_message():
     assert cluster.a.nic.batch_doorbells == 0    # classic trigger path
 
 
-def test_rate_method_dispatch_routes_to_the_engine():
-    """RateMethod.ENGINE_BATCHED through the generic entry point must be
-    the engine proxy: identical rate to calling the driver directly."""
-    cluster, conns = fresh_extoll()
-    via_method = run_extoll_message_rate(cluster, conns,
-                                         RateMethod.ENGINE_BATCHED,
-                                         per_connection=PER_CONN)
-    cluster, conns = fresh_extoll()
-    direct, _ = run_engine_message_rate(cluster, conns,
-                                        EngineConfig.all_on(),
-                                        per_connection=PER_CONN)
-    assert via_method.messages_per_s == direct.messages_per_s
-    cluster, conns = fresh_extoll()
-    via_engine = run_extoll_message_rate(cluster, conns, RateMethod.ENGINE,
-                                         per_connection=PER_CONN)
-    cluster, conns = fresh_extoll()
-    warp, _ = run_engine_message_rate(cluster, conns,
-                                      EngineConfig.warp_only(),
-                                      per_connection=PER_CONN)
-    assert via_engine.messages_per_s == warp.messages_per_s
-
-
 def test_priority_policy_completes_with_identical_totals():
     cluster, conns = fresh_extoll()
     config = EngineConfig(policy="priority", priorities=(3, 2, 1, 0))
@@ -150,6 +128,7 @@ def test_ib_engine_outrates_gpu_dispatch_at_scale():
     blocks = run_ib_message_rate(cluster, conns, RateMethod.BLOCKS,
                                  per_connection=PER_CONN)
     cluster, conns = fresh_ib()
-    engine = run_ib_message_rate(cluster, conns, RateMethod.ENGINE_BATCHED,
-                                 per_connection=PER_CONN)
+    engine, _ = run_engine_ib_message_rate(cluster, conns,
+                                           EngineConfig.all_on(),
+                                           per_connection=PER_CONN)
     assert engine.messages_per_s > blocks.messages_per_s

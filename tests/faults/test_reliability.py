@@ -106,6 +106,28 @@ def test_permanent_outage_exhausts_retries():
     assert fwd.reliability.retransmits >= config.max_retries
 
 
+@pytest.mark.quick
+def test_duplicate_detector_re_puts_credit_once_per_replay():
+    """The receiver-side duplicate detector: a replayed put landing on an
+    already-consumed slot means the sender missed a credit, so exactly one
+    credit re-put goes back; a put of fresh data schedules none."""
+    cluster, chan, _ = make_reliable_pair(FaultPlan.none())
+    msgs = [f"msg-{i}".encode() for i in range(3)]
+    assert run_pair(cluster, chan, msgs) == msgs
+    fwd = chan.end_for_sender(0)
+    engine = fwd.reliability
+    # Every put of the lossless run carried fresh data.
+    assert (engine.ack_replays, engine.retransmits) == (0, 0)
+    # The sender lost the last credit; the NIC replays the slot of seq 3.
+    fwd.credit_mem.write_u64(fwd.credit_word.base, 2)
+    cluster.a.nic.rma.post(fwd.slot_put(3))
+    sim = cluster.sim
+    sim.run(until=sim.now + 200e-6)
+    assert engine.ack_replays == 1
+    assert fwd.read_credit() == fwd.consumed == 3
+    assert chan.end_for_sender(1).reliability.ack_replays == 0
+
+
 @pytest.mark.parametrize("mode", list(CollectiveMode),
                          ids=[m.value for m in CollectiveMode])
 def test_ring_allreduce_correct_under_loss_in_every_mode(mode):
