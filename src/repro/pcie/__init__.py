@@ -3,7 +3,7 @@
 from .dma import DmaConfig, DmaEngine
 from .link import PcieLink, PcieLinkConfig
 from .switch import FabricConfig, PcieFabric, PciePort
-from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind, chunk_payload
+from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind
 
 __all__ = [
     "DmaConfig",
@@ -16,5 +16,4 @@ __all__ = [
     "Tlp",
     "TlpKind",
     "TLP_OVERHEAD_BYTES",
-    "chunk_payload",
 ]

@@ -1,24 +1,25 @@
 """The PCIe link timing model.
 
 A link is full duplex: each direction is a FIFO pipe with finite bandwidth.
-Sending a TLP costs ``wire_bytes / bandwidth`` of serialization (during which
-the direction is busy — this is where contention between concurrent agents
-appears) plus a fixed propagation/forwarding latency to arrive.
+Moving a stream costs ``wire_bytes / bandwidth`` of serialization (during
+which the direction is busy — this is where contention between concurrent
+agents appears) plus a fixed propagation/forwarding latency to arrive.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Generator
 
 from ..errors import ConfigError
 from ..sim import NULL_SPAN, Event, Resource, Simulator
 from ..units import GB_PER_S, NS
-from .tlp import Tlp, TlpKind
+from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind
 
 #: Posted writes at or below this payload are control traffic (doorbells,
-#: flags, read pointers) rather than data movement; the link counts them
-#: separately so MMIO-coalescing optimizations show up in the books.
+#: flags, read pointers) rather than data movement; the traced
+#: ``pcie.ctrl_writes`` metric counts every hop this short.
 CTRL_WRITE_BYTES = 8
 
 
@@ -53,62 +54,51 @@ class PcieLink:
         # Independent serializers per direction.
         self._up = Resource(sim, capacity=1, name=f"{name}.up")     # device -> RC
         self._down = Resource(sim, capacity=1, name=f"{name}.down") # RC -> device
-        self.tlps_up = 0
-        self.tlps_down = 0
+        # Each hop adds ``wire - 24``: the payload plus the framing of every
+        # TLP but one.  The bench reference pins this sum as ``pcie.bytes``.
         self.bytes_up = 0
         self.bytes_down = 0
-        self.ctrl_writes_up = 0
-        self.ctrl_writes_down = 0
+        # Tags of traced TLPs: per link, so a trace file does not depend on
+        # what ran earlier in the process.
+        self._tags = itertools.count()
 
-    def _send(self, direction: Resource, tlp: Tlp,
+    def _send(self, up: bool, nbytes: int,
               bandwidth: float) -> Generator[Event, None, None]:
-        """Occupy one direction for the TLP's serialization time, then wait
-        out the propagation latency.  Returns at *delivery* time."""
-        up = direction is self._up
+        """Move an ``nbytes`` stream over one direction: hold it for the
+        stream's wire time (``nbytes`` plus framing per ``max_payload``
+        TLP) at ``bandwidth``, then wait out the propagation latency.
+        Returns at *delivery* time."""
+        wire = nbytes + TLP_OVERHEAD_BYTES * -(-nbytes // self.config.max_payload)
+        length = wire - TLP_OVERHEAD_BYTES
+        direction = self._up if up else self._down
         trc = self.sim.tracer
-        # Per-TLP instrumentation is the hottest site in the stack; gate on
+        # Per-hop instrumentation is the hottest site in the stack; gate on
         # wants() so a category-filtered tracer (the telemetry flight
-        # recorder) skips the str(tlp)/attrs construction entirely.
+        # recorder) builds no TLP at all.
         traced = trc.wants("pcie")
         yield direction.acquire()
         # The span covers the serialization window only (the direction is
         # exclusively held), so spans on one link track never overlap.
-        span = (trc.begin("pcie", str(tlp),
-                          track=f"{self.name}.{'up' if up else 'down'}",
-                          **tlp.trace_attrs())
-                if traced else NULL_SPAN)
+        if traced:
+            tlp = Tlp(TlpKind.MEM_WRITE, 0, length, next(self._tags))
+            span = trc.begin("pcie", str(tlp),
+                             track=f"{self.name}.{'up' if up else 'down'}",
+                             **tlp.trace_attrs())
+        else:
+            span = NULL_SPAN
         try:
-            yield self.sim.timeout(tlp.wire_bytes / bandwidth)
+            yield self.sim.timeout(wire / bandwidth)
         finally:
             span.end()
             direction.release()
-        ctrl = (tlp.kind is TlpKind.MEM_WRITE
-                and tlp.length <= CTRL_WRITE_BYTES)
         if up:
-            self.tlps_up += 1
-            self.bytes_up += tlp.length
-            self.ctrl_writes_up += ctrl
+            self.bytes_up += length
         else:
-            self.tlps_down += 1
-            self.bytes_down += tlp.length
-            self.ctrl_writes_down += ctrl
+            self.bytes_down += length
         yield self.sim.timeout(self.config.latency)
         if traced:
             m = trc.metrics
             m.counter(f"pcie.tlps_{'up' if up else 'down'}").inc()
-            m.counter("pcie.wire_bytes").inc(tlp.wire_bytes)
-            if ctrl:
+            m.counter("pcie.wire_bytes").inc(wire)
+            if length <= CTRL_WRITE_BYTES:
                 m.counter("pcie.ctrl_writes").inc()
-
-    def send_up(self, tlp: Tlp, bandwidth: float | None = None) -> Generator:
-        """Device -> root complex.  ``bandwidth`` overrides the link rate
-        (used to model the peer-to-peer read pathology)."""
-        return self._send(self._up, tlp, bandwidth or self.config.bandwidth)
-
-    def send_down(self, tlp: Tlp, bandwidth: float | None = None) -> Generator:
-        """Root complex -> device."""
-        return self._send(self._down, tlp, bandwidth or self.config.bandwidth)
-
-    def serialization_time(self, payload: int) -> float:
-        """Pure wire time of a payload of this size in one TLP."""
-        return (payload + 24) / self.config.bandwidth

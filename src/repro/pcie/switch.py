@@ -21,14 +21,17 @@ degraded bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
-from ..errors import PcieError
+from ..errors import ConfigError, PcieError
 from ..memory import AddressMap, MemorySpace, Memory, MmioWindow
 from ..sim import Event, Simulator
 from ..units import GB_PER_S, MIB, NS
 from .link import PcieLink, PcieLinkConfig
-from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind, chunk_payload
+from .tlp import TLP_OVERHEAD_BYTES
+
+#: The ``(link, upstream)`` hops one phase of an access crosses, in order.
+Hops = Tuple[Tuple[PcieLink, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,13 @@ class FabricConfig:
     p2p_read_floor: float = 0.9 * GB_PER_S
     p2p_pathology_enabled: bool = True
 
+    def __post_init__(self) -> None:
+        if min(self.host_memory_latency, self.gpu_memory_latency,
+               self.mmio_latency) < 0:
+            raise ConfigError("memory and MMIO latencies must be non-negative")
+        if self.p2p_read_threshold <= 0 or self.p2p_read_floor <= 0:
+            raise ConfigError("P2P read threshold and floor must be positive")
+
 
 class PciePort:
     """An initiator/owner attachment point on the fabric."""
@@ -55,20 +65,15 @@ class PciePort:
         self.fabric = fabric
         self.name = name
         self.link = link  # None for the root port (CPU / host DRAM side)
-        self.reads_issued = 0
-        self.writes_issued = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     # Generators — run them with `yield from` inside a process.
     def write(self, addr: int, data: bytes,
               stream_total: Optional[int] = None) -> Generator[Event, None, None]:
-        yield from self.fabric._write(self, addr, data, stream_total)
+        return self.fabric._write(self, addr, data, stream_total)
 
     def read(self, addr: int, length: int,
              stream_total: Optional[int] = None) -> Generator[Event, None, bytes]:
-        data = yield from self.fabric._read(self, addr, length, stream_total)
-        return data
+        return self.fabric._read(self, addr, length, stream_total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PciePort {self.name}>"
@@ -84,6 +89,8 @@ class PcieFabric:
         self.config = config or FabricConfig()
         self.ports: Dict[str, PciePort] = {}
         self._owners: Dict[int, PciePort] = {}  # id(target) -> owning port
+        #: (initiator, owner) -> (request hops, completion hops).
+        self._routes: Dict[Tuple[PciePort, PciePort], Tuple[Hops, Hops]] = {}
         self.root = PciePort(self, "root", link=None)
         self.ports["root"] = self.root
 
@@ -121,16 +128,24 @@ class PcieFabric:
             return self.config.gpu_memory_latency
         return self.config.mmio_latency
 
-    def _hops(self, src: PciePort, dst: PciePort) -> List[PcieLink]:
-        """Links crossed between two ports (0, 1, or 2)."""
-        if src is dst:
-            return []
-        links = [p.link for p in (src, dst) if p.link is not None]
-        return links
+    def _route(self, src: PciePort, owner: PciePort) -> Tuple[Hops, Hops]:
+        """The hops of a request from ``src`` to a target behind ``owner``,
+        and of its completion; worked out once per port pair.
 
-    @staticmethod
-    def _wire_bytes(nbytes: int, max_payload: int) -> int:
-        return nbytes + TLP_OVERHEAD_BYTES * len(chunk_payload(nbytes, max_payload))
+        A request goes up the initiator's link and down the owner's (the
+        root port has no link); the completion retraces it in reverse, each
+        hop in the other direction.  An access within one port crosses
+        nothing."""
+        route = self._routes.get((src, owner))
+        if route is None:
+            request: Hops = ()
+            if src is not owner:
+                request = tuple((link, up) for link, up in
+                                ((src.link, True), (owner.link, False))
+                                if link is not None)
+            completion = tuple((link, not up) for link, up in reversed(request))
+            route = self._routes[src, owner] = (request, completion)
+        return route
 
     def _effective_read_bw(self, target: object, src: PciePort,
                            stream_total: Optional[int], base_bw: float) -> float:
@@ -147,66 +162,42 @@ class PcieFabric:
             return min(base_bw, max(self.config.p2p_read_floor, scaled))
         return base_bw
 
-    def _stream(self, hops: List[PcieLink], upstream: bool, nbytes: int,
-                bandwidth_cap: Optional[float] = None) -> Generator:
-        """Move a data stream across the path: serialization on each hop at
-        the bottleneck rate (held one hop at a time, store-and-forward at
-        message granularity), plus each hop's propagation latency."""
-        if not hops:
-            return
-        for link in hops:
-            bw = link.config.bandwidth
-            if bandwidth_cap is not None:
-                bw = min(bw, bandwidth_cap)
-            wire = self._wire_bytes(nbytes, link.config.max_payload)
-            tlp = Tlp(TlpKind.MEM_WRITE, 0, nbytes)
-            # Direction bookkeeping: the first hop of an initiator's access is
-            # "up" (toward the RC); the final hop toward a device is "down".
-            send = link.send_up if upstream else link.send_down
-            # Override serialization with the whole-stream wire size.
-            yield from send(Tlp(tlp.kind, tlp.address, wire - TLP_OVERHEAD_BYTES), bw)
-            upstream = not upstream if len(hops) > 1 else upstream
-
     # -- timed accesses ---------------------------------------------------------------
+    # Each hop is serialized at the bottleneck rate (held one hop at a time,
+    # store-and-forward at message granularity), plus the hop's latency.
     def _write(self, src: PciePort, addr: int, data: bytes,
                stream_total: Optional[int]) -> Generator:
         if not data:
             raise PcieError("zero-length write")
-        target, offset, owner = self._resolve(addr, len(data))
-        hops = self._hops(src, owner)
-        yield from self._stream(hops, upstream=src is not self.root,
-                                nbytes=len(data))
+        nbytes = len(data)
+        target, offset, owner = self._resolve(addr, nbytes)
+        for link, up in self._route(src, owner)[0]:
+            yield from link._send(up, nbytes, link.config.bandwidth)
         yield self.sim.timeout(self._target_latency(target))
         self._deliver_write(target, offset, data)
-        src.writes_issued += 1
-        src.bytes_written += len(data)
 
     def _read(self, src: PciePort, addr: int, length: int,
               stream_total: Optional[int]) -> Generator:
         if length <= 0:
             raise PcieError("non-positive read length")
         target, offset, owner = self._resolve(addr, length)
-        hops = self._hops(src, owner)
-        # Request phase: a header-only TLP per max_read_request chunk.
-        n_requests = len(chunk_payload(length, hops[0].config.max_read_request)) \
-            if hops else 1
-        if hops:
-            req_wire = TLP_OVERHEAD_BYTES * n_requests
-            yield from self._stream(hops, upstream=src is not self.root,
-                                    nbytes=max(req_wire - TLP_OVERHEAD_BYTES, 1))
+        request, completion = self._route(src, owner)
+        if request:
+            # Request phase: a header-only TLP per chunk of the first hop's
+            # max_read_request.
+            n_requests = -(-length // request[0][0].config.max_read_request)
+            nbytes = max(TLP_OVERHEAD_BYTES * n_requests - TLP_OVERHEAD_BYTES, 1)
+            for link, up in request:
+                yield from link._send(up, nbytes, link.config.bandwidth)
         yield self.sim.timeout(self._target_latency(target))
         data = self._collect_read(target, offset, length)
-        # Completion phase: data streams back, possibly degraded (P2P pathology).
-        bw_cap = self._effective_read_bw(target, src, stream_total,
-                                         hops[0].config.bandwidth if hops else float("inf"))
-        # The completion's first hop is *up* the owner's link when the target
-        # sits behind a device port; otherwise it goes straight down to src.
-        yield from self._stream(list(reversed(hops)),
-                                upstream=owner.link is not None,
-                                nbytes=length,
-                                bandwidth_cap=bw_cap if hops else None)
-        src.reads_issued += 1
-        src.bytes_read += length
+        if completion:
+            # Completion phase: data streams back, possibly degraded (P2P
+            # pathology).
+            cap = self._effective_read_bw(target, src, stream_total,
+                                          request[0][0].config.bandwidth)
+            for link, up in completion:
+                yield from link._send(up, length, min(link.config.bandwidth, cap))
         return data
 
     # -- functional effects ----------------------------------------------------------

@@ -1,42 +1,33 @@
 """PCIe transaction-layer packets (TLPs) — the timing currency of the fabric.
 
-Only the properties that matter for throughput/latency are modeled: kind,
-size, and routing.  Payload bytes move functionally at delivery time.
+Only the properties that matter for throughput/latency are modeled: size
+and routing.  Payload bytes move functionally at delivery time.  Every hop
+is framed as posted-write TLPs of at most ``max_payload`` bytes; a
+:class:`Tlp` object is built only to describe a hop on a trace span.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TlpKind(enum.Enum):
     MEM_WRITE = "MWr"        # posted
-    MEM_READ = "MRd"         # non-posted, answered by a completion
-    COMPLETION = "CplD"      # completion with data
 
 
 # Gen2/Gen3-era framing overhead per TLP: 12-16 B header + 8 B framing/seq/CRC.
 TLP_OVERHEAD_BYTES = 24
 
-_seq = itertools.count()
-
 
 @dataclass(frozen=True)
 class Tlp:
-    """One transaction-layer packet."""
+    """One transaction-layer packet, as a trace span names it."""
 
     kind: TlpKind
     address: int
-    length: int                       # payload bytes (0 for read requests)
-    requester: str = ""               # port name, for completions/debug
-    tag: int = field(default_factory=lambda: next(_seq))
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes occupying the link, including framing overhead."""
-        return TLP_OVERHEAD_BYTES + self.length
+    length: int                       # wire bytes less one TLP's framing
+    tag: int                          # numbered per link
 
     def trace_attrs(self) -> dict:
         """Key/value attributes identifying this TLP on a trace span."""
@@ -45,13 +36,3 @@ class Tlp:
 
     def __str__(self) -> str:
         return f"{self.kind.value}@{self.address:#x}+{self.length}"
-
-
-def chunk_payload(total: int, max_payload: int) -> list[int]:
-    """Split ``total`` bytes into TLP-payload-sized chunks."""
-    if total <= 0:
-        raise ValueError(f"non-positive payload {total}")
-    if max_payload <= 0:
-        raise ValueError(f"non-positive max_payload {max_payload}")
-    full, rest = divmod(total, max_payload)
-    return [max_payload] * full + ([rest] if rest else [])

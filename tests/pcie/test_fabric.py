@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PcieError
+from repro.errors import ConfigError, PcieError
 from repro.memory import (
     GPU_DRAM_BASE,
     HOST_DRAM_BASE,
@@ -236,3 +236,17 @@ def test_duplicate_port_name_rejected():
     sim, fabric, *_rest = build_node()
     with pytest.raises(PcieError):
         fabric.attach("gpu")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("host_memory_latency", -1e-9),
+    ("gpu_memory_latency", -1e-9),
+    ("mmio_latency", -1e-9),
+    ("p2p_read_threshold", 0),
+    ("p2p_read_threshold", -1),
+    ("p2p_read_floor", 0.0),
+    ("p2p_read_floor", -1.0),
+])
+def test_bad_fabric_config_rejected_when_built(field, value):
+    with pytest.raises(ConfigError):
+        FabricConfig(**{field: value})

@@ -60,11 +60,12 @@ def test_faulted_run_bitwise_repeatable():
     from repro.obs.export import chrome_trace_events
 
     def scrub(events):
-        # Packet seqs and PCIe tags are allocated from process-global
-        # counters (unique IDs, not simulation state): they differ between
-        # two runs in ONE interpreter but never affect timing or ordering.
+        # Packet seqs are allocated from a process-global counter (unique
+        # IDs, not simulation state): they differ between two runs in ONE
+        # interpreter but never affect timing or ordering.  PCIe tags are
+        # numbered per link, so they must repeat.
         return [{**ev, "args": {k: v for k, v in ev.get("args", {}).items()
-                                if k not in ("seq", "tag")}}
+                                if k != "seq"}}
                 for ev in events]
 
     def run():
