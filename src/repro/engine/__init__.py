@@ -27,8 +27,6 @@ from .engine import (
     EngineStats,
     aggregate_schedule,
     channel_payload,
-    engine_extoll_rate_handles,
-    engine_ib_rate_handles,
     run_engine_channel_traffic,
     run_engine_ib_message_rate,
     run_engine_message_rate,
@@ -58,8 +56,6 @@ __all__ = [
     "aggregate_schedule",
     "batched_mmio_floor",
     "channel_payload",
-    "engine_extoll_rate_handles",
-    "engine_ib_rate_handles",
     "run_engine_channel_traffic",
     "run_engine_ib_message_rate",
     "run_engine_message_rate",

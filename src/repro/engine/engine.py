@@ -221,14 +221,25 @@ def run_engine_pingpong(cluster: Cluster, conn: ExtollConnection, size: int,
 # Message rate: the EXTOLL engine proxy (Fig. 2 structure replaced)
 # =============================================================================
 
-def engine_extoll_rate_handles(cluster: Cluster,
-                               connections: Sequence[ExtollConnection],
-                               per_connection: int, timing: _RateTiming,
-                               config: EngineConfig,
-                               stats: Optional[EngineStats] = None) -> list:
-    """Build the engine proxy process for the EXTOLL message-rate
-    benchmark: ONE persistent block multiplexing every connection."""
+def run_engine_message_rate(cluster: Cluster,
+                            connections: Sequence[ExtollConnection],
+                            config: Optional[EngineConfig] = None,
+                            per_connection: int = 120,
+                            stats: Optional[EngineStats] = None,
+                            ) -> Tuple[RatePoint, EngineStats]:
+    """The Fig. 2 message-rate experiment through the engine proxy.
+    Returns the measured :class:`RatePoint` plus the engine's accounting
+    (for the MMIO-coalescing invariants).  Pass ``stats`` to share the
+    accounting object with a live observer (the telemetry sampler polls it
+    mid-run); omitted, a fresh one is created."""
+    _check(connections, per_connection)
+    config = config or EngineConfig.all_on()
+    timing = _RateTiming()
     stats = stats if stats is not None else EngineStats()
+    for conn in connections:
+        conn.a.reset_flags()
+        conn.b.reset_flags()
+    # The proxy: ONE persistent block multiplexing every connection.
     gpu = connections[0].a.node.gpu
     lanes_n = len(connections)
     schedule = aggregate_schedule(
@@ -336,30 +347,8 @@ def engine_extoll_rate_handles(cluster: Cluster,
         stats.timeout_flushes += batcher.timeout_flushes
         stats.backoff_yields += backoff.yields
 
-    return [gpu.launch(proxy, grid=1, block=1)]
-
-
-def run_engine_message_rate(cluster: Cluster,
-                            connections: Sequence[ExtollConnection],
-                            config: Optional[EngineConfig] = None,
-                            per_connection: int = 120,
-                            stats: Optional[EngineStats] = None,
-                            ) -> Tuple[RatePoint, EngineStats]:
-    """The Fig. 2 message-rate experiment through the engine proxy.
-    Returns the measured :class:`RatePoint` plus the engine's accounting
-    (for the MMIO-coalescing invariants).  Pass ``stats`` to share the
-    accounting object with a live observer (the telemetry sampler polls it
-    mid-run); omitted, a fresh one is created."""
-    _check(connections, per_connection)
-    config = config or EngineConfig.all_on()
-    timing = _RateTiming()
-    stats = stats if stats is not None else EngineStats()
-    for conn in connections:
-        conn.a.reset_flags()
-        conn.b.reset_flags()
-    handles = engine_extoll_rate_handles(cluster, connections, per_connection,
-                                         timing, config, stats)
-    run_measured(cluster, handles, "message-rate:engine",
+    run_measured(cluster, [gpu.launch(proxy, grid=1, block=1)],
+                 "message-rate:engine",
                  connections=len(connections), per_connection=per_connection,
                  engine=config.describe())
     return timing.point(len(connections), per_connection), stats
@@ -369,15 +358,20 @@ def run_engine_message_rate(cluster: Cluster,
 # Message rate: the InfiniBand engine proxy (Fig. 5 structure replaced)
 # =============================================================================
 
-def engine_ib_rate_handles(cluster: Cluster,
-                           connections: Sequence[IbConnection],
-                           per_connection: int, timing: _RateTiming,
-                           config: EngineConfig,
-                           stats: Optional[EngineStats] = None) -> list:
-    """One persistent block posting batched WQEs over every QP: N wide WQE
-    stores, one fence, ONE doorbell per batch (cumulative producer index).
-    Aggregation is an EXTOLL-side device; IB batches descriptors only."""
-    stats = stats if stats is not None else EngineStats()
+def run_engine_ib_message_rate(cluster: Cluster,
+                               connections: Sequence[IbConnection],
+                               config: Optional[EngineConfig] = None,
+                               per_connection: int = 120,
+                               ) -> Tuple[RatePoint, EngineStats]:
+    """The Fig. 5 message-rate experiment through the engine proxy: one
+    persistent block posting batched WQEs over every QP, N wide WQE
+    stores, one fence and ONE doorbell per batch (cumulative producer
+    index).  Aggregation is an EXTOLL-side device; IB batches descriptors
+    only."""
+    _check(connections, per_connection)
+    config = config or EngineConfig.all_on()
+    timing = _RateTiming()
+    stats = EngineStats()
     gpu = connections[0].a.node.gpu
     lanes_n = len(connections)
 
@@ -444,21 +438,8 @@ def engine_ib_rate_handles(cluster: Cluster,
         timing.ends.append(ctx.sim.now)
         stats.backoff_yields += backoff.yields
 
-    return [gpu.launch(proxy, grid=1, block=1)]
-
-
-def run_engine_ib_message_rate(cluster: Cluster,
-                               connections: Sequence[IbConnection],
-                               config: Optional[EngineConfig] = None,
-                               per_connection: int = 120,
-                               ) -> Tuple[RatePoint, EngineStats]:
-    _check(connections, per_connection)
-    config = config or EngineConfig.all_on()
-    timing = _RateTiming()
-    stats = EngineStats()
-    handles = engine_ib_rate_handles(cluster, connections, per_connection,
-                                     timing, config, stats)
-    run_measured(cluster, handles, "message-rate:ib-engine",
+    run_measured(cluster, [gpu.launch(proxy, grid=1, block=1)],
+                 "message-rate:ib-engine",
                  connections=len(connections), per_connection=per_connection,
                  engine=config.describe())
     return timing.point(len(connections), per_connection), stats

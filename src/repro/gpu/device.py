@@ -130,7 +130,7 @@ class Gpu:
         """Process fragment: copy device -> host over PCIe."""
         phys = self.uva.translate(device_addr, length)
         data = self.dram.read(phys, length)
-        yield from self.port.write(host_addr, data, stream_total=length)
+        yield from self.port.write(host_addr, data)
 
     def memcpy_htod(self, device_addr: int, host_addr: int, length: int):
         """Process fragment: copy host -> device over PCIe."""

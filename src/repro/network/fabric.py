@@ -93,6 +93,10 @@ class RouterEndpoint:
 
     def __init__(self, sim: Simulator, node_id: int,
                  forward_time: Optional[float] = FORWARD_TIME) -> None:
+        if forward_time is not None and forward_time < 0:
+            raise NetworkError(
+                f"router {node_id}: forward_time must be >= 0 (or None), "
+                f"got {forward_time!r}")
         self.sim = sim
         self.node_id = node_id
         #: Per-node override of the relay cost; ``None`` defers to each

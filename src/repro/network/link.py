@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import NetworkError
-from ..sim import Event, NULL_SPAN, Resource, Simulator, Store
+from ..sim import Event, NULL_SPAN, Resource, Simulator, Store, Timeout
+from ..sim.event import PROCESSED
 from ..units import GB_PER_S, NS
 from .packet import Packet
 
@@ -143,6 +144,56 @@ class FlowState:
         return self.stall_time[0] + self.stall_time[1]
 
 
+class Delivery(Event):
+    """One packet's trip from the far end of the wire into the inbox.
+
+    It pushes the four events a delivery process would, at the same
+    turns: a start event, the ``delay`` timeout, the inbox ``put``, and
+    itself, succeeding once that put is processed.  A chained delivery
+    whose timeout fires while ``prev`` (the delivery sent before it) is
+    still unprocessed waits for ``prev`` before it puts, so packets land
+    in the order they were sent.
+    """
+
+    __slots__ = ("link", "side", "packet", "prev", "delay", "label")
+
+    def __init__(self, link: "NetLink", side: int, packet: Packet,
+                 prev: Optional["Delivery"], delay: float, label: str) -> None:
+        sim = link.sim
+        super().__init__(sim, ("{}.{}{}", link.name, label, packet.seq))
+        self.link = link
+        self.side = side
+        self.packet = packet
+        self.prev = prev
+        self.delay = delay
+        self.label = label
+        start = Event(sim, ("start:{.name}", self))
+        start.callbacks.append(self._start)
+        start.succeed()
+
+    def _start(self, _start: Event) -> None:
+        Timeout(self.sim, self.delay).callbacks.append(self._arrive)
+
+    def _arrive(self, _trigger: Event) -> None:
+        prev = self.prev
+        if prev is not None:
+            self.prev = None    # keep no more of the chain than is in flight
+            if prev._state is not PROCESSED:
+                prev.callbacks.append(self._arrive)
+                return
+        link = self.link
+        trc = self.sim.tracer
+        if trc.enabled:
+            trc.instant("net", f"{self.label}:{self.packet.kind.value}",
+                        track=f"{link.name}.rx{1 - self.side}",
+                        seq=self.packet.seq)
+        link.inbox[1 - self.side].put(self.packet).callbacks.append(
+            self._done)
+
+    def _done(self, _put: Event) -> None:
+        self.succeed()
+
+
 class NetLink:
     """A full-duplex cable between two NICs (endpoints 0 and 1)."""
 
@@ -157,7 +208,7 @@ class NetLink:
         self.packets_sent = [0, 0]
         self.bytes_sent = [0, 0]
         # In-order delivery despite concurrent senders: a delivery chain per
-        # direction (each delivery waits on the previous one).
+        # direction (each Delivery waits on the previous one).
         self._last_delivery = [None, None]
         # Fault-injection state; None (the default) keeps the reliable
         # fabric of the paper at the cost of one attribute check per send.
@@ -222,35 +273,16 @@ class NetLink:
                     flow.release(endpoint, vc)  # dropped: slot never filled
                 return                      # dropped: no delivery at all
             packet, extra_delay = verdict
-        # Chain delivery so packets arrive strictly in send-completion order.
-        dst_inbox = self.inbox[1 - endpoint]
-        prev = self._last_delivery[endpoint]
-
-        def deliver():
-            yield self.sim.timeout(self.config.latency)
-            if prev is not None and not prev.processed:
-                yield prev
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "net", f"deliver:{packet.kind.value}",
-                    track=f"{self.name}.rx{1 - endpoint}", seq=packet.seq)
-            yield dst_inbox.put(packet)
-
-        def deliver_late():
-            # Fault-delayed: off the in-order chain, free to reorder.
-            yield self.sim.timeout(self.config.latency + extra_delay)
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    "net", f"deliver-late:{packet.kind.value}",
-                    track=f"{self.name}.rx{1 - endpoint}", seq=packet.seq)
-            yield dst_inbox.put(packet)
-
         if extra_delay > 0.0:
-            self.sim.process(deliver_late(),
-                             name=("{}.deliver-late{}", self.name, packet.seq))
+            # Fault-delayed: off the in-order chain, free to reorder.
+            Delivery(self, endpoint, packet, None,
+                     self.config.latency + extra_delay, "deliver-late")
         else:
-            self._last_delivery[endpoint] = self.sim.process(
-                deliver(), name=("{}.deliver{}", self.name, packet.seq))
+            # Chain delivery so packets arrive strictly in send-completion
+            # order.
+            self._last_delivery[endpoint] = Delivery(
+                self, endpoint, packet, self._last_delivery[endpoint],
+                self.config.latency, "deliver")
 
     def release_credit(self, consumer_side: int, packet: Packet,
                        vc: Optional[int] = None) -> None:

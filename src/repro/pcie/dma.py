@@ -105,8 +105,7 @@ class DmaEngine:
             offset = 0
             while offset < len(data):
                 step = min(self.config.chunk_bytes, len(data) - offset)
-                yield from self.port.write(addr + offset, data[offset:offset + step],
-                                           stream_total=len(data))
+                yield from self.port.write(addr + offset, data[offset:offset + step])
                 offset += step
         finally:
             span.end()

@@ -67,9 +67,8 @@ class PciePort:
         self.link = link  # None for the root port (CPU / host DRAM side)
 
     # Generators — run them with `yield from` inside a process.
-    def write(self, addr: int, data: bytes,
-              stream_total: Optional[int] = None) -> Generator[Event, None, None]:
-        return self.fabric._write(self, addr, data, stream_total)
+    def write(self, addr: int, data: bytes) -> Generator[Event, None, None]:
+        return self.fabric._write(self, addr, data)
 
     def read(self, addr: int, length: int,
              stream_total: Optional[int] = None) -> Generator[Event, None, bytes]:
@@ -165,8 +164,7 @@ class PcieFabric:
     # -- timed accesses ---------------------------------------------------------------
     # Each hop is serialized at the bottleneck rate (held one hop at a time,
     # store-and-forward at message granularity), plus the hop's latency.
-    def _write(self, src: PciePort, addr: int, data: bytes,
-               stream_total: Optional[int]) -> Generator:
+    def _write(self, src: PciePort, addr: int, data: bytes) -> Generator:
         if not data:
             raise PcieError("zero-length write")
         nbytes = len(data)

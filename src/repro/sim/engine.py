@@ -6,14 +6,18 @@ changes happen inside event callbacks, which in practice means inside
 coroutine *processes* (:mod:`repro.sim.process`).
 
 Determinism: ties in time are broken by a monotonically increasing sequence
-number, so two runs of the same model produce identical schedules.
+number, so two runs of the same model produce identical schedules.  Events
+triggered for the current instant skip the heap for a FIFO deque that
+fires after the heap entries due now, which is the order the heap would
+give them (see :meth:`Simulator._loop`).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from heapq import heappop
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
 from .event import PROCESSED, Event, Name, Timeout
@@ -100,6 +104,8 @@ class Simulator:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq: int = 0
+        #: Events triggered for the current instant, in trigger order.
+        self._ready: Deque[Event] = deque()
         self._processes: Dict[Any, None] = {}   # live, in spawn order
         #: Unobserved failures as (sim time, event); see :meth:`_exit`.
         self._failures: List[Tuple[float, Event]] = []
@@ -155,33 +161,53 @@ class Simulator:
     # -- running ----------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
+        if self._ready:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._heap:
+        if not self._heap and not self._ready:
             raise SimulationError("step() on an empty schedule")
-        self._loop(self._heap[0][0], [1], once=True)
+        self._loop(self.peek(), [1], once=True)
 
     def _loop(self, horizon: float, left: List[int], once: bool = False) -> None:
         """Process events in (time, seq) order until ``left[0]`` is 0, the
         schedule drains, or the next event lies past ``horizon``; with
         ``once``, process one event.
 
+        The next event is the heap's top while it is due now, else the
+        head of ``_ready``, else the heap's top at a later time.  That is
+        (time, seq) order: a heap entry due now was pushed before the
+        clock got here, ahead of every same-instant trigger, and those
+        fire in push order.  ``_ready`` holds only events due now, since
+        the clock moves on only once it is empty.
+
         Processing an event sets it processed and runs its callbacks; a
         failure with no callback to observe it is recorded, and the run
         call raises it on exit (see :meth:`_exit`).
         """
         heap = self._heap
-        while left[0] and heap:
-            if heap[0][0] > horizon:
+        ready = self._ready
+        popleft = ready.popleft
+        now = self._now
+        if now > horizon:       # a time limit already behind the clock
+            return
+        while left[0]:
+            if ready and not (heap and heap[0][0] == now):
+                event = popleft()
+            elif heap:
+                when = heap[0][0]
+                if when > horizon:
+                    return
+                if when < now:  # pragma: no cover - delays are never negative
+                    raise SimulationError("time went backwards")
+                event = heappop(heap)[2]
+                self._now = now = when
+            else:
                 return
             if once:
                 left[0] = 0
-            when, _seq, event = heappop(heap)
-            if when < self._now:  # pragma: no cover - delays are never negative
-                raise SimulationError("time went backwards")
-            self._now = when
             self.events_processed += 1
             event._state = PROCESSED
             callbacks = event.callbacks
@@ -190,7 +216,7 @@ class Simulator:
                 for cb in callbacks:
                     cb(event)
             elif event._ok is False:
-                self._failures.append((when, event))
+                self._failures.append((now, event))
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time reaches ``until``.
@@ -232,7 +258,7 @@ class Simulator:
         self._loop(_INF if limit is None else limit, left)
         stuck = None
         if left[0] > 0:
-            if not self._heap:
+            if not self._heap and not self._ready:
                 stuck = self._deadlock(
                     "schedule drained before awaited events completed: "
                     + ", ".join(repr(e) for e in events if not e.processed))
@@ -272,4 +298,5 @@ class Simulator:
         return DeadlockError("\n".join(lines))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:g} queued={len(self._heap)}>"
+        queued = len(self._heap) + len(self._ready)
+        return f"<Simulator now={self._now:g} queued={queued}>"

@@ -5,10 +5,13 @@ succeeded with a value or failed with an exception), and then runs its
 callbacks when the simulator processes it.  Processes wait on events by
 ``yield``-ing them; see :mod:`repro.sim.process`.
 
-Triggering pushes the event onto the simulator's heap as
-``(now + delay, seq, event)``.  Equal times fire in ``seq`` order, so the
-heap order is the model; :meth:`Event.succeed` and :class:`Timeout` make
-that push themselves, in one frame.
+Triggering for a later time pushes the event onto the simulator's heap as
+``(now + delay, seq, event)``; equal times fire in ``seq`` order.
+Triggering for the current instant (``now + delay == now``) appends it to
+the simulator's ``_ready`` deque instead, which fires after every heap
+entry due now (all pushed before the clock got here) and in push order:
+the order the heap would give.  :meth:`Event.succeed` and
+:class:`Timeout` make that push themselves, in one frame.
 """
 
 from __future__ import annotations
@@ -118,8 +121,13 @@ class Event:
         self._ok = True
         self._value = value
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))
-        sim._seq += 1
+        now = sim._now
+        when = now + delay
+        if when == now:
+            sim._ready.append(self)
+        else:
+            heappush(sim._heap, (when, sim._seq, self))
+            sim._seq += 1
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -164,5 +172,10 @@ class Timeout(Event):
         self._value = value
         self.callbacks = []
         self.delay = delay
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))
-        sim._seq += 1
+        now = sim._now
+        when = now + delay
+        if when == now:
+            sim._ready.append(self)
+        else:
+            heappush(sim._heap, (when, sim._seq, self))
+            sim._seq += 1

@@ -1,10 +1,13 @@
 """Unit + property tests for network links and the fabric."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
 from repro.network import NetLinkConfig, NetworkFabric, Packet, PacketKind
+from repro.network import link as link_module
 from repro.sim import Simulator, join_result
 from repro.units import KIB, US
 
@@ -151,3 +154,116 @@ def test_property_all_payloads_arrive_in_order(payloads):
     sim.process(receiver())
     sim.run()
     assert received == payloads
+
+
+# -- Delivery against the per-packet delivery processes it replaced ------------
+
+def reference_delivery(link, side, packet, prev, delay, label):
+    """The ``deliver()``/``deliver_late()`` process ``NetLink.send`` spawned
+    per packet before :class:`~repro.network.link.Delivery`."""
+    sim = link.sim
+    dst_inbox = link.inbox[1 - side]
+
+    def deliver():
+        yield sim.timeout(delay)
+        if prev is not None and not prev.processed:
+            yield prev
+        if sim.tracer.enabled:
+            sim.tracer.instant(
+                "net", f"deliver:{packet.kind.value}",
+                track=f"{link.name}.rx{1 - side}", seq=packet.seq)
+        yield dst_inbox.put(packet)
+
+    def deliver_late():
+        # Fault-delayed: off the in-order chain, free to reorder.
+        yield sim.timeout(delay)
+        if sim.tracer.enabled:
+            sim.tracer.instant(
+                "net", f"deliver-late:{packet.kind.value}",
+                track=f"{link.name}.rx{1 - side}", seq=packet.seq)
+        yield dst_inbox.put(packet)
+
+    if label == "deliver-late":
+        return sim.process(deliver_late(),
+                           name=("{}.deliver-late{}", link.name, packet.seq))
+    return sim.process(deliver(), name=("{}.deliver{}", link.name, packet.seq))
+
+
+class DelayOne:
+    """Fault state that holds back packet ``late`` by ``extra`` seconds."""
+
+    def __init__(self, late, extra):
+        self.late, self.extra = late, extra
+
+    def filter_tx(self, packet):
+        return packet, (self.extra if packet.meta["i"] == self.late else 0.0)
+
+
+def run_sends(config, sends, late=None, extra=0.0):
+    """Send ``(time, side, payload bytes)`` packets over one link, each from
+    its own process; return, per inbox and in arrival order, each packet's
+    ``(i, arrival time, events processed before it arrived)``, and the
+    events processed in all."""
+    sim, a, b = make_pair(config=config)
+    if late is not None:
+        a.link.faults = DelayOne(late, extra)
+    ends = (a, b)
+    arrivals = ([], [])
+    for side, inbox in enumerate(a.link.inbox):
+        def put(packet, put=inbox.put, side=side):
+            arrivals[side].append(
+                (packet.meta["i"], sim.now, sim.events_processed))
+            return put(packet)
+        inbox.put = put
+
+    def sender(i, at, side, size):
+        yield sim.timeout(at)
+        packet = pkt(bytes(size), src=side, dst=1 - side)
+        packet.meta["i"] = i
+        yield from ends[side].send(packet)
+
+    def receiver(side, count):
+        for _ in range(count):
+            yield ends[side].recv()
+
+    for i, (at, side, size) in enumerate(sends):
+        sim.process(sender(i, at, side, size))
+    for side in (0, 1):
+        sim.process(receiver(side, sum(s != side for _t, s, _n in sends)))
+    sim.run()
+    return arrivals, sim.events_processed
+
+
+def assert_matches_reference(config, sends, late=None, extra=0.0):
+    got = run_sends(config, sends, late, extra)
+    with mock.patch.object(link_module, "Delivery", reference_delivery):
+        want = run_sends(config, sends, late, extra)
+    assert got == want
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.builds(NetLinkConfig,
+                        bandwidth=st.sampled_from([1e9, 5e9]),
+                        latency=st.sampled_from([0.0, 0.2 * US, 1 * US]),
+                        credits=st.none() | st.integers(1, 3)),
+       sends=st.lists(st.tuples(st.sampled_from([0.0, 0.1 * US, 0.5 * US]),
+                                st.integers(0, 1),
+                                st.integers(0, 2 * KIB)),
+                      min_size=1, max_size=12),
+       late=st.none() | st.integers(0, 11),
+       extra=st.sampled_from([0.3 * US, 2 * US]))
+def test_delivery_matches_the_process_it_replaced(config, sends, late, extra):
+    assert_matches_reference(config, sends, late, extra)
+
+
+def test_deliveries_landing_at_one_instant_keep_the_reference_order():
+    # At t = 1e3 s a 32-byte packet's 3.2e-14 s serialization vanishes in
+    # now + t, so back-to-back sends finish serializing, and land, at one
+    # instant: the later delivery's timeout fires while the earlier one
+    # is still unprocessed, and waits on it.
+    config = NetLinkConfig(bandwidth=1e15, latency=1 * US)
+    sends = [(1e3, 0, 0), (1e3, 0, 0), (1e3, 0, 0), (1e3, 1, 0)]
+    (rx0, rx1), _events = assert_matches_reference(config, sends)
+    assert [i for i, _t, _n in rx1] == [0, 1, 2]
+    assert {t for _i, t, _n in rx0 + rx1} == {1e3 + 1 * US}

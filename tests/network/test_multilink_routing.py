@@ -231,3 +231,16 @@ def test_attachment_prefers_router():
     router = fabric.make_router(0)
     assert fabric.attachment(0) is router
     assert fabric.attachment(1) is fabric.endpoint(1)
+
+
+def test_router_rejects_negative_forward_time_when_built():
+    sim = Simulator()
+    fabric = NetworkFabric(sim)
+    fabric.connect(0, 1)
+    fabric.connect(1, 2)
+    with pytest.raises(NetworkError, match="forward_time must be >= 0"):
+        fabric.make_router(1, forward_time=-1e-9)
+    # None still defers to the outgoing link's relay cost.
+    router = fabric.make_router(1, forward_time=None)
+    assert router.relay_cost(fabric.endpoint(1, 2)) \
+        == fabric.link_between(1, 2).config.forward_time

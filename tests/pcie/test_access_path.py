@@ -165,7 +165,7 @@ def run_accesses(case, count):
     for i, nbytes in enumerate(case["sizes"][:count]):
         addr = target.range.base + i * 64 * KIB
         if case["op"] == "write":
-            access = src.write(addr, bytes(nbytes), case["stream_total"])
+            access = src.write(addr, bytes(nbytes))
         else:
             access = src.read(addr, nbytes, case["stream_total"])
 
