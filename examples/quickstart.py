@@ -21,7 +21,6 @@ from repro.core import (
     setup_extoll_connection,
 )
 from repro.extoll import NotifyFlags, RmaOp, RmaWorkRequest
-from repro.sim import join_result
 from repro.units import KIB, format_time
 
 

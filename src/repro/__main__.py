@@ -26,11 +26,6 @@ def _trace(argv: List[str]) -> int:
     return main(argv)
 
 
-def _profile(argv: List[str]) -> int:
-    from .perf.cli import profile_main
-    return profile_main(argv)
-
-
 def _bench(argv: List[str]) -> int:
     from .perf.cli import bench_main
     return bench_main(argv)
@@ -86,8 +81,8 @@ def _fabrics(argv: List[str]) -> int:
 #: versa.
 COMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
     "report": (_report, "print the full reproduction report (default)"),
-    "trace": (_trace, "run one traced ping-pong, export a Chrome trace"),
-    "profile": (_profile, "cost-attribute one measurement into phases"),
+    "trace": (_trace, "one traced ping-pong: Chrome trace + phase cost "
+                      "profile"),
     "bench": (_bench, "record/check benchmark-regression baselines"),
     "collectives": (_collectives, "N-node collective sweeps + traced runs"),
     "faults": (_faults, "chaos sweeps under deterministic fault injection"),

@@ -160,14 +160,3 @@ def ablate_asic_nic(size: int = 1 * KIB, iterations: int = 15) -> AblationResult
         unit="s (half-RTT latency)",
         description="FPGA Galibier vs projected 700 MHz/128-bit ASIC",
     )
-
-
-def run_all_ablations() -> List[object]:
-    return [
-        ablate_notification_placement(),
-        ablate_endianness_conversion(),
-        ablate_p2p_pathology(),
-        ablate_connection_sharing(),
-        ablate_future_interface(),
-        ablate_asic_nic(),
-    ]

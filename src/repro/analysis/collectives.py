@@ -161,7 +161,8 @@ def allreduce_scaling(node_counts: Sequence[int] = SCALING_NODES,
 
 
 def scaling_report(points: Sequence[ScalingPoint]) -> Dict[str, object]:
-    """Aggregate verdict used by tests and the report."""
+    """Aggregate verdict of one scaling sweep (the collectives scaling
+    check of ``tests/collectives``)."""
     return {
         "points": list(points),
         "steps_ok": all(p.steps_ok for p in points),
@@ -170,20 +171,3 @@ def scaling_report(points: Sequence[ScalingPoint]) -> Dict[str, object]:
         "ok": all(p.ok for p in points),
     }
 
-
-def render_scaling(points: Sequence[ScalingPoint]) -> str:
-    title = (f"{points[0].algorithm} all-reduce scaling "
-             f"({points[0].size}B/step) vs 2-node ping-pong"
-             if points else "All-reduce scaling")
-    lines = [title, "=" * len(title)]
-    lines.append("N".rjust(3) + "steps".rjust(8) + "expected".rjust(10)
-                 + "latency".rjust(12) + "per-step".rjust(12)
-                 + "ratio".rjust(8) + "  verdict")
-    for p in points:
-        lines.append(
-            f"{p.nodes}".rjust(3) + f"{p.steps}".rjust(8)
-            + f"{p.expected_steps}".rjust(10)
-            + f"{p.latency * 1e6:10.3f}us" + f"{p.step_latency * 1e6:10.3f}us"
-            + f"{p.step_ratio:8.2f}"
-            + ("   OK" if p.ok else "   FAIL"))
-    return "\n".join(lines)

@@ -12,7 +12,7 @@ three ways:
   fault-free runs: slot reuse at one address is credit-separated, and
   EXTOLL keeps same-path puts in order),
 * **request brackets** — ``req.begin``/``req.end`` and the per-rank
-  ``rank.begin``/``rank.end`` keyed by their ``req`` attribute.
+  ``rank.end`` keyed by their ``req`` attribute.
 
 :meth:`CausalDag.predecessor` resolves one event's critical predecessor:
 the latest of its *causal candidate set*, which is deliberately narrow
@@ -65,7 +65,6 @@ class CausalDag:
         self._req_begin: Dict[int, FlowRecord] = {}
         self._req_end: Dict[int, FlowRecord] = {}
         self._rank_ends: Dict[int, List[FlowRecord]] = {}
-        self._rank_begins: Dict[int, List[FlowRecord]] = {}
         for ev in self.flows:
             if ev.kind not in KNOWN_KINDS:
                 self.unknown_kinds.add(ev.kind)
@@ -86,8 +85,6 @@ class CausalDag:
                 self._req_end[ev.attrs["req"]] = ev
             elif ev.kind == "rank.end":
                 self._rank_ends.setdefault(ev.attrs["req"], []).append(ev)
-            elif ev.kind == "rank.begin":
-                self._rank_begins.setdefault(ev.attrs["req"], []).append(ev)
 
     # -- lookups -------------------------------------------------------------------
     def requests(self) -> List[int]:
@@ -103,9 +100,6 @@ class CausalDag:
 
     def rank_ends(self, req: int) -> List[FlowRecord]:
         return list(self._rank_ends.get(req, []))
-
-    def rank_begins(self, req: int) -> List[FlowRecord]:
-        return list(self._rank_begins.get(req, []))
 
     def actor_pred(self, ev: FlowRecord) -> Optional[FlowRecord]:
         pos = self._actor_pos[ev.seq]

@@ -89,10 +89,9 @@ def render_slack(analysis: RunAnalysis) -> str:
 
 
 def annotated_trace_events(tracer: SpanTracer,
-                           analysis: RunAnalysis,
-                           pid: int = 0) -> List[dict]:
+                           analysis: RunAnalysis) -> List[dict]:
     """The run's Chrome trace plus one flow arrow per critical-path hop."""
-    events = chrome_trace_events(tracer, pid)
+    events = chrome_trace_events(tracer)
     tids = track_tids(tracer)
     arrows: List[dict] = []
     flow_id = 1 << 20          # clear of the per-message arrow ids
@@ -103,12 +102,12 @@ def annotated_trace_events(tracer: SpanTracer,
             name = f"critpath.req{path.req}"
             arrows.append({"ph": "s", "name": name, "cat": "critpath",
                            "id": flow_id, "ts": seg.begin * _US,
-                           "pid": pid, "tid": tids[seg.pred.actor],
+                           "pid": 0, "tid": tids[seg.pred.actor],
                            "args": {"kind": seg.pred.kind,
                                     "category": seg.category}})
             arrows.append({"ph": "f", "bp": "e", "name": name,
                            "cat": "critpath", "id": flow_id,
-                           "ts": seg.end * _US, "pid": pid,
+                           "ts": seg.end * _US, "pid": 0,
                            "tid": tids[seg.ev.actor],
                            "args": {"kind": seg.ev.kind,
                                     "edge": seg.edge}})
@@ -121,8 +120,8 @@ def annotated_trace_events(tracer: SpanTracer,
 
 
 def write_annotated_trace(tracer: SpanTracer, analysis: RunAnalysis,
-                          out: Union[str, IO[str]], pid: int = 0) -> dict:
-    return write_trace(annotated_trace_events(tracer, analysis, pid),
+                          out: Union[str, IO[str]]) -> dict:
+    return write_trace(annotated_trace_events(tracer, analysis),
                        {"generator": "repro.causal",
                         "requests": analysis.requests,
                         "blame": {c: v for c, v in analysis.blame().items()}},

@@ -2,7 +2,9 @@
 
 A bad flag value is a usage error: argparse reports it on the
 subcommand's usage line and exits 2, like any other malformed command
-line.  Exit 1 stays reserved for a failed verdict or an SLO breach.
+line.  Exit 1 is a failed verdict, or an SLO breach for ``monitor`` and
+``workloads``; those two and ``critpath`` exit 2 on a failed proof
+obligation instead (README, "Checks and exit codes").
 """
 
 from __future__ import annotations

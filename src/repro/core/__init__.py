@@ -26,7 +26,6 @@ from .gpu_rma import (
 from .gpu_verbs import (
     GpuCqConsumer,
     gpu_poll_cq,
-    gpu_post_recv,
     gpu_post_send,
     gpu_wait_cq,
 )
@@ -38,7 +37,7 @@ from .measure import (
     pingpong_modes,
 )
 from .message_rate import run_extoll_message_rate, run_ib_message_rate
-from .modes import ExtollMode, FabricKind, IbMode, RateMethod
+from .modes import ExtollMode, IbMode, RateMethod
 from .pingpong import run_extoll_pingpong, run_ib_pingpong
 from .results import (
     BandwidthPoint,
@@ -63,12 +62,12 @@ from .setup import (
 )
 
 __all__ = [
-    "ExtollMode", "IbMode", "RateMethod", "FabricKind",
+    "ExtollMode", "IbMode", "RateMethod",
     "gpu_rma_post_wide", "run_future_extoll_pingpong",
     "Channel", "ChannelEnd", "create_channel", "create_channel_between",
     "gpu_send", "gpu_recv", "gpu_recv_ready",
     "GpuNotificationCursor", "gpu_rma_post", "gpu_rma_wait_notification",
-    "GpuCqConsumer", "gpu_post_send", "gpu_post_recv", "gpu_poll_cq",
+    "GpuCqConsumer", "gpu_post_send", "gpu_poll_cq",
     "gpu_wait_cq",
     "run_extoll_pingpong", "run_ib_pingpong",
     "run_extoll_bandwidth", "run_ib_bandwidth", "default_message_count",

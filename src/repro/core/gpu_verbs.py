@@ -1,7 +1,8 @@
 """The GPU-resident InfiniBand Verbs API (§IV-B).
 
-``ibv_post_send``, ``ibv_post_recv`` and ``ibv_poll_cq`` ported to device
-code.  The posting path shows why InfiniBand is expensive to drive from a
+``ibv_post_send`` and ``ibv_poll_cq`` ported to device code (the GPU
+paths poll the last received element instead of posting receive WRs,
+§V-B1).  The posting path shows why InfiniBand is expensive to drive from a
 GPU thread (§V-B3):
 
 * the 64-byte WQE must be assembled in **big-endian**: every dynamic field
@@ -30,11 +31,6 @@ from ..sim.spin import spin
 from ..ib.hca import Hca, encode_doorbell
 from ..ib.qp import QueuePair
 from ..ib.wqe import (
-    CQE_PARSE_BASE_COST,
-    CQ_QP_LOOKUP_COST,
-    CQE_CONSUME_COST,
-    ENDIAN_SWAP_COST,
-    WQE_STAMP_COST,
     poll_cq_instruction_cost,
     post_send_instruction_cost,
     post_send_instruction_cost_static_optimized,
@@ -86,24 +82,6 @@ def gpu_post_send(ctx: ThreadCtx, hca: Hca, qp: QueuePair, wqe: Wqe,
     yield from ctx.store_u64(hca.doorbell_addr(qp),
                              encode_doorbell(producer_index + 1))
     span.end()
-    return producer_index + 1
-
-
-def gpu_post_recv(ctx: ThreadCtx, hca: Hca, qp: QueuePair, wqe: Wqe,
-                  producer_index: int):
-    """Post one receive WR from a device thread ("this would add a lot of
-    overhead to the GPU due to the generation of receive work requests",
-    §V-B1 — provided for completeness; the GPU paths poll the last element
-    instead)."""
-    qp.require_rtr()
-    yield from ctx.alu(140)
-    slot = qp.rq_slot_addr(producer_index)
-    raw = wqe.encode()
-    for word in range(8):
-        yield from ctx.store(slot + word * 8, raw[word * 8:(word + 1) * 8])
-    yield from ctx.fence_system()
-    yield from ctx.store_u64(hca.doorbell_addr(qp),
-                             encode_doorbell(producer_index + 1, is_rq=True))
     return producer_index + 1
 
 

@@ -5,11 +5,6 @@ from __future__ import annotations
 import enum
 
 
-class FabricKind(enum.Enum):
-    EXTOLL = "extoll"
-    INFINIBAND = "infiniband"
-
-
 class ExtollMode(enum.Enum):
     """EXTOLL latency/bandwidth configurations (Fig. 1)."""
 

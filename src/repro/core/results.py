@@ -98,9 +98,6 @@ class CounterReport:
     iterations: int
     counters: CounterSet
 
-    def per_iteration(self, field_name: str) -> float:
-        return getattr(self.counters, field_name) / self.iterations
-
 
 def render_latency_table(series: List[Series], title: str) -> str:
     """Text rendering in the layout of the paper's latency figures."""

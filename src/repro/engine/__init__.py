@@ -41,7 +41,6 @@ from .wqe_gen import (
     engine_rma_post,
     engine_ring_batch_doorbell,
     engine_stage_batch,
-    warp_cost,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "engine_rma_post",
     "engine_ring_batch_doorbell",
     "engine_stage_batch",
-    "warp_cost",
 ]

@@ -61,11 +61,6 @@ BATCH_DOORBELL_COST = 6
 _ENGINE_POST_MEMORY_INSTRUCTIONS = 3
 
 
-def warp_cost(cost: int, lanes: int) -> int:
-    """The ALU critical path of ``cost`` instructions over ``lanes``."""
-    return -(-cost // lanes)
-
-
 # =============================================================================
 # EXTOLL
 # =============================================================================
@@ -173,7 +168,6 @@ def engine_post_send_batch(ctx: ThreadCtx, hca: Hca, qp: QueuePair,
 __all__ = [
     "DEFAULT_LANES",
     "BATCH_DOORBELL_COST",
-    "warp_cost",
     "engine_rma_post",
     "engine_stage_batch",
     "engine_ring_batch_doorbell",

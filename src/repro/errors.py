@@ -75,7 +75,7 @@ class QpStateError(VerbsError):
 
 
 class RegistrationError(NicError):
-    """Memory (de)registration failed or a key/NLA did not validate."""
+    """Memory registration failed or a key/NLA did not validate."""
 
 
 class FaultError(ReproError):
@@ -85,12 +85,6 @@ class FaultError(ReproError):
 class RetryExhaustedError(FaultError):
     """A reliability engine gave up after its retransmission budget: the
     peer never acknowledged despite exponential-backoff retries."""
-
-
-class CorruptionError(FaultError):
-    """Payload bytes failed their checksum — a corrupted packet reached a
-    consumer that cannot tolerate it (reliable paths drop-and-retry
-    instead of raising this)."""
 
 
 class TriggeredError(NicError):

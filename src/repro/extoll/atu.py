@@ -13,9 +13,7 @@ map can be registered, which models exactly that patched behaviour.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..errors import RegistrationError, TranslationError
+from ..errors import RegistrationError
 from ..memory import AddressRange, TranslationTable
 
 # NLAs live in their own space; this base keeps them visibly distinct from
@@ -31,7 +29,6 @@ class Atu:
         self.name = name
         self._table = TranslationTable(name)
         self._next_nla = NLA_BASE
-        self._by_base: Dict[int, AddressRange] = {}
         self.registrations = 0
 
     def register(self, phys: AddressRange) -> AddressRange:
@@ -48,24 +45,10 @@ class Atu:
         # accessible (translate() bounds to the true physical size).
         self._table.map(AddressRange(nla.base, phys.size), phys.base,
                         label=f"nla->{phys}")
-        self._by_base[nla.base] = phys
         self.registrations += 1
         return AddressRange(nla.base, phys.size)
-
-    def deregister(self, nla: AddressRange) -> None:
-        phys = self._by_base.pop(nla.base, None)
-        if phys is None:
-            raise RegistrationError(f"no registration at NLA {nla}")
-        self._table.unmap(AddressRange(nla.base, phys.size))
 
     def translate(self, nla: int, length: int = 1) -> int:
         """NLA -> node-physical address; raises TranslationError on a miss,
         which the hardware would surface as an RMA error notification."""
         return self._table.translate(nla, length)
-
-    def is_registered(self, nla: int, length: int = 1) -> bool:
-        try:
-            self._table.translate(nla, length)
-            return True
-        except TranslationError:
-            return False

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from ..errors import RmaError
 from ..memory import AddressRange, Allocator, MmioWindow
 from ..network import Endpoint
-from ..pcie import PcieFabric, PcieLinkConfig, PciePort
+from ..pcie import PcieFabric, PciePort
 from ..sim import Simulator
 from .atu import Atu
 from .config import ExtollConfig
@@ -69,15 +69,14 @@ class ExtollNic:
 
     # -- wiring (driver load) ------------------------------------------------------
     def attach(self, fabric: PcieFabric, bar_base: int,
-               kernel_alloc: Allocator, endpoint: Endpoint,
-               link_config: Optional[PcieLinkConfig] = None) -> PciePort:
+               kernel_alloc: Allocator, endpoint: Endpoint) -> PciePort:
         """Install the NIC into a node: map the BAR, start the RMA unit, and
         reserve kernel-space notification storage."""
         if self.bar is not None:
             raise RmaError(f"{self.name} is already attached")
         self.bar = MmioWindow(f"{self.name}.bar", bar_base, self.config.bar_size)
         fabric.address_map.add(self.bar)
-        pcie_port = fabric.attach(self.name, link_config)
+        pcie_port = fabric.attach(self.name)
         fabric.claim(pcie_port, self.bar)
         self._kernel_alloc = kernel_alloc
         self.rma = RmaUnit(self.sim, self, self.config, pcie_port, self.atu,

@@ -14,8 +14,8 @@ tree / recursive-halving schedules win:
 * :mod:`~repro.fabrics.collective` — :class:`FabricHost`, the packet-level
   interpreter that runs the ring / binomial-tree / recursive-halving
   all-reduce scripts of :mod:`repro.collectives.algorithms`,
-* :mod:`~repro.fabrics.traffic` — permutation traffic for deadlock and
-  congestion canaries,
+* :mod:`~repro.fabrics.traffic` — permutation traffic for the deadlock
+  and replay canaries,
 * :mod:`~repro.fabrics.sweep` — the ``python -m repro fabrics`` sweep
   producing crossover tables and acceptance verdicts.
 """

@@ -41,14 +41,9 @@ class PolicyRouter(RouterEndpoint):
                  policy=None) -> None:
         super().__init__(sim, node_id, forward_time)
         self.policy = policy
-        #: When set, every routing decision appends ``(here, peer)`` to
-        #: ``packet.meta["path"]`` — used by the property tests.
-        self.record_paths = False
 
     def route(self, packet: Packet) -> Endpoint:
         peer = self.policy.select(self, packet)
-        if self.record_paths:
-            packet.meta.setdefault("path", []).append((self.node_id, peer))
         try:
             return self._links[peer]
         except KeyError:
@@ -228,10 +223,6 @@ class FabricInstance:
 
     def attachment(self, host: int):
         return self.net.attachment(host)
-
-    def set_record_paths(self, on: bool) -> None:
-        for router in self.routers.values():
-            router.record_paths = on
 
     # -- congestion stats ---------------------------------------------------
     def flow_stats(self) -> Dict[str, float]:

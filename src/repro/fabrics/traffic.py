@@ -1,4 +1,4 @@
-"""Adversarial traffic patterns: deadlock + congestion canaries.
+"""Adversarial traffic: the permutation deadlock and replay canaries.
 
 Full permutation traffic — every host streams to a distinct destination,
 every host is a destination — is the classic stressor for credit-based
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import SimulationError
-from ..network.packet import Packet, PacketKind
-from .collective import FABRIC_HEADER, FabricHost
+from .collective import FabricHost
 from .routing import FabricInstance
 
 
@@ -83,45 +82,4 @@ def run_permutation(instance: FabricInstance, messages: int = 4,
         events=sim.events_processed)
 
 
-def run_hotspot(instance: FabricInstance, messages: int = 4,
-                payload: int = 256, target: int = 0) -> TrafficResult:
-    """Everyone floods one destination — guaranteed credit stalls; used
-    by the forced-congestion canary to make ``blocked-on-credit`` show
-    up on critical paths."""
-    sim = instance.sim
-    n = instance.n
-    hosts = [FabricHost(instance, r) for r in range(n)]
-    done = [0]
-
-    def sender(rank: int):
-        for _ in range(messages):
-            yield from hosts[rank].send(target, bytes(payload))
-        done[0] += 1
-
-    def sink():
-        for src in range(n):
-            if src == target:
-                continue
-            for _ in range(messages):
-                yield from hosts[target].recv(src)
-        done[0] += 1
-
-    procs = [sim.process(sender(r), name=f"hot.r{r}")
-             for r in range(n) if r != target]
-    procs.append(sim.process(sink(), name="hot.sink"))
-    deadlocked = False
-    try:
-        sim.run_until_complete(*procs)
-    except SimulationError:
-        deadlocked = True
-    flow = instance.flow_stats()
-    return TrafficResult(
-        pattern="hotspot", n=n, messages=messages,
-        completed=done[0] == n, deadlocked=deadlocked, time=sim.now,
-        stalls=int(flow["stalls"]), stall_time=flow["stall_time"],
-        peak_in_flight=int(flow["peak_in_flight"]),
-        events=sim.events_processed)
-
-
-__all__ = ["TrafficResult", "permutation", "run_hotspot",
-           "run_permutation"]
+__all__ = ["TrafficResult", "permutation", "run_permutation"]

@@ -125,18 +125,5 @@ class Gpu:
     def stream(self, name: str = "") -> Stream:
         return Stream(self, name)
 
-    # -- host-side copies (cudaMemcpy via the GPU copy engine) ---------------------------
-    def memcpy_dtoh(self, host_addr: int, device_addr: int, length: int):
-        """Process fragment: copy device -> host over PCIe."""
-        phys = self.uva.translate(device_addr, length)
-        data = self.dram.read(phys, length)
-        yield from self.port.write(host_addr, data)
-
-    def memcpy_htod(self, device_addr: int, host_addr: int, length: int):
-        """Process fragment: copy host -> device over PCIe."""
-        data = yield from self.port.read(host_addr, length, stream_total=length)
-        phys = self.uva.translate(device_addr, length, write=True)
-        self.dram.write(phys, data)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gpu {self.name} {self.config.name}>"

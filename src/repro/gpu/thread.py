@@ -87,11 +87,6 @@ class ThreadCtx:
         else:
             self.track = f"{gpu.name}:b{block_idx}t{thread_idx}"
 
-    # -- identity helpers -------------------------------------------------------
-    @property
-    def global_thread_idx(self) -> int:
-        return self.block_idx * self.block_dim + self.thread_idx
-
     # -- pure compute ---------------------------------------------------------------
     def alu(self, n: int = 1) -> Generator:
         """Issue ``n`` dependent ALU instructions."""

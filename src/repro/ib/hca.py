@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from ..errors import RetryExhaustedError, VerbsError
 from ..memory import AddressRange, MmioWindow
 from ..network import Endpoint, Packet, PacketKind
-from ..pcie import DmaConfig, DmaEngine, PcieFabric, PcieLinkConfig, PciePort
+from ..pcie import DmaConfig, DmaEngine, PcieFabric, PciePort
 from ..sim import NULL_SPAN, Mutex, Simulator, Store
 from .config import IbConfig
 from .cq import CompletionQueue, Cqe, WcOpcode, WcStatus
@@ -172,13 +172,13 @@ class Hca:
         self._last_nack: Dict[int, int] = {}
 
     # -- wiring ---------------------------------------------------------------------
-    def attach(self, fabric: PcieFabric, bar_base: int, endpoint: Endpoint,
-               link_config: Optional[PcieLinkConfig] = None) -> PciePort:
+    def attach(self, fabric: PcieFabric, bar_base: int,
+               endpoint: Endpoint) -> PciePort:
         if self.bar is not None:
             raise VerbsError(f"{self.name} already attached")
         self.bar = MmioWindow(f"{self.name}.bar", bar_base, self.config.bar_size)
         fabric.address_map.add(self.bar)
-        pcie_port = fabric.attach(self.name, link_config)
+        pcie_port = fabric.attach(self.name)
         fabric.claim(pcie_port, self.bar)
         self.endpoint = endpoint
         cfg = self.config

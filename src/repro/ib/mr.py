@@ -44,11 +44,6 @@ class MrTable:
         self._by_rkey[rkey] = mr
         return mr
 
-    def deregister(self, mr: MemoryRegion) -> None:
-        if self._by_lkey.pop(mr.lkey, None) is None:
-            raise RegistrationError(f"{self.name}: MR not registered")
-        self._by_rkey.pop(mr.rkey, None)
-
     def validate_local(self, lkey: int, addr: int, length: int) -> None:
         mr = self._by_lkey.get(lkey)
         if mr is None:

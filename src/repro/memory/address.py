@@ -115,14 +115,6 @@ class RangeIndex:
         self._ends.insert(i, rng.end)
         self._entries.insert(i, (rng, value))
 
-    def remove(self, rng: AddressRange) -> bool:
-        """Drop the range equal to ``rng``; False if none is."""
-        i = bisect_left(self._bases, rng.base)
-        if i == len(self._entries) or self._entries[i][0] != rng:
-            return False
-        del self._bases[i], self._ends[i], self._entries[i]
-        return True
-
     def find(self, addr: int, length: int) -> Optional[Tuple[AddressRange, Any]]:
         """The ``(range, value)`` whose range holds ``[addr, addr+length)``
         (``range.contains(addr, length)``), or None."""

@@ -56,12 +56,6 @@ class ByteStore:
         self._check(offset, length)
         self._data[offset:offset + length] = value
 
-    def copy_within(self, src: int, dst: int, length: int) -> None:
-        """memmove-style copy inside this store."""
-        self._check(src, length)
-        self._check(dst, length)
-        self._data[dst:dst + length] = self._data[src:src + length].copy()
-
     @staticmethod
     def copy(src: "ByteStore", src_off: int, dst: "ByteStore", dst_off: int,
              length: int) -> None:

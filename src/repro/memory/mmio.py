@@ -1,7 +1,7 @@
 """Memory-mapped IO windows.
 
 Devices expose registers and doorbell pages as :class:`MmioWindow`s in the
-node's physical address map.  Stores/loads that the interconnect routes here
+node's physical address map.  Stores that the interconnect routes here
 invoke the device's handler *functionally at the time of delivery*; all
 timing is accounted by the path that carried the access (PCIe link model).
 
@@ -15,22 +15,21 @@ This is how the paper's two posting mechanisms are modeled:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from ..errors import AddressError
 from .address import AddressRange, MemorySpace
 from .backing import ByteStore
 
 WriteHandler = Callable[[int, bytes], None]   # (offset, data)
-ReadHandler = Callable[[int, int], bytes]     # (offset, length) -> data
 
 
 class MmioWindow:
     """A device-register window in the physical address map.
 
-    The window keeps a backing store so unhandled reads return the last
-    written value (real BARs behave like device SRAM for scratch areas);
-    handlers registered for sub-ranges intercept accesses.
+    The window keeps a backing store so reads return the last written
+    value (real BARs behave like device SRAM for scratch areas); write
+    handlers registered for sub-ranges intercept stores.
     """
 
     def __init__(self, name: str, base: int, size: int) -> None:
@@ -39,7 +38,6 @@ class MmioWindow:
         self.space = MemorySpace.MMIO
         self.store = ByteStore(size)
         self._write_handlers: Dict[AddressRange, WriteHandler] = {}
-        self._read_handlers: Dict[AddressRange, ReadHandler] = {}
 
     # -- handler registration ---------------------------------------------------
     def on_write(self, offset: int, size: int, handler: WriteHandler) -> None:
@@ -48,13 +46,6 @@ class MmioWindow:
             if existing.overlaps(rng):
                 raise AddressError(f"write handler overlap at {rng} in {self.name}")
         self._write_handlers[rng] = handler
-
-    def on_read(self, offset: int, size: int, handler: ReadHandler) -> None:
-        rng = AddressRange(offset, size)
-        for existing in self._read_handlers:
-            if existing.overlaps(rng):
-                raise AddressError(f"read handler overlap at {rng} in {self.name}")
-        self._read_handlers[rng] = handler
 
     # -- access (called by the interconnect at delivery time) -------------------
     def write(self, offset: int, data: bytes) -> None:
@@ -65,16 +56,7 @@ class MmioWindow:
                 return
 
     def read(self, offset: int, length: int) -> bytes:
-        for rng, handler in self._read_handlers.items():
-            if rng.contains(offset, length):
-                return handler(offset - rng.base, length)
         return self.store.read(offset, length)
-
-    def find_handler(self, offset: int) -> Optional[WriteHandler]:
-        for rng, handler in self._write_handlers.items():
-            if rng.contains(offset):
-                return handler
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MmioWindow {self.name} {self.range}>"

@@ -79,10 +79,6 @@ class Allocator:
     def bytes_free(self) -> int:
         return sum(size for _, size in self._free)
 
-    @property
-    def bytes_live(self) -> int:
-        return sum(self._live.values())
-
     def alloc(self, size: int) -> AddressRange:
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")

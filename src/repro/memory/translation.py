@@ -46,10 +46,6 @@ class TranslationTable:
         self._index.insert(virtual, mapping)
         return mapping
 
-    def unmap(self, virtual: AddressRange) -> None:
-        if not self._index.remove(virtual):
-            raise TranslationError(f"{self.name}: no mapping at {virtual}")
-
     def lookup(self, vaddr: int, length: int = 1) -> Mapping:
         hit = self._index.find(vaddr, length)
         if hit is not None:

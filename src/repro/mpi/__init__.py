@@ -10,7 +10,7 @@ from .collectives import iallreduce, ibarrier, ibcast
 from .comm import MpiCommunicator, MpiConfig, MpiRank
 from .envelope import ANY_SOURCE, ANY_TAG, ENVELOPE_BYTES, Envelope, MsgKind
 from .match import Inbound, MatchEngine
-from .request import MpiRequest, waitall_in
+from .request import MpiRequest
 
 __all__ = [
     "ANY_SOURCE",
@@ -27,5 +27,4 @@ __all__ = [
     "iallreduce",
     "ibarrier",
     "ibcast",
-    "waitall_in",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from ..errors import MpiError
 from ..sim import Event
@@ -58,12 +58,3 @@ class MpiRequest:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done.processed else "pending"
         return f"<MpiRequest {self.kind} #{self.id} rank={self.rank} {state}>"
-
-
-def waitall_in(ctx, requests: Iterable[MpiRequest]):
-    """Process fragment: block until every request completes (MPI_Waitall)."""
-    out: List[Optional[bytes]] = []
-    for req in requests:
-        data = yield from req.wait_in(ctx)
-        out.append(data)
-    return out

@@ -295,6 +295,3 @@ class NetLink:
             if vc is None:
                 vc = packet.meta.get("vc", 0)
             self.flow.release(1 - consumer_side, vc)
-
-    def serialization_time(self, wire_bytes: int) -> float:
-        return wire_bytes / self.config.bandwidth

@@ -78,8 +78,7 @@ class Node:
         self.nic = None  # set by attach_extoll / attach_ib
 
     # -- NIC installation -------------------------------------------------------
-    def attach_extoll(self, endpoint: Endpoint, config=None,
-                      link_config: Optional[PcieLinkConfig] = None):
+    def attach_extoll(self, endpoint: Endpoint, config=None):
         """Install an EXTOLL card (driver load: BAR mapped, RMA unit running,
         kernel-space notification storage reserved)."""
         from .extoll import ExtollNic
@@ -87,20 +86,18 @@ class Node:
         if self.nic is not None:
             raise ConfigError(f"node {self.node_id} already has a NIC")
         nic = ExtollNic(self.sim, self.node_id, config=config)
-        nic.attach(self.pcie, MMIO_BASE, self.kernel_alloc, endpoint,
-                   link_config)
+        nic.attach(self.pcie, MMIO_BASE, self.kernel_alloc, endpoint)
         self.nic = nic
         return nic
 
-    def attach_ib(self, endpoint: Endpoint, config=None,
-                  link_config: Optional[PcieLinkConfig] = None):
+    def attach_ib(self, endpoint: Endpoint, config=None):
         """Install an InfiniBand HCA."""
         from .ib import Hca
 
         if self.nic is not None:
             raise ConfigError(f"node {self.node_id} already has a NIC")
         hca = Hca(self.sim, self.node_id, config=config)
-        hca.attach(self.pcie, MMIO_BASE, endpoint, link_config)
+        hca.attach(self.pcie, MMIO_BASE, endpoint)
         self.nic = hca
         return hca
 

@@ -4,7 +4,11 @@ Runs a ping-pong measurement with a :class:`SpanTracer` installed, writes a
 Chrome trace-event JSON (loadable in Perfetto / ``chrome://tracing``), and
 prints the per-phase latency breakdown reconciled against the measured
 :class:`~repro.core.results.LatencyPoint` — the Fig. 3 attribution, but as
-a timeline instead of two aggregate numbers.
+a timeline instead of two aggregate numbers — followed by the same run's
+cost-attribution profile (:mod:`repro.perf.profiler`); ``--json``
+additionally dumps the machine-readable profile.  Exit status 1 if any
+verdict fails: a phase or the attributed total disagrees with the
+end-to-end timing.
 
 Example::
 
@@ -14,10 +18,12 @@ Example::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from ..analysis.invariants import reconciles, render
+from ..analysis.invariants import reconciles, render, to_json
 from ..core.measure import measure_pingpong, pingpong_mode, pingpong_modes
+from ..perf.profiler import profile_from_trace, render_profile
 from ..sim import Simulator
 from .export import (
     phase_breakdown,
@@ -28,8 +34,8 @@ from .export import (
 )
 from .tracer import SpanTracer
 
-#: ``--mode`` choices of the ``trace`` and ``profile`` parsers (both
-#: fabrics; :func:`run_traced_pingpong` rejects a mode of the other one).
+#: ``--mode`` choices of the ``trace`` parser (both fabrics;
+#: :func:`run_traced_pingpong` rejects a mode of the other one).
 MODE_CHOICES = tuple(dict.fromkeys(pingpong_modes("extoll")
                                    + pingpong_modes("ib")))
 
@@ -49,7 +55,9 @@ def run_traced_pingpong(fabric: str, mode_name: str, size: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Trace one ping-pong run and export a Chrome trace.")
+        description="Trace one ping-pong run, export a Chrome trace, and "
+                    "attribute its cost to phases (WQE generation, MMIO, "
+                    "wire, DMA, polling).")
     parser.add_argument("--fabric", choices=("extoll", "ib"), default="extoll",
                         help="which NIC model to trace (default: extoll)")
     parser.add_argument("--mode", default="dev2dev-direct",
@@ -71,8 +79,12 @@ def main(argv=None) -> int:
     parser.add_argument("--timeline-limit", type=int, default=80,
                         help="max timeline rows to print (default: 80)")
     parser.add_argument("--categories", default=None,
-                        help="comma-separated category filter "
-                             "(e.g. phase,pcie,extoll)")
+                        help="comma-separated category filter (e.g. "
+                             "phase,pcie,extoll); the breakdown and the "
+                             "profile see only the kept categories")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="also write the cost-attribution profile as "
+                             "JSON")
     args = parser.parse_args(argv)
 
     categories = ([c.strip() for c in args.categories.split(",") if c.strip()]
@@ -82,6 +94,8 @@ def main(argv=None) -> int:
                                         args.iterations, args.warmup, tracer)
 
     write_chrome_trace(tracer, args.out)
+    profile = profile_from_trace(tracer, point, args.fabric, args.mode,
+                                 args.iterations)
 
     print(f"{args.fabric} {args.mode} size={args.size}B "
           f"iterations={args.iterations}")
@@ -96,8 +110,17 @@ def main(argv=None) -> int:
     print()
     print(render(verdicts))
     print()
+    print(render_profile(profile))
+    verdicts.append(profile.verdict)
+    print()
     print(f"{len(tracer.spans)} spans, {len(tracer.instants)} instants, "
           f"{len(tracer.tracks())} tracks -> {args.out}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({**profile.to_dict(), "verdicts": to_json(verdicts)},
+                      fh, indent=2)
+            fh.write("\n")
+        print(f"profile written to {args.json}")
     if args.timeline:
         print()
         print(render_timeline(tracer, limit=args.timeline_limit))

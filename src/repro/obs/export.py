@@ -47,7 +47,7 @@ def track_tids(tracer: SpanTracer) -> Dict[str, int]:
             for i, track in enumerate(sorted(tracks, key=_natural))}
 
 
-def chrome_trace_events(tracer: SpanTracer, pid: int = 0) -> List[dict]:
+def chrome_trace_events(tracer: SpanTracer) -> List[dict]:
     """Flatten a tracer into a sorted trace-event list.
 
     Events on one ``tid`` are strictly nested: at equal timestamps, ``E``
@@ -61,7 +61,7 @@ def chrome_trace_events(tracer: SpanTracer, pid: int = 0) -> List[dict]:
     tids = track_tids(tracer)
     events: List[dict] = []
     for track, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append({"ph": "M", "name": "thread_name", "pid": pid,
+        events.append({"ph": "M", "name": "thread_name", "pid": 0,
                        "tid": tid, "args": {"name": track}})
     timed: List[tuple] = []
     for span in tracer.spans:
@@ -78,15 +78,15 @@ def chrome_trace_events(tracer: SpanTracer, pid: int = 0) -> List[dict]:
             e_key = (_ts(span.begin), 1, span.depth, span.span_id, 1)
         timed.append((b_key,
                       {"ph": "B", "name": span.name, "cat": span.category,
-                       "ts": _ts(span.begin), "pid": pid, "tid": tid,
+                       "ts": _ts(span.begin), "pid": 0, "tid": tid,
                        "args": args}))
         timed.append((e_key,
                       {"ph": "E", "name": span.name, "cat": span.category,
-                       "ts": _ts(span.end), "pid": pid, "tid": tid}))
+                       "ts": _ts(span.end), "pid": 0, "tid": tid}))
     for inst in tracer.instants:
         timed.append(((_ts(inst.time), 2, 0, 0, 0),
                       {"ph": "i", "name": inst.name, "cat": inst.category,
-                       "ts": _ts(inst.time), "pid": pid, "tid": tids[inst.track],
+                       "ts": _ts(inst.time), "pid": 0, "tid": tids[inst.track],
                        "s": "t", "args": dict(inst.attrs)}))
     # Flow arrows: group the causal events of one message (same address,
     # same reuse wave) under one flow id, start-to-finish in hop order.
@@ -106,7 +106,7 @@ def chrome_trace_events(tracer: SpanTracer, pid: int = 0) -> List[dict]:
         for pos, flow in enumerate(hops):
             ph = "s" if pos == 0 else ("f" if pos == len(hops) - 1 else "t")
             ev = {"ph": ph, "name": f"~{flow.kind}", "cat": "causal",
-                  "id": flow_id, "ts": _ts(flow.time), "pid": pid,
+                  "id": flow_id, "ts": _ts(flow.time), "pid": 0,
                   "tid": tids[flow.actor],
                   "args": {"kind": flow.kind, **flow.attrs}}
             if ph == "f":
@@ -139,11 +139,10 @@ def write_trace(events: List[dict], other: dict,
     return doc
 
 
-def write_chrome_trace(tracer: SpanTracer, out: Union[str, IO[str]],
-                       pid: int = 0) -> dict:
+def write_chrome_trace(tracer: SpanTracer, out: Union[str, IO[str]]) -> dict:
     """Write ``tracer``'s trace through :func:`write_trace`, with its
     metrics snapshot and ``dropped`` count in ``otherData``."""
-    return write_trace(chrome_trace_events(tracer, pid),
+    return write_trace(chrome_trace_events(tracer),
                        {"generator": "repro.obs",
                         "metrics": tracer.metrics.snapshot(),
                         "dropped": tracer.dropped}, out)

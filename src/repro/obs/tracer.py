@@ -289,9 +289,6 @@ class SpanTracer:
     def spans_named(self, name: str) -> List[SpanRecord]:
         return [s for s in self.spans if s.name == name]
 
-    def children_of(self, span: SpanRecord) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def clear(self) -> None:
         self.spans.clear()
         self.instants.clear()

@@ -6,7 +6,7 @@ Two instruments, built on the observability layer:
   a measured ping-pong into WQE-generation / doorbell-MMIO / wire /
   data-DMA / completion-MMIO / completion-polling components by interval
   arithmetic over the span trace, reconciling exactly against the
-  driver's own end-to-end timing (``python -m repro profile``);
+  driver's own end-to-end timing (``python -m repro trace``);
 * the **benchmark-regression harness** (:mod:`repro.perf.harness` +
   :mod:`repro.perf.scenarios`) — canonical deterministic scenarios whose
   metrics and shape invariants are pinned in ``BENCH_<NAME>.json``

@@ -1,9 +1,4 @@
-"""``python -m repro profile`` / ``python -m repro bench`` — the perf CLI.
-
-``profile`` runs one traced measurement and prints the cost-attribution
-table (:mod:`repro.perf.profiler`); ``--json`` additionally dumps the
-machine-readable profile.  Exit status reflects reconciliation: nonzero if
-the attributed phases disagree with the end-to-end timing.
+"""``python -m repro bench`` — the benchmark-regression CLI.
 
 ``bench`` drives the regression harness (:mod:`repro.perf.harness`):
 
@@ -20,45 +15,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 
 from .harness import check, record, render_reports
-from .profiler import profile_pingpong, render_profile
 from .scenarios import SCENARIOS, get_scenarios
-
-
-def profile_main(argv=None) -> int:
-    from ..obs.cli import MODE_CHOICES  # deferred: keeps ``bench`` light
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Attribute one ping-pong's cost to phases "
-                    "(WQE generation, MMIO, wire, DMA, polling).")
-    parser.add_argument("--fabric", choices=("extoll", "ib"),
-                        default="extoll")
-    parser.add_argument("--mode", default="dev2dev-direct",
-                        choices=MODE_CHOICES, metavar="MODE",
-                        help="communication mode, as for ``trace`` "
-                             "(default: dev2dev-direct)")
-    parser.add_argument("--size", type=int, default=64,
-                        help="message size in bytes (default: 64)")
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--warmup", type=int, default=2)
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the profile as JSON")
-    args = parser.parse_args(argv)
-
-    profile = profile_pingpong(args.fabric, args.mode, args.size,
-                               iterations=args.iterations,
-                               warmup=args.warmup)
-    print(render_profile(profile))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(profile.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"profile written to {args.json}")
-    return 0 if profile.reconciles else 1
 
 
 def _repo_root_default() -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional
 
+from ..analysis import figures
 from ..analysis import invariants as inv
 from ..analysis.faults import run_chaos_point, zero_cost_check
 from ..collectives.bench import build_communicator, run_collective
@@ -124,6 +125,18 @@ def extoll_poll_ratio() -> ScenarioResult:
     res.invariant("fig3-sysmem-polling-dominates",
                   inv.sysmem_polling_dominates(ratios[("sysmem", 64)],
                                                ratios[("devmem", 64)]))
+    # From 1 MiB the payload transfer dominates both modes (§V-A3): the
+    # published figure's own points, on its own testbed.
+    sysmem, devmem = figures.fig3_polling_ratio(sizes=[1 * MIB, 4 * MIB])
+    for label, series in (("sysmem", sysmem), ("devmem", devmem)):
+        for p in series.points:
+            res.metric(f"{label}/{p.size}B/poll_to_post_ratio",
+                       p.poll_to_post_ratio, unit="x")
+    gap = max(inv.relative_error(s.poll_to_post_ratio, d.poll_to_post_ratio)
+              for s, d in zip(sysmem.points, devmem.points))
+    res.invariant("fig3-modes-agree-from-1MiB",
+                  inv.at_most(gap, inv.RECONCILE_TOLERANCE,
+                              "sysmem/devmem poll-to-post gap", "1%"))
     return res
 
 

@@ -8,7 +8,7 @@ at a time.  All wait queues are FIFO, which keeps runs deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional, TYPE_CHECKING
+from typing import Any, Deque, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
 from .event import Event
@@ -61,14 +61,6 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def using(self, duration: float) -> Generator[Event, Any, None]:
-        """Convenience process fragment: hold one slot for ``duration``."""
-        yield self.acquire()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release()
 
 
 class Mutex(Resource):
@@ -131,11 +123,3 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: the next item, or None if empty."""
-        if not self._items and not self._putters:
-            return None
-        ev = self.get()
-        assert ev.triggered
-        return ev.value

@@ -26,13 +26,14 @@ from .plane import (
     DEFAULT_TRIGGERS,
     FORCE_BREACH,
     TelemetryPlane,
+    add_plane_args,
     plane_from_args,
 )
 from .export import (
     prometheus_text,
     render_series_table,
     timeseries_doc,
-    write_flight_record,
+    write_artifacts,
     write_prometheus,
     write_timeseries,
 )
@@ -47,12 +48,13 @@ __all__ = [
     "SeriesBank",
     "SloMonitor",
     "TelemetryPlane",
+    "add_plane_args",
     "plane_from_args",
     "prometheus_text",
     "render_series_table",
     "render_verdicts",
     "timeseries_doc",
-    "write_flight_record",
+    "write_artifacts",
     "write_prometheus",
     "write_timeseries",
 ]

@@ -33,9 +33,9 @@ from typing import Optional, Tuple
 
 from ..analysis.invariants import Verdict, counts_match, identical, render
 from ..sim import Simulator
-from .export import (render_series_table, write_flight_record,
+from .export import (render_series_table, write_artifacts,
                      write_prometheus, write_timeseries)
-from .plane import TelemetryPlane, plane_from_args
+from .plane import TelemetryPlane, add_plane_args, plane_from_args
 from .slo import Objective
 
 #: Conservative default objectives per scenario — thresholds sit well
@@ -264,9 +264,7 @@ def main(argv=None) -> int:
                         help="which scenario to monitor (default: engine)")
     parser.add_argument("--quick", action="store_true",
                         help="small run for CI")
-    parser.add_argument("--interval", type=float, default=5e-6,
-                        help="sampling cadence in simulated seconds "
-                             "(default: 5e-6)")
+    add_plane_args(parser, interval=5e-6)
     parser.add_argument("--capacity", type=int, default=4096,
                         help="ring size of every time series")
     parser.add_argument("--recorder-capacity", type=int, default=512,
@@ -289,27 +287,12 @@ def main(argv=None) -> int:
                         help="fabrics scenario per-link VC credits; 1 "
                              "forces congestion (default: 16; fabrics "
                              "needs a power-of-two --nodes)")
-    parser.add_argument("--slo", action="append", metavar="SPEC",
-                        help="extra objective, e.g. "
-                             "'p99:span.rma.wr-put<10e-6' or "
-                             "'rate:engine.messages>=6e6' (repeatable)")
-    parser.add_argument("--no-presets", action="store_true",
-                        help="drop the scenario's built-in objectives")
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="run the scenario bare (the zero-cost "
-                             "reference: prints the same headline)")
     parser.add_argument("--verify", action="store_true",
                         help="assert bare and instrumented runs measure "
                              "identically (non-perturbation)")
-    parser.add_argument("--force-breach", action="store_true",
-                        help="arm an unsatisfiable objective (dump "
-                             "artifact smoke test)")
     parser.add_argument("--reconcile", action="store_true",
                         help="faults only: reconcile the dump against a "
                              "full trace of the same seed")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write timeseries.json, metrics.prom and "
-                             "flight dumps under DIR")
     args = parser.parse_args(argv)
     args.connections = args.connections or (4 if args.quick else 8)
     args.per_connection = args.per_connection or (30 if args.quick else 60)
@@ -350,19 +333,14 @@ def main(argv=None) -> int:
             return 2
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        count = write_artifacts(args.out, plane.dumps,
+                                json.dumps(plane.report(), indent=1))
         write_timeseries(os.path.join(args.out, "timeseries.json"),
                          plane.sampler)
         write_prometheus(os.path.join(args.out, "metrics.prom"),
                          plane.sampler, plane.recorder.metrics)
-        for i, dump in enumerate(plane.dumps):
-            write_flight_record(
-                os.path.join(args.out, f"flight-record-{i}.json"), dump)
-        with open(os.path.join(args.out, "slo-report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(plane.report(), fh, indent=1)
         print(f"\nartifacts written to {args.out}/ "
-              f"({len(plane.dumps)} flight dump(s))")
+              f"({count} flight dump(s))")
 
     return 1 if plane.breached else 0
 

@@ -8,9 +8,9 @@ Three output shapes, one per consumer:
   Grafana tooling ingests a run's final state without adapters; the
   power-of-two histogram buckets map directly onto cumulative ``le``
   buckets,
-* :func:`write_flight_record` — a flight-recorder dump to disk, creating
-  parent directories (the same fix the trace CLI got — artifact paths
-  rarely exist on fresh checkouts/CI workspaces).
+* :func:`write_artifacts` — a monitoring run's flight-recorder dumps and
+  SLO report to disk, creating the directory (artifact paths rarely exist
+  on fresh checkouts/CI workspaces).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from .sampler import Sampler
 
@@ -155,11 +155,22 @@ def write_prometheus(path: str, sampler: Sampler, registry=None) -> None:
         fh.write(prometheus_text(sampler, registry))
 
 
-# -- flight-recorder dumps -----------------------------------------------------------
+# -- flight-recorder dumps + SLO report ---------------------------------------------
 
-def write_flight_record(path: str, dump: dict) -> None:
-    """Persist one flight-recorder dump, creating parent directories."""
-    _write_json(path, dump)
+def write_artifacts(out: str, dumps: Iterable[dict], report: str) -> int:
+    """Write every flight-recorder dump as ``flight-record-<i>.json`` and
+    ``report`` (an already serialized JSON document) as
+    ``slo-report.json`` under ``out``, creating it.  Returns the number of
+    dumps written."""
+    os.makedirs(out, exist_ok=True)
+    count = 0
+    for dump in dumps:
+        _write_json(os.path.join(out, f"flight-record-{count}.json"), dump)
+        count += 1
+    with open(os.path.join(out, "slo-report.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(report)
+    return count
 
 
 # -- per-window summary table ---------------------------------------------------------

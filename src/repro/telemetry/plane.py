@@ -84,11 +84,6 @@ class TelemetryPlane:
         self.sampler.on_tick.append(self._evaluate)
 
     # -- wiring ----------------------------------------------------------------
-    def add_objective(self, objective: Objective) -> SloMonitor:
-        monitor = SloMonitor(objective, SHORT_WINDOWS)
-        self.monitors.append(monitor)
-        return monitor
-
     def watch_stats(self, prefix: str, obj: object) -> None:
         self.sampler.watch_stats(prefix, obj)
 
@@ -98,18 +93,6 @@ class TelemetryPlane:
 
     def watch_gauge(self, name: str, fn: Callable[[], float]) -> None:
         self.sampler.watch_gauge(name, fn)
-
-    def watch_triggered(self, unit) -> None:
-        """Chain/counter activity of one node's triggered-operations unit
-        (→ ``trig.{node}.*`` series, ``armed`` as a gauge)."""
-        self.watch_stats(f"trig.n{unit.node.node_id}", unit.stats)
-
-    def watch_mpi(self, comm) -> None:
-        """The MPI layer's aggregated protocol counters plus every rank's
-        matching queues (→ ``mpi.*`` and ``mpi.rank{r}.match.*`` series)."""
-        self.watch_stats("mpi", comm)
-        for rank in comm.ranks:
-            self.watch_stats(f"mpi.rank{rank.rank}.match", rank.matcher)
 
     def watch_workloads(self, run) -> None:
         """The traffic generator's request accounting (→ ``workload.*``
@@ -258,6 +241,31 @@ class TelemetryPlane:
                 lines.append(f"  [{trip['time'] * 1e6:12.3f}us] "
                              f"{trip['reason']}")
         return "\n".join(lines)
+
+
+def add_plane_args(parser, interval: float) -> None:
+    """Declare the flags a monitoring subcommand shares: the ones
+    :func:`plane_from_args` reads, ``--no-telemetry`` (run bare) and
+    ``--out`` (the :func:`~repro.telemetry.export.write_artifacts`
+    directory).  ``interval`` is the default sampling cadence."""
+    parser.add_argument("--interval", type=float, default=interval,
+                        help=f"sampling cadence in simulated seconds "
+                             f"(default: {interval:g})")
+    parser.add_argument("--slo", action="append", metavar="SPEC",
+                        help="extra objective, e.g. "
+                             "'p99:span.rma.wr-put<10e-6' or "
+                             "'rate:engine.messages>=6e6' (repeatable)")
+    parser.add_argument("--no-presets", action="store_true",
+                        help="drop the built-in objectives")
+    parser.add_argument("--no-telemetry", action="store_true",
+                        help="run bare, with no plane (the zero-cost "
+                             "reference)")
+    parser.add_argument("--force-breach", action="store_true",
+                        help="arm an unsatisfiable objective (dump "
+                             "artifact smoke test)")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="write slo-report.json, the flight dumps and "
+                             "any other artifacts under DIR")
 
 
 def plane_from_args(sim: Simulator, args, presets: Iterable[Objective],

@@ -37,13 +37,6 @@ def mb_per_s(amount: int, seconds: float) -> float:
     return bytes_per_second(amount, seconds) / 1e6
 
 
-def messages_per_second(count: int, seconds: float) -> float:
-    """Sustained message rate (the unit used in Fig. 2/5)."""
-    if seconds <= 0.0:
-        raise ValueError(f"non-positive duration: {seconds!r}")
-    return count / seconds
-
-
 def cycles(n: int, frequency_hz: float) -> float:
     """Duration of ``n`` clock cycles at ``frequency_hz``."""
     if frequency_hz <= 0.0:

@@ -23,7 +23,7 @@ simulated second):
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Type
+from typing import Dict, List, Type
 
 from ..errors import BenchmarkError
 
@@ -60,13 +60,6 @@ class ArrivalProcess:
     def gaps(self, n: int) -> List[float]:
         """The next ``n`` gaps (advances the stream)."""
         return [self.next_gap() for _ in range(n)]
-
-    def arrival_times(self, n: int) -> Iterator[float]:
-        """Cumulative arrival instants for ``n`` requests from t=0."""
-        t = 0.0
-        for _ in range(n):
-            t += self.next_gap()
-            yield t
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} rate={self.rate:g}/s "

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from typing import List, Optional
 
 from ..analysis.invariants import Verdict, identical, render, to_json
 from ..sim import Simulator
-from ..telemetry.export import write_flight_record
-from ..telemetry.plane import plane_from_args
+from ..telemetry.export import write_artifacts
+from ..telemetry.plane import add_plane_args, plane_from_args
 from ..telemetry.slo import Objective
 from .apps import WORKLOADS
 from .generator import WorkloadRun, reconcile, saturation_sweep
@@ -179,28 +178,13 @@ def main(argv=None) -> int:
     parser.add_argument("--loss", type=float, default=0.0,
                         help="per-packet loss probability (arms reliable "
                              "channels and the fault injector)")
-    parser.add_argument("--interval", type=float, default=20e-6,
-                        help="telemetry sampling cadence (simulated s)")
-    parser.add_argument("--slo", action="append", metavar="SPEC",
-                        help="extra objective, e.g. "
-                             "'p99:span.workload.request<1e-3' (repeatable)")
-    parser.add_argument("--no-presets", action="store_true",
-                        help="drop the built-in objectives")
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="run every cell bare (no plane, no "
-                             "reconciliation)")
-    parser.add_argument("--force-breach", action="store_true",
-                        help="arm an unsatisfiable objective (dump "
-                             "artifact smoke test)")
+    add_plane_args(parser, interval=20e-6)
     parser.add_argument("--knee", action="store_true",
                         help="additionally sweep offered load on the first "
                              "cell and report the saturation knee")
     parser.add_argument("--json", action="store_true",
                         help="print the full JSON document instead of "
                              "tables")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write flight dumps and slo-report.json "
-                             "under DIR")
     args = parser.parse_args(argv)
     args.requests = args.requests or (10 if args.quick else 32)
     workloads = args.workload or sorted(WORKLOADS)
@@ -266,8 +250,9 @@ def main(argv=None) -> int:
     if args.knee:
         doc["knee"] = knee
 
+    text = json.dumps(doc, indent=1, sort_keys=True)
     if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(text)
     else:
         print(_render_cells(cells))
         print()
@@ -286,17 +271,9 @@ def main(argv=None) -> int:
                   "(see --json or --out for verdict details)")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        count = 0
-        for cell in cells:
-            for dump in cell["dumps"]:
-                write_flight_record(
-                    os.path.join(args.out, f"flight-record-{count}.json"),
-                    dump)
-                count += 1
-        with open(os.path.join(args.out, "slo-report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+        count = write_artifacts(
+            args.out, (dump for cell in cells for dump in cell["dumps"]),
+            text)
         if not args.json:
             print(f"\nartifacts written to {args.out}/ "
                   f"({count} flight dump(s))")

@@ -71,7 +71,6 @@ def test_brackets_and_requests(dag):
     begin, end = dag.bracket(0)
     assert (begin.kind, end.kind) == ("req.begin", "req.end")
     assert len(dag.rank_ends(0)) == 2
-    assert len(dag.rank_begins(0)) == 2
     with pytest.raises(CausalError, match="no complete"):
         dag.bracket(7)
 

@@ -5,11 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.collectives import (
-    allreduce_scaling,
-    render_scaling,
-    scaling_report,
-)
+from repro.analysis.collectives import allreduce_scaling, scaling_report
 from repro.collectives import CollectiveMode, build_communicator, run_collective
 from repro.collectives.bench import render_results
 from repro.collectives.cli import main as cli_main, reconcile_trace, run_traced_collective
@@ -86,5 +82,3 @@ def test_allreduce_scaling_analysis():
     assert report["numerics_ok"]
     assert report["ratio_ok"], [p.step_ratio for p in points]
     assert [p.steps for p in points] == [2, 6]
-    text = render_scaling(points)
-    assert "OK" in text and "FAIL" not in text

@@ -7,7 +7,6 @@ import pytest
 from repro import errors
 from repro.errors import (
     ConfigError,
-    CorruptionError,
     FaultError,
     ReproError,
     RetryExhaustedError,
@@ -33,13 +32,10 @@ def test_every_error_is_documented():
 
 def test_fault_hierarchy():
     assert issubclass(FaultError, ReproError)
-    for leaf in (RetryExhaustedError, CorruptionError):
-        assert issubclass(leaf, FaultError)
+    assert issubclass(RetryExhaustedError, FaultError)
     # One except-clause catches the whole reliability layer.
     with pytest.raises(FaultError):
         raise RetryExhaustedError("gave up after 16 retries")
-    with pytest.raises(ReproError):
-        raise CorruptionError("payload CRC mismatch")
 
 
 def test_config_validation_uses_config_error():

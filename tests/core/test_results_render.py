@@ -95,12 +95,6 @@ def test_render_counter_table_matches_paper_layout():
     assert "46,413" in text
 
 
-def test_counter_report_per_iteration():
-    counters = CounterSet(sysmem_write_transactions=300)
-    report = CounterReport("device memory", 100, counters)
-    assert report.per_iteration("sysmem_write_transactions") == 3.0
-
-
 def test_counter_set_arithmetic():
     a = CounterSet(instructions_executed=10, l2_read_hits=5)
     b = CounterSet(instructions_executed=3, l2_read_hits=1)

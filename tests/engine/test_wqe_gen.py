@@ -13,7 +13,6 @@ from repro.engine import (
     engine_rma_post,
     engine_ring_batch_doorbell,
     engine_stage_batch,
-    warp_cost,
 )
 from repro.errors import RmaError
 from repro.extoll import NotifyFlags, RmaOp, RmaWorkRequest
@@ -32,14 +31,6 @@ def put_wr(conn, size=64, offset=0, flags=NotifyFlags.REQUESTER):
                           src_nla=conn.a.send_nla.base + offset,
                           dst_nla=conn.b.recv_nla.base + offset,
                           size=size, flags=flags)
-
-
-@pytest.mark.quick
-def test_warp_cost_is_the_ceiling_division():
-    assert warp_cost(34, 8) == 5
-    assert warp_cost(34, 1) == 34
-    assert warp_cost(8, 8) == 1
-    assert warp_cost(9, 8) == 2
 
 
 def test_warp_parallel_post_beats_the_scalar_post(testbed):

@@ -53,15 +53,6 @@ def test_sub_page_registration_bounds_to_true_size():
         atu.translate(nla.base + 100)
 
 
-def test_deregister():
-    atu = Atu()
-    nla = atu.register(AddressRange(0x1000, 4096))
-    atu.deregister(nla)
-    assert not atu.is_registered(nla.base)
-    with pytest.raises(RegistrationError):
-        atu.deregister(nla)
-
-
 def test_straddling_translation_rejected():
     atu = Atu()
     nla = atu.register(AddressRange(0x1000, 4096))

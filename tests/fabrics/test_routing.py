@@ -80,7 +80,6 @@ def test_adaptive_routes_are_deterministic(routing, seed):
         sim = Simulator(seed=5)
         inst = instantiate(sim, build_topology("dragonfly", 32),
                            FabricConfig(credits=4), routing=routing)
-        inst.set_record_paths(True)
         result = run_permutation(inst, messages=3, payload=128, seed=seed)
         assert result.completed
         return (result.time, result.stalls,

@@ -148,16 +148,6 @@ def test_mr_lkey_not_usable_as_rkey():
         t.validate_remote(mr.lkey, 0x1000, 8)
 
 
-def test_mr_deregister():
-    t = MrTable()
-    mr = t.register(AddressRange(0x1000, 4096))
-    t.deregister(mr)
-    with pytest.raises(RegistrationError):
-        t.validate_local(mr.lkey, 0x1000, 8)
-    with pytest.raises(RegistrationError):
-        t.deregister(mr)
-
-
 def test_mr_keys_unique_across_registrations():
     t = MrTable()
     keys = set()

@@ -70,13 +70,6 @@ def test_copy_between_stores():
     assert b.read(8, 8) == b"payload!"
 
 
-def test_copy_within():
-    store = ByteStore(32)
-    store.write(0, b"abcd")
-    store.copy_within(0, 16, 4)
-    assert store.read(16, 4) == b"abcd"
-
-
 def test_view_writes_through():
     store = ByteStore(16)
     view = store.view(4, 4)

@@ -23,13 +23,6 @@ def test_mmio_unhandled_write_lands_in_store():
     assert win.read(0x40, 7) == b"scratch"
 
 
-def test_mmio_read_handler_overrides_store():
-    win = MmioWindow("bar", 0, 0x100)
-    win.on_read(0, 8, lambda off, length: b"\xaa" * length)
-    win.write(0, b"\x00" * 8)
-    assert win.read(0, 8) == b"\xaa" * 8
-
-
 def test_mmio_handler_overlap_rejected():
     win = MmioWindow("bar", 0, 0x100)
     win.on_write(0, 0x10, lambda o, d: None)
@@ -42,14 +35,6 @@ def test_mmio_handled_write_still_updates_store():
     win.on_write(0, 0x10, lambda o, d: None)
     win.write(0, b"\x42")
     assert win.read(0x0, 1) == b"\x42"
-
-
-def test_find_handler():
-    win = MmioWindow("bar", 0, 0x100)
-    h = lambda o, d: None
-    win.on_write(0x20, 0x10, h)
-    assert win.find_handler(0x28) is h
-    assert win.find_handler(0x00) is None
 
 
 # --- TranslationTable ----------------------------------------------------------
@@ -87,17 +72,6 @@ def test_readonly_mapping_blocks_writes():
     assert tt.translate(0x10) == 0x10
     with pytest.raises(TranslationError):
         tt.translate(0x10, write=True)
-
-
-def test_unmap():
-    tt = TranslationTable("atu")
-    rng = AddressRange(0, 0x1000)
-    tt.map(rng, physical_base=0)
-    tt.unmap(rng)
-    with pytest.raises(TranslationError):
-        tt.translate(0x10)
-    with pytest.raises(TranslationError):
-        tt.unmap(rng)
 
 
 def test_try_translate_returns_none_on_fault():

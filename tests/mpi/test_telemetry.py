@@ -19,9 +19,11 @@ def test_plane_watches_mpi_and_triggered_series():
     plane = TelemetryPlane(sim, interval=2e-6)
     cluster = build_extoll_cluster(sim=sim, num_nodes=2)
     comm = MpiCommunicator(cluster)
-    plane.watch_mpi(comm)
+    plane.watch_stats("mpi", comm)
+    for rank in comm.ranks:
+        plane.watch_stats(f"mpi.rank{rank.rank}.match", rank.matcher)
     for unit in comm.units:
-        plane.watch_triggered(unit)
+        plane.watch_stats(f"trig.n{unit.node.node_id}", unit.stats)
     plane.start()
 
     r0, r1 = comm.ranks

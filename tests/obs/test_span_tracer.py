@@ -44,7 +44,6 @@ def test_span_nesting_sets_parent_and_depth():
     outer_rec = trc.spans_named("outer")[0]
     assert inner_rec.parent_id == outer_rec.span_id
     assert inner_rec.depth == 1 and outer_rec.depth == 0
-    assert trc.children_of(outer_rec) == [inner_rec]
 
 
 def test_tracks_are_independent_stacks():

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.perf import SCENARIOS, check, record
-from repro.perf.cli import bench_main, profile_main
+from repro.obs import cli as trace_cli
+from repro.perf import SCENARIOS, check, profile_from_trace, record
+from repro.perf.cli import bench_main
 from repro.sim import Simulator
 
 
@@ -79,9 +80,10 @@ def test_injected_latency_regression_is_caught(tmp_path, monkeypatch):
 
 def test_profile_cli_writes_json(tmp_path, capsys):
     out_path = tmp_path / "profile.json"
-    rc = profile_main(["--mode", "dev2dev-direct", "--size", "64",
-                       "--iterations", "4", "--warmup", "1",
-                       "--json", str(out_path)])
+    rc = trace_cli.main(["--mode", "dev2dev-direct", "--size", "64",
+                         "--iterations", "4", "--warmup", "1",
+                         "--out", str(tmp_path / "trace.json"),
+                         "--json", str(out_path)])
     printed = capsys.readouterr().out
     assert rc == 0
     assert "reconciliation" in printed
@@ -89,6 +91,28 @@ def test_profile_cli_writes_json(tmp_path, capsys):
     assert doc["reconciles"] is True
     assert {row["name"] for row in doc["phases"]} >= {
         "wqe-generation", "wire", "completion-polling"}
+
+
+def test_trace_json_is_the_runs_profile(tmp_path, monkeypatch, capsys):
+    """``trace --json`` writes the profile of the run it traced: every key
+    but ``verdicts`` (which lists all the printed verdicts) is
+    ``profile_from_trace(...).to_dict()`` of that run."""
+    runs = []
+    real = trace_cli.run_traced_pingpong
+    monkeypatch.setattr(trace_cli, "run_traced_pingpong",
+                        lambda *a: runs.append(real(*a)) or runs[-1])
+    out_path = tmp_path / "profile.json"
+    assert trace_cli.main(["--fabric", "ib", "--mode", "dev2dev-bufOnHost",
+                           "--iterations", "3", "--warmup", "1",
+                           "--out", str(tmp_path / "trace.json"),
+                           "--json", str(out_path)]) == 0
+    capsys.readouterr()
+    (tracer, point), = runs
+    expected = profile_from_trace(tracer, point, "ib", "dev2dev-bufOnHost",
+                                  3).to_dict()
+    doc = json.loads(out_path.read_text())
+    assert doc.pop("verdicts")[-1] == expected.pop("verdicts")[0]
+    assert doc == json.loads(json.dumps(expected))
 
 
 def test_every_registered_scenario_has_unique_baseline_name():

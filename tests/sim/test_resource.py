@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Mutex, Resource, Simulator, Store, join_result
+from repro.sim import Resource, Simulator, Store, join_result
 
 
 def test_resource_serializes_beyond_capacity():
@@ -56,21 +56,6 @@ def test_capacity_must_be_positive():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
-
-
-def test_using_helper_holds_for_duration():
-    sim = Simulator()
-    mtx = Mutex(sim)
-
-    def worker():
-        yield from mtx.using(7.0)
-        return sim.now
-
-    a = sim.process(worker())
-    b = sim.process(worker())
-    sim.run()
-    assert join_result(a) == 7.0
-    assert join_result(b) == 14.0
 
 
 def test_store_put_then_get():
@@ -149,15 +134,6 @@ def test_bounded_store_blocks_producer():
     sim.run()
     assert ("put-a", 0.0) in log
     assert ("put-b", 10.0) in log
-
-
-def test_try_get_nonblocking():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("x")
-    assert store.try_get() == "x"
-    assert store.try_get() is None
 
 
 def test_store_len_tracks_buffered_items():

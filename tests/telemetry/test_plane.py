@@ -45,9 +45,8 @@ def test_first_slo_breach_trips_the_flight_recorder_once():
 
 def test_model_instrumentation_feeds_the_plane():
     sim = Simulator()
-    plane = TelemetryPlane(sim, interval=1e-6)
-    plane.add_objective(Objective("tail", "span.rma.put", "p99", "<", 1e-6,
-                                  budget=0.0))
+    plane = TelemetryPlane(sim, interval=1e-6, objectives=[
+        Objective("tail", "span.rma.put", "p99", "<", 1e-6, budget=0.0)])
     trc = sim.tracer
 
     def put(duration):

@@ -8,9 +8,8 @@ import sys
 
 from repro.__main__ import COMMANDS, main, render_command_table
 
-EXPECTED = {"report", "trace", "profile", "bench", "collectives", "faults",
-            "engine", "monitor", "triggered", "mpi", "workloads", "critpath",
-            "fabrics"}
+EXPECTED = {"report", "trace", "bench", "collectives", "faults", "engine",
+            "monitor", "triggered", "mpi", "workloads", "critpath", "fabrics"}
 
 
 def test_registry_covers_every_subcommand():

@@ -11,7 +11,6 @@ from repro.units import (
     format_size,
     format_time,
     mb_per_s,
-    messages_per_second,
 )
 
 
@@ -29,12 +28,6 @@ def test_bytes_per_second():
 
 def test_mb_per_s_is_decimal_megabytes():
     assert mb_per_s(800_000_000, 1.0) == pytest.approx(800.0)
-
-
-def test_messages_per_second():
-    assert messages_per_second(64, 0.001) == pytest.approx(64000)
-    with pytest.raises(ValueError):
-        messages_per_second(1, -1.0)
 
 
 def test_cycles():

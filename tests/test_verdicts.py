@@ -137,10 +137,9 @@ COMMANDS = {
                   "--requests", "1", "--verify", "--reconcile", "--json"],
                  2, ["--expect-straggler", "7"]),
     "trace": (["trace", "--iterations", "4", "--warmup", "1", "--out",
-               "{trace}"], None, 1, _fail_agreement),
-    "profile": (["profile", "--iterations", "4", "--warmup", "1"],
-                ["profile", "--iterations", "4", "--warmup", "1", "--json",
-                 "{json}"], 1, _fail_agreement),
+               "{trace}"],
+              ["trace", "--iterations", "4", "--warmup", "1", "--out",
+               "{trace}", "--json", "{json}"], 1, _fail_agreement),
 }
 
 
@@ -217,7 +216,7 @@ def test_repro_error_is_one_stderr_line(argv):
 
 @pytest.mark.parametrize("argv", [
     ["trace", "--mode", "bogus"],
-    ["profile", "--mode", "bogus"],
+    ["trace", "--json"],
     ["faults", "--loss", "2"],
     ["faults", "--sizes", "x"],
     ["collectives", "--op", "bogus"],

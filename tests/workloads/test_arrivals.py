@@ -76,15 +76,6 @@ def test_mean_interarrival_converges_to_rate(kind, tolerance, rate):
     assert mean == pytest.approx(1.0 / rate, rel=tolerance)
 
 
-def test_arrival_times_are_cumulative_and_increasing():
-    proc = PoissonArrivals(1e4, seed=1)
-    times = list(proc.arrival_times(100))
-    assert len(times) == 100
-    assert all(b >= a for a, b in zip(times, times[1:]))
-    proc.reset()
-    assert times[-1] == pytest.approx(sum(proc.gaps(100)))
-
-
 def test_bursty_clumps_more_than_poisson():
     """Same mean, fatter tail: the bursty process's max/mean gap ratio
     must exceed Poisson's (idle OFF periods vs memoryless smoothness)."""
