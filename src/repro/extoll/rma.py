@@ -146,6 +146,7 @@ class RmaUnit:
             PacketKind.RMA_PUT, self.nic.node_id, wr.dst_node,
             self.config.packet_header_bytes, data,
             meta={"dst_nla": wr.dst_nla, "port": wr.port, "flags": wr.flags},
+            seq=next(self.sim.packet_seq),
         ))
         if causal:
             trc.flow_event("txd", f"{self.nic.name}.rma",
@@ -170,6 +171,7 @@ class RmaUnit:
             meta={"src_nla": wr.src_nla, "dst_nla": wr.dst_nla,
                   "size": wr.size, "port": wr.port, "flags": wr.flags,
                   "origin": self.nic.node_id},
+            seq=next(self.sim.packet_seq),
         ))
         started = getattr(wr, "on_started", None)
         if started is not None:
@@ -242,7 +244,7 @@ class RmaUnit:
         yield from self.endpoint.send(Packet(
             PacketKind.RMA_GET_RESPONSE, self.nic.node_id,
             packet.meta["origin"], self.config.packet_header_bytes, data,
-            meta=dict(packet.meta),
+            meta=dict(packet.meta), seq=next(self.sim.packet_seq),
         ))
         if packet.meta["flags"] & NotifyFlags.RESPONDER:
             port = self.nic.port_state(packet.meta["port"])

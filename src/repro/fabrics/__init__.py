@@ -15,9 +15,11 @@ tree / recursive-halving schedules win:
   interpreter that runs the ring / binomial-tree / recursive-halving
   all-reduce scripts of :mod:`repro.collectives.algorithms`,
 * :mod:`~repro.fabrics.traffic` — permutation traffic for the deadlock
-  and replay canaries,
-* :mod:`~repro.fabrics.sweep` — the ``python -m repro fabrics`` sweep
-  producing crossover tables and acceptance verdicts.
+  and replay canaries.
+
+The ``fabric-allreduce`` and ``fabric-congestion`` scenarios
+(:mod:`repro.perf.scenarios`) run the sweep and its checks; ``python -m
+repro fabrics`` runs them on its grid and prints the crossover tables.
 """
 
 from .topology import (FabricConfig, Topology, build_topology, dragonfly,

@@ -1,9 +1,11 @@
 """``python -m repro fabrics`` — scale-out fabric sweeps + canaries.
 
-Default: run the acceptance sweep (topology x N x algorithm all-reduce
-matrix plus the verdict battery: bit-exactness, closed-form step counts,
-ring->halving crossover, zero-cost credits, permutation deadlock
-freedom, adaptive replay, trace reconcile, credit blame) and print the
+Default: run the ``fabric-allreduce`` and ``fabric-congestion`` scenarios
+(:mod:`repro.perf.scenarios`) on this command's grid — the topology x N x
+algorithm all-reduce matrix with its verdicts (exact sums, bit-exactness
+across schedules, closed-form step counts, the ring->halving crossover,
+trace reconcile) and the credit canaries (permutation deadlock freedom,
+zero-cost credits, credit blame, adaptive replay) — and print the
 crossover tables.  Exit non-zero if any verdict fails.
 
 ``--force-congestion`` runs only the congestion canary: a causally
@@ -25,13 +27,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import List
 
 from ..analysis.invariants import render, to_json
 from ..cliargs import csv_list
+from ..perf.scenarios import (fabric_allreduce, fabric_congestion,
+                              forced_congestion_blame)
 from .routing import ROUTINGS
-from .sweep import (SweepConfig, forced_congestion_blame, render_report,
-                    run_sweep)
 from .topology import TOPOLOGY_KINDS
+
+
+def _render_tables(results, topologies, nodes, algorithms, elems: int,
+                   iterations: int, seed: int) -> List[str]:
+    """The crossover tables: p50 all-reduce time (p50 per-phase time) per
+    topology, one row per N and one column per schedule."""
+    title = (f"Fabric collectives sweep (elems/rank={elems}, "
+             f"{iterations} iterations, seed={seed})")
+    lines = [title, "=" * len(title)]
+    cells = {(r.topology, r.n, r.algorithm): r for r in results}
+    for kind in topologies:
+        lines.append("")
+        lines.append(f"{kind}: p50 all-reduce time (p50 per-phase time)")
+        lines.append("N".rjust(6) + "".join(a.rjust(22) for a in algorithms))
+        for n in nodes:
+            row = f"{n}".rjust(6)
+            for algorithm in algorithms:
+                r = cells[(kind, n, algorithm)]
+                row += (f"{r.p50_time * 1e6:9.1f}us "
+                        f"({r.p50_step_time * 1e9:6.0f}ns)").rjust(22)
+            lines.append(row)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -70,18 +95,8 @@ def main(argv=None) -> int:
                         help="also write the full report as JSON")
     args = parser.parse_args(argv)
 
-    if args.quick:
-        cfg = SweepConfig(nodes=(16, 32), iterations=2, seed=args.seed,
-                          routing=args.routing)
-    else:
-        cfg = SweepConfig(
-            topologies=args.topologies, algorithms=args.algorithms,
-            nodes=args.nodes,
-            elems_per_rank=args.elems, iterations=args.iterations,
-            seed=args.seed, routing=args.routing)
-
     if args.force_congestion:
-        verdicts, share = forced_congestion_blame(cfg)
+        verdicts, share = forced_congestion_blame(args.seed, args.routing)
         ok = all(v.ok for v in verdicts)
         print(render(verdicts))
         if args.json:
@@ -91,14 +106,56 @@ def main(argv=None) -> int:
                           fh, indent=2)
         return 0 if ok else 1
 
-    report = run_sweep(cfg, progress=lambda m: print(f"  {m}",
-                                                     file=sys.stderr))
-    print(render_report(report))
+    if args.quick:
+        topologies, algorithms, nodes = TOPOLOGY_KINDS, ("ring", "rh",
+                                                         "tree"), (16, 32)
+        elems, iterations = 4, 2
+    else:
+        topologies, algorithms, nodes = (args.topologies, args.algorithms,
+                                         args.nodes)
+        elems, iterations = args.elems, args.iterations
+    allreduce = fabric_allreduce(topologies, nodes, algorithms,
+                                 elems_per_rank=elems, iterations=iterations,
+                                 seed=args.seed, routing=args.routing)
+    congestion = fabric_congestion(topologies, seed=args.seed,
+                                   routing=args.routing)
+    results = allreduce.runs["results"]
+    verdicts = allreduce.verdicts + congestion.verdicts
+    ok = all(v.ok for v in verdicts)
+
+    for line in _render_tables(results, topologies, nodes, algorithms,
+                               elems, iterations, args.seed):
+        print(line)
+    print("")
+    print("Acceptance verdicts")
+    print("-------------------")
+    print(render(verdicts))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump({
+                "config": {
+                    "topologies": list(topologies),
+                    "algorithms": list(algorithms),
+                    "nodes": list(nodes),
+                    "elems_per_rank": elems,
+                    "iterations": iterations,
+                    "seed": args.seed,
+                    "routing": args.routing,
+                },
+                "results": [{
+                    "topology": r.topology, "n": r.n,
+                    "algorithm": r.algorithm,
+                    "p50_time_us": r.p50_time * 1e6,
+                    "p50_step_time_us": r.p50_step_time * 1e6,
+                    "steps": r.steps, "phases": r.phases,
+                    "packets": r.packets, "correct": r.correct,
+                    "events": r.events,
+                } for r in results],
+                "verdicts": to_json(verdicts),
+                "ok": ok,
+            }, fh, indent=2)
         print(f"report -> {args.json}")
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

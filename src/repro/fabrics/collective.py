@@ -101,7 +101,8 @@ class FabricHost:
             trc.flow_event("snd", f"n{self.node_id}", addr=caddr,
                            dst=dst, bytes=len(payload))
         packet = Packet(PacketKind.FABRIC, self.node_id, dst,
-                        FABRIC_HEADER, payload, meta)
+                        FABRIC_HEADER, payload, meta,
+                        seq=next(self.sim.packet_seq))
         yield from self.attachment.send(packet)
         self.packets_sent += 1
         if causal:

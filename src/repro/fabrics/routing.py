@@ -226,16 +226,15 @@ class FabricInstance:
 
     # -- congestion stats ---------------------------------------------------
     def flow_stats(self) -> Dict[str, float]:
-        stalls = stall_time = peak = in_flight = 0
+        stalls = stall_time = in_flight = 0
         for link in self.net.links().values():
             if link.flow is None:
                 continue
             stalls += link.flow.total_stalls
             stall_time += link.flow.total_stall_time
-            peak = max(peak, *link.flow.peak_in_flight)
             in_flight += (link.flow.in_flight(0) + link.flow.in_flight(1))
         return {"stalls": stalls, "stall_time": stall_time,
-                "peak_in_flight": peak, "in_flight": in_flight}
+                "in_flight": in_flight}
 
     def link_packets(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
         """Per-link (dir0, dir1) packet counts — the replay fingerprint."""

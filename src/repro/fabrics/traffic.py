@@ -32,16 +32,10 @@ def permutation(n: int, seed: int) -> Dict[int, int]:
 
 @dataclass
 class TrafficResult:
-    pattern: str
-    n: int
-    messages: int                   # per host
     completed: bool
     deadlocked: bool
     time: float
     stalls: int
-    stall_time: float
-    peak_in_flight: int
-    events: int
 
 
 def run_permutation(instance: FabricInstance, messages: int = 4,
@@ -73,13 +67,9 @@ def run_permutation(instance: FabricInstance, messages: int = 4,
         sim.run_until_complete(*procs, limit=limit)
     except SimulationError:
         deadlocked = True
-    flow = instance.flow_stats()
     return TrafficResult(
-        pattern="permutation", n=n, messages=messages,
         completed=done[0] == n, deadlocked=deadlocked, time=sim.now,
-        stalls=int(flow["stalls"]), stall_time=flow["stall_time"],
-        peak_in_flight=int(flow["peak_in_flight"]),
-        events=sim.events_processed)
+        stalls=int(instance.flow_stats()["stalls"]))
 
 
 __all__ = ["TrafficResult", "permutation", "run_permutation"]

@@ -1,14 +1,14 @@
 """``python -m repro faults`` — the chaos harness.
 
 Sweeps loss rate x message size x control mode over an N-node collective
-with the reliability engines armed, and asserts three properties:
-
-1. every point still computes the exact correct result (retransmission
-   works under loss, corruption, and reordering),
-2. a traced run's ``fault/retransmit`` instants match the engines'
-   counters exactly (the books balance),
-3. latency/goodput degrade monotonically with loss, and the fault layer is
-   bit-for-bit free when idle (``FaultPlan.none()``).
+with the reliability engines armed: the ``faults-overhead`` scenario
+(:mod:`repro.perf.scenarios`) on this command's grid, whose verdicts ask
+that every point still computes the exact result, that latency and
+goodput degrade monotonically with loss, that the highest loss rate was
+really recovered from, that the fault layer is bit-for-bit free when idle
+(``FaultPlan.none()``) and the reliability engines nearly free at zero
+loss, and that a traced run's ``fault/retransmit`` instants match the
+engines' counters exactly (the books balance).
 
 Examples::
 
@@ -23,20 +23,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..analysis.faults import (
-    chaos_sweep,
-    monotonic_check,
-    reconcile_retransmits,
-    render_chaos,
-    run_chaos_point,
-    zero_cost_check,
-)
-from ..analysis.invariants import Verdict, counts_match, render
+from ..analysis.faults import render_chaos
+from ..analysis.invariants import render
 from ..cliargs import csv_list
 from ..collectives.bench import OPS
 from ..collectives.comm import CollectiveMode, collective_mode
-from ..obs import SpanTracer
 from ..obs.export import write_chrome_trace
+from ..perf.scenarios import faults_overhead
 
 
 def main(argv=None) -> int:
@@ -67,9 +60,9 @@ def main(argv=None) -> int:
                         help="simulator seed (default: 1)")
     parser.add_argument("--trace", nargs="?", const="faults-trace.json",
                         default=None, metavar="PATH",
-                        help="additionally trace ONE faulted configuration "
-                             "and write a Chrome trace "
-                             "(default path: faults-trace.json)")
+                        help="write the Chrome trace of the traced point "
+                             "(the first mode and size at the highest loss "
+                             "rate; default path: faults-trace.json)")
     parser.add_argument("--quick", action="store_true",
                         help="small fixed sweep for CI smoke runs")
     args = parser.parse_args(argv)
@@ -88,56 +81,23 @@ def main(argv=None) -> int:
     if 0.0 not in loss_rates:
         loss_rates = [0.0] + loss_rates   # degradation needs its baseline
 
-    verdicts = []
-
-    # 1. The grid: every point must still compute the right answer.
-    points = chaos_sweep(loss_rates, sizes, modes, nodes=nodes, op=args.op,
-                         iterations=iterations, warmup=warmup,
-                         seed=args.seed)
+    result = faults_overhead(
+        modes=modes, sizes=sizes, losses=loss_rates, corrupt_ratio=0.5,
+        nodes=nodes, op=args.op, iterations=iterations, warmup=warmup,
+        seed=args.seed)
     print(f"{args.op} on {nodes} nodes, {iterations} iterations per point, "
           f"seed {args.seed}:")
-    print(render_chaos(points))
-    bad = [p for p in points if not p.correct]
-    verdicts.append(Verdict(
-        "chaos results exact", not bad,
-        f"{len(points) - len(bad)}/{len(points)} chaos points computed the "
-        f"exact result"))
-
-    # 2. Zero cost when idle: FaultPlan.none() must be bit-identical.
-    zero_cost, _ = zero_cost_check(modes[0], sizes[0], nodes=nodes,
-                                   op=args.op, iterations=iterations,
-                                   warmup=warmup, seed=args.seed)
-    verdicts.append(zero_cost)
-
-    # 3. Monotonic degradation with loss.
-    mono = monotonic_check(points)
-    verdicts.append(Verdict(
-        "monotonic degradation", mono["ok"],
-        "; ".join(mono["violations"])
-        or "latency and goodput never improve as loss grows"))
-
-    # 4. Traced run: retransmit instants vs engine counters.
+    print(render_chaos(result.runs["points"]))
     if args.trace is not None:
-        tracer = SpanTracer()
-        trace_loss = max(loss_rates) or 0.01
-        point, comm, _ = run_chaos_point(
-            modes[0], sizes[0], trace_loss, corrupt=trace_loss / 2,
-            nodes=nodes, op=args.op, iterations=iterations, warmup=warmup,
-            seed=args.seed, tracer=tracer)
+        tracer = result.runs["tracer"]
         write_chrome_trace(tracer, args.trace)
-        recon = reconcile_retransmits(tracer, comm)
-        verdicts.append(counts_match("retransmit reconcile",
-                                     recon["traced"], recon["counted"]))
-        verdicts.append(Verdict(
-            "traced run exact", point.correct,
-            f"all-reduce result at loss={trace_loss:g} "
-            f"{'exact' if point.correct else 'WRONG'}"))
         print(f"{len(tracer.spans)} spans, {len(tracer.instants)} instants "
               f"-> {args.trace}")
 
     print()
-    print(render(verdicts))
-    return 0 if all(v.ok for v in verdicts) else 1
+    print(render(result.verdicts))
+    return 0 if all(v.ok for v in result.verdicts) else 1
+
 
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -93,14 +93,15 @@ class LinkFaultState:
             for _ in range(self.rng.randint(1, min(3, len(mutated)))):
                 idx = self.rng.randrange(len(mutated))
                 mutated[idx] ^= self.rng.randint(1, 255)
-            bad = packet.clone(payload=bytes(mutated))
+            bad = packet.clone(next(self.sim.packet_seq),
+                               payload=bytes(mutated))
             bad.checksum = true_crc
             # A vanishingly unlikely no-op flip still must corrupt.
             if not bad.is_corrupt:
                 bad.checksum = true_crc ^ 0x5A5A5A5A
         else:
             # Header-only packets: poison the CRC itself.
-            bad = packet.clone()
+            bad = packet.clone(next(self.sim.packet_seq))
             bad.checksum = true_crc ^ 0x5A5A5A5A
         return bad
 

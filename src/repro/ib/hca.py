@@ -141,7 +141,8 @@ class _RetxState:
                             track=f"{hca.name}.retx", qp=self.qp.qp_num,
                             psn=psn, kind=packet.kind.value)
                 trc.metrics.counter("faults.retransmits").inc()
-            yield from hca.endpoint.send(packet.clone())
+            yield from hca.endpoint.send(
+                packet.clone(next(hca.sim.packet_seq)))
 
 
 class Hca:
@@ -329,20 +330,23 @@ class Hca:
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_RDMA_WRITE, self.node_id, qp.remote_node,
-                cfg.packet_header_bytes, payload, meta)
+                cfg.packet_header_bytes, payload, meta,
+                seq=next(self.sim.packet_seq))
             cqe_info = (None if unsignaled
                         else (wqe.wr_id, WcOpcode.RDMA_WRITE, wqe.length))
         elif wqe.opcode is IbOpcode.SEND:
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_SEND, self.node_id, qp.remote_node,
-                cfg.packet_header_bytes, payload, meta)
+                cfg.packet_header_bytes, payload, meta,
+                seq=next(self.sim.packet_seq))
             cqe_info = (None if unsignaled
                         else (wqe.wr_id, WcOpcode.SEND, wqe.length))
         elif wqe.opcode is IbOpcode.RDMA_READ:
             packet = Packet(
                 PacketKind.IB_RDMA_READ_REQ, self.node_id, qp.remote_node,
-                cfg.packet_header_bytes, b"", meta)
+                cfg.packet_header_bytes, b"", meta,
+                seq=next(self.sim.packet_seq))
             cqe_info = None     # READs complete on the response, not an ACK
         else:
             raise VerbsError(f"cannot execute {wqe.opcode} from the send queue")
@@ -421,7 +425,8 @@ class Hca:
             yield from self.endpoint.send(Packet(
                 PacketKind.IB_ACK, self.node_id, packet.src_node,
                 self.config.packet_header_bytes, b"",
-                {"src_qp": meta["src_qp"], "ack_psn": qp.expected_psn - 1}))
+                {"src_qp": meta["src_qp"], "ack_psn": qp.expected_psn - 1},
+                seq=next(self.sim.packet_seq)))
             return False
         # Gap: drop, and NACK the missing PSN (once per gap — later packets
         # of the same burst stay silent so one loss causes one replay).
@@ -437,7 +442,8 @@ class Hca:
                 PacketKind.IB_ACK, self.node_id, packet.src_node,
                 self.config.packet_header_bytes, b"",
                 {"src_qp": meta["src_qp"], "ack_psn": qp.expected_psn - 1,
-                 "nack_psn": qp.expected_psn}))
+                 "nack_psn": qp.expected_psn},
+                seq=next(self.sim.packet_seq)))
         return False
 
     def _rx_rdma_write(self, packet: Packet):
@@ -513,7 +519,8 @@ class Hca:
         data = yield from self.dma.read(meta["remote_addr"], meta["length"])
         yield from self.endpoint.send(Packet(
             PacketKind.IB_RDMA_READ_RSP, self.node_id, packet.src_node,
-            self.config.packet_header_bytes, data, dict(meta)))
+            self.config.packet_header_bytes, data, dict(meta),
+            seq=next(self.sim.packet_seq)))
 
     def _rx_read_response(self, packet: Packet):
         meta = packet.meta
@@ -542,7 +549,8 @@ class Hca:
             meta["ack_psn"] = self.qp(packet.meta["dst_qp"]).expected_psn - 1
         yield from self.endpoint.send(Packet(
             PacketKind.IB_ACK, self.node_id, packet.src_node,
-            self.config.packet_header_bytes, b"", meta))
+            self.config.packet_header_bytes, b"", meta,
+            seq=next(self.sim.packet_seq)))
 
     def _rx_ack(self, packet: Packet):
         meta = packet.meta

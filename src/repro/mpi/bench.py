@@ -9,8 +9,8 @@ of model bookkeeping:
   the per-size ``rndv_sent`` counts.
 * :func:`run_mpi_allreduce` — the triggered-chain ``iallreduce``, measured
   per round with ``phase`` spans so span totals, the LatencyPoint, and the
-  chain counters reconcile three ways (the engine CLI's verification
-  pattern applied to this layer).
+  chain counters reconcile three ways (the engine scenarios' counter
+  reconcile applied to this layer).
 * :func:`run_mode_allreduce_mmio` — the collectives stack in any of
   its three control modes, counting what its control path pushes through
   the BAR, for the host-assist-vs-triggered ablation; and
@@ -235,11 +235,3 @@ def engine_floor_checks(triggered_mmio: int, modes: List[Dict[str, object]],
              + ", ".join(f"{m['mode']} {m['bar_mmio']}" for m in modes))
     return floor, below, above
 
-
-def pingpong_sweep(sizes: List[int], iterations: int = 8, warmup: int = 2,
-                   seed: int = 11,
-                   config: Optional[MpiConfig] = None
-                   ) -> List[MpiPingPongResult]:
-    """Fresh communicator per size so points never share warmed state."""
-    return [run_mpi_pingpong(size, iterations=iterations, warmup=warmup,
-                             seed=seed, config=config) for size in sizes]

@@ -6,16 +6,9 @@ the ablation table the experiment is about: host-assist control paths pay
 BAR crossings per step, the triggered layer pays zero — below even the
 offload engine's batched-doorbell floor.
 
-Verdicts (exit status is non-zero if any fails):
-
-* ping-pong payloads survive both protocols, with the protocol switch
-  landing exactly at ``eager_threshold``,
-* the MPI layer's entire sweep posts ZERO work requests through any BAR,
-* the triggered iallreduce matches the exact expected sums,
-* its chain count matches the schedule exactly and its span/latency
-  bookkeeping reconciles within 1%,
-* its BAR MMIO sits at or below the engine floor for the host-assist
-  modes' WR count, and every host-assist mode's sits above it.
+The runs and their verdicts are the ``mpi-latency`` and ``mpi-allreduce``
+scenarios' (:mod:`repro.perf.scenarios`), on this command's grid; exit
+status is non-zero if any verdict fails.
 """
 
 from __future__ import annotations
@@ -24,11 +17,8 @@ import argparse
 import json
 
 from ..analysis.invariants import Verdict, render, to_json
-from ..collectives.comm import CollectiveMode
 from ..obs.export import write_chrome_trace
-from ..obs.tracer import SpanTracer
-from .bench import (engine_floor_checks, pingpong_sweep,
-                    run_mode_allreduce_mmio, run_mpi_allreduce)
+from ..perf.scenarios import mpi_allreduce, mpi_latency
 from .comm import MpiConfig
 
 
@@ -67,42 +57,17 @@ def main(argv=None) -> int:
     iterations = 2 if args.quick else args.iterations
     size = args.size
 
-    config = MpiConfig()
-    thr = config.eager_threshold
-    sizes = [thr // 2, thr, thr + 1, 8 * thr]
-    pp = pingpong_sweep(sizes, iterations=iterations, seed=args.seed,
-                        config=config)
-
-    tracer = SpanTracer()
-    ar = run_mpi_allreduce(nodes, size, iterations=iterations,
-                           seed=args.seed, tracer=tracer,
-                           algorithm=args.algorithm)
+    latency = mpi_latency(iterations=iterations, seed=args.seed)
+    allreduce = mpi_allreduce(nodes, size, iterations=iterations,
+                              seed=args.seed, algorithm=args.algorithm)
     if args.out:
-        write_chrome_trace(tracer, args.out)
-    modes = [run_mode_allreduce_mmio(mode, nodes, size,
-                                     iterations=iterations, seed=args.seed)
-             for mode in CollectiveMode]
-    floor, below_floor, above_floor = engine_floor_checks(ar.bar_mmio,
-                                                          modes)
+        write_chrome_trace(allreduce.runs["tracer"], args.out)
+    pp = latency.runs["pingpongs"]
+    ar = allreduce.runs["allreduce"]
+    modes = allreduce.runs["modes"]
+    floor = allreduce.runs["floor"]
 
-    crossover_ok = all(
-        (p.rndv_sent == 0) == (p.size <= thr) and
-        (p.eager_sent > 0) == (p.size <= thr) for p in pp)
-    verdicts = [
-        Verdict("pingpong-crossover", crossover_ok,
-                f"protocol switches eager->rendezvous above {thr} B"),
-        Verdict("zero-bar-mmio", ar.bar_mmio == 0 and all(p.bar_mmio == 0
-                                                          for p in pp),
-                f"MPI-layer BAR crossings: pingpong "
-                f"{sum(p.bar_mmio for p in pp)}, iallreduce {ar.bar_mmio}"),
-        Verdict("allreduce-exact", ar.correct,
-                f"{nodes}-rank sums exact over {iterations} rounds"),
-        Verdict("allreduce-reconciles", bool(ar.reconcile["ok"]),
-                "chains exact vs the schedule, spans vs LatencyPoint "
-                "within 1%"),
-        Verdict("below-engine-floor", *below_floor),
-        Verdict("host-assist-pays-mmio", *above_floor),
-    ]
+    verdicts = latency.verdicts + allreduce.verdicts
     if args.force_mismatch:
         verdicts.append(Verdict(
             "forced-mismatch", False,
@@ -112,7 +77,8 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps({
             "nodes": nodes, "size": size, "iterations": iterations,
-            "seed": args.seed, "eager_threshold": thr,
+            "seed": args.seed,
+            "eager_threshold": MpiConfig().eager_threshold,
             "pingpong": [{
                 "size": p.size, "latency_us": p.point.latency_us,
                 "protocol": p.protocol, "eager_sent": p.eager_sent,

@@ -85,7 +85,7 @@ class FlowState:
     """
 
     __slots__ = ("link", "credits", "vcs", "_avail", "_waiters",
-                 "stalls", "stall_time", "peak_in_flight")
+                 "stalls", "stall_time")
 
     def __init__(self, link: "NetLink") -> None:
         cfg = link.config
@@ -97,7 +97,6 @@ class FlowState:
                          [deque() for _ in range(cfg.vcs)]]
         self.stalls = [0, 0]            # sends that had to wait, per dir
         self.stall_time = [0.0, 0.0]    # total sim-time spent waiting
-        self.peak_in_flight = [0, 0]    # high-water credit occupancy
 
     def acquire(self, direction: int, vc: int) -> Optional[Event]:
         if not 0 <= vc < self.vcs:
@@ -107,9 +106,6 @@ class FlowState:
         avail = self._avail[direction]
         if avail[vc] > 0:
             avail[vc] -= 1
-            occ = self.in_flight(direction)
-            if occ > self.peak_in_flight[direction]:
-                self.peak_in_flight[direction] = occ
             return None
         ev = Event(self.link.sim, name=f"{self.link.name}.crd{direction}v{vc}")
         self._waiters[direction][vc].append(ev)
@@ -236,9 +232,6 @@ class NetLink:
                 stalled = self.sim.now - stall_from
                 flow.stalls[endpoint] += 1
                 flow.stall_time[endpoint] += stalled
-                occ = flow.in_flight(endpoint)
-                if occ > flow.peak_in_flight[endpoint]:
-                    flow.peak_in_flight[endpoint] = occ
                 if trc.enabled:
                     trc.metrics.counter("fabric.credit_stalls").inc()
                     if trc.wants("causal"):

@@ -15,7 +15,6 @@ CRCs catch bad frames.
 from __future__ import annotations
 
 import enum
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,8 +32,6 @@ class PacketKind(enum.Enum):
     FABRIC = "fabric"                 # scale-out fabric message (repro.fabrics)
 
 
-_seq = itertools.count()
-
 
 @dataclass
 class Packet:
@@ -44,7 +41,10 @@ class Packet:
     header_bytes: int
     payload: bytes = b""
     meta: dict = field(default_factory=dict)
-    seq: int = field(default_factory=lambda: next(_seq))
+    #: Trace id, unique per simulator: the sender draws it from
+    #: ``sim.packet_seq``, so a trace names the same packets whatever ran
+    #: earlier in the process.
+    seq: int = field(kw_only=True)
     # Link-layer CRC of the payload; None (the default) means "not sealed"
     # and all integrity checks pass for free.
     checksum: Optional[int] = None
@@ -65,14 +65,14 @@ class Packet:
         return (self.checksum is not None
                 and self.checksum != zlib.crc32(self.payload))
 
-    def clone(self, payload: Optional[bytes] = None) -> "Packet":
-        """An independent copy (fresh trace seq) — used by the fault
+    def clone(self, seq: int, payload: Optional[bytes] = None) -> "Packet":
+        """An independent copy with trace id ``seq`` — used by the fault
         injector to corrupt a delivery without touching the sender's
         retransmission copy, and by retransmission engines to re-send."""
         return Packet(self.kind, self.src_node, self.dst_node,
                       self.header_bytes,
                       self.payload if payload is None else payload,
-                      dict(self.meta), checksum=self.checksum)
+                      dict(self.meta), seq=seq, checksum=self.checksum)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet {self.kind.value} {self.src_node}->{self.dst_node} "

@@ -23,7 +23,8 @@ import sys
 
 from ..analysis.invariants import reconciles, render, to_json
 from ..core.measure import measure_pingpong, pingpong_mode, pingpong_modes
-from ..perf.profiler import profile_from_trace, render_profile
+from ..perf.profiler import (PROFILE_CATEGORIES, profile_from_trace,
+                             render_profile)
 from ..sim import Simulator
 from .export import (
     phase_breakdown,
@@ -79,9 +80,11 @@ def main(argv=None) -> int:
     parser.add_argument("--timeline-limit", type=int, default=80,
                         help="max timeline rows to print (default: 80)")
     parser.add_argument("--categories", default=None,
-                        help="comma-separated category filter (e.g. "
-                             "phase,pcie,extoll); the breakdown and the "
-                             "profile see only the kept categories")
+                        help="comma-separated span categories to record "
+                             "(default: all); must include "
+                             f"{','.join(PROFILE_CATEGORIES)}, which the "
+                             "breakdown and the profile read (e.g. "
+                             f"{','.join(PROFILE_CATEGORIES)},gpu)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the cost-attribution profile as "
                              "JSON")
@@ -89,6 +92,11 @@ def main(argv=None) -> int:
 
     categories = ([c.strip() for c in args.categories.split(",") if c.strip()]
                   if args.categories else None)
+    missing = [c for c in PROFILE_CATEGORIES
+               if categories is not None and c not in categories]
+    if missing:
+        parser.error(f"--categories drops {','.join(missing)}, which the "
+                     f"breakdown and the profile read")
     tracer = SpanTracer(categories=categories)
     tracer, point = run_traced_pingpong(args.fabric, args.mode, args.size,
                                         args.iterations, args.warmup, tracer)

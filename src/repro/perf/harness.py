@@ -77,6 +77,10 @@ class ScenarioResult:
     #: committed baseline doubles as a data artifact (e.g. the offered-load
     #: vs achieved-throughput saturation curve behind a knee metric).
     extra: Dict[str, object] = field(default_factory=dict)
+    #: The run objects behind the metrics (points, stats, tracers) that a
+    #: subcommand renders its tables and trace files from.  Never written
+    #: to a baseline.
+    runs: Dict[str, object] = field(default_factory=dict)
 
     def metric(self, name: str, value: float, kind: str = "sim",
                unit: str = "") -> None:

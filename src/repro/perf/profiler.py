@@ -64,6 +64,10 @@ PHASE_ORDER = ("wqe-generation", "host-assist", "doorbell-mmio", "wire",
 #: PCIe link, a packet on the wire during a DMA) are counted once.
 _TRANSPORT_PRIORITY = ("net", "dma", "pcie")
 
+#: Every span category a profile reads: a trace filtered without one of
+#: them would attribute that category's time to the wrong component.
+PROFILE_CATEGORIES = ("phase",) + _TRANSPORT_PRIORITY
+
 #: Metrics registry entries worth surfacing next to a profile (histograms
 #: summarized, counters verbatim) — the Table I/II counter attribution.
 _COUNTER_PREFIXES = ("rma.", "ib.", "gpu.", "pcie.", "net.", "fault")

@@ -6,6 +6,13 @@ shows up in its metrics.  Scenario functions return a
 :class:`~repro.perf.harness.ScenarioResult`; the harness handles baselines
 and comparison.
 
+A scenario's parameters are its grid (sizes, counts, seeds), and their
+defaults are the slice its ``BENCH_*.json`` pins.  The ``engine``,
+``mpi``, ``faults`` and ``fabrics`` subcommands run the same functions
+with their flags as parameters, so each of their checks is computed here
+once, over the runs it judges, and a ``bench --check`` run and a
+subcommand run differ only in the grid.
+
 Determinism contract: every ``sim``/``count`` metric must be bit-identical
 across processes and machines (the simulator is seeded and ties are
 sequence-broken), so baselines can live in git.  Anything host-dependent
@@ -15,11 +22,15 @@ must be recorded with ``kind="wallclock"``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis import figures
 from ..analysis import invariants as inv
-from ..analysis.faults import run_chaos_point, zero_cost_check
+from ..analysis.faults import (monotonic_check, reconcile_retransmits,
+                               run_chaos_point, zero_cost_check)
+from ..analysis.invariants import Verdict
+from ..causal import analyze_run
+from ..collectives.algorithms import expected_phases, expected_steps
 from ..collectives.bench import build_communicator, run_collective
 from ..collectives.comm import CollectiveMode
 from ..core import (
@@ -30,6 +41,14 @@ from ..core import (
     measure_message_rate,
     measure_pingpong,
 )
+from ..engine import EngineConfig, EngineStats
+from ..fabrics import FabricConfig, build_topology, instantiate, run_permutation
+from ..fabrics.collective import run_collective as run_fabric
+from ..mpi.bench import (engine_floor_checks, run_mode_allreduce_mmio,
+                         run_mpi_allreduce, run_mpi_pingpong)
+from ..mpi.comm import MpiConfig
+from ..obs.export import reconcile_with_point
+from ..obs.tracer import SpanTracer
 from ..sim import Simulator
 from ..units import KIB, MIB
 from .harness import Scenario, ScenarioResult
@@ -190,8 +209,6 @@ def collectives_allreduce() -> ScenarioResult:
     # goes, not just how much there is.  Lives in ``extra`` (committed
     # with the baseline but never compared) because the shares move with
     # any latency-model change by design.
-    from ..causal import analyze_run
-    from ..obs.tracer import SpanTracer
     from ..workloads.apps import get_workload
     from ..workloads.generator import WorkloadRun
     from ..workloads.transport import MODES
@@ -219,110 +236,205 @@ def collectives_allreduce() -> ScenarioResult:
 
 # -- faults ---------------------------------------------------------------------
 
+def _loss_label(loss: float) -> str:
+    return "zero-loss" if loss == 0 else f"{loss * 100:g}pct-loss"
+
+
 @_register("faults-overhead",
            "Reliability cost at zero loss (must be ~free) and recovery "
            "under 5% packet loss")
-def faults_overhead() -> ScenarioResult:
+def faults_overhead(modes: Sequence[CollectiveMode] = (
+                        CollectiveMode.POLL_ON_GPU,),
+                    sizes: Sequence[int] = (64,),
+                    losses: Sequence[float] = (0.0, 0.05),
+                    corrupt_ratio: float = 0.0, nodes: int = 4,
+                    op: str = "all-reduce", iterations: int = 4,
+                    warmup: int = 1, seed: int = 1) -> ScenarioResult:
+    """The chaos grid: ``op`` under loss rate x message size x control
+    mode, reliability engines armed, one fresh cluster per point.
+    Corruption rides along at ``corrupt_ratio`` of each loss rate.
+    ``losses`` must hold 0: each (mode, size) series is judged against
+    its loss-free point.  The first series' highest-loss point is traced
+    for the retransmit reconcile, and the first (mode, size) also runs
+    without the reliability engines for the zero-cost and overhead
+    checks."""
     res = ScenarioResult()
-    zero_cost, bare_latency = zero_cost_check()
-    res.invariant("zero-cost-bit-identical",
-                  (zero_cost.ok, zero_cost.detail))
-    clean, _, _ = run_chaos_point(CollectiveMode.POLL_ON_GPU, 64, loss=0.0)
-    res.metric("reliable/zero-loss/latency_us", clean.latency_us, unit="us")
-    res.metric("reliable/zero-loss/retransmits", clean.retransmits,
-               kind="count")
+    tracer = SpanTracer()
+    traced = (modes[0], sizes[0], max(losses))
+    points, series = [], {}
+    for mode in modes:
+        for size in sizes:
+            for loss in losses:
+                point, comm, _ = run_chaos_point(
+                    mode, size, loss, corrupt=loss * corrupt_ratio,
+                    nodes=nodes, op=op, iterations=iterations,
+                    warmup=warmup, seed=seed,
+                    tracer=tracer if (mode, size, loss) == traced else None)
+                if (mode, size, loss) == traced:
+                    traced_comm = comm
+                points.append(point)
+                series.setdefault((mode.value, size), []).append(point)
+                key = f"{mode.value}/{size}B/{_loss_label(loss)}"
+                res.metric(f"{key}/latency_us", point.latency_us, unit="us")
+                res.metric(f"{key}/retransmits", point.retransmits,
+                           kind="count")
+                res.metric(f"{key}/drops", point.drops, kind="count")
+    clean = {key: next(p for p in run if p.loss == 0)
+             for key, run in series.items()}
+    zero_cost, bare_latency = zero_cost_check(
+        modes[0], sizes[0], nodes=nodes, op=op, iterations=iterations,
+        warmup=warmup, seed=seed)
+    res.verdicts.append(zero_cost)
     res.invariant("zero-loss-no-retransmits",
-                  (clean.retransmits == 0,
-                   f"{clean.retransmits} retransmits at loss=0"))
+                  (all(p.retransmits == 0 for p in clean.values()),
+                   f"{sum(p.retransmits for p in clean.values())} "
+                   f"retransmits at loss=0 over {len(clean)} series"))
     res.invariant("reliability-overhead-bounded", inv.reliability_is_free(
-        clean.latency, bare_latency, max_overhead=0.35))
-    lossy, _, _ = run_chaos_point(CollectiveMode.POLL_ON_GPU, 64, loss=0.05)
-    res.metric("reliable/5pct-loss/latency_us", lossy.latency_us, unit="us")
-    res.metric("reliable/5pct-loss/retransmits", lossy.retransmits,
-               kind="count")
-    res.metric("reliable/5pct-loss/drops", lossy.drops, kind="count")
+        clean[(modes[0].value, sizes[0])].latency, bare_latency,
+        max_overhead=0.35))
+    bad = [p for p in points if not p.correct]
     res.invariant("correct-under-loss",
-                  (lossy.correct, f"all-reduce result "
-                                  f"{'exact' if lossy.correct else 'WRONG'} "
-                                  f"at 5% loss ({lossy.drops} drops, "
-                                  f"{lossy.retransmits} retransmits)"))
-    res.invariant("loss-actually-recovered",
-                  (lossy.retransmits > 0 and lossy.latency > clean.latency,
-                   f"5% loss: {lossy.retransmits} retransmits, latency "
-                   f"{clean.latency_us:.2f} -> {lossy.latency_us:.2f}us"))
+                  (not bad, f"{len(points) - len(bad)}/{len(points)} chaos "
+                            f"points computed the exact result"))
+    worst = {key: max(run, key=lambda p: p.loss)
+             for key, run in series.items()}
+    res.invariant("loss-actually-recovered", (
+        all(p.retransmits > 0 and p.latency > clean[key].latency
+            for key, p in worst.items()),
+        "; ".join(f"{p.mode}/{p.size}B at loss={p.loss:g}: "
+                  f"{p.retransmits} retransmits, latency "
+                  f"{clean[key].latency_us:.2f} -> {p.latency_us:.2f}us"
+                  for key, p in worst.items())))
+    mono = monotonic_check(points)
+    res.invariant("monotonic-degradation",
+                  (mono["ok"], "; ".join(mono["violations"])
+                   or "latency and goodput never improve as loss grows"))
+    res.verdicts.append(reconcile_retransmits(tracer, traced_comm))
+    res.runs.update(points=points, tracer=tracer)
     return res
 
 
 # -- offload engine -------------------------------------------------------------
 
+#: The offload engine's variants, in ablation order.
+ENGINE_VARIANTS: Tuple[Tuple[str, EngineConfig], ...] = (
+    ("engine-baseline", EngineConfig.baseline()),
+    ("engine-warp", EngineConfig.warp_only()),
+    ("engine-batch", EngineConfig.batch_only()),
+    ("engine-all", EngineConfig.all_on()),
+)
+
+
 @_register("engine-latency",
            "Offload-engine ping-pong latency vs dev2dev-direct: baseline, "
            "warp-parallel, batched, all-on")
-def engine_latency() -> ScenarioResult:
-    from ..engine import EngineConfig
-
+def engine_latency(sizes: Sequence[int] = (64, 4 * KIB),
+                   iterations: int = 10, warmup: int = 2,
+                   seed: int = 0) -> ScenarioResult:
+    """Ping-pong latency per size of ``dev2dev-direct`` and of every
+    engine variant, one fresh simulator each.  The shape checks read the
+    smallest size, whose all-on run is traced: its phase spans must
+    reconcile with its point."""
     res = ScenarioResult()
-    variants = [("baseline", EngineConfig.baseline()),
-                ("warp", EngineConfig.warp_only()),
-                ("batch", EngineConfig.batch_only()),
-                ("all", EngineConfig.all_on())]
-    points = {}
-    for size in (64, 4 * KIB):
-        p = measure_pingpong(ExtollMode.DIRECT, size, iterations=10,
-                             warmup=2)
-        points[("direct", size)] = p
-        res.metric(f"direct/{size}B/latency_us", p.latency_us, unit="us")
-        for name, config in variants:
-            p = measure_pingpong(config, size, iterations=10, warmup=2)
-            points[(name, size)] = p
-            res.metric(f"engine-{name}/{size}B/latency_us", p.latency_us,
+    small = min(sizes)
+    tracer = SpanTracer()
+    points: Dict[int, Dict[str, object]] = {}
+    for size in sizes:
+        row = points[size] = {}
+        for name, mode in (("direct", ExtollMode.DIRECT),) + ENGINE_VARIANTS:
+            traced = (name, size) == ("engine-all", small)
+            p = row[name] = measure_pingpong(
+                mode, size, iterations, warmup,
+                sim=Simulator(seed=seed, tracer=tracer if traced else None))
+            res.metric(f"{name}/{size}B/latency_us", p.latency_us,
                        unit="us")
-            res.metric(f"engine-{name}/{size}B/post_us", p.post_time * 1e6,
-                       unit="us")
-    res.invariant("engine-all-beats-direct-64B", inv.faster_than(
-        points[("all", 64)].latency, points[("direct", 64)].latency,
+            if name != "direct":
+                res.metric(f"{name}/{size}B/post_us", p.post_time * 1e6,
+                           unit="us")
+    row = points[small]
+    res.invariant(f"engine-all-beats-direct-{small}B", inv.faster_than(
+        row["engine-all"].latency, row["direct"].latency,
         "engine-all", "direct"))
     res.invariant("engine-baseline-matches-direct", inv.within(
-        inv.relative_error(points[("baseline", 64)].latency,
-                           points[("direct", 64)].latency),
+        inv.relative_error(row["engine-baseline"].latency,
+                           row["direct"].latency),
         0.0, 0.001, "baseline vs direct latency rel err"))
     res.invariant("warp-parallelism-helps", inv.faster_than(
-        points[("warp", 64)].post_time, points[("baseline", 64)].post_time,
+        row["engine-warp"].post_time, row["engine-baseline"].post_time,
         "warp post", "baseline post"))
+    recon = reconcile_with_point(tracer, row["engine-all"], iterations)
+    res.verdicts += [inv.reconciles(f"span-reconcile-{phase}", r["traced"],
+                                    r["expected"])
+                     for phase, r in recon["phases"].items()]
+    res.runs["points"] = points
     return res
+
+
+def counter_verdicts(nic, stats: EngineStats, metrics) -> List[Verdict]:
+    """Engine stats vs the NIC's hardware counters vs the span trace's
+    metric counters: each pair counts the same doorbells or descriptors,
+    so each must match exactly."""
+    return [
+        inv.counts_match("nic-doorbell-counter", nic.batch_doorbells,
+                         stats.batches),
+        inv.counts_match("nic-descriptor-counter", nic.batch_descriptors,
+                         stats.wrs),
+        inv.counts_match("trace-doorbell-counter",
+                         metrics.counter("rma.batch_doorbells").value,
+                         stats.batches),
+        inv.counts_match("trace-wr-counter",
+                         metrics.counter("rma.wr_triggers").value,
+                         stats.wrs),
+    ]
 
 
 @_register("engine-rate",
            "Offload-engine 32-connection message rate vs hostControlled, "
            "with MMIO-coalescing accounting")
-def engine_rate() -> ScenarioResult:
-    from ..engine import EngineConfig, EngineStats
-
+def engine_rate(connections: Sequence[int] = (32,),
+                per_connection: int = 40, seed: int = 0) -> ScenarioResult:
+    """Message rate per connection count of the ``hostControlled`` and
+    ``blocks`` references and of every engine variant driven by one
+    persistent proxy block, one fresh simulator each.  The checks read
+    the largest count, whose all-on run is traced: its ``EngineStats`` must
+    match the NIC's counters and the trace's, count for count."""
     res = ScenarioResult()
-    connections, per_connection = 32, 40
-    host = measure_message_rate(RateMethod.HOST_CONTROLLED, connections,
-                                per_connection)
-    res.metric("hostControlled/mmsgs_per_s", host.messages_per_s / 1e6,
-               unit="M/s")
-    rates = {}
-    for name, config in (("warp", EngineConfig.warp_only()),
-                         ("all", EngineConfig.all_on())):
-        stats = EngineStats()
-        point = measure_message_rate(config, connections, per_connection,
-                                     stats=stats)
-        rates[name] = point
-        res.metric(f"engine-{name}/mmsgs_per_s", point.messages_per_s / 1e6,
-                   unit="M/s")
-        res.metric(f"engine-{name}/doorbell_mmio", stats.doorbells,
-                   kind="count")
-        res.metric(f"engine-{name}/descriptors", stats.wrs, kind="count")
-        if name == "all":
-            res.invariant("mmio-coalesced", inv.mmio_coalesced(
-                stats.doorbells, stats.wrs, config.batch_size,
-                stats.timeout_flushes, lanes=connections))
+    top = max(connections)
+    tracer = SpanTracer()
+    rates: Dict[int, Dict[str, object]] = {}
+    for n in connections:
+        row = rates[n] = {}
+        for name, method in (("hostControlled", RateMethod.HOST_CONTROLLED),
+                             ("blocks", RateMethod.BLOCKS)):
+            row[name] = measure_message_rate(method, n, per_connection,
+                                             sim=Simulator(seed=seed))
+            res.metric(f"{name}/{n}conn/mmsgs_per_s",
+                       row[name].messages_per_s / 1e6, unit="M/s")
+        for name, config in ENGINE_VARIANTS:
+            traced = (name, n) == ("engine-all", top)
+            stats, clusters = EngineStats(), []
+            row[name] = measure_message_rate(
+                config, n, per_connection,
+                sim=Simulator(seed=seed, tracer=tracer if traced else None),
+                stats=stats, on_setup=clusters.append)
+            res.metric(f"{name}/{n}conn/mmsgs_per_s",
+                       row[name].messages_per_s / 1e6, unit="M/s")
+            res.metric(f"{name}/{n}conn/doorbell_mmio", stats.doorbells,
+                       kind="count")
+            res.metric(f"{name}/{n}conn/descriptors", stats.wrs,
+                       kind="count")
+            if traced:
+                all_stats, nic, batch = (stats, clusters[0].a.nic,
+                                         config.batch_size)
     res.invariant("engine-all-beats-host-controlled", inv.rate_at_least(
-        rates["all"].messages_per_s, host.messages_per_s,
+        rates[top]["engine-all"].messages_per_s,
+        rates[top]["hostControlled"].messages_per_s,
         "engine-all msg/s", "hostControlled msg/s"))
+    res.invariant("mmio-coalesced", inv.mmio_coalesced(
+        all_stats.doorbells, all_stats.wrs, batch,
+        all_stats.timeout_flushes, lanes=top))
+    res.verdicts += counter_verdicts(nic, all_stats, tracer.metrics)
+    res.runs.update(rates=rates, stats=all_stats, tracer=tracer)
     return res
 
 
@@ -465,91 +577,192 @@ def workload_kvcache() -> ScenarioResult:
 
 # -- scale-out fabrics ------------------------------------------------------------
 
+def _fabric_run(kind: str, n: int, algorithm: str, elems_per_rank: int,
+                iterations: int, seed: int, routing: str = "minimal",
+                credits: Optional[int] = None, traced: bool = False):
+    """One all-reduce on a fresh ``kind`` fabric of ``n`` hosts; returns
+    the result and, when ``traced``, the causal tracer that watched it."""
+    sim = Simulator(seed=seed)
+    tracer = None
+    if traced:
+        tracer = SpanTracer(sim, categories=("causal",))
+        sim.set_tracer(tracer)
+    inst = instantiate(sim, build_topology(kind, n),
+                       FabricConfig(credits=credits), routing=routing)
+    return run_fabric(inst, algorithm, elems_per_rank=elems_per_rank,
+                      iterations=iterations), tracer
+
+
 @_register("fabric-allreduce",
            "16-node fat-tree/torus all-reduce: ring vs rh vs tree, "
            "bit-exact across schedules, step counts at closed form")
-def fabric_allreduce() -> ScenarioResult:
-    from ..fabrics import build_topology, instantiate
-    from ..collectives.algorithms import expected_phases, expected_steps
-    from ..fabrics.collective import run_collective as run_fabric
-
+def fabric_allreduce(topologies: Sequence[str] = ("fat-tree", "torus"),
+                     nodes: Sequence[int] = (16,),
+                     algorithms: Sequence[str] = ("ring", "rh", "tree"),
+                     elems_per_rank: int = 4, iterations: int = 3,
+                     seed: int = 1,
+                     routing: str = "minimal") -> ScenarioResult:
+    """The topology x N x schedule all-reduce matrix, flow control off so
+    the crossover numbers are clean.  The recursive-halving run of the
+    first topology at the smallest N is traced: its critical paths must
+    cover the measured times exactly."""
+    # Reject an unsupported (topology, N) pair before any run starts.
+    for kind in topologies:
+        for n in nodes:
+            build_topology(kind, n)
     res = ScenarioResult()
-    n, elems = 16, 4
-    for kind in ("fat-tree", "torus"):
-        digests = set()
-        times = {}
-        for algorithm in ("ring", "rh", "tree"):
-            sim = Simulator(seed=1)
-            inst = instantiate(sim, build_topology(kind, n))
-            r = run_fabric(inst, algorithm, elems_per_rank=elems,
-                           iterations=3)
-            digests.add(r.digest)
-            times[algorithm] = r.p50_time
-            res.metric(f"{kind}/{algorithm}/p50_us", r.p50_time * 1e6,
-                       unit="us")
-            res.metric(f"{kind}/{algorithm}/packets", r.packets,
-                       kind="count")
-            res.invariant(f"{kind}/{algorithm}/correct",
-                          (r.correct, "sums exact vs reference"))
-            res.invariant(
-                f"{kind}/{algorithm}/steps-exact",
-                (r.steps == expected_steps(algorithm, n)
-                 and r.phases == expected_phases(algorithm, n),
-                 f"steps {r.steps} (closed form "
-                 f"{expected_steps(algorithm, n)}), phases {r.phases} "
-                 f"(closed form {expected_phases(algorithm, n)})"))
-        res.invariant(f"{kind}/bit-exact-across-schedules",
-                      (len(digests) == 1,
-                       f"{len(digests)} distinct result digests across "
-                       f"ring/rh/tree"))
-        res.invariant(f"{kind}/log-schedules-beat-ring", inv.faster_than(
-            min(times["rh"], times["tree"]), times["ring"],
-            "best log-depth schedule p50", "ring p50"))
+    results, tracer = [], None
+    for kind in topologies:
+        for n in nodes:
+            for algorithm in algorithms:
+                traced = (kind, n, algorithm) == (topologies[0], min(nodes),
+                                                  "rh")
+                r, trc = _fabric_run(kind, n, algorithm, elems_per_rank,
+                                     iterations, seed, routing,
+                                     traced=traced)
+                if traced:
+                    tracer, traced_result = trc, r
+                results.append(r)
+                res.metric(f"{kind}/N{n}/{algorithm}/p50_us",
+                           r.p50_time * 1e6, unit="us")
+                res.metric(f"{kind}/N{n}/{algorithm}/packets", r.packets,
+                           kind="count")
+
+    bad = [f"{r.topology}/N{r.n}/{r.algorithm}" for r in results
+           if not r.correct]
+    res.invariant("correct", (not bad,
+                              "every rank matches the exact reduction"
+                              if not bad else
+                              f"wrong results: {', '.join(bad)}"))
+    digests: Dict[Tuple[str, int], set] = {}
+    for r in results:
+        digests.setdefault((r.topology, r.n), set()).add(r.digest)
+    bad = [f"{kind}/N{n}" for (kind, n), d in digests.items() if len(d) > 1]
+    res.invariant("bit-exact-across-schedules", (
+        not bad, f"identical bytes across algorithms at {len(digests)} "
+                 f"(topology, N) points"
+        if not bad else f"digests diverge: {', '.join(bad)}"))
+    bad = [f"{r.topology}/N{r.n}/{r.algorithm} steps={r.steps} "
+           f"want={expected_steps(r.algorithm, r.n)}" for r in results
+           if r.steps != expected_steps(r.algorithm, r.n)
+           or r.phases != expected_phases(r.algorithm, r.n)]
+    res.invariant("steps-exact", (
+        not bad, "measured step counts match every schedule's closed form"
+        if not bad else "; ".join(bad)))
+    # At the largest N, recursive halving must beat the ring on fat-tree
+    # and torus: the crossover this subsystem exists for.
+    top = max(nodes)
+    p50 = {(r.topology, r.algorithm): r.p50_time for r in results
+           if r.n == top}
+    details, ok = [], True
+    for kind in topologies:
+        if kind == "dragonfly":
+            continue
+        ring, rh = p50.get((kind, "ring")), p50.get((kind, "rh"))
+        if ring is None or rh is None:
+            ok = False
+            details.append(f"{kind}: missing ring/rh at N={top}")
+            continue
+        ok = ok and rh < ring
+        details.append(f"{kind} N={top}: ring/rh = {ring / rh:.1f}x")
+    res.invariant("rh-beats-ring", (ok, "; ".join(details)))
+    if tracer is None:
+        res.invariant("trace-reconcile",
+                      (False, f"no rh run on {topologies[0]} to trace"))
+    else:
+        rec = analyze_run(tracer).reconcile(traced_result.times)
+        res.invariant("trace-reconcile",
+                      (rec["ok"], f"max path error {rec['max_error']:.2e} "
+                                  f"(exact rule)"))
+    res.runs["results"] = results
     return res
+
+
+def forced_congestion_blame(seed: int = 1, routing: str = "minimal",
+                            ) -> Tuple[List[Verdict], float]:
+    """The forced-congestion canary: a causally traced recursive-halving
+    all-reduce on a 16-host dragonfly at ``credits=1``, whose critical
+    paths must reconcile exactly and contain ``blocked-on-credit``
+    segments.  Returns those two verdicts and that category's blame
+    share (0..1).
+
+    The canary runs recursive halving rather than the ring: with per-VC
+    relay workers the ring's balanced neighbor traffic pipelines cleanly
+    even at one credit (stalls resolve in zero time), while rh's
+    long-range xor-partner exchanges converge on shared links and hold
+    real credit waits on the critical path."""
+    result, tracer = _fabric_run("dragonfly", 16, "rh", 64, 2, seed + 5,
+                                 routing, credits=1, traced=True)
+    analysis = analyze_run(tracer)
+    rec = analysis.reconcile(result.times)
+    share = analysis.blame_shares().get("blocked-on-credit", 0.0)
+    return [
+        Verdict("congested-paths-reconcile", rec["ok"],
+                f"max path error {rec['max_error']:.2e} (exact rule)"),
+        Verdict("critpath-blames-credit", share > 0,
+                f"blocked-on-credit share {share * 100:.2f}% on a "
+                f"congested halving/doubling exchange at credits=1"),
+    ], share
 
 
 @_register("fabric-congestion",
            "Credit backpressure: scarce-credit permutation stalls but "
            "completes, credits-off is bit-identical, critpath blames "
            "blocked-on-credit")
-def fabric_congestion() -> ScenarioResult:
-    from ..fabrics import build_topology, instantiate, run_permutation
-    from ..fabrics.collective import run_collective as run_fabric
-    from ..fabrics.sweep import SweepConfig, forced_congestion_blame
-    from ..fabrics.topology import FabricConfig
-
+def fabric_congestion(topologies: Sequence[str] = ("fat-tree",),
+                      seed: int = 1,
+                      routing: str = "minimal") -> ScenarioResult:
+    """Credit flow control on 16-host fabrics: a permutation at 2 credits
+    per topology must stall and still drain; generous credits must leave
+    a torus ring all-reduce bit-identical; the dragonfly congestion
+    canary; and a UGAL dragonfly permutation must replay bit-identically
+    on a fresh simulator."""
     res = ScenarioResult()
     n = 16
-    sim = Simulator(seed=1)
-    inst = instantiate(sim, build_topology("fat-tree", n),
-                       FabricConfig(credits=2))
-    t = run_permutation(inst, messages=6, payload=256, seed=1)
-    res.metric("permutation/stalls", t.stalls, kind="count")
-    res.metric("permutation/time_us", t.time * 1e6, unit="us")
-    res.invariant("permutation-completes",
-                  (t.completed and not t.deadlocked,
-                   f"{n}-host permutation at 2 credits: "
-                   f"completed={t.completed} deadlocked={t.deadlocked}"))
-    res.invariant("credits-actually-stall",
-                  (t.stalls > 0, f"{t.stalls} credit stalls at 2 credits"))
+    perms = {}
+    for kind in topologies:
+        sim = Simulator(seed=seed)
+        inst = instantiate(sim, build_topology(kind, n),
+                           FabricConfig(credits=2), routing=routing)
+        t = perms[kind] = run_permutation(inst, messages=6, payload=256,
+                                          seed=seed)
+        res.metric(f"{kind}/permutation/stalls", t.stalls, kind="count")
+        res.metric(f"{kind}/permutation/time_us", t.time * 1e6, unit="us")
+    res.invariant("permutation-completes", (
+        all(t.completed and not t.deadlocked for t in perms.values()),
+        f"{n} hosts at 2 credits: " + "; ".join(
+            f"{kind}: {'ok' if t.completed and not t.deadlocked else 'WEDGED'}"
+            for kind, t in perms.items())))
+    res.invariant("credits-actually-stall", (
+        all(t.stalls > 0 for t in perms.values()),
+        "; ".join(f"{kind}: {t.stalls} credit stalls"
+                  for kind, t in perms.items())))
 
-    def ring_run(credits):
-        s = Simulator(seed=1)
-        i = instantiate(s, build_topology("torus", n),
-                        FabricConfig(credits=credits))
-        return run_fabric(i, "ring", elems_per_rank=4, iterations=3)
-
-    bare, generous = ring_run(None), ring_run(64)
+    bare, generous = (_fabric_run("torus", n, "ring", 4, 3, seed,
+                                  credits=credits)[0]
+                      for credits in (None, 64))
     res.verdicts.append(inv.identical(
         "zero-cost-bit-identical",
         {"times": bare.times, "digest": bare.digest},
         {"times": generous.times, "digest": generous.digest}))
-    blame, share = forced_congestion_blame(SweepConfig())
+
+    blame, share = forced_congestion_blame(seed, routing)
     res.metric("blame/blocked_on_credit_pct", round(share * 100.0, 3),
                unit="%")
-    res.invariant("critpath-blames-credit",
-                  (all(v.ok for v in blame),
-                   "; ".join(f"{v.name}: {v.detail}" for v in blame)))
+    res.verdicts += blame
+
+    replays = []
+    for _ in range(2):
+        sim = Simulator(seed=seed + 3)
+        inst = instantiate(sim, build_topology("dragonfly", 32),
+                           FabricConfig(credits=4), routing=routing)
+        inst.policy.mode = "ugal"
+        t = run_permutation(inst, messages=6, payload=1024, seed=seed + 4)
+        replays.append({"time": t.time, "stalls": t.stalls,
+                        "link_packets": tuple(sorted(
+                            inst.link_packets().items()))})
+    res.verdicts.append(inv.identical("adaptive-replay-deterministic",
+                                      *replays))
     return res
 
 
@@ -558,63 +771,67 @@ def fabric_congestion() -> ScenarioResult:
 @_register("mpi-latency",
            "Tagged MPI ping-pong across the eager/rendezvous crossover, "
            "CPU-free control path")
-def mpi_latency() -> ScenarioResult:
-    from ..mpi.bench import run_mpi_pingpong
-    from ..mpi.comm import MpiConfig
-
+def mpi_latency(iterations: int = 6, seed: int = 11) -> ScenarioResult:
+    """Tagged ping-pong at half, at, just past and 8x the eager
+    threshold, one fresh communicator per size."""
     res = ScenarioResult()
     config = MpiConfig()
     thr = config.eager_threshold
-    points = {}
-    for size in (thr // 2, thr, thr + 1, 8 * thr):
-        p = run_mpi_pingpong(size, iterations=6, warmup=2, config=config)
-        points[size] = p
-        res.metric(f"{size}B/latency_us", p.point.latency_us, unit="us")
-        res.metric(f"{size}B/rndv_sent", p.rndv_sent, kind="count")
-        res.metric(f"{size}B/bar_mmio", p.bar_mmio, kind="count")
+    pingpongs = [run_mpi_pingpong(size, iterations=iterations, warmup=2,
+                                  seed=seed, config=config)
+                 for size in (thr // 2, thr, thr + 1, 8 * thr)]
+    for p in pingpongs:
+        res.metric(f"{p.size}B/latency_us", p.point.latency_us, unit="us")
+        res.metric(f"{p.size}B/rndv_sent", p.rndv_sent, kind="count")
+        res.metric(f"{p.size}B/bar_mmio", p.bar_mmio, kind="count")
     res.invariant("zero-bar-mmio",
-                  (all(p.bar_mmio == 0 for p in points.values()),
+                  (all(p.bar_mmio == 0 for p in pingpongs),
                    f"BAR crossings by size: "
-                   f"{ {s: p.bar_mmio for s, p in points.items()} }"))
-    res.invariant("eager-below-threshold",
-                  (points[thr].rndv_sent == 0 and points[thr].eager_sent > 0,
-                   f"{thr}B went {points[thr].protocol}"))
-    res.invariant("rendezvous-above-threshold",
-                  (points[thr + 1].rndv_sent > 0
-                   and points[thr + 1].eager_sent == 0,
-                   f"{thr + 1}B went {points[thr + 1].protocol}"))
+                   f"{ {p.size: p.bar_mmio for p in pingpongs} }"))
+    eager = [p for p in pingpongs if p.size <= thr]
+    rndv = [p for p in pingpongs if p.size > thr]
+    res.invariant("eager-below-threshold", (
+        all(p.rndv_sent == 0 and p.eager_sent > 0 for p in eager),
+        ", ".join(f"{p.size}B went {p.protocol}" for p in eager)))
+    res.invariant("rendezvous-above-threshold", (
+        all(p.rndv_sent > 0 and p.eager_sent == 0 for p in rndv),
+        ", ".join(f"{p.size}B went {p.protocol}" for p in rndv)))
     res.invariant("crossover-costs-a-roundtrip", inv.faster_than(
-        points[thr].point.latency, points[thr + 1].point.latency,
+        eager[-1].point.latency, rndv[0].point.latency,
         f"eager {thr}B", f"rendezvous {thr + 1}B"))
+    res.runs["pingpongs"] = pingpongs
     return res
 
 
 @_register("mpi-allreduce",
            "Triggered-chain iallreduce vs all three host-assist control "
            "modes: MMIO at or below the engine-batched floor")
-def mpi_allreduce() -> ScenarioResult:
-    from ..mpi.bench import (engine_floor_checks, run_mode_allreduce_mmio,
-                             run_mpi_allreduce)
-    from ..obs.tracer import SpanTracer
-
+def mpi_allreduce(nodes: int = 4, size: int = 256, iterations: int = 4,
+                  seed: int = 11, algorithm: str = "ring") -> ScenarioResult:
+    """The traced triggered-chain iallreduce against the collectives
+    stack's all-reduce in each control mode, same ring, size and
+    rounds."""
     res = ScenarioResult()
-    nodes, size = 4, 256
     tracer = SpanTracer()
-    ar = run_mpi_allreduce(nodes, size, iterations=4, warmup=1,
-                           tracer=tracer)
+    ar = run_mpi_allreduce(nodes, size, iterations=iterations, seed=seed,
+                           tracer=tracer, algorithm=algorithm)
     res.metric("triggered/latency_us", ar.point.latency_us, unit="us")
     res.metric("triggered/chains_fired", ar.chains_fired, kind="count")
     res.metric("triggered/bar_mmio", ar.bar_mmio, kind="count")
-    res.invariant("allreduce-exact", (ar.correct, "sums exact vs reference"))
+    res.invariant("allreduce-exact",
+                  (ar.correct, f"{nodes}-rank sums exact over "
+                               f"{iterations} rounds"))
+    res.invariant("triggered-zero-bar-mmio",
+                  (ar.bar_mmio == 0,
+                   f"{ar.bar_mmio} BAR crossings in the iallreduce"))
     res.invariant("reconciles-1pct",
                   (bool(ar.reconcile["ok"]),
-                   "chains vs spans vs LatencyPoint within 1%"))
-    modes = []
-    for mode in (CollectiveMode.POLL_ON_GPU, CollectiveMode.DIRECT,
-                 CollectiveMode.HOST_CONTROLLED):
-        m = run_mode_allreduce_mmio(mode, nodes, size, iterations=4,
-                                    warmup=1)
-        modes.append(m)
+                   "chains exact vs the schedule, spans vs LatencyPoint "
+                   "within 1%"))
+    modes = [run_mode_allreduce_mmio(mode, nodes, size,
+                                     iterations=iterations, seed=seed)
+             for mode in CollectiveMode]
+    for m in modes:
         res.metric(f"{m['mode']}/latency_us", m["latency_us"], unit="us")
         res.metric(f"{m['mode']}/bar_mmio", m["bar_mmio"], kind="count")
         res.invariant(f"{m['mode']}/correct", (m["correct"], "sums exact"))
@@ -622,4 +839,5 @@ def mpi_allreduce() -> ScenarioResult:
     res.metric("engine_floor", floor, kind="count")
     res.invariant("triggered-at-or-below-engine-floor", below_floor)
     res.invariant("host-assist-above-floor", above_floor)
+    res.runs.update(allreduce=ar, modes=modes, floor=floor, tracer=tracer)
     return res

@@ -14,6 +14,7 @@ give them (see :meth:`Simulator._loop`).
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from heapq import heappop
@@ -98,6 +99,10 @@ class Simulator:
         source of randomness models may use, so that two simulators built
         with the same ``seed`` replay byte-identically.  Never seeded from
         wall-clock: the default seed is 0.
+    packet_seq:
+        The counter network packets draw their trace id (``Packet.seq``)
+        from, so two simulators built alike trace the same ids whatever
+        ran earlier in the process.
     """
 
     def __init__(self, tracer=None, seed: int = 0) -> None:
@@ -116,6 +121,7 @@ class Simulator:
         self.events_processed: int = 0
         self.seed = seed
         self.rng = random.Random(seed)
+        self.packet_seq = itertools.count()
         self.tracer = tracer if tracer is not None else get_default_tracer()
         if self.tracer is not NULL_TRACER:
             self.tracer.bind(self)

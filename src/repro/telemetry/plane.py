@@ -130,9 +130,8 @@ class TelemetryPlane:
         self.watch_gauge("fabric.in_flight",
                          lambda: float(instance.flow_stats()["in_flight"]))
 
-    def watch_fabric(self, fabric, bandwidth: Optional[float] = None) -> None:
-        """Per-link wire-byte counters (→ ``link.{a}-{b}.bytes`` series);
-        with ``bandwidth`` also a ``link.{a}-{b}.util`` gauge in [0, 1]."""
+    def watch_fabric(self, fabric) -> None:
+        """Per-link wire-byte counters (→ ``link.{a}-{b}.bytes`` series)."""
         links = sorted(fabric.links().items())
 
         def read() -> Dict[str, float]:
@@ -140,11 +139,6 @@ class TelemetryPlane:
                     for (a, b), link in links}
 
         self.watch_counters("", read)
-        if bandwidth:
-            # Utilization is the counter's window rate over capacity; the
-            # summary renderer computes it from the bytes series, so the
-            # plane records bandwidth once for it to find.
-            self.link_bandwidth = bandwidth
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:

@@ -8,7 +8,7 @@ submission/timeout interleavings:
 * no flush carries more than ``max_descriptors``,
 * the doorbell count never exceeds
   ``sum_c ceil(N_c / max_descriptors) + timeout_flushes`` — the bound the
-  ``mmio-coalescing`` acceptance invariant checks on the live engine.
+  ``mmio-coalesced`` acceptance invariant checks on the live engine.
 """
 
 import math

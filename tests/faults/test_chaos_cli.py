@@ -17,9 +17,9 @@ from repro.faults.cli import main as faults_main
 def test_quick_sweep_passes(capsys):
     assert faults_main(["--quick"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] chaos results exact: " in out
-    assert "[PASS] zero-cost check: bit-identical" in out
-    assert "[PASS] monotonic degradation: " in out
+    assert "[PASS] correct-under-loss: " in out
+    assert "[PASS] zero-cost-bit-identical: bit-identical" in out
+    assert "[PASS] monotonic-degradation: " in out
     assert "[FAIL]" not in out
 
 
@@ -29,7 +29,7 @@ def test_traced_run_reconciles(tmp_path, capsys):
                         "--mode", "dev2dev-pollOnGPU", "--nodes", "3",
                         "--iterations", "2", "--trace", str(trace)]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] retransmit reconcile: " in out
+    assert "[PASS] retransmit-reconcile: " in out
     assert trace.exists() and trace.stat().st_size > 0
 
 

@@ -1,6 +1,8 @@
 """FaultInjector / LinkFaultState against real links: drops, corruption,
 delays, outages, and the zero-cost null path."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError
@@ -17,8 +19,11 @@ def make_pair(seed=1, tracer=None, config=None):
     return sim, fabric, a, b
 
 
+_SEQ = itertools.count()
+
+
 def pkt(payload=b"\xab" * 32):
-    return Packet(PacketKind.RMA_PUT, 0, 1, 32, payload)
+    return Packet(PacketKind.RMA_PUT, 0, 1, 32, payload, seq=next(_SEQ))
 
 
 def pump(sim, a, b, count):

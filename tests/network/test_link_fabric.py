@@ -1,5 +1,6 @@
 """Unit + property tests for network links and the fabric."""
 
+import itertools
 from unittest import mock
 
 import pytest
@@ -19,8 +20,12 @@ def make_pair(sim=None, config=None):
     return sim, a, b
 
 
+_SEQ = itertools.count()
+
+
 def pkt(payload=b"", src=0, dst=1, header=32):
-    return Packet(PacketKind.RMA_PUT, src, dst, header, payload)
+    return Packet(PacketKind.RMA_PUT, src, dst, header, payload,
+                  seq=next(_SEQ))
 
 
 def test_packet_crosses_link():

@@ -5,6 +5,8 @@ links keeps one endpoint per link, routers relay transit packets, and the
 per-router counters account for every packet exactly once.
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import NetworkError
@@ -12,8 +14,11 @@ from repro.network import NetworkFabric, Packet, PacketKind
 from repro.sim import Simulator, join_result
 
 
+_SEQ = itertools.count()
+
+
 def pkt(src, dst, payload=b""):
-    return Packet(PacketKind.RMA_PUT, src, dst, 32, payload)
+    return Packet(PacketKind.RMA_PUT, src, dst, 32, payload, seq=next(_SEQ))
 
 
 def make_ring(n, sim=None):

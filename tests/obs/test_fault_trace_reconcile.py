@@ -53,8 +53,8 @@ def test_run_is_correct_and_actually_faulty(lossy_run):
 def test_retransmit_instants_match_engine_counters(lossy_run):
     tracer, point, comm, _ = lossy_run
     recon = reconcile_retransmits(tracer, comm)
-    assert recon["ok"], recon
-    assert recon["traced"] == point.retransmits
+    assert recon.ok, recon.detail
+    assert comm.retransmits == point.retransmits
     assert tracer.metrics.snapshot()["faults.retransmits"] == point.retransmits
 
 

@@ -81,7 +81,7 @@ def test_watch_fabric_records_per_link_byte_series():
     sim = Simulator()
     fabric = FakeFabric()
     plane = TelemetryPlane(sim, interval=1e-6)
-    plane.watch_fabric(fabric, bandwidth=1e9)
+    plane.watch_fabric(fabric)
     link = fabric.links()[("n0", "n1")]
     sim.call_later(0.5e-6, lambda: link.bytes_sent.append(4096))
     sim.call_later(1.5e-6, lambda: link.bytes_sent.append(2048))
@@ -91,7 +91,6 @@ def test_watch_fabric_records_per_link_byte_series():
     series = plane.sampler.series("link.n0-n1.bytes")
     assert [p.value for p in series.points()] == [4096, 2048]
     assert plane.sampler.series("link.n1-n2.bytes").total() == 0
-    assert plane.link_bandwidth == 1e9
 
 
 def test_stop_lets_the_schedule_drain():

@@ -59,21 +59,12 @@ def test_faulted_run_bitwise_repeatable():
     from repro.obs import SpanTracer
     from repro.obs.export import chrome_trace_events
 
-    def scrub(events):
-        # Packet seqs are allocated from a process-global counter (unique
-        # IDs, not simulation state): they differ between two runs in ONE
-        # interpreter but never affect timing or ordering.  PCIe tags are
-        # numbered per link, so they must repeat.
-        return [{**ev, "args": {k: v for k, v in ev.get("args", {}).items()
-                                if k != "seq"}}
-                for ev in events]
-
     def run():
         tracer = SpanTracer()
         point, _, injector = run_chaos_point(
             CollectiveMode.POLL_ON_GPU, 64, 0.05, corrupt=0.02, nodes=3,
             iterations=2, warmup=1, seed=11, plan_seed=5, tracer=tracer)
-        return point, injector.counters(), scrub(chrome_trace_events(tracer))
+        return point, injector.counters(), chrome_trace_events(tracer)
 
     p1, counters1, trace1 = run()
     p2, counters2, trace2 = run()
@@ -106,3 +97,25 @@ def test_counters_bitwise_repeatable():
                             iterations=10, warmup=0)
         counter_dumps.append(conn.a.node.gpu.counters.as_dict())
     assert counter_dumps[0] == counter_dumps[1]
+
+
+def test_trace_file_does_not_depend_on_earlier_runs():
+    """Packet ids count per simulator and PCIe tags per link, so a traced
+    run writes the same Chrome trace whatever ran before it in the
+    process."""
+    import io
+
+    from repro.core import measure_message_rate
+    from repro.engine import EngineConfig
+    from repro.obs import SpanTracer
+    from repro.obs.export import write_chrome_trace
+    from repro.sim import Simulator
+
+    def traced(tracer=None):
+        measure_message_rate(EngineConfig.all_on(), 4, 8,
+                             sim=Simulator(seed=7, tracer=tracer))
+        return tracer and write_chrome_trace(tracer, io.StringIO())
+
+    first = traced(SpanTracer())
+    traced()
+    assert traced(SpanTracer()) == first

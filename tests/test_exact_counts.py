@@ -13,9 +13,9 @@ import pytest
 
 from repro.analysis.faults import reconcile_retransmits
 from repro.analysis.invariants import counts_match, reconciles
-from repro.engine.cli import counter_verdicts
 from repro.mpi.bench import chains_reconcile
 from repro.obs import InstantRecord, MetricsRegistry, SpanRecord
+from repro.perf.scenarios import counter_verdicts
 from repro.telemetry.cli import dump_reconciliation
 from repro.workloads.generator import reconcile
 
@@ -50,9 +50,9 @@ def test_retransmit_reconcile_fails_on_one_lost_event():
     retransmit = InstantRecord("fault", "retransmit", "rel", 0.0)
     tracer = SimpleNamespace(instants=[retransmit] * 255)
     assert not reconcile_retransmits(
-        tracer, SimpleNamespace(retransmits=256))["ok"]
+        tracer, SimpleNamespace(retransmits=256)).ok
     assert reconcile_retransmits(
-        tracer, SimpleNamespace(retransmits=255))["ok"]
+        tracer, SimpleNamespace(retransmits=255)).ok
 
 
 def test_dump_reconciliation_fails_on_one_missing_span():

@@ -15,8 +15,8 @@ from repro.__main__ import main
 from repro.analysis import invariants as inv
 from repro.analysis.invariants import Verdict, identical, reconciles
 from repro.causal.critpath import RunAnalysis
-from repro.fabrics.sweep import SweepConfig, forced_congestion_blame
 from repro.mpi.bench import engine_floor_checks
+from repro.perf.scenarios import forced_congestion_blame
 
 LINE = re.compile(r"^\[(PASS|FAIL)\] ([^:]+): ")
 
@@ -69,7 +69,7 @@ def test_congestion_reconcile_failure_is_its_own_verdict(monkeypatch):
     monkeypatch.setattr(RunAnalysis, "reconcile", lambda self, times: {
         "ok": False, "max_error": 0.5, "max_residual": 0.0,
         "requests": []})
-    verdicts, share = forced_congestion_blame(SweepConfig())
+    verdicts, share = forced_congestion_blame()
     assert [v.ok for v in verdicts] == [False, True]
     assert 0.0 < share <= 1.0
 
@@ -81,8 +81,8 @@ def _fail_agreement(monkeypatch):
 
 
 def _fail_retransmit_count(monkeypatch):
-    from repro.faults import cli
-    monkeypatch.setattr(cli, "counts_match",
+    from repro.analysis import faults
+    monkeypatch.setattr(faults, "counts_match",
                         lambda name, a, b: Verdict(name, False, "forced"))
 
 
@@ -227,6 +227,7 @@ def test_repro_error_is_one_stderr_line(argv):
     ["monitor", "pingpong", "--quick", "--capacity", "0"],
     ["monitor", "pingpong", "--quick", "--interval", "0"],
     ["workloads", "--quick", "--interval", "0"],
+    ["trace", "--categories", "phase", "--iterations", "4", "--warmup", "1"],
 ])
 def test_bad_flag_value_exits_2(argv):
     env = dict(os.environ)
