@@ -89,7 +89,7 @@ class LinkFaultState:
         self._record("corrupt", packet)
         true_crc = packet.compute_checksum()
         if packet.payload:
-            mutated = bytearray(packet.payload)
+            mutated = bytearray(bytes(packet.payload))
             for _ in range(self.rng.randint(1, min(3, len(mutated)))):
                 idx = self.rng.randrange(len(mutated))
                 mutated[idx] ^= self.rng.randint(1, 255)

@@ -9,7 +9,7 @@ from .address import (
     AddressRange,
     MemorySpace,
 )
-from .backing import ByteStore
+from .backing import ByteStore, DmaPayload
 from .cache import Cache, CacheConfig, CacheStats
 from .mmio import MmioWindow
 from .region import Allocator, Memory
@@ -23,6 +23,7 @@ __all__ = [
     "GPU_DRAM_BASE",
     "MMIO_BASE",
     "ByteStore",
+    "DmaPayload",
     "Cache",
     "CacheConfig",
     "CacheStats",

@@ -26,7 +26,9 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis import invariants as inv
 from ..cluster import build_extoll_cluster
 from ..collectives.algorithms import max_message_bytes, messages_per_round
-from ..collectives.bench import build_communicator, run_collective, vector
+from ..collectives.bench import (ALLREDUCE_OPS, build_communicator,
+                                 op_connectivity, op_max_payload,
+                                 run_collective, vector)
 from ..collectives.comm import CollectiveMode
 from ..core.results import LatencyPoint
 from ..engine import batched_mmio_floor
@@ -204,14 +206,18 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
 
 def run_mode_allreduce_mmio(mode: CollectiveMode, nodes: int, size: int,
                             iterations: int = 4, warmup: int = 1,
-                            seed: int = 11) -> Dict[str, object]:
-    """PR 2's all-reduce in one control mode, with the NIC's count of what
-    the control path pushed through the BAR (single WR posts + batched
-    doorbells) — the host-assist numbers the triggered layer is up against.
-    """
+                            seed: int = 11,
+                            algorithm: str = "ring") -> Dict[str, object]:
+    """The collectives stack's all-reduce with schedule ``algorithm`` in one
+    control mode, with the NIC's count of what the control path pushed
+    through the BAR (single WR posts + batched doorbells) — the host-assist
+    numbers the triggered layer is up against."""
+    op = {schedule: op for op, schedule in ALLREDUCE_OPS.items()}[algorithm]
     sim = Simulator(seed=seed)
-    cluster, comm = build_communicator(nodes, size, mode, sim=sim)
-    result = run_collective(cluster, comm, "all-reduce", size,
+    cluster, comm = build_communicator(
+        nodes, size, mode, sim=sim, connectivity=op_connectivity(op),
+        max_payload=op_max_payload(op, nodes, size))
+    result = run_collective(cluster, comm, op, size,
                             iterations=iterations, warmup=warmup)
     mmio = sum(node.nic.wr_posts + node.nic.batch_doorbells
                + node.nic.trigger_doorbells for node in cluster.nodes)

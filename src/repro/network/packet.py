@@ -1,7 +1,7 @@
 """Network packets exchanged between NICs.
 
-A packet carries a functional payload (``data``) plus the metadata the NIC
-pipelines need.  ``wire_bytes`` determines serialization time; each fabric
+A packet carries a functional payload plus the metadata the NIC pipelines
+need.  ``wire_bytes`` determines serialization time; each fabric
 defines its own per-packet header overhead.
 
 Integrity: packets optionally carry a link-layer ``checksum`` (CRC-32 of
@@ -39,6 +39,8 @@ class Packet:
     src_node: int
     dst_node: int
     header_bytes: int
+    #: ``bytes``, or the :class:`~repro.memory.DmaPayload` a multi-chunk
+    #: DMA read returned; ``bytes(payload)`` gives its content.
     payload: bytes = b""
     meta: dict = field(default_factory=dict)
     #: Trace id, unique per simulator: the sender draws it from
@@ -55,7 +57,7 @@ class Packet:
 
     # -- integrity ---------------------------------------------------------------
     def compute_checksum(self) -> int:
-        return zlib.crc32(self.payload)
+        return zlib.crc32(bytes(self.payload))
 
     @property
     def is_corrupt(self) -> bool:
@@ -63,7 +65,7 @@ class Packet:
         its CRC.  Unsealed packets (the default, zero-cost path) are never
         corrupt."""
         return (self.checksum is not None
-                and self.checksum != zlib.crc32(self.payload))
+                and self.checksum != zlib.crc32(bytes(self.payload)))
 
     def clone(self, seq: int, payload: Optional[bytes] = None) -> "Packet":
         """An independent copy with trace id ``seq`` — used by the fault

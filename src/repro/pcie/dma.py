@@ -5,6 +5,10 @@ node's memories and the device's internal staging.  Transfers are chunked so
 long copies don't monopolize the fabric, and the engine itself is a capacity-1
 resource: one NIC DMA context processes one descriptor at a time, which is
 the serialization point that bounds message rate on the NIC side.
+
+A read longer than one chunk returns a :class:`~repro.memory.DmaPayload`:
+each chunk is pinned in its source store at its collect turn rather than
+copied, and the write that lands it copies it once into the destination.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..errors import PcieError
+from ..memory import DmaPayload
 from ..sim import NULL_SPAN, Resource, Simulator
 from ..units import KIB
 from .switch import PciePort
@@ -55,8 +60,10 @@ class DmaEngine:
         return f"{self.name}.ctx{ctx_id}"
 
     def read(self, addr: int, length: int) -> Generator:
-        """Gather ``length`` bytes starting at node-physical ``addr``.
-        Returns the bytes; simulated time covers the full fetch."""
+        """Gather ``length`` bytes starting at node-physical ``addr``;
+        simulated time covers the full fetch.  Returns ``bytes`` for one
+        chunk, else a :class:`~repro.memory.DmaPayload` of the source as
+        each chunk's collect turn found it."""
         if length <= 0:
             raise PcieError(f"DMA read of {length} bytes")
         yield self.busy.acquire()
@@ -69,14 +76,17 @@ class DmaEngine:
         try:
             if self.config.setup_time:
                 yield self.sim.timeout(self.config.setup_time)
-            parts = []
+            chunk = self.config.chunk_bytes
+            # Snapshots pay off only past one chunk: a single-chunk read is
+            # small, and one copy costs less than a pin.
+            payload = DmaPayload() if length > chunk else None
             offset = 0
             while offset < length:
-                step = min(self.config.chunk_bytes, length - offset)
+                step = min(chunk, length - offset)
                 # stream_total triggers the P2P pathology for large streams.
-                part = yield from self.port.read(addr + offset, step,
-                                                 stream_total=length)
-                parts.append(part)
+                data = yield from self.port.read(addr + offset, step,
+                                                 stream_total=length,
+                                                 into=payload)
                 offset += step
         finally:
             span.end()
@@ -86,32 +96,33 @@ class DmaEngine:
         self.transfers += 1
         if traced:
             trc.metrics.counter("dma.bytes_read").inc(length)
-        return b"".join(parts)
+        return data if payload is None else payload
 
-    def write(self, addr: int, data: bytes) -> Generator:
+    def write(self, addr: int, data: bytes | DmaPayload) -> Generator:
         """Scatter ``data`` to node-physical ``addr``."""
-        if not data:
+        length = len(data)
+        if not length:
             raise PcieError("DMA write of zero bytes")
         yield self.busy.acquire()
         ctx_id = self._free_ctx.pop()
         trc = self.sim.tracer
         traced = trc.wants("dma")
         span = (trc.begin("dma", "dma-write", track=self._track(ctx_id),
-                          addr=hex(addr), bytes=len(data))
+                          addr=hex(addr), bytes=length)
                 if traced else NULL_SPAN)
         try:
             if self.config.setup_time:
                 yield self.sim.timeout(self.config.setup_time)
             offset = 0
-            while offset < len(data):
-                step = min(self.config.chunk_bytes, len(data) - offset)
+            while offset < length:
+                step = min(self.config.chunk_bytes, length - offset)
                 yield from self.port.write(addr + offset, data[offset:offset + step])
                 offset += step
         finally:
             span.end()
             self._free_ctx.append(ctx_id)
             self.busy.release()
-        self.bytes_moved += len(data)
+        self.bytes_moved += length
         self.transfers += 1
         if traced:
-            trc.metrics.counter("dma.bytes_written").inc(len(data))
+            trc.metrics.counter("dma.bytes_written").inc(length)

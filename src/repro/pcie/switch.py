@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
 from ..errors import ConfigError, PcieError
-from ..memory import AddressMap, MemorySpace, Memory, MmioWindow
+from ..memory import AddressMap, DmaPayload, MemorySpace, Memory, MmioWindow
 from ..sim import Event, Simulator
 from ..units import GB_PER_S, MIB, NS
 from .link import PcieLink, PcieLinkConfig
@@ -67,12 +67,17 @@ class PciePort:
         self.link = link  # None for the root port (CPU / host DRAM side)
 
     # Generators — run them with `yield from` inside a process.
-    def write(self, addr: int, data: bytes) -> Generator[Event, None, None]:
+    def write(self, addr: int, data: bytes | DmaPayload
+              ) -> Generator[Event, None, None]:
         return self.fabric._write(self, addr, data)
 
     def read(self, addr: int, length: int,
-             stream_total: Optional[int] = None) -> Generator[Event, None, bytes]:
-        return self.fabric._read(self, addr, length, stream_total)
+             stream_total: Optional[int] = None,
+             into: Optional[DmaPayload] = None
+             ) -> Generator[Event, None, Optional[bytes]]:
+        """Read ``length`` bytes: returned, or with ``into`` added to that
+        payload (a memory's range pinned, not copied) and None returned."""
+        return self.fabric._read(self, addr, length, stream_total, into)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PciePort {self.name}>"
@@ -164,10 +169,11 @@ class PcieFabric:
     # -- timed accesses ---------------------------------------------------------------
     # Each hop is serialized at the bottleneck rate (held one hop at a time,
     # store-and-forward at message granularity), plus the hop's latency.
-    def _write(self, src: PciePort, addr: int, data: bytes) -> Generator:
-        if not data:
-            raise PcieError("zero-length write")
+    def _write(self, src: PciePort, addr: int,
+               data: bytes | DmaPayload) -> Generator:
         nbytes = len(data)
+        if not nbytes:
+            raise PcieError("zero-length write")
         target, offset, owner = self._resolve(addr, nbytes)
         for link, up in self._route(src, owner)[0]:
             yield from link._send(up, nbytes, link.config.bandwidth)
@@ -175,7 +181,8 @@ class PcieFabric:
         self._deliver_write(target, offset, data)
 
     def _read(self, src: PciePort, addr: int, length: int,
-              stream_total: Optional[int]) -> Generator:
+              stream_total: Optional[int],
+              into: Optional[DmaPayload]) -> Generator:
         if length <= 0:
             raise PcieError("non-positive read length")
         target, offset, owner = self._resolve(addr, length)
@@ -188,7 +195,7 @@ class PcieFabric:
             for link, up in request:
                 yield from link._send(up, nbytes, link.config.bandwidth)
         yield self.sim.timeout(self._target_latency(target))
-        data = self._collect_read(target, offset, length)
+        data = self._collect_read(target, offset, length, into)
         if completion:
             # Completion phase: data streams back, possibly degraded (P2P
             # pathology).
@@ -200,20 +207,34 @@ class PcieFabric:
 
     # -- functional effects ----------------------------------------------------------
     @staticmethod
-    def _deliver_write(target: object, offset: int, data: bytes) -> None:
+    def _deliver_write(target: object, offset: int,
+                       data: bytes | DmaPayload) -> None:
         if isinstance(target, MmioWindow):
-            target.write(offset, data)
+            # A window's write handlers parse real bytes.
+            target.write(offset, bytes(data) if isinstance(data, DmaPayload)
+                         else data)
         elif isinstance(target, Memory):
-            target.store.write(offset, data)
+            if isinstance(data, DmaPayload):
+                data.copy_into(target.store, offset)
+            else:
+                target.store.write(offset, data)
             for hook in target.write_hooks:
                 hook(offset, len(data))
         else:  # pragma: no cover - map only holds these two kinds
             raise PcieError(f"unwritable target {target!r}")
 
     @staticmethod
-    def _collect_read(target: object, offset: int, length: int) -> bytes:
-        if isinstance(target, MmioWindow):
-            return target.read(offset, length)
+    def _collect_read(target: object, offset: int, length: int,
+                      into: Optional[DmaPayload]) -> Optional[bytes]:
         if isinstance(target, Memory):
-            return target.store.read(offset, length)
-        raise PcieError(f"unreadable target {target!r}")  # pragma: no cover
+            if into is None:
+                return target.store.read(offset, length)
+            into.pin(target.store, offset, length)
+        elif isinstance(target, MmioWindow):
+            data = target.read(offset, length)
+            if into is None:
+                return data
+            into.append(data)
+        else:  # pragma: no cover - map only holds these two kinds
+            raise PcieError(f"unreadable target {target!r}")
+        return None

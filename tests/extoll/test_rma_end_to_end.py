@@ -77,6 +77,44 @@ def test_host_controlled_put_moves_host_data(testbed):
     assert b.host_mem.read(dst.base, 4 * KIB) == payload
 
 
+def test_multi_chunk_put_lands_the_source_as_read(testbed):
+    """A put longer than a DMA chunk carries snapshots of its source: the
+    sender overwrites the buffer once the requester notification says the
+    transfer started, while the payload is still in flight, and the bytes
+    read before that land."""
+    cluster, a, b, port_a, port_b = testbed
+    size = 40 * KIB
+    src = a.host_malloc(size)
+    dst = b.gpu_malloc(size)
+    payload = bytes(range(256)) * (size // 256)
+    a.host_mem.write(src.base, payload)
+    src_nla = a.nic.register_memory(src)
+    dst_nla = b.nic.register_memory(dst)
+    pinned = []
+
+    def sender(ctx):
+        w = RmaWorkRequest(op=RmaOp.PUT, port=0, dst_node=1,
+                           src_nla=src_nla.base, dst_nla=dst_nla.base,
+                           size=size)
+        yield from rma_post(ctx, port_a.page_addr, w)
+        yield from rma_wait_notification(
+            ctx, NotificationCursor(port_a.requester_queue))
+        pinned.append(len(a.host_mem.store._pins))
+        yield from ctx.write(src.base, b"\xee" * size)
+
+    def receiver(ctx):
+        yield from rma_wait_notification(
+            ctx, NotificationCursor(port_b.completer_queue))
+
+    sp = a.cpu.spawn(sender)
+    rp = b.cpu.spawn(receiver)
+    cluster.sim.run_until_complete(sp, rp, limit=1.0)
+    assert pinned == [1]
+    assert b.gpu.dram.read(dst.base, size) == payload
+    assert a.host_mem.read(src.base, size) == b"\xee" * size
+    assert a.host_mem.store._pins == []
+
+
 def test_put_into_gpu_memory_gpudirect(testbed):
     """GPUDirect RDMA: the NIC DMA-writes the remote GPU's device memory."""
     cluster, a, b, port_a, port_b = testbed

@@ -175,6 +175,40 @@ def test_rdma_read_pulls_remote_data(testbed):
     assert a.host_mem.read(local.base, 2048) == b"Q" * 2048
 
 
+def test_multi_chunk_rdma_write_then_read_back(testbed):
+    """Transfers longer than a DMA chunk: a write to GPU memory, then a
+    read of it back into another host buffer."""
+    cluster, a, b, qp_a, qp_b = testbed
+    size = 40 * KIB
+    src = a.host_malloc(size)
+    back = a.host_malloc(size)
+    remote = b.gpu_malloc(size)
+    payload = bytes(range(255, -1, -1)) * (size // 256)
+    a.host_mem.write(src.base, payload)
+    mr_src = a.nic.register_memory(src)
+    mr_back = a.nic.register_memory(back)
+    mr_remote = b.nic.register_memory(remote)
+
+    def body(ctx):
+        consumer = CqConsumer(qp_a.send_cq)
+        w = Wqe(opcode=IbOpcode.RDMA_WRITE, wr_id=1, local_addr=src.base,
+                lkey=mr_src.lkey, length=size, remote_addr=remote.base,
+                rkey=mr_remote.rkey)
+        idx = yield from ibv_post_send(ctx, a.nic, qp_a, w, 0)
+        yield from ibv_wait_cq(ctx, consumer)
+        r = Wqe(opcode=IbOpcode.RDMA_READ, wr_id=2, local_addr=back.base,
+                lkey=mr_back.lkey, length=size, remote_addr=remote.base,
+                rkey=mr_remote.rkey)
+        yield from ibv_post_send(ctx, a.nic, qp_a, r, idx)
+        return (yield from ibv_wait_cq(ctx, consumer))
+
+    p = a.cpu.spawn(body)
+    cluster.sim.run_until_complete(p, limit=1.0)
+    assert join_result(p).byte_len == size
+    assert b.gpu.dram.read(remote.base, size) == payload
+    assert a.host_mem.read(back.base, size) == payload
+
+
 def test_gpu_resident_buffers_work(testbed):
     """dev2devBufOnGPU: rings + CQ + payload all in GPU device memory."""
     cluster, a, b, _, _ = testbed

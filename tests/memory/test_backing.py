@@ -1,5 +1,6 @@
 """Unit + property tests for ByteStore."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,11 +71,26 @@ def test_copy_between_stores():
     assert b.read(8, 8) == b"payload!"
 
 
-def test_view_writes_through():
+def test_write_takes_any_bytes_like():
     store = ByteStore(16)
-    view = store.view(4, 4)
-    view[:] = 0xFF
-    assert store.read(4, 4) == b"\xff\xff\xff\xff"
+    store.write(0, bytearray(b"ab"))
+    store.write(2, memoryview(b"xcdx")[1:3])
+    store.write(4, np.frombuffer(b"ef", dtype=np.uint8))
+    assert store.read(0, 6) == b"abcdef"
+
+
+def test_pinned_range_is_copied_out_before_a_write():
+    """A snapshot keeps the bytes of its pin turn; only an overlapping
+    mutator copies it out, and then it holds no pin."""
+    store = ByteStore(32)
+    store.write(0, bytes(range(32)))
+    snap = store.pin(8, 8)
+    store.write_u32(0, 0xFFFFFFFF)          # beside the range: still pinned
+    assert snap.data is None and store._pins == [snap]
+    store.fill(12, 2, 0xAA)
+    assert snap.read(0, 8) == bytes(range(8, 16))
+    assert store._pins == []
+    store.unpin(snap)                       # already detached: a no-op
 
 
 @given(

@@ -46,6 +46,18 @@ def test_host_assist_modes_pay_mmio():
     assert m["wrs_posted"] > 0
 
 
+def test_host_assist_rows_follow_the_algorithm():
+    """The host-assist baseline runs the schedule the triggered chain runs:
+    recursive halving sends fewer, larger messages than the ring."""
+    rows = {algorithm: run_mode_allreduce_mmio(
+                CollectiveMode.HOST_CONTROLLED, 4, 256, iterations=2,
+                algorithm=algorithm)
+            for algorithm in ("ring", "rh")}
+    assert all(row["correct"] for row in rows.values())
+    assert rows["rh"]["bar_mmio"] < rows["ring"]["bar_mmio"]
+    assert rows["rh"]["latency_us"] != rows["ring"]["latency_us"]
+
+
 def test_bench_validation():
     with pytest.raises(MpiError):
         run_mpi_pingpong(0)

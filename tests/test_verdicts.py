@@ -74,6 +74,18 @@ def test_congestion_reconcile_failure_is_its_own_verdict(monkeypatch):
     assert 0.0 < share <= 1.0
 
 
+def test_crossover_is_judged_only_where_it_is_claimed(capsys):
+    """rh beating the ring is a fat-tree and torus claim: a dragonfly-only
+    grid prints no verdict for it rather than an empty pass."""
+    assert main(["fabrics", "--topologies", "dragonfly", "--nodes", "16",
+                 "--iterations", "1"]) == 0
+    names = [m.group(2) for m in map(LINE.match,
+                                     capsys.readouterr().out.splitlines())
+             if m]
+    assert "correct" in names
+    assert "rh-beats-ring" not in names
+
+
 # -- every subcommand reports through them -----------------------------------------
 
 def _fail_agreement(monkeypatch):
