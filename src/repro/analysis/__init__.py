@@ -9,13 +9,6 @@ from .ablations import (
     ablate_notification_placement,
     ablate_p2p_pathology,
 )
-from .collectives import (
-    SCALING_NODES,
-    ScalingPoint,
-    allreduce_scaling,
-    pingpong_baseline,
-    scaling_report,
-)
 from .figures import (
     BANDWIDTH_SIZES,
     CONNECTION_COUNTS,
@@ -46,11 +39,6 @@ __all__ = [
     "ablate_endianness_conversion",
     "ablate_notification_placement",
     "ablate_p2p_pathology",
-    "ScalingPoint",
-    "SCALING_NODES",
-    "allreduce_scaling",
-    "pingpong_baseline",
-    "scaling_report",
     "fig1a_extoll_latency",
     "fig1b_extoll_bandwidth",
     "fig2_extoll_message_rate",

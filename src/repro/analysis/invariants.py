@@ -12,11 +12,10 @@ bit-identical) build verdicts from numbers.
 The shape helpers answer the paper's qualitative claims with an
 ``(ok, detail)`` pair, named by the caller as ``Verdict(name, *check)``:
 GPU-posted puts cost roughly twice a host-posted put (Fig. 1/2), polling on
-system memory dwarfs polling on device memory (Fig. 3 / Table I),
-bandwidth sags once messages outgrow the pinned staging window (Fig. 1b),
-and a ring all-reduce takes exactly ``2*(N-1)`` steps.  Raw numbers drift
-when a cost model is retuned; these shapes must not.  The module imports
-no simulator code.
+system memory dwarfs polling on device memory (Fig. 3 / Table I), and
+bandwidth sags once messages outgrow the pinned staging window (Fig. 1b).
+Raw numbers drift when a cost model is retuned; these shapes must not.
+The module imports no simulator code.
 """
 
 from __future__ import annotations
@@ -165,14 +164,6 @@ def sysmem_polling_dominates(sysmem_ratio: float, devmem_ratio: float,
     return ok, (f"poll/post sysmem {sysmem_ratio:.2f}x vs devmem "
                 f"{devmem_ratio:.2f}x (need sysmem > devmem and "
                 f">= {min_sysmem:g}x)")
-
-
-def ring_allreduce_steps(steps: int, nodes: int) -> Check:
-    """A ring all-reduce performs exactly ``2*(N-1)`` point-to-point sends
-    per rank — reduce-scatter plus all-gather."""
-    expected = 2 * (nodes - 1)
-    ok = steps == expected
-    return ok, f"steps={steps}, expected 2*(N-1)={expected} for N={nodes}"
 
 
 def rate_at_least(rate: float, floor: float, rate_label: str = "rate",

@@ -23,8 +23,9 @@ blame tables plus the per-rank straggler view.  Gates, runnable from CI:
   ``R`` the straggler (the forced-skew canary).  Exit 2 otherwise.
 
 ``--skew RANK:INSTR`` charges extra compute on one rank (pingpong /
-allreduce workloads only); ``--out DIR`` writes one annotated Chrome
-trace and one waterfall per cell.
+allreduce workloads only: another workload, or a rank outside the run,
+is an error); ``--out DIR`` writes one annotated Chrome trace and one
+waterfall per cell.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     knobs = {}
     if args.skew:
         rank, instr = _parse_skew(args.skew)
+        if not 0 <= rank < nodes:
+            raise ReproError(f"--skew rank {rank} is outside [0, {nodes})")
         knobs = {"skew_rank": rank, "skew_instr": instr}
     workload = get_workload(name, **knobs)
 

@@ -63,7 +63,9 @@ def _base_cluster(node_config: Optional[NodeConfig], sim: Optional[Simulator],
     return Cluster(sim, nodes, net, topology)
 
 
-def _resolve_topology(topology: str, num_nodes: int) -> str:
+def resolve_topology(topology: str, num_nodes: int) -> str:
+    """The topology ``num_nodes`` nodes are cabled as; ``ConfigError`` if
+    ``topology`` cannot cable them."""
     if topology == "auto":
         topology = "pair" if num_nodes == 2 else "ring"
     if topology not in TOPOLOGIES:
@@ -100,7 +102,7 @@ def _wire_topology(cluster: Cluster, topology: str, link_config) -> list:
             net.connect(i, switch_id, link_config)
         net.make_router(switch_id)
         attachments = [net.endpoint(i) for i in range(n)]
-    else:  # pragma: no cover - _resolve_topology already validated
+    else:  # pragma: no cover - resolve_topology already validated
         raise ConfigError(f"unknown topology {topology!r}")
     net.compute_routes()
     return attachments
@@ -119,7 +121,7 @@ def build_extoll_cluster(node_config: Optional[NodeConfig] = None,
     from .extoll import ExtollConfig
 
     nic_config = nic_config or ExtollConfig()
-    topology = _resolve_topology(topology, num_nodes)
+    topology = resolve_topology(topology, num_nodes)
     cluster = _base_cluster(node_config, sim, num_nodes, topology)
     attachments = _wire_topology(cluster, topology, nic_config.link)
     for node, attachment in zip(cluster.nodes, attachments):

@@ -23,7 +23,6 @@ from .bench import (
     build_communicator,
     render_results,
     run_collective,
-    sweep,
 )
 from .comm import CollectiveMode, Communicator, RankComm, collective_mode
 
@@ -31,5 +30,5 @@ __all__ = [
     "CollectiveMode", "Communicator", "RankComm", "collective_mode",
     "barrier", "broadcast", "all_gather", "all_reduce", "halo_exchange",
     "OPS", "CollectiveResult", "build_communicator", "run_collective",
-    "sweep", "render_results",
+    "render_results",
 ]

@@ -16,7 +16,7 @@ When a :class:`~repro.obs.SpanTracer` is installed, rank 0 opens one
 ``phase``-category span per measured round, named after the operation.
 Spans are opened/closed at the exact simulation times the latency
 accumulator samples, so ``sum(span durations) == latency * iterations`` —
-the reconciliation ``python -m repro collectives --trace`` enforces.
+the ``collectives-allreduce`` scenario's span reconcile.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..cluster import Cluster, build_extoll_cluster
+from ..cluster import Cluster, build_extoll_cluster, resolve_topology
 from ..errors import BenchmarkError
 from ..core.drive import run_measured
 from ..core.results import BandwidthPoint, LatencyPoint
@@ -59,6 +59,33 @@ def op_max_payload(op: str, nodes: int, size: int) -> int:
 
 #: The barrier circulates a fixed 8-byte token regardless of ``--size``.
 _TOKEN_BYTES = 8
+
+
+def _check_op(op: str) -> None:
+    if op not in OPS:
+        raise BenchmarkError(f"unknown collective op {op!r} "
+                             f"(choose from: {', '.join(OPS)})")
+
+
+def _check_size(size: int) -> None:
+    if size < 8 or size % 8:
+        raise BenchmarkError(
+            f"collective payload size must be a positive multiple of 8, "
+            f"got {size}")
+
+
+def validate_point(op: str, nodes: int, size: int,
+                topology: str = "auto") -> None:
+    """Reject a measurement of ``op`` on ``nodes`` ranks at ``size`` bytes
+    before anything is built: an unknown op, a size that is no positive
+    multiple of 8, fewer than two ranks, a topology that cannot cable
+    them, or an all-reduce schedule that cannot run on them."""
+    _check_op(op)
+    _check_size(size)
+    if nodes < 2:
+        raise BenchmarkError("a communicator needs at least 2 ranks")
+    resolve_topology(topology, nodes)
+    op_max_payload(op, nodes, size)
 
 
 def _round8(n: int) -> int:
@@ -119,10 +146,7 @@ def build_communicator(num_nodes: int, size: int,
     rank pair instead of the ring edges; ``max_payload`` widens the slots
     beyond ``size`` for schedules whose messages grow with N (see
     :func:`op_max_payload`)."""
-    if size < 8 or size % 8:
-        raise BenchmarkError(
-            f"collective payload size must be a positive multiple of 8, "
-            f"got {size}")
+    _check_size(size)
     cluster = build_extoll_cluster(sim=sim, num_nodes=num_nodes,
                                    topology=topology)
     slot_size = max(64, _round8(max_payload or size) + 8)
@@ -184,9 +208,7 @@ def run_collective(cluster: Cluster, comm: Communicator, op: str, size: int,
                    iterations: int = 8, warmup: int = 2) -> CollectiveResult:
     """Run one measured collective; see the module docstring for what the
     returned :class:`CollectiveResult` carries."""
-    if op not in OPS:
-        raise BenchmarkError(f"unknown collective op {op!r} "
-                             f"(choose from: {', '.join(OPS)})")
+    _check_op(op)
     if iterations < 1 or warmup < 0:
         raise BenchmarkError("need iterations >= 1 and warmup >= 0")
     total = iterations + warmup
@@ -232,22 +254,6 @@ def run_collective(cluster: Cluster, comm: Communicator, op: str, size: int,
                                  elapsed=elapsed),
         steps=max(steps_seen.values()),
         correct=_verify(op, comm.size, size, finals))
-
-
-def sweep(ops, node_counts, sizes,
-          mode: CollectiveMode = CollectiveMode.POLL_ON_GPU,
-          topology: str = "auto", iterations: int = 8, warmup: int = 2):
-    """The CLI's scaling sweep: a fresh cluster per (op, N, size) point so
-    measurements never share warmed channels.  Yields CollectiveResults."""
-    for op in ops:
-        for nodes in node_counts:
-            for size in sizes:
-                cluster, comm = build_communicator(
-                    nodes, size, mode, topology,
-                    connectivity=op_connectivity(op),
-                    max_payload=op_max_payload(op, nodes, size))
-                yield run_collective(cluster, comm, op, size,
-                                     iterations=iterations, warmup=warmup)
 
 
 def render_results(results) -> str:

@@ -8,10 +8,10 @@ and comparison.
 
 A scenario's parameters are its grid (sizes, counts, seeds), and their
 defaults are the slice its ``BENCH_*.json`` pins.  The ``engine``,
-``mpi``, ``faults`` and ``fabrics`` subcommands run the same functions
-with their flags as parameters, so each of their checks is computed here
-once, over the runs it judges, and a ``bench --check`` run and a
-subcommand run differ only in the grid.
+``mpi``, ``faults``, ``fabrics``, ``collectives`` and ``triggered``
+subcommands run the same functions with their flags as parameters, so
+each of their checks is computed here once, over the runs it judges, and
+a ``bench --check`` run and a subcommand run differ only in the grid.
 
 Determinism contract: every ``sim``/``count`` metric must be bit-identical
 across processes and machines (the simulator is seeded and ties are
@@ -31,7 +31,9 @@ from ..analysis.faults import (monotonic_check, reconcile_retransmits,
 from ..analysis.invariants import Verdict
 from ..causal import analyze_run
 from ..collectives.algorithms import expected_phases, expected_steps
-from ..collectives.bench import build_communicator, run_collective
+from ..collectives.bench import (ALLREDUCE_OPS, build_communicator,
+                                 op_connectivity, op_max_payload,
+                                 run_collective, validate_point)
 from ..collectives.comm import CollectiveMode
 from ..core import (
     ExtollMode,
@@ -42,14 +44,16 @@ from ..core import (
     measure_pingpong,
 )
 from ..engine import EngineConfig, EngineStats
+from ..errors import BenchmarkError
 from ..fabrics import FabricConfig, build_topology, instantiate, run_permutation
 from ..fabrics.collective import run_collective as run_fabric
 from ..mpi.bench import (engine_floor_checks, run_mode_allreduce_mmio,
                          run_mpi_allreduce, run_mpi_pingpong)
 from ..mpi.comm import MpiConfig
-from ..obs.export import reconcile_with_point
+from ..obs.export import phase_breakdown, reconcile_with_point
 from ..obs.tracer import SpanTracer
 from ..sim import Simulator
+from ..triggered.bench import run_host_assist, run_triggered
 from ..units import KIB, MIB
 from .harness import Scenario, ScenarioResult
 
@@ -188,49 +192,101 @@ def ib_latency() -> ScenarioResult:
 
 # -- collectives ----------------------------------------------------------------
 
+#: Accepted band for one ring all-reduce step over the 2-node
+#: ``dev2dev-pollOnGPU`` ping-pong one-way latency at the same size.  A
+#: step is a put plus a device-memory poll, like half a ping-pong round
+#: trip, but rides the msglib slot protocol (staging stores, header,
+#: credit bookkeeping) and overlaps along the ring, so the ratio sits
+#: above 1 without being allowed to run away.
+STEP_COST_BAND = (0.5, 3.0)
+
+#: The largest ring step the per-step cost judges.  msglib stages one
+#: device word per 8 payload bytes, a per-byte cost the ping-pong never
+#: pays: the ratio is 0.98-2.83x from 8 B to 256 B at N = 2-8, but 4.2x
+#: at 512 B and 11.6x at 4 KiB.
+STEP_COST_MAX_BYTES = 256
+
+
+def _point(r) -> str:
+    """A collectives result's grid point, as its metric names carry it."""
+    return f"{r.op}/{r.mode}/N{r.nodes}/{r.size}B"
+
+
 @_register("collectives-allreduce",
            "4-node ring all-reduce over put/get, GPU- and host-controlled")
-def collectives_allreduce() -> ScenarioResult:
+def collectives_allreduce(ops: Sequence[str] = ("all-reduce",),
+                          modes: Sequence[CollectiveMode] = (
+                              CollectiveMode.POLL_ON_GPU,
+                              CollectiveMode.HOST_CONTROLLED),
+                          nodes: Sequence[int] = (4,),
+                          sizes: Sequence[int] = (64,),
+                          topology: str = "auto", iterations: int = 4,
+                          warmup: int = 1) -> ScenarioResult:
+    """The op x mode x N x size grid of collectives, one fresh cluster
+    per point, every rank's result checked exactly.  The whole grid is
+    validated before any point runs, and its first point is traced: its
+    phase spans must reconcile with its latency.  Every all-reduce point
+    must take its schedule's closed-form step count, and every
+    ``dev2dev-pollOnGPU`` ring step of at most
+    :data:`STEP_COST_MAX_BYTES` must cost within :data:`STEP_COST_BAND`
+    of a 2-node ping-pong one-way at its size."""
+    grid = [(op, mode, n, size) for op in ops for mode in modes
+            for n in nodes for size in sizes]
+    for op, _mode, n, size in grid:
+        validate_point(op, n, size, topology)
     res = ScenarioResult()
-    nodes, size = 4, 64
-    for mode in (CollectiveMode.POLL_ON_GPU, CollectiveMode.HOST_CONTROLLED):
-        cluster, comm = build_communicator(nodes, size, mode)
-        r = run_collective(cluster, comm, "all-reduce", size,
-                           iterations=4, warmup=1)
-        res.metric(f"{mode.value}/latency_us", r.latency_us, unit="us")
-        res.metric(f"{mode.value}/steps", r.steps, kind="count")
-        res.invariant(f"{mode.value}/correct",
-                      (r.correct, "every rank's result exact"))
-        res.invariant(f"{mode.value}/ring-steps",
-                      inv.ring_allreduce_steps(r.steps, nodes))
-    # Documentary companion to the latency metrics: the causal layer's
-    # exact critical-path composition of the same ring all-reduce, per
-    # control mode — the blame table that says WHERE each mode's time
-    # goes, not just how much there is.  Lives in ``extra`` (committed
-    # with the baseline but never compared) because the shares move with
-    # any latency-model change by design.
-    from ..workloads.apps import get_workload
-    from ..workloads.generator import WorkloadRun
-    from ..workloads.transport import MODES
+    tracer = SpanTracer()
+    results = []
+    for op, mode, n, size in grid:
+        cluster, comm = build_communicator(
+            n, size, mode, topology,
+            sim=Simulator(tracer=tracer) if not results else None,
+            connectivity=op_connectivity(op),
+            max_payload=op_max_payload(op, n, size))
+        r = run_collective(cluster, comm, op, size, iterations=iterations,
+                           warmup=warmup)
+        results.append(r)
+        res.metric(f"{_point(r)}/latency_us", r.latency_us, unit="us")
+        res.metric(f"{_point(r)}/steps", r.steps, kind="count")
 
-    composition = {}
-    for tmode in MODES:
-        sim = Simulator(seed=0)
-        tracer = SpanTracer(sim, categories=("causal", "workload"))
-        sim.set_tracer(tracer)
-        WorkloadRun(get_workload("allreduce"), tmode, nodes=nodes,
-                    size=size, requests=1, loop="closed", seed=0,
-                    sim=sim).execute()
-        analysis = analyze_run(tracer)
-        composition[tmode] = {
-            "shares_pct": {cat: round(share * 100.0, 3)
-                           for cat, share in
-                           analysis.blame_shares().items()},
-            "path_us": round(sum(p.total for p in analysis.paths) * 1e6,
-                             3),
-            "hops": sum(len(p.segments) for p in analysis.paths),
-        }
-    res.extra["critical_path_composition"] = composition
+    bad = [_point(r) for r in results if not r.correct]
+    res.invariant("correct", (
+        not bad, f"{len(results) - len(bad)}/{len(results)} point(s) "
+                 f"computed every rank's exact result"
+                 + (f"; wrong: {', '.join(bad)}" if bad else "")))
+    allreduce = [(r, expected_steps(ALLREDUCE_OPS[r.op], r.nodes))
+                 for r in results if r.op in ALLREDUCE_OPS]
+    if allreduce:
+        bad = [f"{_point(r)} steps={r.steps} want={want}"
+               for r, want in allreduce if r.steps != want]
+        res.invariant("steps-exact", (
+            not bad, f"{len(allreduce)} all-reduce point(s) at their "
+                     f"schedule's closed-form step count"
+            if not bad else "; ".join(bad)))
+    first = results[0]
+    stat = phase_breakdown(tracer).get(first.op)
+    res.verdicts.append(inv.reconciles(
+        f"span-reconcile-{first.op}", stat.total if stat else 0.0,
+        first.point.latency * first.iterations))
+    ring = [r for r in results if r.op == "all-reduce"
+            and r.mode == CollectiveMode.POLL_ON_GPU.value
+            and r.size <= STEP_COST_MAX_BYTES]
+    step_costs = {}
+    if ring:
+        one_way = {size: measure_pingpong(ExtollMode.POLL_ON_GPU, size,
+                                          iterations, warmup).latency
+                   for size in sorted({r.size for r in ring})}
+        step_costs = {(r.nodes, r.size): r.point.latency
+                      / expected_phases("ring", r.nodes) / one_way[r.size]
+                      for r in ring}
+        lo, hi = STEP_COST_BAND
+        res.invariant("step-cost", (
+            all(lo <= x <= hi for x in step_costs.values()),
+            "ring step / 2-node dev2dev-pollOnGPU one-way: "
+            + ", ".join(f"N{n}/{size}B {x:.3f}x"
+                        for (n, size), x in step_costs.items())
+            + f" (band {lo:g}-{hi:g}x)"))
+    res.runs.update(results=results, tracer=tracer, step_costs=step_costs)
     return res
 
 
@@ -768,7 +824,7 @@ def fabric_congestion(topologies: Sequence[str] = ("fat-tree",),
     return res
 
 
-# -- MPI-shaped layer (triggered operations) -------------------------------------
+# -- MPI-shaped layer and triggered operations ----------------------------------
 
 @_register("mpi-latency",
            "Tagged MPI ping-pong across the eager/rendezvous crossover, "
@@ -843,4 +899,46 @@ def mpi_allreduce(nodes: int = 4, size: int = 256, iterations: int = 4,
     res.invariant("triggered-at-or-below-engine-floor", below_floor)
     res.invariant("host-assist-above-floor", above_floor)
     res.runs.update(allreduce=ar, modes=modes, floor=floor, tracer=tracer)
+    return res
+
+
+@_register("triggered-relay",
+           "Two-round ring relay staged as counter-fired chains vs host "
+           "assist: zero BAR posts, one doorbell per node")
+def triggered_relay(nodes: int = 4, size: int = 4096,
+                    seed: int = 7) -> ScenarioResult:
+    """The traced triggered relay on a ``nodes``-ring of ``size``-byte
+    puts and its host-assist reference, same seed.  Each node's token is
+    one distinct byte, so the relay runs on 2 to 255 nodes."""
+    if not 2 <= nodes <= 255:
+        raise BenchmarkError(f"--nodes must be in [2, 255] (a node's token "
+                             f"is one distinct byte), got {nodes}")
+    if size < 1:
+        raise BenchmarkError(f"--size must be at least 1 byte, got {size}")
+    res = ScenarioResult()
+    tracer = SpanTracer()
+    trig = run_triggered(nodes, size, seed, tracer=tracer)
+    host = run_host_assist(nodes, size, seed)
+    res.metric("triggered/elapsed_us", trig["elapsed_us"], unit="us")
+    for key in ("host_wr_posts", "doorbells", "chains_completed",
+                "chains_staged", "descriptors_fired", "counter_ticks"):
+        res.metric(f"triggered/{key}", trig[key], kind="count")
+    res.metric("host-assist/elapsed_us", host["elapsed_us"], unit="us")
+    res.metric("host-assist/wr_posts", host["wr_posts"], kind="count")
+    res.invariant("triggered-data", (
+        bool(trig["data_ok"]), "both relay rounds delivered the right bytes"))
+    res.invariant("host-assist-data", (
+        bool(host["data_ok"]), "reference exchange delivered the right "
+                               "bytes"))
+    res.invariant("zero-host-wr-posts", (
+        trig["host_wr_posts"] == 0,
+        f"WR posts through the BAR after staging: {trig['host_wr_posts']}"))
+    res.invariant("one-doorbell-per-node", (
+        trig["doorbells"] == nodes,
+        f"counter doorbells: {trig['doorbells']} (nodes: {nodes})"))
+    res.invariant("all-chains-completed", (
+        trig["chains_completed"] == trig["chains_staged"] == 2 * nodes,
+        f"{trig['chains_completed']}/{trig['chains_staged']} chains "
+        f"completed"))
+    res.runs.update(triggered=trig, host_assist=host, tracer=tracer)
     return res

@@ -322,12 +322,18 @@ WORKLOADS: Dict[str, Workload] = {
 
 
 def get_workload(name: str, **knobs) -> Workload:
-    """Resolve a workload by name; knob overrides rebuild it."""
+    """Resolve a workload by name; knob overrides rebuild it, and a knob
+    the workload does not take is rejected."""
     if name not in WORKLOADS:
         raise BenchmarkError(f"unknown workload {name!r} (choose from: "
                              f"{', '.join(sorted(WORKLOADS))})")
     if not knobs:
         return WORKLOADS[name]
+    unknown = sorted(set(knobs) - set(WORKLOADS[name].knobs))
+    if unknown:
+        raise BenchmarkError(
+            f"workload {name!r} takes no knob {', '.join(unknown)} "
+            f"(it takes: {', '.join(sorted(WORKLOADS[name].knobs))})")
     builders = {
         "trainstep": lambda: _trainstep(
             compute_instr=int(knobs.get("compute_instr", 2000)),

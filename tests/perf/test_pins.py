@@ -1,6 +1,7 @@
-"""The scenarios the ``engine``, ``mpi``, ``faults`` and ``fabrics``
-subcommands run reproduce their committed ``BENCH_*.json`` baselines
-exactly: every pinned value with ``==`` and every invariant true."""
+"""The scenarios the ``engine``, ``mpi``, ``faults``, ``fabrics``,
+``collectives`` and ``triggered`` subcommands run reproduce their
+committed ``BENCH_*.json`` baselines exactly: every pinned value with
+``==`` and every invariant true."""
 
 from pathlib import Path
 
@@ -12,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[2]
 
 SUBCOMMAND_SCENARIOS = ("engine-latency", "engine-rate", "faults-overhead",
                         "fabric-allreduce", "fabric-congestion",
-                        "mpi-latency", "mpi-allreduce")
+                        "mpi-latency", "mpi-allreduce",
+                        "collectives-allreduce", "triggered-relay")
 
 
 @pytest.mark.parametrize("name", SUBCOMMAND_SCENARIOS)

@@ -29,9 +29,6 @@ ALLOWED = {
     "NetworkFabric.link_between": "test tool: the link joining two nodes",
     "FaultPlan.for_links": "test tool: a plan that faults chosen links",
     "join_result": "test tool: a finished process's return value",
-    "allreduce_scaling": "the collectives scaling check tests/collectives "
-                         "runs",
-    "scaling_report": "the collectives scaling check tests/collectives runs",
     "ibarrier": "documented MPI API (README)",
     "ibcast": "documented MPI API (README)",
 }

@@ -99,9 +99,9 @@ def _fail_retransmit_count(monkeypatch):
 
 
 def _fail_triggered(monkeypatch):
-    from repro.triggered import cli
-    real = cli.run_host_assist
-    monkeypatch.setattr(cli, "run_host_assist",
+    from repro.perf import scenarios
+    real = scenarios.run_host_assist
+    monkeypatch.setattr(scenarios, "run_host_assist",
                         lambda *a, **k: {**real(*a, **k), "data_ok": False})
 
 
@@ -210,7 +210,12 @@ def test_slo_breach_exits_1_not_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["trace", "--size", "0", "--out", os.devnull],
     ["collectives", "--sizes", "12"],
+    ["collectives", "--nodes", "2,8", "--sizes", "64,12"],
     ["fabrics", "--nodes", "12"],
+    ["triggered", "--nodes", "256"],
+    ["triggered", "--size", "0"],
+    ["critpath", "workloads", "--workload", "trainstep", "--skew", "1:20000"],
+    ["critpath", "pingpong", "--skew", "5:20000"],
 ])
 def test_repro_error_is_one_stderr_line(argv):
     env = dict(os.environ)

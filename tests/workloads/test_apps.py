@@ -39,6 +39,16 @@ def test_get_workload_unknown_name():
         get_workload("btree")
 
 
+def test_get_workload_rejects_a_knob_it_does_not_take():
+    """A skew knob on a workload without one is an error naming the knobs
+    it takes, not a run that silently ignores it."""
+    with pytest.raises(BenchmarkError,
+                       match=r"takes no knob skew_rank \(it takes: "
+                             r"compute_instr, overlap\)"):
+        get_workload("trainstep", skew_rank=1)
+    assert get_workload("allreduce", skew_rank=1).knobs["skew_rank"] == 1
+
+
 def test_knob_overrides_change_the_workload():
     """A zero-overlap training step exposes its full compute charge, so
     its service time must exceed the fully-overlapped variant's."""
