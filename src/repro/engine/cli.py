@@ -71,15 +71,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the traced rate run as a Chrome trace")
     args = parser.parse_args(argv)
+    if args.iterations is None:
+        args.iterations = 20 if args.quick else 30
+    if args.per_connection is None:
+        args.per_connection = 30 if args.quick else 60
 
     latency = engine_latency(
         sizes=QUICK_SIZES if args.quick else FULL_SIZES,
-        iterations=args.iterations or (20 if args.quick else 30),
-        warmup=args.warmup, seed=args.seed)
+        iterations=args.iterations, warmup=args.warmup, seed=args.seed)
     rate = engine_rate(
         connections=QUICK_CONNECTIONS if args.quick else FULL_CONNECTIONS,
-        per_connection=args.per_connection or (30 if args.quick else 60),
-        seed=args.seed)
+        per_connection=args.per_connection, seed=args.seed)
 
     points = latency.runs["points"]
     for line in _render_table(

@@ -27,7 +27,7 @@ from .plane import (
     FORCE_BREACH,
     TelemetryPlane,
     add_plane_args,
-    plane_from_args,
+    objectives_from_args,
 )
 from .export import (
     prometheus_text,
@@ -49,7 +49,7 @@ __all__ = [
     "SloMonitor",
     "TelemetryPlane",
     "add_plane_args",
-    "plane_from_args",
+    "objectives_from_args",
     "prometheus_text",
     "render_series_table",
     "render_verdicts",

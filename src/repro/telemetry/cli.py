@@ -35,7 +35,7 @@ from ..analysis.invariants import Verdict, counts_match, identical, render
 from ..sim import Simulator
 from .export import (render_series_table, write_artifacts,
                      write_prometheus, write_timeseries)
-from .plane import TelemetryPlane, add_plane_args, plane_from_args
+from .plane import TelemetryPlane, add_plane_args, objectives_from_args
 from .slo import Objective
 
 #: Conservative default objectives per scenario — thresholds sit well
@@ -181,7 +181,7 @@ def _run_fabrics(args, sim: Simulator, plane: Optional[TelemetryPlane],
     from ..fabrics.collective import run_collective as run_fabric_collective
     from ..fabrics.topology import FabricConfig
     # The fat-tree builder needs a power-of-two N >= 8; the generic
-    # --nodes default (and the --quick cap) sit below that.
+    # --nodes default sits below that.
     topo = build_topology("fat-tree", max(8, args.nodes))
     instance = instantiate(sim, topo,
                            FabricConfig(credits=args.credits))
@@ -212,9 +212,10 @@ _SCENARIOS = {
 
 
 def _plane(args, sim: Simulator, scenario: str) -> TelemetryPlane:
-    return plane_from_args(sim, args, _PRESETS.get(scenario, ()),
-                           capacity=args.capacity,
-                           recorder_capacity=args.recorder_capacity)
+    return TelemetryPlane(
+        sim, interval=args.interval,
+        objectives=objectives_from_args(args, _PRESETS.get(scenario, ())),
+        capacity=args.capacity, recorder_capacity=args.recorder_capacity)
 
 
 # -- proof obligations -------------------------------------------------------------
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="small run for CI")
     add_plane_args(parser, interval=5e-6)
+    parser.add_argument("--no-telemetry", action="store_true",
+                        help="run bare, with no plane (the zero-cost "
+                             "reference)")
     parser.add_argument("--capacity", type=int, default=4096,
                         help="ring size of every time series")
     parser.add_argument("--recorder-capacity", type=int, default=512,
@@ -294,11 +298,12 @@ def main(argv=None) -> int:
                         help="faults only: reconcile the dump against a "
                              "full trace of the same seed")
     args = parser.parse_args(argv)
-    args.connections = args.connections or (4 if args.quick else 8)
-    args.per_connection = args.per_connection or (30 if args.quick else 60)
-    args.iterations = args.iterations or (4 if args.quick else 10)
-    if args.quick:
-        args.nodes = min(args.nodes, 4)
+    if args.connections is None:
+        args.connections = 4 if args.quick else 8
+    if args.per_connection is None:
+        args.per_connection = 30 if args.quick else 60
+    if args.iterations is None:
+        args.iterations = 4 if args.quick else 10
 
     runner = _SCENARIOS[args.scenario]
 

@@ -239,9 +239,9 @@ class TelemetryPlane:
 
 def add_plane_args(parser, interval: float) -> None:
     """Declare the flags a monitoring subcommand shares: the ones
-    :func:`plane_from_args` reads, ``--no-telemetry`` (run bare) and
-    ``--out`` (the :func:`~repro.telemetry.export.write_artifacts`
-    directory).  ``interval`` is the default sampling cadence."""
+    :func:`objectives_from_args` reads, ``--interval`` (the sampling
+    cadence, default ``interval``) and ``--out`` (the
+    :func:`~repro.telemetry.export.write_artifacts` directory)."""
     parser.add_argument("--interval", type=float, default=interval,
                         help=f"sampling cadence in simulated seconds "
                              f"(default: {interval:g})")
@@ -251,9 +251,6 @@ def add_plane_args(parser, interval: float) -> None:
                              "'rate:engine.messages>=6e6' (repeatable)")
     parser.add_argument("--no-presets", action="store_true",
                         help="drop the built-in objectives")
-    parser.add_argument("--no-telemetry", action="store_true",
-                        help="run bare, with no plane (the zero-cost "
-                             "reference)")
     parser.add_argument("--force-breach", action="store_true",
                         help="arm an unsatisfiable objective (dump "
                              "artifact smoke test)")
@@ -262,15 +259,13 @@ def add_plane_args(parser, interval: float) -> None:
                              "any other artifacts under DIR")
 
 
-def plane_from_args(sim: Simulator, args, presets: Iterable[Objective],
-                    **kwargs) -> TelemetryPlane:
-    """The plane a monitoring subcommand arms from its flags: ``presets``
-    unless ``--no-presets``, then each ``--slo`` spec, then
-    :data:`FORCE_BREACH` under ``--force-breach``, sampled every
-    ``--interval``.  ``kwargs`` go on to :class:`TelemetryPlane`."""
+def objectives_from_args(args, presets: Iterable[Objective],
+                         ) -> List[Objective]:
+    """The objectives a monitoring subcommand arms from its flags:
+    ``presets`` unless ``--no-presets``, then each ``--slo`` spec, then
+    :data:`FORCE_BREACH` under ``--force-breach``."""
     objectives = [] if args.no_presets else list(presets)
     objectives += [Objective.parse(spec) for spec in args.slo or ()]
     if args.force_breach:
         objectives.append(FORCE_BREACH)
-    return TelemetryPlane(sim, interval=args.interval, objectives=objectives,
-                          **kwargs)
+    return objectives

@@ -30,6 +30,7 @@ bench harness checks).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -54,8 +55,9 @@ class Sampler:
 
     def __init__(self, sim: Simulator, interval: float = 5e-6,
                  capacity: int = 4096) -> None:
-        if interval <= 0:
-            raise ConfigError(f"interval must be > 0, got {interval!r}")
+        if not 0 < interval < math.inf:
+            raise ConfigError(f"interval must be finite and > 0, got "
+                              f"{interval!r}")
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim

@@ -21,31 +21,24 @@ from .arrivals import (
     arrival_process,
 )
 from .generator import (
-    DEFAULT_FRACTIONS,
     KNEE_EFFICIENCY,
     RunResult,
-    SaturationPoint,
-    SaturationResult,
     WorkloadRun,
     WorkloadStats,
     exact_percentile,
     reconcile,
-    saturation_sweep,
 )
-from .transport import MODES, WorkloadTransport
+from .transport import MODES, WorkloadTransport, validate_cell
 
 __all__ = [
     "ARRIVALS",
     "ArrivalProcess",
     "BurstyArrivals",
-    "DEFAULT_FRACTIONS",
     "KNEE_EFFICIENCY",
     "MAX_BURST",
     "MODES",
     "PoissonArrivals",
     "RunResult",
-    "SaturationPoint",
-    "SaturationResult",
     "WORKLOADS",
     "Workload",
     "WorkloadRun",
@@ -55,5 +48,5 @@ __all__ = [
     "exact_percentile",
     "get_workload",
     "reconcile",
-    "saturation_sweep",
+    "validate_cell",
 ]

@@ -248,7 +248,12 @@ def _pingpong(rounds: int, skew_rank: int, skew_instr: int) -> Workload:
     """Rank 0 and rank 1 exchange one message per round; other ranks idle.
     The skew knobs charge ``skew_instr`` extra instructions on
     ``skew_rank`` before its first op — the forced-straggler canary the
-    critical-path analyzer must name."""
+    critical-path analyzer must name.  A skew on any other rank (``-1``
+    is none) would never run, so it is rejected."""
+    if skew_rank not in (-1, 0, 1):
+        raise BenchmarkError(
+            f"workload 'pingpong' runs ranks 0 and 1 only; a skew on rank "
+            f"{skew_rank} would never run")
 
     def script(req: int, rank: int, nodes: int, size: int):
         if rank >= 2:

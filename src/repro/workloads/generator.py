@@ -16,7 +16,8 @@ arrival stream replays bit-identically from its own seed, the model from
 the simulator's.  ``loop="closed"`` runs the same machinery with each
 request arriving the instant its predecessor completes — the zero-queue
 reference the open-loop numbers are judged against, and the calibration
-source for :func:`saturation_sweep`'s offered-load grid.
+of the service rate whose fractions
+:func:`~repro.perf.scenarios.workload_service` offers as open-loop load.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from ..sim import SampledStats, Simulator
 from .apps import Workload, get_workload
 from .arrivals import arrival_process
 from .transport import WorkloadTransport
-
-#: Offered-load grid of :func:`saturation_sweep`, as fractions of the
-#: closed-loop service rate.  1.2 drives past saturation on purpose.
-DEFAULT_FRACTIONS = (0.2, 0.5, 0.8, 0.9, 1.0, 1.2)
 
 #: A point "keeps up" while achieved throughput is >= 95% of offered.
 KNEE_EFFICIENCY = 0.95
@@ -125,6 +122,14 @@ class RunResult:
         if self.requests < 2 or span <= 0:
             return self.requests / self.elapsed if self.elapsed > 0 else 0.0
         return (self.requests - 1) / span
+
+    @property
+    def efficiency(self) -> float:
+        """Achieved over *measured* offered throughput: judging against the
+        realized arrival stream keeps finite-sample noise out of the
+        knee."""
+        offered = self.offered_measured
+        return self.achieved_rate / offered if offered else 0.0
 
     @property
     def mean_latency(self) -> float:
@@ -217,9 +222,10 @@ class WorkloadRun:
         else:
             self.injector = None
         if loop == "open":
-            if rate <= 0:
+            if not 0 < rate < math.inf:
                 raise BenchmarkError(
-                    "an open-loop run needs an offered rate > 0 req/s")
+                    f"an open-loop run needs a finite offered rate > 0 "
+                    f"req/s, got {rate!r}")
             kwargs = (dict(burst_factor=burst_factor, alpha=alpha)
                       if arrival == "bursty" else {})
             self.arrivals = arrival_process(arrival, rate, seed, **kwargs)
@@ -374,98 +380,11 @@ def reconcile(result: RunResult, recorder) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SaturationPoint:
-    """One offered-load point of a saturation sweep."""
-
-    offered: float           # nominal configured rate (req/s)
-    offered_measured: float  # arrival rate the seeded sample realized
-    achieved: float          # completion rate actually sustained
-    p50: float
-    p99: float
-    p999: float
-
-    @property
-    def efficiency(self) -> float:
-        """Achieved over *measured* offered: judging against the realized
-        arrival stream keeps finite-sample noise out of the knee."""
-        if not self.offered_measured:
-            return 0.0
-        return self.achieved / self.offered_measured
-
-
-@dataclass(frozen=True)
-class SaturationResult:
-    """Offered-load vs achieved-throughput curve plus its knee."""
-
-    workload: str
-    mode: str
-    nodes: int
-    size: int
-    base_rate: float            # 1 / closed-loop mean service time
-    closed: RunResult
-    points: Tuple[SaturationPoint, ...]
-    knee: float                 # highest offered rate that kept up
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload, "mode": self.mode,
-            "nodes": self.nodes, "size": self.size,
-            "base_rate": self.base_rate, "knee": self.knee,
-            "closed_p99": self.closed.p99,
-            "points": [{"offered": p.offered,
-                        "offered_measured": p.offered_measured,
-                        "achieved": p.achieved,
-                        "efficiency": p.efficiency, "p50": p.p50,
-                        "p99": p.p99, "p999": p.p999}
-                       for p in self.points],
-        }
-
-
-def saturation_sweep(workload: Union[str, Workload], mode: str,
-                     nodes: int = 4, size: int = 256, requests: int = 32,
-                     arrival: str = "poisson", seed: int = 0,
-                     fractions: Tuple[float, ...] = DEFAULT_FRACTIONS,
-                     **run_kwargs) -> SaturationResult:
-    """Calibrate the service rate with one closed-loop run, then sweep
-    open-loop offered load across ``fractions`` of it.  Each point gets a
-    fresh simulator/cluster, so points are independent and the whole sweep
-    replays deterministically from ``seed``."""
-    closed = WorkloadRun(workload, mode, nodes=nodes, size=size,
-                         requests=requests, loop="closed", seed=seed,
-                         **run_kwargs).execute()
-    base_rate = 1.0 / closed.mean_service
-    points = []
-    knee = 0.0
-    for fraction in fractions:
-        rate = fraction * base_rate
-        result = WorkloadRun(workload, mode, nodes=nodes, size=size,
-                             requests=requests, loop="open",
-                             arrival=arrival, rate=rate, seed=seed,
-                             **run_kwargs).execute()
-        point = SaturationPoint(offered=rate,
-                                offered_measured=result.offered_measured,
-                                achieved=result.achieved_rate,
-                                p50=result.p50, p99=result.p99,
-                                p999=result.p999)
-        points.append(point)
-        if point.efficiency >= KNEE_EFFICIENCY:
-            knee = max(knee, rate)
-    return SaturationResult(
-        workload=closed.workload, mode=mode, nodes=nodes, size=size,
-        base_rate=base_rate, closed=closed, points=tuple(points),
-        knee=knee)
-
-
 __all__ = [
-    "DEFAULT_FRACTIONS",
     "KNEE_EFFICIENCY",
     "RunResult",
-    "SaturationPoint",
-    "SaturationResult",
     "WorkloadRun",
     "WorkloadStats",
     "exact_percentile",
     "reconcile",
-    "saturation_sweep",
 ]

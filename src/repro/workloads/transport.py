@@ -59,6 +59,22 @@ def _round8(n: int) -> int:
     return (n + 7) // 8 * 8
 
 
+def validate_cell(workload: Workload, mode: str, nodes: int,
+                  size: int) -> None:
+    """Reject a (workload, mode, N, size) cell no transport can run."""
+    if mode not in MODES:
+        raise BenchmarkError(f"unknown workload mode {mode!r} "
+                             f"(choose from: {', '.join(MODES)})")
+    if size < 8 or size % 8:
+        raise BenchmarkError(
+            f"workload message size must be a positive multiple of 8, "
+            f"got {size}")
+    if nodes < workload.min_nodes:
+        raise BenchmarkError(
+            f"workload {workload.name!r} needs at least "
+            f"{workload.min_nodes} nodes, got {nodes}")
+
+
 class WorkloadTransport:
     """One (cluster, workload, control mode) execution engine."""
 
@@ -66,17 +82,7 @@ class WorkloadTransport:
                  size: int, slots: int = 16, reliable: bool = False,
                  reliability_config=None,
                  lanes: int = DEFAULT_LANES) -> None:
-        if mode not in MODES:
-            raise BenchmarkError(f"unknown workload mode {mode!r} "
-                                 f"(choose from: {', '.join(MODES)})")
-        if size < 8 or size % 8:
-            raise BenchmarkError(
-                f"workload message size must be a positive multiple of 8, "
-                f"got {size}")
-        if len(cluster) < workload.min_nodes:
-            raise BenchmarkError(
-                f"workload {workload.name!r} needs at least "
-                f"{workload.min_nodes} nodes, cluster has {len(cluster)}")
+        validate_cell(workload, mode, len(cluster), size)
         self.cluster = cluster
         self.sim = cluster.sim
         self.workload = workload
@@ -205,4 +211,4 @@ class WorkloadTransport:
             _pump(self.mpi, interpret(rank, gen, tag), mreq)
 
 
-__all__ = ["MODES", "WorkloadTransport"]
+__all__ = ["MODES", "WorkloadTransport", "validate_cell"]

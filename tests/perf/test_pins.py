@@ -1,7 +1,7 @@
 """The scenarios the ``engine``, ``mpi``, ``faults``, ``fabrics``,
-``collectives`` and ``triggered`` subcommands run reproduce their
-committed ``BENCH_*.json`` baselines exactly: every pinned value with
-``==`` and every invariant true."""
+``collectives``, ``triggered`` and ``workloads`` subcommands run
+reproduce their committed ``BENCH_*.json`` baselines exactly: every
+pinned value with ``==`` and every invariant true."""
 
 from pathlib import Path
 
@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parents[2]
 SUBCOMMAND_SCENARIOS = ("engine-latency", "engine-rate", "faults-overhead",
                         "fabric-allreduce", "fabric-congestion",
                         "mpi-latency", "mpi-allreduce",
-                        "collectives-allreduce", "triggered-relay")
+                        "collectives-allreduce", "triggered-relay",
+                        "workload-trainstep", "workload-moe",
+                        "workload-kvcache")
 
 
 @pytest.mark.parametrize("name", SUBCOMMAND_SCENARIOS)

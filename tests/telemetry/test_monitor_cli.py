@@ -80,3 +80,8 @@ def test_faults_breaches_and_reconciles(tmp_path, capsys):
     assert "breach" in out
     assert "[PASS] dump reconciliation" in out
     assert os.path.exists(os.path.join(out_dir, "flight-record-0.json"))
+
+
+def test_quick_keeps_an_explicit_node_count(capsys):
+    assert monitor_main(["collectives", "--quick", "--nodes", "8"]) == 0
+    assert "all-reduce N=8 " in capsys.readouterr().out

@@ -216,6 +216,16 @@ def test_slo_breach_exits_1_not_2(tmp_path, capsys):
     ["triggered", "--size", "0"],
     ["critpath", "workloads", "--workload", "trainstep", "--skew", "1:20000"],
     ["critpath", "pingpong", "--skew", "5:20000"],
+    ["critpath", "pingpong", "--nodes", "4", "--skew", "3:20000"],
+    ["workloads", "--saturation", "nan"],
+    ["workloads", "--saturation", "inf"],
+    ["workloads", "--saturation", "0.9,0"],
+    ["workloads", "--requests", "0"],
+    ["monitor", "pingpong", "--iterations", "0"],
+    ["monitor", "rate", "--connections", "0"],
+    ["monitor", "rate", "--per-connection", "0"],
+    ["engine", "--quick", "--iterations", "0"],
+    ["engine", "--quick", "--per-connection", "0"],
 ])
 def test_repro_error_is_one_stderr_line(argv):
     env = dict(os.environ)
@@ -245,6 +255,9 @@ def test_repro_error_is_one_stderr_line(argv):
     ["monitor", "pingpong", "--quick", "--interval", "0"],
     ["workloads", "--quick", "--interval", "0"],
     ["trace", "--categories", "phase", "--iterations", "4", "--warmup", "1"],
+    ["monitor", "pingpong", "--quick", "--interval", "inf"],
+    ["workloads", "--quick", "--workload", "psfanin", "--mode",
+     "hostControlled", "--interval", "nan"],
 ])
 def test_bad_flag_value_exits_2(argv):
     env = dict(os.environ)

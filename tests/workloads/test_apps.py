@@ -40,13 +40,18 @@ def test_get_workload_unknown_name():
 
 
 def test_get_workload_rejects_a_knob_it_does_not_take():
-    """A skew knob on a workload without one is an error naming the knobs
-    it takes, not a run that silently ignores it."""
+    """A skew knob on a workload without one, or on a rank the workload
+    never runs, is an error naming what it takes, not a run that silently
+    ignores it."""
     with pytest.raises(BenchmarkError,
                        match=r"takes no knob skew_rank \(it takes: "
                              r"compute_instr, overlap\)"):
         get_workload("trainstep", skew_rank=1)
     assert get_workload("allreduce", skew_rank=1).knobs["skew_rank"] == 1
+    for rank in (2, 3):
+        with pytest.raises(BenchmarkError, match="runs ranks 0 and 1 only"):
+            get_workload("pingpong", skew_rank=rank)
+    assert get_workload("pingpong", skew_rank=1).knobs["skew_rank"] == 1
 
 
 def test_knob_overrides_change_the_workload():

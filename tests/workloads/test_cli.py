@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+from repro.errors import BenchmarkError
+from repro.workloads import WorkloadRun
 from repro.workloads.cli import main
 
 QUICK = ["--quick", "--workload", "psfanin", "--mode", "hostControlled"]
@@ -15,23 +16,31 @@ QUICK = ["--quick", "--workload", "psfanin", "--mode", "hostControlled"]
 def test_quick_cell_passes(capsys):
     assert main(QUICK) == 0
     out = capsys.readouterr().out
-    assert "[PASS] zero-cost when disarmed" in out
-    assert "[PASS] deterministic replay" in out
-    assert "[PASS] all results exact" in out
-    assert "[PASS] open-loop p99 >= closed-loop p99" in out
-    assert "[PASS] trace<->histogram reconciliation <= 1%" in out
+    assert "[PASS] zero-cost-bit-identical" in out
+    assert "[PASS] deterministic-replay" in out
+    assert "[PASS] results-exact" in out
+    assert "[PASS] open-p99-above-closed" in out
+    assert "[PASS] telemetry-reconcile" in out
     assert "[FAIL]" not in out
+    # No 0.85x point is at most 0.5x or past 1x: those checks judge
+    # nothing and are not emitted.
+    assert "keeps-up-below-knee" not in out
+    assert "saturates-past-service-rate" not in out
 
 
 def test_json_document(capsys):
     assert main(QUICK + ["--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] and not doc["breached"]
+    assert doc["saturation"] == [0.85]
     (cell,) = doc["cells"]
     assert cell["workload"] == "psfanin"
-    assert cell["open_ge_closed"]
-    assert cell["reconcile"]["ok"]
-    assert cell["open"]["p99"] >= cell["closed"]["p99"]
+    assert cell["service_rate"] == 1.0 / cell["closed"]["mean_service"]
+    (point,) = cell["open"]
+    assert point["fraction"] == 0.85
+    assert point["rate"] == 0.85 * cell["service_rate"]
+    assert point["reconcile"]["ok"]
+    assert point["result"]["p99"] >= cell["closed"]["p99"]
     assert all(v["ok"] for v in doc["verdicts"])
 
 
@@ -46,19 +55,22 @@ def test_force_breach_dumps_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_no_telemetry_skips_planes(capsys):
-    assert main(QUICK + ["--no-telemetry"]) == 0
-    out = capsys.readouterr().out
-    assert "reconciliation" not in out
-    assert "zero-cost" not in out
-    assert "[PASS] deterministic replay" in out
-
-
 def test_knee_report(capsys):
-    assert main(QUICK + ["--knee", "--requests", "8"]) == 0
+    assert main(QUICK + ["--saturation", "0.5,1.2", "--requests", "8"]) == 0
     out = capsys.readouterr().out
-    assert "saturation knee" in out
-    assert "eff" in out
+    assert "saturation knee (psfanin/hostControlled)" in out
+    assert out.count("(eff ") == 2
+    assert "[PASS] keeps-up-below-knee" in out
+    assert "[PASS] saturates-past-service-rate" in out
+
+
+def test_bad_fraction_is_rejected_before_any_run(monkeypatch):
+    def fail(self, limit=600.0):
+        raise AssertionError("a run started before the grid was validated")
+
+    monkeypatch.setattr(WorkloadRun, "execute", fail)
+    with pytest.raises(BenchmarkError, match="finite and > 0, got 0.0"):
+        main(QUICK + ["--saturation", "0.9,0"])
 
 
 def test_custom_slo_breaches(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import BenchmarkError
 from repro.faults import FaultPlan
+from repro.perf.scenarios import workload_service
 from repro.sim import Simulator
 from repro.telemetry import TelemetryPlane
 from repro.workloads import (
@@ -18,7 +19,6 @@ from repro.workloads import (
     WorkloadTransport,
     exact_percentile,
     reconcile,
-    saturation_sweep,
 )
 
 FAST = dict(nodes=4, size=64, requests=3)
@@ -156,18 +156,23 @@ def test_telemetry_never_perturbs_the_run():
 # -- saturation sweep -------------------------------------------------------------
 
 def test_saturation_knee_and_efficiency():
-    sweep = saturation_sweep("psfanin", "hostControlled", nodes=4, size=64,
-                             requests=12, fractions=(0.5, 1.2), seed=7)
-    assert sweep.base_rate == pytest.approx(1.0 / sweep.closed.mean_service)
-    below, above = sweep.points
-    assert below.efficiency >= 0.95         # keeps up below the knee
-    assert above.efficiency < 1.0           # saturated past the knee
-    assert sweep.knee == below.offered
-    doc = sweep.as_dict()
-    assert doc["knee"] == below.offered
+    res = workload_service(["psfanin"], ["hostControlled"], size=64,
+                           requests=12, fractions=(0.5, 1.2))
+    (cell,) = res.runs["cells"]
+    assert cell["service_rate"] == 1.0 / cell["closed"].mean_service
+    below, above = cell["open"]
+    assert below["rate"] == 0.5 * cell["service_rate"]
+    assert below["result"].efficiency >= 0.95   # keeps up below the knee
+    assert above["result"].efficiency < 1.0     # saturated past the knee
+    assert cell["knee"] == below["rate"]
+    assert res.metrics["psfanin/hostControlled/knee_per_s"].value \
+        == below["rate"]
+    doc = res.extra["saturation"]["psfanin/hostControlled"]
+    assert doc["knee"] == below["rate"]
     assert len(doc["points"]) == 2
     assert {"offered", "offered_measured", "achieved", "efficiency",
             "p99"} <= set(doc["points"][0])
+    assert all(v.ok for v in res.verdicts), res.verdicts
 
 
 # -- measurement plumbing ---------------------------------------------------------
@@ -200,8 +205,10 @@ def test_validation_errors():
         run = WorkloadRun("moe", "hostControlled", loop="closed", **FAST)
         run.execute()
         run.execute()
-    with pytest.raises(BenchmarkError, match="rate > 0"):
-        WorkloadRun("moe", "hostControlled", loop="open", rate=0.0, **FAST)
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(BenchmarkError, match="rate > 0"):
+            WorkloadRun("moe", "hostControlled", loop="open", rate=rate,
+                        **FAST)
     with pytest.raises(BenchmarkError, match="loop discipline"):
         WorkloadRun("moe", "hostControlled", loop="sideways", **FAST)
     with pytest.raises(BenchmarkError, match="reliable=True"):
