@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List
+from typing import Dict
 
 from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..core import (
@@ -48,13 +48,13 @@ class AblationResult:
         return self.baseline / self.variant if self.variant else float("inf")
 
 
-def ablate_notification_placement(size: int = 1 * KIB,
-                                  iterations: int = 20) -> AblationResult:
+def ablate_notification_placement(iterations: int = 20) -> AblationResult:
     """§VI claim 1/3: EXTOLL's kernel-pinned notification queues force PCIe
     polls.  Compare dev2dev-direct (notifications in host memory) against
     dev2dev-pollOnGPU (completion signal observed in device memory) — the
-    closest realizable 'move the signal into GPU memory' variant."""
-    lat = {mode: measure_pingpong(mode, size, iterations).latency
+    closest realizable 'move the signal into GPU memory' variant, at
+    1 KiB."""
+    lat = {mode: measure_pingpong(mode, 1 * KIB, iterations).latency
            for mode in (ExtollMode.DIRECT, ExtollMode.POLL_ON_GPU)}
     return AblationResult(
         name="notification-placement",
@@ -65,11 +65,10 @@ def ablate_notification_placement(size: int = 1 * KIB,
     )
 
 
-def ablate_endianness_conversion(size: int = 256,
-                                 iterations: int = 20) -> Dict[str, object]:
+def ablate_endianness_conversion(iterations: int = 20) -> Dict[str, object]:
     """§V-B3: the paper pre-converts constant WQE fields to big-endian.
-    Measure GPU post cost and ping-pong latency with the full conversion
-    vs the statically-optimized one."""
+    Measure GPU post cost and 256-byte ping-pong latency with the full
+    conversion vs the statically-optimized one."""
     results: Dict[str, object] = {
         "full_conversion_instructions": post_send_instruction_cost(),
         "optimized_instructions": post_send_instruction_cost_static_optimized(),
@@ -77,10 +76,10 @@ def ablate_endianness_conversion(size: int = 256,
     lat = {}
     for optimized in (False, True):
         cluster = build_ib_cluster()
-        conn = setup_ib_connection(cluster, max(size, 4 * KIB),
+        conn = setup_ib_connection(cluster, 4 * KIB,
                                    IbMode.BUF_ON_GPU.ring_location)
         point = run_ib_pingpong(
-            cluster, conn, IbMode.BUF_ON_GPU, size, iterations=iterations,
+            cluster, conn, IbMode.BUF_ON_GPU, 256, iterations=iterations,
             post_send=partial(gpu_post_send, optimized=optimized))
         lat["optimized" if optimized else "full"] = point.latency
     results["full_conversion_latency"] = lat["full"]
@@ -88,14 +87,15 @@ def ablate_endianness_conversion(size: int = 256,
     return results
 
 
-def ablate_p2p_pathology(size: int = 4 * MIB, count: int = 8) -> AblationResult:
+def ablate_p2p_pathology() -> AblationResult:
     """Figs. 1b/4b: the >1 MiB bandwidth drop comes from the PCIe peer-to-peer
-    read pathology; disabling the model removes the drop."""
+    read pathology; disabling the model removes the drop (eight 4 MiB
+    messages)."""
     bw = {}
     for enabled in (True, False):
         node = NodeConfig(pcie=FabricConfig(p2p_pathology_enabled=enabled))
-        bw[enabled] = measure_bandwidth(ExtollMode.HOST_CONTROLLED, size,
-                                        count, node_config=node).mb_per_s
+        bw[enabled] = measure_bandwidth(ExtollMode.HOST_CONTROLLED, 4 * MIB,
+                                        8, node_config=node).mb_per_s
     return AblationResult(
         name="p2p-read-pathology",
         baseline=bw[True],
@@ -123,17 +123,17 @@ def ablate_connection_sharing(connections: int = 8,
     )
 
 
-def ablate_future_interface(size: int = 256,
-                            iterations: int = 20) -> AblationResult:
+def ablate_future_interface(iterations: int = 20) -> AblationResult:
     """§VI wholesale: wide (thread-collaborative) posting + device-resident
-    notification queues vs today's dev2dev-direct, same semantics."""
+    notification queues vs today's dev2dev-direct, same semantics, at
+    256 bytes."""
     from ..core import run_future_extoll_pingpong
 
-    today = measure_pingpong(ExtollMode.DIRECT, size, iterations).latency
+    today = measure_pingpong(ExtollMode.DIRECT, 256, iterations).latency
     cluster = build_extoll_cluster()
-    conn = setup_extoll_connection(cluster, max(size, 4 * KIB),
+    conn = setup_extoll_connection(cluster, 4 * KIB,
                                    notification_location="gpu")
-    future = run_future_extoll_pingpong(cluster, conn, size,
+    future = run_future_extoll_pingpong(cluster, conn, 256,
                                         iterations=iterations).latency
     return AblationResult(
         name="future-interface",
@@ -144,14 +144,15 @@ def ablate_future_interface(size: int = 256,
     )
 
 
-def ablate_asic_nic(size: int = 1 * KIB, iterations: int = 15) -> AblationResult:
+def ablate_asic_nic(iterations: int = 15) -> AblationResult:
     """§V: 'We expect future ASIC implementations to improve performance
-    significantly' — swap the 157 MHz FPGA card for the projected ASIC."""
+    significantly' — swap the 157 MHz FPGA card for the projected ASIC
+    (1 KiB ping-pong)."""
     from ..extoll import asic_config
 
-    fpga = measure_pingpong(ExtollMode.HOST_CONTROLLED, size,
+    fpga = measure_pingpong(ExtollMode.HOST_CONTROLLED, 1 * KIB,
                             iterations).latency
-    asic = measure_pingpong(ExtollMode.HOST_CONTROLLED, size, iterations,
+    asic = measure_pingpong(ExtollMode.HOST_CONTROLLED, 1 * KIB, iterations,
                             nic_config=asic_config()).latency
     return AblationResult(
         name="asic-nic",

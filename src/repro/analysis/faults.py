@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..collectives.bench import build_communicator, run_collective
 from ..collectives.comm import CollectiveMode
-from ..faults import FaultInjector, FaultPlan, ReliabilityConfig
+from ..faults import FaultInjector, FaultPlan
 from ..sim import Simulator
 from .invariants import Verdict, counts_match, identical
 
@@ -68,8 +68,6 @@ def run_chaos_point(mode: CollectiveMode, size: int, loss: float,
                     corrupt: float = 0.0, nodes: int = 4,
                     op: str = "all-reduce", iterations: int = 4,
                     warmup: int = 1, seed: int = 1,
-                    plan_seed: int = 1, slots: int = 16,
-                    reliability_config: Optional[ReliabilityConfig] = None,
                     tracer=None, sim: Optional[Simulator] = None,
                     on_setup=None):
     """One collective under one fault level; returns
@@ -84,10 +82,9 @@ def run_chaos_point(mode: CollectiveMode, size: int, loss: float,
         sim = Simulator(seed=seed, tracer=tracer)
     else:
         seed = sim.seed
-    cluster, comm = build_communicator(
-        nodes, size, mode, sim=sim, slots=slots, reliable=True,
-        reliability_config=reliability_config)
-    plan = (FaultPlan.uniform(loss=loss, corrupt=corrupt, seed=plan_seed)
+    cluster, comm = build_communicator(nodes, size, mode, sim=sim,
+                                       reliable=True)
+    plan = (FaultPlan.uniform(loss=loss, corrupt=corrupt, seed=1)
             if (loss or corrupt) else FaultPlan.none())
     injector = FaultInjector(sim, plan).attach(cluster.net)
     if on_setup is not None:

@@ -111,18 +111,17 @@ def within(value: float, lo: float, hi: float, label: str = "value") -> Check:
     return ok, f"{label}={value:.4g} {'in' if ok else 'OUTSIDE'} [{lo:g}, {hi:g}]"
 
 
-def two_x_gap(gpu_latency: float, host_latency: float,
-              lo: float = 1.5, hi: float = 3.0) -> Check:
+def two_x_gap(gpu_latency: float, host_latency: float) -> Check:
     """The paper's headline: a GPU-controlled put/get round costs about
-    twice a host-controlled one (§V-A1, Fig. 1a).  ``lo``/``hi`` bound the
-    acceptable ratio — a model retune may move it, but if GPU posting ever
+    twice a host-controlled one (§V-A1, Fig. 1a).  The ratio must lie in
+    [1.5x, 3x] — a model retune may move it, but if GPU posting ever
     becomes *cheaper* than host posting the reproduction is broken."""
     if host_latency <= 0:
         return False, "host latency is zero — gap undefined"
     ratio = gpu_latency / host_latency
-    ok = lo <= ratio <= hi
+    ok = 1.5 <= ratio <= 3.0
     return ok, (f"gpu/host latency ratio {ratio:.2f}x "
-                f"{'in' if ok else 'OUTSIDE'} [{lo:g}x, {hi:g}x]")
+                f"{'in' if ok else 'OUTSIDE'} [1.5x, 3x]")
 
 
 def faster_than(fast: float, slow: float,
@@ -134,11 +133,11 @@ def faster_than(fast: float, slow: float,
                 f"{'<' if ok else '>='} {slow_label} {slow:.4g}")
 
 
-def bandwidth_drops_after_peak(mb_per_s_by_size: Sequence[Tuple[int, float]],
-                               min_drop: float = 0.02) -> Check:
+def bandwidth_drops_after_peak(
+        mb_per_s_by_size: Sequence[Tuple[int, float]]) -> Check:
     """Fig. 1b/4b: bandwidth rises with message size, peaks, then *drops*
     for multi-MiB messages (the >1 MiB staging/registration penalty).  The
-    last point must sit at least ``min_drop`` below the peak."""
+    last point must sit at least 2% below the peak."""
     if len(mb_per_s_by_size) < 2:
         return False, "need at least two (size, MB/s) points"
     points = sorted(mb_per_s_by_size)
@@ -148,22 +147,20 @@ def bandwidth_drops_after_peak(mb_per_s_by_size: Sequence[Tuple[int, float]],
         return False, (f"bandwidth still climbing at {last_size}B "
                        f"({last:.1f} MB/s) — no large-message drop")
     drop = 1.0 - last / peak
-    ok = drop >= min_drop
+    ok = drop >= 0.02
     return ok, (f"peak {peak:.1f} MB/s @ {peak_size}B, last {last:.1f} MB/s "
-                f"@ {last_size}B ({drop * 100:.1f}% drop, need "
-                f">= {min_drop * 100:g}%)")
+                f"@ {last_size}B ({drop * 100:.1f}% drop, need >= 2%)")
 
 
-def sysmem_polling_dominates(sysmem_ratio: float, devmem_ratio: float,
-                             min_sysmem: float = 3.0) -> Check:
+def sysmem_polling_dominates(sysmem_ratio: float,
+                             devmem_ratio: float) -> Check:
     """Fig. 3 / §V-A3: the poll-to-post ratio when completions land in
     system memory must exceed the device-memory ratio AND stay large in
     absolute terms (the paper measures ~10x; the model reproduces the
-    multiple-x regime, bounded below by ``min_sysmem``)."""
-    ok = sysmem_ratio > devmem_ratio and sysmem_ratio >= min_sysmem
+    multiple-x regime, bounded below by 3x)."""
+    ok = sysmem_ratio > devmem_ratio and sysmem_ratio >= 3.0
     return ok, (f"poll/post sysmem {sysmem_ratio:.2f}x vs devmem "
-                f"{devmem_ratio:.2f}x (need sysmem > devmem and "
-                f">= {min_sysmem:g}x)")
+                f"{devmem_ratio:.2f}x (need sysmem > devmem and >= 3x)")
 
 
 def rate_at_least(rate: float, floor: float, rate_label: str = "rate",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TextIO
 
 from ..core import (
     render_bandwidth_table,
@@ -33,9 +32,9 @@ def render_fig3(series_list, title: str) -> str:
     return "\n".join(lines)
 
 
-def generate_report(scale: float = 1.0, out: TextIO = sys.stdout) -> None:
+def generate_report(scale: float = 1.0) -> None:
     def emit(text: str) -> None:
-        out.write(text + "\n\n")
+        sys.stdout.write(text + "\n\n")
 
     emit(render_latency_table(figures.fig1a_extoll_latency(scale),
                               "Fig. 1a — EXTOLL ping-pong latency"))

@@ -36,6 +36,7 @@ import os
 from typing import List, Optional, Tuple
 
 from ..analysis.invariants import Verdict, identical, render, to_json
+from ..cliargs import csv_list
 from ..errors import ReproError
 from ..obs import SpanTracer
 from ..sim import Simulator
@@ -87,7 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "stack")
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     parser.add_argument("--modes", default=None,
-                        help="comma-separated control modes (default: the "
+                        type=csv_list(choices=MODES), help="comma-separated control modes (default: the "
                              "scenario's set)")
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--size", type=int, default=None)
@@ -118,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     nodes = args.nodes if args.nodes is not None else nodes
     size = args.size if args.size is not None else size
     if args.modes:
-        modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+        modes = args.modes
     knobs = {}
     if args.skew:
         rank, instr = _parse_skew(args.skew)

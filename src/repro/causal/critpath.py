@@ -89,12 +89,6 @@ class CriticalPath:
             buckets.setdefault(seg.category, []).append(seg.duration)
         return {cat: math.fsum(vals) for cat, vals in buckets.items()}
 
-    def shares(self) -> Dict[str, float]:
-        total = self.total
-        if total <= 0:
-            return {}
-        return {cat: val / total for cat, val in self.categories().items()}
-
     def remote_wait(self) -> float:
         """Total blocked-on-remote wait along the path (overlap view)."""
         return math.fsum(s.wait for s in self.segments
@@ -247,12 +241,11 @@ class RunAnalysis:
         }
 
 
-def analyze_run(tracer, requests: Optional[Sequence[int]] = None,
-                ) -> RunAnalysis:
+def analyze_run(tracer) -> RunAnalysis:
     """Assemble the DAG from ``tracer.flows`` and extract every bracketed
-    request's critical path (or just ``requests`` if given)."""
+    request's critical path."""
     dag = CausalDag(tracer.flows)
-    wanted = dag.requests() if requests is None else list(requests)
+    wanted = dag.requests()
     if not wanted:
         raise CausalError("no req.begin/req.end brackets in the trace — "
                           "was the run built with a causal-enabled tracer?")

@@ -57,8 +57,8 @@ def render_waterfall(path: CriticalPath, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_blame(categories: Dict[str, float], total: float,
-                 title: str = "blame by category") -> str:
+def render_blame(categories: Dict[str, float], total: float) -> str:
+    title = "blame by category"
     lines = [title, "-" * len(title)]
     ordered = [c for c in CATEGORY_ORDER if c in categories]
     ordered += [c for c in sorted(categories) if c not in CATEGORY_ORDER]

@@ -132,10 +132,9 @@ class CollectiveResult:
 
 def build_communicator(num_nodes: int, size: int,
                        mode: CollectiveMode = CollectiveMode.POLL_ON_GPU,
-                       topology: str = "auto", slots: int = 16,
+                       topology: str = "auto",
                        sim: Optional[Simulator] = None,
                        reliable: bool = False,
-                       reliability_config=None,
                        connectivity: str = "ring",
                        max_payload: Optional[int] = None,
                        ) -> Tuple[Cluster, Communicator]:
@@ -150,10 +149,8 @@ def build_communicator(num_nodes: int, size: int,
     cluster = build_extoll_cluster(sim=sim, num_nodes=num_nodes,
                                    topology=topology)
     slot_size = max(64, _round8(max_payload or size) + 8)
-    comm = Communicator(cluster, mode, slot_size=slot_size, slots=slots,
-                        reliable=reliable,
-                        reliability_config=reliability_config,
-                        connectivity=connectivity)
+    comm = Communicator(cluster, mode, slot_size=slot_size,
+                        reliable=reliable, connectivity=connectivity)
     return cluster, comm
 
 

@@ -61,7 +61,10 @@ def _bandwidth(cluster, conn, mode, size: int, count: int | None, drive,
     """Validate, reset ``conn`` (and its receive markers, for the drivers
     that poll them), run ``drive``'s handles, return the point."""
     check_size(conn, size)
-    count = count or default_message_count(size)
+    if count is None:
+        count = default_message_count(size)
+    elif count < 1:
+        raise BenchmarkError(f"need at least one message, got count={count}")
     timing = _StreamTiming()
     off = _marker_offset(size)
     for end in (conn.a, conn.b):

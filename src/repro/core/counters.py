@@ -28,17 +28,17 @@ TABLE_PAYLOAD = 1 * KIB
 
 
 def measure_extoll_polling_counters(
-        iterations: int = TABLE_ITERATIONS,
-        payload: int = TABLE_PAYLOAD) -> Tuple[CounterReport, CounterReport]:
+        iterations: int = TABLE_ITERATIONS
+        ) -> Tuple[CounterReport, CounterReport]:
     """Table I: (system-memory polling, device-memory polling) reports."""
     reports = []
     for mode, label in ((ExtollMode.DIRECT, "system memory"),
                         (ExtollMode.POLL_ON_GPU, "device memory")):
         cluster = build_extoll_cluster()
-        conn = setup_extoll_connection(cluster, max(payload, 4 * KIB))
+        conn = setup_extoll_connection(cluster, 4 * KIB)
         gpu = conn.a.node.gpu
         before = gpu.counters.snapshot()
-        run_extoll_pingpong(cluster, conn, mode, payload,
+        run_extoll_pingpong(cluster, conn, mode, TABLE_PAYLOAD,
                             iterations=iterations, warmup=0)
         reports.append(CounterReport(label, iterations,
                                      gpu.counters.diff(before)))
@@ -46,18 +46,18 @@ def measure_extoll_polling_counters(
 
 
 def measure_ib_buffer_counters(
-        iterations: int = TABLE_ITERATIONS,
-        payload: int = TABLE_PAYLOAD) -> Tuple[CounterReport, CounterReport]:
+        iterations: int = TABLE_ITERATIONS
+        ) -> Tuple[CounterReport, CounterReport]:
     """Table II: (buffer on host, buffer on GPU) reports."""
     reports = []
     for mode, label in ((IbMode.BUF_ON_HOST, "Buffer on Host"),
                         (IbMode.BUF_ON_GPU, "Buffer on GPU")):
         cluster = build_ib_cluster()
-        conn = setup_ib_connection(cluster, max(payload, 4 * KIB),
+        conn = setup_ib_connection(cluster, 4 * KIB,
                                    buffer_location=mode.ring_location)
         gpu = conn.a.node.gpu
         before = gpu.counters.snapshot()
-        run_ib_pingpong(cluster, conn, mode, payload,
+        run_ib_pingpong(cluster, conn, mode, TABLE_PAYLOAD,
                         iterations=iterations, warmup=0)
         reports.append(CounterReport(label, iterations,
                                      gpu.counters.diff(before)))

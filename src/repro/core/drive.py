@@ -24,7 +24,6 @@ from __future__ import annotations
 from ..errors import BenchmarkError
 from ..extoll import RmaOp, RmaWorkRequest, rma_post, rma_wait_notification
 from ..ib import (
-    WQE_FLAG_UNSIGNALED,
     IbOpcode,
     Wqe,
     ibv_post_recv,
@@ -95,18 +94,16 @@ def host_put(ctx, end, wr: RmaWorkRequest):
 
 # -- InfiniBand ------------------------------------------------------------------
 
-def ib_write_wqe(end, size: int, wr_id: int, immediate: int | None = None,
-                 signaled: bool = True) -> Wqe:
+def ib_write_wqe(end, size: int, wr_id: int,
+                 immediate: int | None = None) -> Wqe:
     """An RDMA write of ``size`` bytes from ``end``'s send buffer into its
     peer's receive buffer.  With ``immediate`` it is a write-with-immediate,
-    which the peer's CPU sees as a receive CQE; ``signaled=False`` asks for
-    no send CQE."""
+    which the peer's CPU sees as a receive CQE."""
     return Wqe(opcode=(IbOpcode.RDMA_WRITE if immediate is None
                        else IbOpcode.RDMA_WRITE_WITH_IMM),
                wr_id=wr_id, local_addr=end.send_buf.base, lkey=end.lkey,
                length=size, remote_addr=end.remote_recv_addr,
-               rkey=end.rkey_remote, immediate=immediate or 0,
-               flags=0 if signaled else WQE_FLAG_UNSIGNALED)
+               rkey=end.rkey_remote, immediate=immediate or 0)
 
 
 def post_wqe(ctx, end, wqe: Wqe, post_send=ibv_post_send):

@@ -52,10 +52,11 @@ def _wide_put(ctx, end, wr: RmaWorkRequest):
 
 
 def run_future_extoll_pingpong(cluster: Cluster, conn: ExtollConnection,
-                               size: int, iterations: int = 30,
-                               warmup: int = 3) -> LatencyPoint:
+                               size: int,
+                               iterations: int = 30) -> LatencyPoint:
     """dev2dev-direct semantics on the future interface: wide posting plus
-    notification polling that hits in the L2."""
+    notification polling that hits in the L2, after three warmup rounds."""
+    warmup = 3
     _validate(conn, size, iterations, warmup)
     timing = _PingTiming()
     handles = notified_pingpong(conn, size, iterations + warmup, warmup,

@@ -104,11 +104,10 @@ def gpu_poll_cq(ctx: ThreadCtx, consumer: GpuCqConsumer):
     return cqe
 
 
-def gpu_wait_cq(ctx: ThreadCtx, consumer: GpuCqConsumer,
-                max_polls: int | None = 1_000_000):
+def gpu_wait_cq(ctx: ThreadCtx, consumer: GpuCqConsumer):
     """Spin :func:`gpu_poll_cq` until a completion arrives.  Returns
     ``(Cqe, polls)``."""
     # Polling layer ("ib.poll"): per-message span volume, filtered out of
     # the telemetry flight recorder by default (see gpu_rma_wait_notification).
-    return spin(ctx, gpu_poll_cq, (ctx, consumer), max_polls, VerbsError,
+    return spin(ctx, gpu_poll_cq, (ctx, consumer), 1_000_000, VerbsError,
                 "GPU CQ wait", ("ib.poll", "gpu_wait_cq"), "ib.gpu_cq_polls")

@@ -115,8 +115,8 @@ class HostThread:
         yield from self.write(addr, (value & (2**32 - 1)).to_bytes(4, "little"))
 
     # -- polling -----------------------------------------------------------------
-    def spin_until_u64(self, addr: int, predicate: Callable[[int], bool],
-                       max_polls: Optional[int] = None) -> Generator:
+    def spin_until_u64(self, addr: int,
+                       predicate: Callable[[int], bool]) -> Generator:
         """Poll a u64 until ``predicate`` holds.  Returns (value, polls).
 
         Polling a host-memory line is nearly free on the CPU (it stays in the
@@ -125,7 +125,7 @@ class HostThread:
         """
         cached = self._is_host(addr, 8)
         return spin(self, self._poll_u64, (addr, predicate, cached),
-                    max_polls, ConfigError, "spin at {0:#x}")
+                    None, ConfigError, "spin at {0:#x}")
 
     def _poll_u64(self, addr: int, predicate: Callable[[int], bool],
                   cached: bool) -> Generator:

@@ -1,6 +1,6 @@
 """The GPU communication offload engine.
 
-Sits between the benchmark drivers and the raw ``extoll``/``ib`` device
+Sits between the benchmark drivers and the raw ``extoll`` device
 APIs and recovers the efficiency the paper's one-thread-one-doorbell model
 leaves on the table, with three independently switchable optimizations:
 
@@ -26,9 +26,6 @@ from .engine import (
     EngineConfig,
     EngineStats,
     aggregate_schedule,
-    channel_payload,
-    run_engine_channel_traffic,
-    run_engine_ib_message_rate,
     run_engine_message_rate,
     run_engine_pingpong,
 )
@@ -37,7 +34,6 @@ from .wqe_gen import (
     BATCH_DOORBELL_COST,
     DEFAULT_LANES,
     engine_post_batch,
-    engine_post_send_batch,
     engine_rma_post,
     engine_ring_batch_doorbell,
     engine_stage_batch,
@@ -54,9 +50,6 @@ __all__ = [
     "EngineStats",
     "aggregate_schedule",
     "batched_mmio_floor",
-    "channel_payload",
-    "run_engine_channel_traffic",
-    "run_engine_ib_message_rate",
     "run_engine_message_rate",
     "run_engine_pingpong",
     "POLICIES",
@@ -65,7 +58,6 @@ __all__ = [
     "BATCH_DOORBELL_COST",
     "DEFAULT_LANES",
     "engine_post_batch",
-    "engine_post_send_batch",
     "engine_rma_post",
     "engine_ring_batch_doorbell",
     "engine_stage_batch",

@@ -15,11 +15,6 @@ Drivers:
   engine posting path (the latency cost/benefit of each optimization).
 * :func:`run_engine_message_rate` — the Fig. 2 experiment with the
   one-block-per-connection structure replaced by the engine proxy.
-* :func:`run_engine_ib_message_rate` — the Fig. 5 analogue: batched WQEs,
-  one doorbell per batch (the HCA's cumulative producer index makes
-  doorbell coalescing native).
-* :func:`run_engine_channel_traffic` — the proxy multiplexing msglib
-  channels, for the faults/reliability interaction tests.
 """
 
 from __future__ import annotations
@@ -30,25 +25,18 @@ from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Cluster
-from ..errors import BenchmarkError, ConfigError
+from ..errors import ConfigError
 from ..extoll import NotifyFlags, RmaWorkRequest
-from ..core.drive import extoll_put, gpu_put, ib_write_wqe, run_measured
+from ..core.drive import extoll_put, gpu_put, run_measured
 from ..core.gpu_rma import gpu_rma_try_notification
-from ..core.gpu_verbs import gpu_poll_cq
 from ..core.message_rate import MESSAGE_BYTES, _check, _RateTiming
-from ..core.msglib import Channel, gpu_recv, gpu_send
 from ..core.pingpong import _PingTiming, _validate, notified_pingpong
 from ..core.results import LatencyPoint, RatePoint
-from ..core.setup import ExtollConnection, IbConnection
+from ..core.setup import ExtollConnection
 from ..sim import SampledStats
 from .batch import Aggregator, DoorbellBatcher, FlushPolicy
 from .scheduler import AdaptiveBackoff, Scheduler
-from .wqe_gen import (
-    DEFAULT_LANES,
-    engine_post_batch,
-    engine_post_send_batch,
-    engine_rma_post,
-)
+from .wqe_gen import DEFAULT_LANES, engine_post_batch, engine_rma_post
 
 
 @dataclass(frozen=True)
@@ -352,149 +340,3 @@ def run_engine_message_rate(cluster: Cluster,
                  connections=len(connections), per_connection=per_connection,
                  engine=config.describe())
     return timing.point(len(connections), per_connection), stats
-
-
-# =============================================================================
-# Message rate: the InfiniBand engine proxy (Fig. 5 structure replaced)
-# =============================================================================
-
-def run_engine_ib_message_rate(cluster: Cluster,
-                               connections: Sequence[IbConnection],
-                               config: Optional[EngineConfig] = None,
-                               per_connection: int = 120,
-                               ) -> Tuple[RatePoint, EngineStats]:
-    """The Fig. 5 message-rate experiment through the engine proxy: one
-    persistent block posting batched WQEs over every QP, N wide WQE
-    stores, one fence and ONE doorbell per batch (cumulative producer
-    index).  Aggregation is an EXTOLL-side device; IB batches descriptors
-    only."""
-    _check(connections, per_connection)
-    config = config or EngineConfig.all_on()
-    timing = _RateTiming()
-    stats = EngineStats()
-    gpu = connections[0].a.node.gpu
-    lanes_n = len(connections)
-
-    def proxy(ctx):
-        sched = Scheduler(lanes_n, config.policy, config.priorities)
-        backoff = AdaptiveBackoff(config.spin_passes, config.backoff_base,
-                                  config.backoff_max)
-        consumers = [c.a.send_cq_consumer() for c in connections]
-        posted = [0] * lanes_n
-        reaped = [0] * lanes_n
-        inflight: List[Deque[int]] = [deque() for _ in range(lanes_n)]
-        window = config.effective_window
-        timing.starts.append(ctx.sim.now)
-        while not all(posted[j] >= per_connection
-                      and reaped[j] >= per_connection
-                      for j in range(lanes_n)):
-            progressed = False
-            stats.passes += 1
-            for j in sched.service_order():
-                conn = connections[j]
-                room = window - (posted[j] - reaped[j])
-                todo = per_connection - posted[j]
-                # Post whole batches (a partial one only as the tail): RC
-                # ordering lets the batch's last WQE carry the only CQE.
-                k = min(config.batch_size, todo)
-                if 1 <= k <= room:
-                    wqes = [ib_write_wqe(conn.a, MESSAGE_BYTES,
-                                         posted[j] + i + 1,
-                                         signaled=(i == k - 1
-                                                   or not config.batching))
-                            for i in range(k)]
-                    conn.a.sq_index = yield from engine_post_send_batch(
-                        ctx, conn.a.node.nic, conn.a.qp, wqes,
-                        conn.a.sq_index, config.wqe_lanes)
-                    posted[j] += k
-                    stats.wrs += k
-                    stats.inflight += k
-                    stats.messages += k   # IB: one WQE per message, live
-                    stats.doorbells += 1
-                    if k > 1:
-                        stats.batches += 1
-                    if config.batching:
-                        inflight[j].append(k)
-                    else:
-                        inflight[j].extend([1] * k)
-                    progressed = True
-                if reaped[j] < posted[j]:
-                    stats.polls += 1
-                    cqe = yield from gpu_poll_cq(ctx, consumers[j])
-                    if cqe is not None:
-                        done = inflight[j].popleft()
-                        reaped[j] += done
-                        stats.inflight -= done
-                        stats.poll_hits += 1
-                        progressed = True
-            if progressed:
-                backoff.reset()
-            else:
-                delay = backoff.idle()
-                if delay > 0:
-                    yield ctx.sim.timeout(delay)
-                else:
-                    yield from ctx.alu(4)
-        timing.ends.append(ctx.sim.now)
-        stats.backoff_yields += backoff.yields
-
-    run_measured(cluster, [gpu.launch(proxy, grid=1, block=1)],
-                 "message-rate:ib-engine",
-                 connections=len(connections), per_connection=per_connection,
-                 engine=config.describe())
-    return timing.point(len(connections), per_connection), stats
-
-
-# =============================================================================
-# Channel traffic: the proxy over msglib channels (faults interaction)
-# =============================================================================
-
-def channel_payload(channel_idx: int, msg_idx: int, nbytes: int) -> bytes:
-    """Deterministic, distinct payload for (channel, message) — what the
-    replay tests compare across runs."""
-    return bytes((channel_idx * 37 + msg_idx * 11 + k) % 251
-                 for k in range(nbytes))
-
-
-def run_engine_channel_traffic(cluster: Cluster, channels: Sequence[Channel],
-                               per_channel: int, payload_bytes: int = 32,
-                               config: Optional[EngineConfig] = None,
-                               limit: float = 600.0) -> Dict[str, object]:
-    """One engine proxy on node A multiplexes sends over every channel in
-    scheduler order; per-channel receivers on node B drain them.  Works
-    unchanged over lossy links when the channels are reliable.  Returns
-    the received payloads (per channel, in order) and the finish time."""
-    if not channels:
-        raise BenchmarkError("need at least one channel")
-    if per_channel < 1:
-        raise BenchmarkError("need at least one message per channel")
-    config = config or EngineConfig.all_on()
-    ends = [ch.a_to_b for ch in channels]
-    reverses = [ch.b_to_a for ch in channels]
-    received: List[List[bytes]] = [[] for _ in channels]
-
-    def proxy(ctx):
-        sched = Scheduler(len(channels), config.policy, config.priorities)
-        sent = [0] * len(channels)
-        while any(s < per_channel for s in sent):
-            for j in sched.service_order():
-                if sent[j] < per_channel:
-                    data = channel_payload(j, sent[j], payload_bytes)
-                    yield from gpu_send(ctx, ends[j], data)
-                    sent[j] += 1
-
-    def receiver(j: int):
-        def body(ctx):
-            for _ in range(per_channel):
-                data = yield from gpu_recv(ctx, ends[j], reverses[j])
-                received[j].append(data)
-        return body
-
-    # Each receiver on its own stream: they must run concurrently, or a
-    # full ring on one channel would deadlock the serialized kernel queue.
-    handles = [cluster.a.gpu.launch(proxy, grid=1, block=1)]
-    handles += [cluster.b.gpu.launch(receiver(j), grid=1, block=1,
-                                     stream=cluster.b.gpu.stream())
-                for j in range(len(channels))]
-    cluster.sim.run_until_complete(*handles, limit=cluster.sim.now + limit)
-    return {"received": received, "finished_at": cluster.sim.now}

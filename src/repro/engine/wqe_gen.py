@@ -17,30 +17,16 @@ Three posting shapes on EXTOLL:
   coalesced path: descriptors packed back-to-back into the requester
   page's staging region (5 per 128-byte TLP), then ONE 8-byte doorbell
   carrying the count posts them all.
-
-And on InfiniBand:
-
-* :func:`engine_post_send_batch` — build N WQEs warp-parallel, write each
-  as ONE 64-byte wide store, fence once, ring ONE doorbell with the final
-  producer index (the HCA fetches every fresh slot from the cumulative
-  index, so doorbell coalescing needs no hardware change).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..errors import RmaError
 from ..extoll import RmaWorkRequest
 from ..extoll.descriptor import WR_BYTES
 from ..gpu import ThreadCtx
-from ..ib.hca import Hca, encode_doorbell
-from ..ib.qp import QueuePair
-from ..ib.wqe import (
-    DOORBELL_BUILD_COST,
-    Wqe,
-    post_send_instruction_cost_static_optimized,
-)
 from ..sim import NULL_SPAN
 from ..core.gpu_rma import POST_ASSEMBLE_COST
 
@@ -56,14 +42,6 @@ _WRS_PER_WIDE_STORE = 128 // WR_BYTES
 #: Assembling the count word for the batch doorbell (compare + pack).
 BATCH_DOORBELL_COST = 6
 
-#: IB post-path memory instructions on the engine path: one wide WQE store,
-#: one fence, one doorbell store (vs 10 on the scalar path).
-_ENGINE_POST_MEMORY_INSTRUCTIONS = 3
-
-
-# =============================================================================
-# EXTOLL
-# =============================================================================
 
 def engine_rma_post(ctx: ThreadCtx, page_addr: int, wr: RmaWorkRequest,
                     lanes: int = DEFAULT_LANES):
@@ -126,45 +104,6 @@ def engine_post_batch(ctx: ThreadCtx, page_addr: int, region_offset: int,
     return ctx.sim.now - start
 
 
-# =============================================================================
-# InfiniBand
-# =============================================================================
-
-def engine_post_send_batch(ctx: ThreadCtx, hca: Hca, qp: QueuePair,
-                           wqes: Sequence[Wqe], producer_index: int,
-                           lanes: int = DEFAULT_LANES):
-    """Post N send WQEs with one doorbell.
-
-    Per WQE: the build/byteswap/stamp work divides across the warp's
-    lanes and the 64-byte descriptor leaves as one wide store.  Then one
-    fence orders the whole batch and one doorbell carrying the *final*
-    producer index rings it — the HCA's cumulative-index fetch loop picks
-    up every fresh slot.  Returns the new producer index.
-    """
-    if not wqes:
-        raise RmaError("empty WQE batch")
-    qp.require_rts()
-    trc = ctx.sim.tracer
-    span = (trc.begin("ib.api", "engine_post_send_batch", track=ctx.track,
-                      qp=qp.qp_num, wqes=len(wqes), lanes=lanes)
-            if trc.enabled else NULL_SPAN)
-    build = (post_send_instruction_cost_static_optimized()
-             - DOORBELL_BUILD_COST - _ENGINE_POST_MEMORY_INSTRUCTIONS)
-    index = producer_index
-    for wqe in wqes:
-        yield from ctx.alu_parallel(build, lanes)
-        yield from ctx.store_wide(qp.sq_slot_addr(index), wqe.encode())
-        index += 1
-    yield from ctx.fence_system()
-    # Doorbell assembly stays serial (one lane owns the register write).
-    yield from ctx.alu(DOORBELL_BUILD_COST)
-    yield from ctx.store_u64(hca.doorbell_addr(qp), encode_doorbell(index))
-    span.end()
-    if trc.enabled:
-        trc.metrics.counter("ib.engine_batched_wqes").inc(len(wqes))
-    return index
-
-
 __all__ = [
     "DEFAULT_LANES",
     "BATCH_DOORBELL_COST",
@@ -172,5 +111,4 @@ __all__ = [
     "engine_stage_batch",
     "engine_ring_batch_doorbell",
     "engine_post_batch",
-    "engine_post_send_batch",
 ]

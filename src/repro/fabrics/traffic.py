@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import SimulationError
 from .collective import FabricHost
@@ -39,8 +39,7 @@ class TrafficResult:
 
 
 def run_permutation(instance: FabricInstance, messages: int = 4,
-                    payload: int = 256, seed: int = 1,
-                    limit: Optional[float] = None) -> TrafficResult:
+                    payload: int = 256, seed: int = 1) -> TrafficResult:
     """Every host sends ``messages`` packets to its permutation partner
     and drains the same count from its inverse partner."""
     sim = instance.sim
@@ -63,8 +62,8 @@ def run_permutation(instance: FabricInstance, messages: int = 4,
     deadlocked = False
     try:
         # A cyclic credit dependency drains the heap with senders still
-        # blocked -> DeadlockError; a livelock trips the time limit.
-        sim.run_until_complete(*procs, limit=limit)
+        # blocked -> DeadlockError.
+        sim.run_until_complete(*procs)
     except SimulationError:
         deadlocked = True
     return TrafficResult(

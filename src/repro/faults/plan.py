@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigError
 
@@ -101,22 +101,18 @@ class FaultPlan:
 
     @classmethod
     def uniform(cls, loss: float = 0.0, corrupt: float = 0.0,
-                delay_prob: float = 0.0, delay_max: float = 0.0,
                 seed: int = 0) -> "FaultPlan":
-        """Same packet-level faults on every link, no outages."""
-        return cls(seed=seed, default=LinkFaults(
-            loss=loss, corrupt=corrupt,
-            delay_prob=delay_prob, delay_max=delay_max))
+        """Same loss and corruption on every link, no delays or outages."""
+        return cls(seed=seed, default=LinkFaults(loss=loss, corrupt=corrupt))
 
     @classmethod
     def for_links(cls, overrides: Dict[Tuple[int, int], LinkFaults],
-                  default: Optional[LinkFaults] = None,
                   seed: int = 0) -> "FaultPlan":
-        """Per-link overrides (keys are unordered node-id pairs)."""
+        """Per-link overrides (keys are unordered node-id pairs) over
+        fault-free links."""
         normalized = tuple(sorted(
             ((min(a, b), max(a, b)), cfg) for (a, b), cfg in overrides.items()))
-        return cls(seed=seed, default=default or LinkFaults(),
-                   links=normalized)
+        return cls(seed=seed, links=normalized)
 
     def for_link(self, node_a: int, node_b: int) -> LinkFaults:
         key = (min(node_a, node_b), max(node_a, node_b))

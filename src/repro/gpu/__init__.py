@@ -5,7 +5,7 @@ from .counters import CounterSet
 from .device import Gpu
 from .kernel import KernelHandle
 from .stream import Stream
-from .thread import BlockBarrier, ThreadCtx
+from .thread import ThreadCtx
 
 __all__ = [
     "Gpu",
@@ -13,6 +13,5 @@ __all__ = [
     "CounterSet",
     "KernelHandle",
     "Stream",
-    "BlockBarrier",
     "ThreadCtx",
 ]

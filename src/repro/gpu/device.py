@@ -38,13 +38,12 @@ class Gpu:
     """One GPU in a node."""
 
     def __init__(self, sim: Simulator, name: str = "gpu0",
-                 config: Optional[GpuConfig] = None,
-                 dram_base: int = GPU_DRAM_BASE) -> None:
+                 config: Optional[GpuConfig] = None) -> None:
         self.sim = sim
         self.name = name
         self.config = config or GpuConfig()
-        self.dram = Memory(f"{name}.dram", dram_base, self.config.dram_bytes,
-                           MemorySpace.GPU_DRAM)
+        self.dram = Memory(f"{name}.dram", GPU_DRAM_BASE,
+                           self.config.dram_bytes, MemorySpace.GPU_DRAM)
         self.allocator = Allocator(self.dram)
         self.l2 = Cache(self.config.l2)
         self.counters = CounterSet()

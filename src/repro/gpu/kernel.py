@@ -37,8 +37,9 @@ class KernelHandle(Event):
         # results[(block_idx, thread_idx)] = return value of that thread
         self.results: Dict[Tuple[int, int], Any] = {}
 
-    def block_result(self, block_idx: int, thread_idx: int = 0) -> Any:
-        return self.results[(block_idx, thread_idx)]
+    def block_result(self, block_idx: int) -> Any:
+        """The return value of thread 0 of block ``block_idx``."""
+        return self.results[(block_idx, 0)]
 
 
 def validate_geometry(gpu: "Gpu", grid: int, block: int) -> None:
@@ -89,8 +90,6 @@ def _run_block(gpu: "Gpu", handle: KernelHandle, fn: DeviceFn, block_idx: int,
                block_dim: int, grid_dim: int, args: tuple):
     from .thread import ThreadCtx
 
-    from .thread import BlockBarrier
-
     yield gpu.sm_slots.acquire()
     # One timeline row per block; the launch ordinal keeps concurrent
     # kernels (one block each, many streams) on distinct tracks.
@@ -101,10 +100,9 @@ def _run_block(gpu: "Gpu", handle: KernelHandle, fn: DeviceFn, block_idx: int,
             if trc.enabled else NULL_SPAN)
     try:
         yield gpu.sim.timeout(gpu.config.block_dispatch_overhead)
-        barrier = BlockBarrier(gpu.sim, block_dim)
         threads: List[Process] = []
         for t in range(block_dim):
-            ctx = ThreadCtx(gpu, block_idx, t, block_dim, grid_dim, barrier,
+            ctx = ThreadCtx(gpu, block_idx, t, block_dim, grid_dim,
                             track=(block_track if block_dim == 1
                                    else f"{block_track}.t{t}"))
             gen = fn(ctx, *args)

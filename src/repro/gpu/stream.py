@@ -43,8 +43,3 @@ class Stream:
             yield from launcher
 
         self.gpu.sim.process(gated(), name=f"{self.name}:{handle.fn_name}")
-
-    def synchronize(self):
-        """Process fragment: wait until everything in the stream finished."""
-        if self._tail is not None and not self._tail.processed:
-            yield self._tail

@@ -16,7 +16,7 @@ emerge from execution rather than from estimates.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, TYPE_CHECKING
+from typing import Callable, Generator, List, TYPE_CHECKING
 
 from ..errors import GpuError
 from ..memory import MemorySpace
@@ -33,29 +33,6 @@ def _sectors(size: int) -> int:
     return max(1, (size + _SECTOR - 1) // _SECTOR)
 
 
-class BlockBarrier:
-    """A reusable (generation-counted) barrier across one block's threads —
-    the machinery behind ``__syncthreads()``."""
-
-    def __init__(self, sim, parties: int) -> None:
-        if parties < 1:
-            raise GpuError(f"barrier needs >= 1 party, got {parties}")
-        self.sim = sim
-        self.parties = parties
-        self._arrived = 0
-        self._event = sim.event("barrier")
-
-    def wait(self):
-        """Event that fires when every thread of the block has arrived."""
-        self._arrived += 1
-        event = self._event
-        if self._arrived == self.parties:
-            self._arrived = 0
-            self._event = self.sim.event("barrier")
-            event.succeed()
-        return event
-
-
 class ThreadCtx:
     """Execution context of one device thread."""
 
@@ -66,16 +43,13 @@ class ThreadCtx:
     BACKOFF = GPU_BACKOFF
 
     def __init__(self, gpu: "Gpu", block_idx: int, thread_idx: int,
-                 block_dim: int, grid_dim: int,
-                 barrier: Optional[BlockBarrier] = None,
-                 track: str = "") -> None:
+                 block_dim: int, grid_dim: int, track: str = "") -> None:
         self.gpu = gpu
         self.sim = gpu.sim
         self.block_idx = block_idx
         self.thread_idx = thread_idx
         self.block_dim = block_dim
         self.grid_dim = grid_dim
-        self._barrier = barrier
         self._outstanding_stores: List[Process] = []
         # Trace track of this thread: one timeline row per device thread.
         # Single-thread blocks (the paper's latency kernels) share the block
@@ -117,8 +91,8 @@ class ThreadCtx:
         yield self.sim.timeout(critical * self.gpu.config.instruction_time)
 
     # -- address classification -------------------------------------------------------
-    def _classify(self, vaddr: int, size: int, write: bool) -> tuple[int, MemorySpace]:
-        phys = self.gpu.uva.translate(vaddr, size, write=write)
+    def _classify(self, vaddr: int, size: int) -> tuple[int, MemorySpace]:
+        phys = self.gpu.uva.translate(vaddr, size)
         space = self.gpu.port.fabric.address_map.space_of(phys)
         return phys, space
 
@@ -130,7 +104,7 @@ class ThreadCtx:
         gpu = self.gpu
         gpu.counters.instructions_executed += 1
         gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, size, write=False)
+        phys, space = self._classify(vaddr, size)
         if space is MemorySpace.GPU_DRAM:
             gpu.counters.global_load_accesses += max(1, (size + 7) // 8)
             hits, misses = gpu.l2.read(phys, size)
@@ -179,7 +153,7 @@ class ThreadCtx:
         gpu = self.gpu
         gpu.counters.instructions_executed += 1
         gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, len(data), write=True)
+        phys, space = self._classify(vaddr, len(data))
         if space is MemorySpace.GPU_DRAM:
             gpu.counters.global_store_accesses += max(1, (len(data) + 7) // 8)
             hits, misses = gpu.l2.write(phys, len(data))
@@ -215,7 +189,7 @@ class ThreadCtx:
         gpu = self.gpu
         gpu.counters.instructions_executed += 1
         gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, len(data), write=True)
+        phys, space = self._classify(vaddr, len(data))
         if space is MemorySpace.GPU_DRAM:
             gpu.counters.global_store_accesses += max(1, (len(data) + 7) // 8)
             hits, misses = gpu.l2.write(phys, len(data))
@@ -246,18 +220,9 @@ class ThreadCtx:
         self._outstanding_stores.clear()
         yield self.sim.timeout(self.gpu.config.instruction_time)
 
-    def syncthreads(self) -> Generator:
-        """``__syncthreads()``: wait until every thread of this block has
-        reached the barrier."""
-        if self._barrier is None:
-            raise GpuError(
-                "syncthreads() outside a kernel launch (no block barrier)")
-        self.gpu.counters.instructions_executed += 1
-        yield self._barrier.wait()
-
     # -- spinning -------------------------------------------------------------------
-    def spin_until_u64(self, vaddr: int, predicate: Callable[[int], bool],
-                       max_polls: Optional[int] = None) -> Generator:
+    def spin_until_u64(self, vaddr: int,
+                       predicate: Callable[[int], bool]) -> Generator:
         """Poll a 64-bit location until ``predicate(value)`` holds.
 
         Returns ``(value, polls)``.  Each iteration pays the load latency of
@@ -265,7 +230,7 @@ class ThreadCtx:
         plus 4 ALU instructions of compare/branch.  Long waits back off
         (see :data:`BACKOFF`).
         """
-        return spin(self, self._poll_u64, (vaddr, predicate), max_polls,
+        return spin(self, self._poll_u64, (vaddr, predicate), None,
                     GpuError, "spin_until_u64 at {0:#x}",
                     ("gpu.spin", "spin", {"addr": "{0:#x}"}), "gpu.spin_polls")
 

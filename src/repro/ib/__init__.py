@@ -18,7 +18,6 @@ from .verbs import (
 )
 from .wqe import (
     WQE_BYTES,
-    WQE_FLAG_UNSIGNALED,
     IbOpcode,
     Wqe,
     poll_cq_instruction_cost,
@@ -51,7 +50,6 @@ __all__ = [
     "IbOpcode",
     "Wqe",
     "WQE_BYTES",
-    "WQE_FLAG_UNSIGNALED",
     "poll_cq_instruction_cost",
     "post_send_instruction_cost",
     "post_send_instruction_cost_static_optimized",

@@ -28,7 +28,7 @@ from .config import IbConfig
 from .cq import CompletionQueue, Cqe, WcOpcode, WcStatus
 from .mr import MemoryRegion, MrTable
 from .qp import QueuePair
-from .wqe import WQE_BYTES, WQE_FLAG_UNSIGNALED, IbOpcode, Wqe
+from .wqe import WQE_BYTES, IbOpcode, Wqe
 
 _RQ_DOORBELL_BIT = 1 << 62
 
@@ -323,25 +323,20 @@ class Hca:
         if cfg.reliability:
             meta["psn"] = qp.next_psn
             qp.next_psn += 1
-        unsignaled = bool(wqe.flags & WQE_FLAG_UNSIGNALED)
-        if unsignaled:
-            meta["unsignaled"] = True
         if wqe.opcode in (IbOpcode.RDMA_WRITE, IbOpcode.RDMA_WRITE_WITH_IMM):
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_RDMA_WRITE, self.node_id, qp.remote_node,
                 cfg.packet_header_bytes, payload, meta,
                 seq=next(self.sim.packet_seq))
-            cqe_info = (None if unsignaled
-                        else (wqe.wr_id, WcOpcode.RDMA_WRITE, wqe.length))
+            cqe_info = (wqe.wr_id, WcOpcode.RDMA_WRITE, wqe.length)
         elif wqe.opcode is IbOpcode.SEND:
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_SEND, self.node_id, qp.remote_node,
                 cfg.packet_header_bytes, payload, meta,
                 seq=next(self.sim.packet_seq))
-            cqe_info = (None if unsignaled
-                        else (wqe.wr_id, WcOpcode.SEND, wqe.length))
+            cqe_info = (wqe.wr_id, WcOpcode.SEND, wqe.length)
         elif wqe.opcode is IbOpcode.RDMA_READ:
             packet = Packet(
                 PacketKind.IB_RDMA_READ_REQ, self.node_id, qp.remote_node,
@@ -542,8 +537,6 @@ class Hca:
         meta = {"src_qp": packet.meta["src_qp"],
                 "wr_id": packet.meta["wr_id"],
                 "opcode": int(op), "length": packet.meta["length"]}
-        if packet.meta.get("unsignaled"):
-            meta["unsignaled"] = True
         if self.config.reliability and "psn" in packet.meta:
             # Cumulative: everything below expected_psn has been admitted.
             meta["ack_psn"] = self.qp(packet.meta["dst_qp"]).expected_psn - 1
@@ -570,8 +563,6 @@ class Hca:
                     qp_num=qp.qp_num, byte_len=length))
             if "nack_psn" in meta and state.unacked:
                 yield from state.replay()
-            return
-        if meta.get("unsignaled"):
             return
         yield from self._write_cqe(qp.send_cq, Cqe(
             wr_id=meta["wr_id"], opcode=WcOpcode(meta["opcode"]),

@@ -137,13 +137,12 @@ def ibv_poll_cq(ctx: HostThread, consumer: CqConsumer):
     return cqe
 
 
-def ibv_wait_cq(ctx: HostThread, consumer: CqConsumer,
-                max_polls: int | None = 2_000_000):
+def ibv_wait_cq(ctx: HostThread, consumer: CqConsumer):
     """Spin ``ibv_poll_cq`` until a completion arrives.  Returns the
     :class:`Cqe`."""
     # Polling layer ("ib.poll"): per-message span volume, filtered out of
     # the telemetry flight recorder by default (see gpu_rma_wait_notification).
-    cqe, _polls = yield from spin(ctx, ibv_poll_cq, (ctx, consumer), max_polls,
-                                  VerbsError, "CQ wait",
+    cqe, _polls = yield from spin(ctx, ibv_poll_cq, (ctx, consumer),
+                                  2_000_000, VerbsError, "CQ wait",
                                   ("ib.poll", "ibv_wait_cq"), "ib.cq_polls")
     return cqe

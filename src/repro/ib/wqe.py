@@ -26,13 +26,6 @@ from ..errors import VerbsError
 
 WQE_BYTES = 64
 
-#: Flag bit: suppress the send CQE for this WQE (the inverse of verbs'
-#: ``IBV_SEND_SIGNALED`` default-off convention — the model keeps every
-#: WQE signaled unless asked, so existing drivers are unaffected).  The
-#: offload engine signals only the last WQE of each batch; RC ordering
-#: means that CQE confirms every earlier WQE on the QP.
-WQE_FLAG_UNSIGNALED = 0x1
-
 # Instruction-cost model for assembling/parsing control structures (counts
 # charged by posting/polling code; calibrated so a GPU ibv_post_send lands at
 # ~442 instructions and ibv_poll_cq at ~283, §V-B3).

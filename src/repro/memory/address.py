@@ -95,10 +95,6 @@ class RangeIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def values(self) -> List[Any]:
-        """The values, in base order."""
-        return [value for _, value in self._entries]
-
     def overlap(self, rng: AddressRange) -> Optional[AddressRange]:
         """The lowest range that overlaps ``rng``, or None.  Only the
         neighbours of ``rng.base`` can."""
@@ -166,6 +162,3 @@ class AddressMap:
     def space_of(self, addr: int) -> MemorySpace:
         target, _ = self.resolve(addr)
         return getattr(target, "space")
-
-    def targets(self) -> List[object]:
-        return self._index.values()

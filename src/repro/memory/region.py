@@ -123,10 +123,3 @@ class Allocator:
             else:
                 merged.append((base, sz))
         self._free = merged
-
-    def owns(self, addr: int) -> bool:
-        """True if ``addr`` falls inside a live allocation."""
-        for base, size in self._live.items():
-            if base <= addr < base + size:
-                return True
-        return False

@@ -24,7 +24,6 @@ class Mapping:
 
     virtual: AddressRange
     physical_base: int
-    writable: bool = True
     label: str = ""
 
 
@@ -36,13 +35,13 @@ class TranslationTable:
         self._index = RangeIndex()
 
     def map(self, virtual: AddressRange, physical_base: int, *,
-            writable: bool = True, label: str = "") -> Mapping:
+            label: str = "") -> Mapping:
         existing = self._index.overlap(virtual)
         if existing is not None:
             raise TranslationError(
                 f"{self.name}: new mapping {virtual} overlaps {existing}"
             )
-        mapping = Mapping(virtual, physical_base, writable, label)
+        mapping = Mapping(virtual, physical_base, label)
         self._index.insert(virtual, mapping)
         return mapping
 
@@ -57,10 +56,8 @@ class TranslationTable:
             )
         raise TranslationError(f"{self.name}: translation fault at {vaddr:#x}")
 
-    def translate(self, vaddr: int, length: int = 1, *, write: bool = False) -> int:
+    def translate(self, vaddr: int, length: int = 1) -> int:
         m = self.lookup(vaddr, length)
-        if write and not m.writable:
-            raise TranslationError(f"{self.name}: write to read-only {m.virtual}")
         # lookup() found the mapping that holds the access.
         return m.physical_base + (vaddr - m.virtual.base)
 
@@ -69,10 +66,6 @@ class TranslationTable:
             return self.translate(vaddr, length)
         except TranslationError:
             return None
-
-    @property
-    def mappings(self) -> list[Mapping]:
-        return self._index.values()
 
     def __len__(self) -> int:
         return len(self._index)

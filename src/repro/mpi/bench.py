@@ -134,10 +134,10 @@ def chains_reconcile(fired: int, algorithm: str, nodes: int,
 
 
 def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
-                      warmup: int = 1, seed: int = 11,
-                      tracer: Optional[SpanTracer] = None,
+                      seed: int = 11, tracer: Optional[SpanTracer] = None,
                       algorithm: str = "ring") -> MpiAllreduceResult:
-    """Measured triggered-chain iallreduce rounds, with a three-way
+    """Measured triggered-chain iallreduce rounds (after one warmup
+    round), with a three-way
     reconcile: the NIC chain counters must equal the schedule's closed
     form exactly, and ``phase`` span totals must agree with the
     LatencyPoint under the shared 1% rule.  ``algorithm``
@@ -159,8 +159,8 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     start = None
     correct = True
     measured_rounds = 0
-    for i in range(iterations + warmup):
-        measured = i >= warmup
+    for i in range(iterations + 1):
+        measured = i >= 1
         if measured and start is None:
             start = comm.sim.now
         span = (trc.begin("phase", "iallreduce", track="mpi", iter=i)
@@ -184,7 +184,7 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     # the schedule implies, and traced span time vs the timed elapsed.
     reconcile: Dict[str, object] = {
         "chains": chains_reconcile(delta["chains_fired"], algorithm, nodes,
-                                   iterations + warmup),
+                                   iterations + 1),
     }
     if trc is not None and trc.enabled:
         stat = phase_breakdown(trc).get("iallreduce")
@@ -205,11 +205,11 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
 
 
 def run_mode_allreduce_mmio(mode: CollectiveMode, nodes: int, size: int,
-                            iterations: int = 4, warmup: int = 1,
-                            seed: int = 11,
+                            iterations: int = 4, seed: int = 11,
                             algorithm: str = "ring") -> Dict[str, object]:
     """The collectives stack's all-reduce with schedule ``algorithm`` in one
-    control mode, with the NIC's count of what the control path pushed
+    control mode (after one warmup round), with the NIC's count of what
+    the control path pushed
     through the BAR (single WR posts + batched doorbells) — the host-assist
     numbers the triggered layer is up against."""
     op = {schedule: op for op, schedule in ALLREDUCE_OPS.items()}[algorithm]
@@ -218,7 +218,7 @@ def run_mode_allreduce_mmio(mode: CollectiveMode, nodes: int, size: int,
         nodes, size, mode, sim=sim, connectivity=op_connectivity(op),
         max_payload=op_max_payload(op, nodes, size))
     result = run_collective(cluster, comm, op, size,
-                            iterations=iterations, warmup=warmup)
+                            iterations=iterations, warmup=1)
     mmio = sum(node.nic.wr_posts + node.nic.batch_doorbells
                + node.nic.trigger_doorbells for node in cluster.nodes)
     wrs = sum(node.nic.wr_posts + node.nic.batch_descriptors

@@ -263,8 +263,8 @@ class MpiCommunicator(SampledStats):
     # -- host-side conveniences ----------------------------------------------------
     def wait(self, *requests: MpiRequest, limit: float = 10.0) -> None:
         """Drive the simulator until every request completes, raising the
-        first failure (host-side test harness idiom; device/host sim code
-        uses ``wait_in``)."""
+        first failure (host-side test harness idiom; sim processes yield
+        ``request.done``)."""
         if requests:
             self.sim.run_until_complete(*(r.done for r in requests),
                                         limit=self.sim.now + limit)

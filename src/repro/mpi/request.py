@@ -12,8 +12,8 @@ class MpiRequest:
     """One outstanding operation (send, recv, or collective).
 
     Completion is an :class:`~repro.sim.event.Event`, so requests compose
-    with every waiting idiom in the repo: sim processes ``yield`` it
-    (:meth:`wait_in`), host code drives the simulator to it
+    with every waiting idiom in the repo: sim processes ``yield`` it,
+    host code drives the simulator to it
     (:meth:`MpiCommunicator.wait <repro.mpi.comm.MpiCommunicator.wait>`),
     and the NIC-resident collective engines chain callbacks on it.
     """
@@ -33,10 +33,6 @@ class MpiRequest:
         self.matched_source: Optional[int] = None
         self.matched_tag: Optional[int] = None
 
-    def test(self) -> bool:
-        """Nonblocking completion probe (MPI_Test)."""
-        return self.done.processed
-
     def complete(self, data: Optional[bytes] = None,
                  source: Optional[int] = None,
                  tag: Optional[int] = None) -> None:
@@ -46,14 +42,6 @@ class MpiRequest:
         self.matched_source = source
         self.matched_tag = tag
         self.done.succeed(self)
-
-    def wait_in(self, ctx):
-        """Process fragment: block the calling sim process until done."""
-        if not self.done.processed:
-            yield self.done
-        elif not self.done.ok:
-            raise self.done.value
-        return self.data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done.processed else "pending"

@@ -221,13 +221,12 @@ class PhaseStat:
             self.max = duration
 
 
-def phase_breakdown(tracer: SpanTracer,
-                    category: str = "phase") -> Dict[str, PhaseStat]:
-    """Sum span durations by name within ``category`` (default: the
-    benchmark-driver ``phase`` spans — WR generation, polling, ...)."""
+def phase_breakdown(tracer: SpanTracer) -> Dict[str, PhaseStat]:
+    """Sum span durations by name within the benchmark-driver ``phase``
+    spans (WR generation, polling, ...)."""
     out: Dict[str, PhaseStat] = {}
     for span in tracer.spans:
-        if span.category != category:
+        if span.category != "phase":
             continue
         stat = out.get(span.name)
         if stat is None:
@@ -236,8 +235,8 @@ def phase_breakdown(tracer: SpanTracer,
     return out
 
 
-def render_breakdown(breakdown: Dict[str, PhaseStat],
-                     title: str = "Per-phase latency breakdown") -> str:
+def render_breakdown(breakdown: Dict[str, PhaseStat]) -> str:
+    title = "Per-phase latency breakdown"
     lines = [title, "=" * len(title)]
     lines.append("phase".ljust(24) + "count".rjust(8) + "total".rjust(14)
                  + "mean".rjust(12) + "min".rjust(12) + "max".rjust(12))

@@ -187,15 +187,6 @@ class Timeline:
     def transitions(self) -> int:
         return len(self.points)
 
-    def value_at(self, time: float) -> Optional[float]:
-        """The state at ``time`` (last point at or before it), or None."""
-        current = None
-        for t, v in self.points:
-            if t > time:
-                break
-            current = v
-        return current
-
     def windows(self, value: float) -> List[Tuple[float, Optional[float]]]:
         """The ``(start, end)`` intervals during which the state equaled
         ``value``; an open interval ends with ``None``."""

@@ -17,9 +17,9 @@ simulated seconds; zero-length intervals contribute nothing.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .tracer import SpanRecord, SpanTracer
+from .tracer import SpanTracer
 
 Interval = Tuple[float, float]
 
@@ -27,14 +27,12 @@ Interval = Tuple[float, float]
 def span_intervals(tracer: SpanTracer,
                    category: Optional[str] = None,
                    name: Optional[str] = None,
-                   track: Optional[str] = None,
-                   predicate: Optional[Callable[[SpanRecord], bool]] = None,
-                   ) -> List[Interval]:
+                   track: Optional[str] = None) -> List[Interval]:
     """The ``(begin, end)`` pairs of every span matching the filters.
 
-    ``category``/``name``/``track`` match exactly when given; ``predicate``
-    is an arbitrary extra filter.  The result is sorted by begin time but
-    NOT merged — feed it to :func:`merge` before set arithmetic.
+    ``category``/``name``/``track`` match exactly when given.  The result
+    is sorted by begin time but NOT merged — feed it to :func:`merge`
+    before set arithmetic.
     """
     out = []
     for s in tracer.spans:
@@ -43,8 +41,6 @@ def span_intervals(tracer: SpanTracer,
         if name is not None and s.name != name:
             continue
         if track is not None and s.track != track:
-            continue
-        if predicate is not None and not predicate(s):
             continue
         out.append((s.begin, s.end))
     out.sort()

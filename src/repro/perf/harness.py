@@ -170,10 +170,6 @@ class CheckReport:
         return [d for d in self.deviations if d.status == "regression"]
 
     @property
-    def warnings(self) -> List[Deviation]:
-        return [d for d in self.deviations if d.status == "warning"]
-
-    @property
     def ok(self) -> bool:
         return self.error is None and not self.regressions
 

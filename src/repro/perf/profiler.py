@@ -166,15 +166,14 @@ def _attribute_window(windows: Sequence[Interval],
     return out
 
 
-def attribute_phases(tracer, mode: str, track: str = "ping",
-                     ) -> Dict[str, float]:
-    """Interval-attribute one traced ping-pong into the six cost
-    components; returns ``{phase name: seconds}`` (totals over all
-    measured iterations)."""
+def attribute_phases(tracer, mode: str) -> Dict[str, float]:
+    """Interval-attribute one traced ping-pong (its ``ping`` track) into
+    the six cost components; returns ``{phase name: seconds}`` (totals
+    over all measured iterations)."""
     posting = merge(span_intervals(tracer, category="phase",
-                                   name="wr-generation", track=track))
+                                   name="wr-generation", track="ping"))
     polling = merge(span_intervals(tracer, category="phase",
-                                   name="polling", track=track))
+                                   name="polling", track="ping"))
     transport = {c: merge(span_intervals(tracer, category=c))
                  for c in _TRANSPORT_PRIORITY}
     rest_label = "host-assist" if "assisted" in mode else "wqe-generation"

@@ -11,8 +11,8 @@ The rest of the library is built on four ideas:
 
 from .engine import ScheduledCall, Simulator
 from .event import Event, EventState, Timeout
-from .primitives import AllOf, AnyOf
-from .process import Interrupt, Process, join_result
+from .primitives import AllOf
+from .process import Process, join_result
 from .resource import Mutex, Resource, Store
 from .trace import (
     NULL_METRICS,
@@ -32,8 +32,6 @@ __all__ = [
     "EventState",
     "Timeout",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Process",
     "join_result",
     "Mutex",

@@ -54,10 +54,6 @@ class ScheduledCall:
         return self._fired
 
     @property
-    def cancelled(self) -> bool:
-        return self._fn is None and not self._fired
-
-    @property
     def active(self) -> bool:
         """Still scheduled: neither fired nor cancelled."""
         return self._fn is not None

@@ -1,4 +1,4 @@
-"""Composite wait conditions: wait for all / any of several events."""
+"""Composite wait condition: wait for all of several events."""
 
 from __future__ import annotations
 
@@ -42,29 +42,3 @@ class AllOf(Event):
             values: Dict[Event, object] = {ev: ev.value for ev in self._children}
             self.succeed(values)
 
-
-class AnyOf(Event):
-    """Succeeds (or fails) as soon as the first child event triggers.
-
-    The value is a dict with the single finished child and its value.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: List[Event], name: str = "") -> None:
-        super().__init__(sim, name or "any_of")
-        if not events:
-            raise SimulationError("AnyOf needs at least one event")
-        self._children = list(events)
-        for ev in self._children:
-            if ev.sim is not sim:
-                raise SimulationError("AnyOf mixes events from different simulators")
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed({child: child.value})
-        else:
-            self.fail(child.value)

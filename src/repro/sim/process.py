@@ -21,14 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running coroutine.  Succeeds when the generator returns."""
 
@@ -51,30 +43,6 @@ class Process(Event):
         start.callbacks.append(self._resume)
         start.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return self.pending
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Only valid while the process is suspended on an event.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        target = self._waiting_on
-        if target is not None and not target.processed:
-            # Detach from what we were waiting on; the event may still fire
-            # later but we will ignore it.
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._waiting_on = None
-        wake = Event(self.sim, f"interrupt:{self.name}")
-        wake.callbacks.append(self._resume)
-        wake.fail(Interrupt(cause))
-
     # -- engine plumbing ------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
@@ -91,9 +59,6 @@ class Process(Event):
                 raise SimulationError("yielded an event from a different simulator")
         except StopIteration as stop:
             self._finish(True, stop.value)
-        except Interrupt:
-            # An unhandled interrupt terminates the process cleanly.
-            self._finish(True, None)
         except Exception as exc:
             # Fail the process event so a joiner sees the exception; if
             # nothing joins, the simulator raises it when the run call exits.

@@ -180,9 +180,7 @@ def _run_fabrics(args, sim: Simulator, plane: Optional[TelemetryPlane],
     from ..fabrics import build_topology, instantiate
     from ..fabrics.collective import run_collective as run_fabric_collective
     from ..fabrics.topology import FabricConfig
-    # The fat-tree builder needs a power-of-two N >= 8; the generic
-    # --nodes default sits below that.
-    topo = build_topology("fat-tree", max(8, args.nodes))
+    topo = build_topology("fat-tree", args.nodes)
     instance = instantiate(sim, topo,
                            FabricConfig(credits=args.credits))
     if plane is not None:
@@ -283,8 +281,9 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=None,
                         help="pingpong/collective iterations")
     parser.add_argument("--warmup", type=int, default=1)
-    parser.add_argument("--nodes", type=int, default=4,
-                        help="collectives/faults cluster size")
+    parser.add_argument("--nodes", type=int, default=None,
+                        help="cluster size (default: 4; fabrics: 8, and "
+                             "its fat-tree needs a power of two >= 8)")
     parser.add_argument("--loss", type=float, default=0.05,
                         help="faults scenario per-packet drop probability")
     parser.add_argument("--credits", type=int, default=16,
@@ -298,6 +297,8 @@ def main(argv=None) -> int:
                         help="faults only: reconcile the dump against a "
                              "full trace of the same seed")
     args = parser.parse_args(argv)
+    if args.nodes is None:
+        args.nodes = 8 if args.scenario == "fabrics" else 4
     if args.connections is None:
         args.connections = 4 if args.quick else 8
     if args.per_connection is None:

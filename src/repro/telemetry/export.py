@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .sampler import Sampler
 
@@ -175,8 +175,7 @@ def write_artifacts(out: str, dumps: Iterable[dict], report: str) -> int:
 
 # -- per-window summary table ---------------------------------------------------------
 
-def render_series_table(sampler: Sampler, names: Optional[list] = None,
-                        ) -> str:
+def render_series_table(sampler: Sampler) -> str:
     """Fixed-width per-series summary: totals for counters (plus the mean
     rate over the sampled range), last level for gauges."""
     rows = []
@@ -184,8 +183,6 @@ def render_series_table(sampler: Sampler, names: Optional[list] = None,
     if len(sampler.tick_times) >= 2:
         span = sampler.tick_times[-1] - sampler.tick_times[0]
     for series in sampler.bank:
-        if names is not None and series.name not in names:
-            continue
         if series.kind == "counter":
             total = series.total()
             rate = ""

@@ -197,10 +197,6 @@ class TelemetryPlane:
             "counters": rec.metrics.counter_values(),
         }
 
-    @property
-    def tripped(self) -> bool:
-        return bool(self.trips)
-
     # -- reporting ----------------------------------------------------------------
     def verdicts(self) -> List[dict]:
         return [m.verdict() for m in self.monitors]

@@ -73,7 +73,7 @@ class Sampler:
         self._counter_fns: List[Tuple[str, Callable[[], Dict[str, float]],
                                       Dict[str, float]]] = []
         self._gauge_fns: List[Tuple[str, Callable[[], float]]] = []
-        self._registries: List[Tuple[str, object, Dict[str, int]]] = []
+        self._registries: List[Tuple[object, Dict[str, int]]] = []
         self._hist_states: Dict[str, Deque[Tuple[float, dict]]] = {}
         self._prev_events = 0
         self._started = False
@@ -96,11 +96,11 @@ class Sampler:
         """Sample ``fn()`` as an instantaneous level each tick."""
         self._gauge_fns.append((name, fn))
 
-    def watch_registry(self, registry, prefix: str = "") -> None:
+    def watch_registry(self, registry) -> None:
         """Poll a :class:`~repro.obs.metrics.MetricsRegistry`: counters as
         deltas, histograms as retained state snapshots for
         :meth:`window_histogram`."""
-        self._registries.append((prefix, registry, {}))
+        self._registries.append((registry, {}))
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self) -> None:
@@ -150,13 +150,11 @@ class Sampler:
         for name, fn in self._gauge_fns:
             bank.record(name, "gauge", t, fn())
 
-        for prefix, registry, prev in self._registries:
-            for key, value in registry.counter_values().items():
-                name = f"{prefix}.{key}" if prefix else key
-                bank.record(name, "counter", t, value - prev.get(key, 0))
-                prev[key] = value
-            for key, hist in registry.histograms().items():
-                name = f"{prefix}.{key}" if prefix else key
+        for registry, prev in self._registries:
+            for name, value in registry.counter_values().items():
+                bank.record(name, "counter", t, value - prev.get(name, 0))
+                prev[name] = value
+            for name, hist in registry.histograms().items():
                 ring = self._hist_states.get(name)
                 if ring is None:
                     ring = self._hist_states[name] = deque(
@@ -203,14 +201,11 @@ class Sampler:
             return None
         return Histogram.delta(name, current, earlier)
 
-    def percentile(self, name: str, q: float, w0: Optional[float] = None,
-                   w1: Optional[float] = None) -> Optional[float]:
-        """``q``-th percentile of histogram ``name`` over ``(w0, w1]``
-        (whole retained history by default) via THE shared
+    def percentile(self, name: str, q: float) -> Optional[float]:
+        """``q``-th percentile of histogram ``name`` over the whole
+        retained history via THE shared
         :meth:`~repro.obs.metrics.Histogram.percentile`."""
-        hist = self.window_histogram(
-            name, w0 if w0 is not None else float("-inf"),
-            w1 if w1 is not None else float("inf"))
+        hist = self.window_histogram(name, float("-inf"), float("inf"))
         return hist.percentile(q) if hist is not None else None
 
     def series(self, name: str) -> Optional[Series]:

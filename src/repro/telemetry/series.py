@@ -77,7 +77,7 @@ class Series:
     def total(self, w0: Optional[float] = None,
               w1: Optional[float] = None) -> float:
         """Sum of counter deltas in the window (whole series by default).
-        Meaningless for gauges (use :meth:`value_at` / :attr:`last`)."""
+        Meaningless for gauges (use :attr:`last`)."""
         pts = (self._points if w0 is None and w1 is None
                else self.window(w0 if w0 is not None else float("-inf"),
                                 w1 if w1 is not None else float("inf")))
@@ -92,15 +92,6 @@ class Series:
         if not pts:
             return None
         return sum(p.value for p in pts) / (w1 - w0)
-
-    def value_at(self, time: float) -> Optional[float]:
-        """The gauge level at ``time`` (last point at or before it)."""
-        current = None
-        for p in self._points:
-            if p.time > time:
-                break
-            current = p.value
-        return current
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         last = f" last={self._points[-1].value:g}" if self._points else ""

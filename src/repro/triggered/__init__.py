@@ -1,5 +1,5 @@
 """repro.triggered — triggered operations: threshold counters, pre-staged
-descriptor chains, and stream-ordered communication over the EXTOLL engine.
+descriptor chains over the EXTOLL engine.
 
 The deferred-execution model of arXiv:2406.05594 grafted onto the put/get
 study: communication is *staged* off the critical path, *armed* against a
@@ -9,18 +9,15 @@ tick — no host proxy and no per-message descriptor writes.
 
 from .chain import ChainState, DescriptorChain, TriggeredWorkRequest
 from .counter import CounterWatch, TriggerCounter
-from .stream_ops import CommHandle, comm_enqueue
 from .unit import TriggeredStats, TriggeredUnit, triggered_unit
 
 __all__ = [
     "ChainState",
-    "CommHandle",
     "CounterWatch",
     "DescriptorChain",
     "TriggerCounter",
     "TriggeredStats",
     "TriggeredUnit",
     "TriggeredWorkRequest",
-    "comm_enqueue",
     "triggered_unit",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import TriggeredError
 from ..extoll import RmaWorkRequest
@@ -61,8 +61,8 @@ class DescriptorChain:
         self.state = ChainState.STAGED
         #: Succeeds when every descriptor has been started by the NIC.
         self.completed: Event = unit.sim.event(name=f"trig:{self.name}")
-        #: Counters ticked (with amounts) on completion — the DAG edges.
-        self.completion_ticks: List[Tuple[object, int]] = []
+        #: Counters ticked on completion — the DAG edges.
+        self.completion_ticks: List[object] = []
         self._watch = None          # CounterWatch while ARMED
         self._remaining = 0         # WRs not yet started, while FIRED
 
@@ -89,11 +89,11 @@ class DescriptorChain:
         self._require_stageable()
         self.wrs[index] = dataclasses.replace(self.wrs[index], **fields)
 
-    def on_complete_tick(self, counter, amount: int = 1) -> "DescriptorChain":
-        """Tick ``counter`` when this chain completes — how chain-to-chain
-        dependencies are expressed."""
+    def on_complete_tick(self, counter) -> "DescriptorChain":
+        """Tick ``counter`` by one when this chain completes — how
+        chain-to-chain dependencies are expressed."""
         self._require_stageable()
-        self.completion_ticks.append((counter, amount))
+        self.completion_ticks.append(counter)
         return self
 
     # -- arming / firing -----------------------------------------------------------
@@ -102,7 +102,7 @@ class DescriptorChain:
         return self
 
     def fire(self) -> "DescriptorChain":
-        """Fire immediately (the stream-enqueue / explicit-go path)."""
+        """Fire immediately (the explicit-go path)."""
         self.unit.fire_now(self)
         return self
 

@@ -43,7 +43,6 @@ class TriggeredStats(SampledStats):
         self.descriptors_fired = 0
         self.counter_ticks = 0
         self.doorbells = 0
-        self.stream_enqueues = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -56,7 +55,6 @@ class TriggeredStats(SampledStats):
             "descriptors_fired": self.descriptors_fired,
             "counter_ticks": self.counter_ticks,
             "doorbells": self.doorbells,
-            "stream_enqueues": self.stream_enqueues,
             "armed": self._unit.armed_chains,
         }
 
@@ -106,33 +104,29 @@ class TriggeredUnit:
                             lambda: counter.add(amount),
                             name=f"{self.nic.name}.trig-doorbell")
 
-    def device_tick(self, ctx, page_addr: int, counter: TriggerCounter,
-                    amount: int = 1):
-        """Device code: tick ``counter`` with ONE posted 8-byte store to the
-        requester page's counter doorbell.  ``page_addr`` may be any of this
-        NIC's mapped requester pages."""
-        word = (counter.id << 16) | (amount & 0xFFFF)
+    def device_tick(self, ctx, page_addr: int, counter: TriggerCounter):
+        """Device code: tick ``counter`` by one with ONE posted 8-byte store
+        to the requester page's counter doorbell.  ``page_addr`` may be any
+        of this NIC's mapped requester pages."""
+        word = (counter.id << 16) | 1
         yield from ctx.store_u64(
             page_addr + self.config.trigger_doorbell_offset, word)
 
     # -- completion counting -------------------------------------------------------
-    def count_arrivals(self, counter: TriggerCounter, port: Optional[int] = None,
-                       nla_base: Optional[int] = None, nla_size: int = 0,
-                       amount: int = 1) -> Callable[[], None]:
+    def count_arrivals(self, counter: TriggerCounter,
+                       nla_base: Optional[int] = None,
+                       nla_size: int = 0) -> Callable[[], None]:
         """Tick ``counter`` for every put that completes on THIS NIC,
-        optionally filtered by the descriptor's port and/or a destination
-        NLA window — puts-with-counting, implemented exactly like the
-        reliability layer's duplicate detectors.  Returns an unregister
-        callable."""
+        optionally filtered by a destination NLA window — puts-with-counting,
+        implemented exactly like the reliability layer's duplicate
+        detectors.  Returns an unregister callable."""
 
         def listener(packet) -> None:
-            if port is not None and packet.meta.get("port") != port:
-                return
             if nla_base is not None:
                 dst = packet.meta.get("dst_nla", -1)
                 if not nla_base <= dst < nla_base + nla_size:
                     return
-            counter.add(amount)
+            counter.add()
 
         self.nic.rma.put_listeners.append(listener)
 
@@ -162,11 +156,11 @@ class TriggeredUnit:
         # threshold, so arm-after-tick and tick-after-arm behave alike.
         chain._watch = counter.watch(threshold, lambda: self._fire(chain))
 
-    def fire_now(self, chain: DescriptorChain, via: str = "direct") -> None:
-        """Fire without a counter (stream enqueue, explicit go)."""
+    def fire_now(self, chain: DescriptorChain) -> None:
+        """Fire without a counter (the explicit go)."""
         if chain.state is ChainState.ARMED:
-            # Stream order reached an armed chain: detach it from its
-            # counter and fire through the same path.
+            # Detach an armed chain from its counter and fire it through
+            # the same path.
             chain._watch.cancel()
             chain._watch = None
             self.armed_chains -= 1
@@ -176,8 +170,6 @@ class TriggeredUnit:
                 f"{chain.name}: cannot fire a {chain.state.value} chain")
         if not chain.wrs:
             raise TriggeredError(f"{chain.name}: firing an empty chain")
-        if via == "stream":
-            self.stats.stream_enqueues += 1
         self._launch(chain)
 
     def _fire(self, chain: DescriptorChain) -> None:
@@ -245,8 +237,8 @@ class TriggeredUnit:
             if trc.wants("causal"):
                 trc.flow_event("chain.done", f"{self.nic.name}.trig",
                                chain=chain.name)
-            for counter, amount in chain.completion_ticks:
-                counter.add(amount)
+            for counter in chain.completion_ticks:
+                counter.add()
             chain.completed.succeed()
 
     def cancel(self, chain: DescriptorChain) -> None:

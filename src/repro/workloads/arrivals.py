@@ -23,7 +23,7 @@ simulated second):
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Type
+from typing import Dict, Type
 
 from ..errors import BenchmarkError
 
@@ -56,10 +56,6 @@ class ArrivalProcess:
 
     def next_gap(self) -> float:
         raise NotImplementedError
-
-    def gaps(self, n: int) -> List[float]:
-        """The next ``n`` gaps (advances the stream)."""
-        return [self.next_gap() for _ in range(n)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} rate={self.rate:g}/s "

@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 from ..cluster import Cluster
 from ..collectives.comm import CollectiveMode, Communicator
 from ..core.msglib import gpu_finish_send, gpu_stage_send
-from ..engine import DEFAULT_LANES, EngineStats, engine_post_batch
+from ..engine import EngineStats, engine_post_batch
 from ..errors import BenchmarkError
 from ..mpi.collectives import _pump, interpret
 from ..mpi.comm import MpiCommunicator, MpiConfig
@@ -80,8 +80,7 @@ class WorkloadTransport:
 
     def __init__(self, cluster: Cluster, workload: Workload, mode: str,
                  size: int, slots: int = 16, reliable: bool = False,
-                 reliability_config=None,
-                 lanes: int = DEFAULT_LANES) -> None:
+                 reliability_config=None) -> None:
         validate_cell(workload, mode, len(cluster), size)
         self.cluster = cluster
         self.sim = cluster.sim
@@ -89,7 +88,6 @@ class WorkloadTransport:
         self.mode = mode
         self.size = size
         self.nodes = len(cluster)
-        self.lanes = lanes
         self.engine_stats = EngineStats()   # populated by the engine mode
         self._requests_launched = 0
         if mode == "mpi":
@@ -168,8 +166,7 @@ class WorkloadTransport:
         wr = yield from gpu_stage_send(ctx, end, data)
         yield from engine_post_batch(ctx, end.page_addr,
                                      ncfg.batch_region_offset,
-                                     ncfg.batch_doorbell_offset, [wr],
-                                     self.lanes)
+                                     ncfg.batch_doorbell_offset, [wr])
         trc = ctx.sim.tracer
         if trc.wants("causal"):
             trc.flow_event("pst", f"n{end.src_node_id}",

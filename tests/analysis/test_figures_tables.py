@@ -97,5 +97,5 @@ def test_ablation_notification_placement_direction():
 
 
 def test_ablation_p2p_direction():
-    r = ablate_p2p_pathology(count=4)
+    r = ablate_p2p_pathology()
     assert r.variant > r.baseline  # disabling the pathology raises bandwidth

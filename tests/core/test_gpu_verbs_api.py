@@ -9,7 +9,6 @@ from repro.core import (
     gpu_wait_cq,
     setup_ib_connection,
 )
-from repro.errors import VerbsError
 from repro.ib import IbOpcode, WcOpcode, WcStatus, Wqe
 from repro.units import KIB, US
 
@@ -102,18 +101,6 @@ def test_wqe_lands_in_selected_buffer(testbed):
         # Only the doorbell crosses PCIe; WQE stays in device memory.
         assert diff.sysmem_write_transactions == 1
         assert diff.global_store_accesses >= 8
-
-
-def test_gpu_wait_cq_max_polls(testbed):
-    cluster, conn, _loc = testbed
-
-    def kernel(ctx):
-        yield from gpu_wait_cq(ctx, conn.a.send_cq_consumer(), max_polls=4)
-
-    h = conn.a.node.gpu.launch(kernel)
-    with pytest.raises(VerbsError):
-        cluster.sim.run(until=cluster.sim.now + 500 * US)
-    assert not h.ok
 
 
 def test_ping_pong_markers_via_poll_last_element(testbed):

@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.measure import buffer_bytes
 from repro.engine import EngineConfig, EngineStats, run_engine_pingpong
-from repro.errors import ConfigError
+from repro.errors import BenchmarkError, ConfigError
 from repro.units import KIB, MIB
 
 ITER, WARMUP = 4, 1
@@ -87,6 +87,13 @@ def test_measure_bandwidth_equals_hand_built_run():
     hand = run_extoll_bandwidth(cluster, conn, ExtollMode.DIRECT, 4 * KIB,
                                 count=8)
     assert measure_bandwidth(ExtollMode.DIRECT, 4 * KIB, 8) == hand
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_measure_bandwidth_rejects_a_count_below_one(count):
+    """An explicit count is taken as given: 0 does not mean the default."""
+    with pytest.raises(BenchmarkError, match=f"count={count}"):
+        measure_bandwidth(ExtollMode.DIRECT, 4 * KIB, count)
 
 
 @pytest.mark.parametrize("method,location", [

@@ -133,15 +133,3 @@ def test_unattached_cpu_rejected(node):
     cpu = Cpu(node.sim)
     with pytest.raises(ConfigError):
         _ = cpu.port
-
-
-def test_spin_max_polls(node):
-    cpu = make_cpu(node)
-
-    def body(ctx):
-        yield from ctx.spin_until_u64(HOST_DRAM_BASE, lambda v: v == 1,
-                                      max_polls=5)
-
-    cpu.spawn(body)
-    with pytest.raises(ConfigError):
-        node.sim.run()

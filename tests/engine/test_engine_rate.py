@@ -1,24 +1,13 @@
-"""The engine proxy under the Fig. 2 / Fig. 5 message-rate experiments."""
+"""The engine proxy under the Fig. 2 message-rate experiment."""
 
 import pytest
 
 from repro import build_extoll_cluster
 from repro.analysis import invariants as inv
-from repro.cluster import build_ib_cluster
 from repro.core import setup_extoll_connections
-from repro.core.message_rate import (
-    MESSAGE_BYTES,
-    run_extoll_message_rate,
-    run_ib_message_rate,
-)
+from repro.core.message_rate import MESSAGE_BYTES, run_extoll_message_rate
 from repro.core.modes import RateMethod
-from repro.core.setup import setup_ib_connections
-from repro.engine import (
-    EngineConfig,
-    aggregate_schedule,
-    run_engine_ib_message_rate,
-    run_engine_message_rate,
-)
+from repro.engine import EngineConfig, aggregate_schedule, run_engine_message_rate
 from repro.sim import Simulator
 from repro.units import KIB
 
@@ -30,11 +19,6 @@ BUF = 16 * KIB
 def fresh_extoll(seed=7):
     cluster = build_extoll_cluster(sim=Simulator(seed=seed))
     return cluster, setup_extoll_connections(cluster, BUF, N_CONNS)
-
-
-def fresh_ib(seed=7):
-    cluster = build_ib_cluster(sim=Simulator(seed=seed))
-    return cluster, setup_ib_connections(cluster, BUF, N_CONNS)
 
 
 # -- aggregation schedule -----------------------------------------------------
@@ -104,31 +88,3 @@ def test_priority_policy_completes_with_identical_totals():
                                            per_connection=PER_CONN)
     assert point.messages == stats.messages == N_CONNS * PER_CONN
     assert stats.wrs == cluster.a.nic.batch_descriptors
-
-
-# -- InfiniBand ---------------------------------------------------------------
-
-def test_ib_engine_batches_doorbells_and_suppresses_cqes():
-    cluster, conns = fresh_ib()
-    config = EngineConfig.all_on()
-    point, stats = run_engine_ib_message_rate(cluster, conns, config,
-                                              per_connection=PER_CONN)
-    assert point.messages == stats.messages == N_CONNS * PER_CONN
-    assert stats.wrs == stats.messages           # IB batches, never merges
-    assert stats.doorbells < stats.wrs           # cumulative-index coalescing
-    # Selective signaling: only each batch's tail WQE completes, so hits
-    # track doorbells (flushes), not WQEs.
-    assert stats.poll_hits == stats.doorbells
-
-
-def test_ib_engine_outrates_gpu_dispatch_at_scale():
-    """The engine's batched path vs the paper's one-block-per-QP GPU
-    dispatch (its best GPU-controlled IB rate)."""
-    cluster, conns = fresh_ib()
-    blocks = run_ib_message_rate(cluster, conns, RateMethod.BLOCKS,
-                                 per_connection=PER_CONN)
-    cluster, conns = fresh_ib()
-    engine, _ = run_engine_ib_message_rate(cluster, conns,
-                                           EngineConfig.all_on(),
-                                           per_connection=PER_CONN)
-    assert engine.messages_per_s > blocks.messages_per_s

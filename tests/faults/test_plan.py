@@ -68,8 +68,6 @@ def test_link_streams_are_deterministic_and_distinct():
 
 
 def test_plan_is_hashable_pure_data():
-    plan = FaultPlan.for_links({(0, 1): LinkFaults(loss=0.5)},
-                               default=LinkFaults(corrupt=0.1), seed=2)
+    plan = FaultPlan.for_links({(0, 1): LinkFaults(loss=0.5)}, seed=2)
     assert hash(plan) == hash(FaultPlan.for_links(
-        {(1, 0): LinkFaults(loss=0.5)}, default=LinkFaults(corrupt=0.1),
-        seed=2))
+        {(1, 0): LinkFaults(loss=0.5)}, seed=2))

@@ -184,18 +184,6 @@ def test_spin_until_sees_external_dma_write(node):
     assert c.sysmem_read_transactions == 0
 
 
-def test_spin_until_max_polls(node):
-    ctx = ctx_for(node)
-    buf = node.gpu.malloc(64)
-
-    def body():
-        yield from ctx.spin_until_u64(buf.base, lambda v: v == 1, max_polls=10)
-
-    node.sim.process(body())
-    with pytest.raises(GpuError):
-        node.sim.run()
-
-
 def test_sector_counting_for_wide_accesses(node):
     ctx = ctx_for(node)
     rng = AddressRange(HOST_DRAM_BASE + 0x3000, 0x1000)

@@ -31,17 +31,6 @@ def testbed():
     return cluster, a, b, qp_a, qp_b
 
 
-def test_ibv_wait_cq_max_polls(testbed):
-    cluster, a, _b, qp_a, _qp_b = testbed
-
-    def waiter(ctx):
-        yield from ibv_wait_cq(ctx, CqConsumer(qp_a.send_cq), max_polls=300)
-
-    a.cpu.spawn(waiter)
-    with pytest.raises(VerbsError, match="CQ wait exceeded 300 polls"):
-        cluster.sim.run(until=cluster.sim.now + 500 * US)
-
-
 def test_rdma_write_moves_data_and_completes(testbed):
     cluster, a, b, qp_a, qp_b = testbed
     src = a.host_malloc(4 * KIB)

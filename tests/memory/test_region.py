@@ -74,14 +74,6 @@ def test_non_power_of_two_alignment_rejected():
         Allocator(make_mem(), alignment=100)
 
 
-def test_owns():
-    alloc = Allocator(make_mem())
-    r = alloc.alloc(64)
-    assert alloc.owns(r.base)
-    assert alloc.owns(r.base + 63)
-    assert not alloc.owns(r.base + 64)
-
-
 def test_coalescing_allows_big_realloc():
     alloc = Allocator(make_mem(size=4096, base=0), alignment=16)
     parts = [alloc.alloc(1024) for _ in range(4)]

@@ -30,7 +30,7 @@ def test_pingpong_crossover_and_zero_mmio():
 
 def test_allreduce_reconciles_with_tracer():
     tracer = SpanTracer()
-    r = run_mpi_allreduce(4, 128, iterations=3, warmup=1, tracer=tracer)
+    r = run_mpi_allreduce(4, 128, iterations=3, tracer=tracer)
     assert r.correct
     assert r.bar_mmio == 0
     assert r.reconcile["ok"], r.reconcile
@@ -40,7 +40,7 @@ def test_allreduce_reconciles_with_tracer():
 
 def test_host_assist_modes_pay_mmio():
     m = run_mode_allreduce_mmio(CollectiveMode.HOST_CONTROLLED, 2, 64,
-                                iterations=2, warmup=1)
+                                iterations=2)
     assert m["correct"]
     assert m["bar_mmio"] > 0
     assert m["wrs_posted"] > 0

@@ -32,7 +32,7 @@ def test_ibarrier_completes_everywhere(nodes):
     comm = make_comm(nodes)
     reqs = [ibarrier(comm, rank) for rank in comm.ranks]
     comm.wait(*reqs)
-    assert all(r.test() for r in reqs)
+    assert all(r.done.processed for r in reqs)
 
 
 def test_ibarrier_release_after_last_entry():
@@ -43,10 +43,10 @@ def test_ibarrier_release_after_last_entry():
     late = {}
     reqs = [ibarrier(comm, rank) for rank in comm.ranks[1:]]
     comm.sim.run(until=comm.sim.now + 0.0005)
-    assert not any(r.test() for r in reqs)      # stuck: rank 0 absent
+    assert not any(r.done.processed for r in reqs)      # stuck: rank 0 absent
     reqs.append(ibarrier(comm, comm.ranks[0]))
     comm.wait(*reqs)
-    assert all(r.test() for r in reqs)
+    assert all(r.done.processed for r in reqs)
 
 
 @pytest.mark.parametrize("root", [0, 2])
@@ -77,7 +77,7 @@ def test_collectives_back_to_back_tags_do_not_collide():
     b1 = [ibarrier(comm, rank) for rank in comm.ranks]
     b2 = [ibarrier(comm, rank) for rank in comm.ranks]
     comm.wait(*b1, *b2)
-    assert all(r.test() for r in b1 + b2)
+    assert all(r.done.processed for r in b1 + b2)
 
 
 # -- the acceptance test ----------------------------------------------------------

@@ -33,7 +33,7 @@ def test_eager_send_recv(comm):
     assert recv.data == b"hello-mpi"
     assert recv.matched_source == 0
     assert recv.matched_tag == 5
-    assert send.test() and recv.test()
+    assert send.done.processed and recv.done.processed
 
 
 def test_eager_is_cpu_free_after_staging(comm):
@@ -52,7 +52,7 @@ def test_eager_is_cpu_free_after_staging(comm):
 def test_recv_posted_first(comm):
     r0, r1 = comm.ranks
     recv = r1.irecv(source=0, tag=9)
-    assert not recv.test()
+    assert not recv.done.processed
     send = r0.isend(1, b"late", tag=9)
     comm.wait(send, recv)
     assert recv.data == b"late"

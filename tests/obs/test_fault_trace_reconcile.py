@@ -92,7 +92,7 @@ def test_snapshot_diff_isolates_second_run(lossy_run):
     tracer, _, _, _ = lossy_run
     before = tracer.metrics.snapshot()
     point2, comm2, _ = run_chaos_point(
-        CollectiveMode.POLL_ON_GPU, 64, loss=LOSS, seed=7, plan_seed=7,
+        CollectiveMode.POLL_ON_GPU, 64, loss=LOSS, seed=7,
         tracer=tracer)
     delta = tracer.metrics.diff(before)
     assert point2.correct

@@ -66,9 +66,6 @@ def test_span_intervals_filters():
     assert len(all_phase) >= len(wrgen)
     assert all_phase == ping_only  # pingpong phases live on the ping track
     assert wrgen == sorted(wrgen)
-    big = span_intervals(tracer, category="pcie",
-                         predicate=lambda s: s.duration > 0)
-    assert all(e > b for b, e in big)
 
 
 # -- boundary semantics shared with the telemetry sampler ---------------------------

@@ -8,10 +8,10 @@ def test_call_later_fires_and_reports_state():
     hits = []
     h = sim.call_later(1.0, lambda: hits.append(sim.now))
     assert isinstance(h, ScheduledCall)
-    assert h.active and not h.fired and not h.cancelled
+    assert h.active and not h.fired
     sim.run()
     assert hits == [1.0]
-    assert h.fired and not h.active and not h.cancelled
+    assert h.fired and not h.active
 
 
 def test_cancel_turns_fire_into_noop():
@@ -21,7 +21,7 @@ def test_cancel_turns_fire_into_noop():
     assert h.cancel()
     sim.run()
     assert hits == []
-    assert h.cancelled and not h.fired
+    assert not h.active and not h.fired
     # The heap entry still drained (the event processed as a no-op).
     assert h.event.processed
 

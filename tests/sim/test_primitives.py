@@ -1,9 +1,9 @@
-"""Unit tests for AllOf / AnyOf composition."""
+"""Unit tests for AllOf composition."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator, join_result
+from repro.sim import AllOf, Simulator, join_result
 
 
 def test_all_of_waits_for_slowest():
@@ -18,20 +18,6 @@ def test_all_of_waits_for_slowest():
     proc = sim.process(body())
     sim.run()
     assert join_result(proc) == (5.0, "a", "b")
-
-
-def test_any_of_returns_on_fastest():
-    sim = Simulator()
-    a = sim.timeout(1.0, value="fast")
-    b = sim.timeout(5.0, value="slow")
-
-    def body():
-        values = yield AnyOf(sim, [a, b])
-        return (sim.now, list(values.values()))
-
-    proc = sim.process(body())
-    sim.run()
-    assert join_result(proc) == (1.0, ["fast"])
 
 
 def test_all_of_fails_if_any_child_fails():
@@ -56,12 +42,6 @@ def test_empty_all_of_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         AllOf(sim, [])
-
-
-def test_empty_any_of_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        AnyOf(sim, [])
 
 
 def test_cross_simulator_events_rejected():

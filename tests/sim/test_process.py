@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt, Process, Simulator, join_result
+from repro.sim import Process, Simulator, join_result
 
 
 def test_process_runs_and_returns_value():
@@ -116,57 +116,6 @@ def test_non_generator_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Process(sim, lambda: None)  # type: ignore[arg-type]
-
-
-def test_interrupt_wakes_a_sleeping_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            return "overslept"
-        except Interrupt as irq:
-            return f"woken:{irq.cause}"
-
-    proc = sim.process(sleeper())
-
-    def waker():
-        yield sim.timeout(1.0)
-        proc.interrupt("alarm")
-
-    sim.process(waker())
-    sim.run(until=200.0)
-    assert join_result(proc) == "woken:alarm"
-
-
-def test_interrupt_on_finished_process_rejected():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(body())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_unhandled_interrupt_terminates_cleanly():
-    sim = Simulator()
-
-    def body():
-        yield sim.timeout(100.0)
-
-    proc = sim.process(body())
-
-    def waker():
-        yield sim.timeout(1.0)
-        proc.interrupt()
-
-    sim.process(waker())
-    sim.run(until=200.0)
-    assert proc.processed
-    assert join_result(proc) is None
 
 
 def test_two_waiters_on_one_event():

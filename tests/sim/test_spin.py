@@ -10,7 +10,7 @@ from repro.gpu.thread import ThreadCtx
 from repro.memory import HOST_DRAM_BASE
 from repro.obs import SpanTracer
 from repro.sim import join_result, set_default_tracer
-from repro.sim.spin import GPU_BACKOFF, HOST_BACKOFF
+from repro.sim.spin import GPU_BACKOFF, HOST_BACKOFF, spin
 
 
 def test_backoff_schedules_are_the_inline_formulas():
@@ -35,8 +35,9 @@ def test_host_spin_out_of_budget_replays_the_float_sum(node, n):
 
     def body(ctx):
         try:
-            yield from ctx.spin_until_u64(HOST_DRAM_BASE, lambda v: False,
-                                          max_polls=n)
+            yield from spin(ctx, ctx._poll_u64,
+                            (HOST_DRAM_BASE, lambda v: False, True), n,
+                            ConfigError, "spin at {0:#x}")
         except ConfigError as exc:
             return ctx.sim.now, str(exc)
 
@@ -60,8 +61,10 @@ def test_traced_wait_out_of_budget_ends_its_span_with_the_error(node):
     buf = node.gpu.malloc(64)
 
     def body():
-        yield from ctx.spin_until_u64(buf.base, lambda v: v == 1,
-                                      max_polls=70)
+        yield from spin(ctx, ctx._poll_u64, (buf.base, lambda v: v == 1), 70,
+                        GpuError, "spin_until_u64 at {0:#x}",
+                        ("gpu.spin", "spin", {"addr": "{0:#x}"}),
+                        "gpu.spin_polls")
 
     node.sim.process(body())
     with pytest.raises(GpuError,

@@ -60,7 +60,7 @@ def test_model_instrumentation_feeds_the_plane():
 
     v = plane.verdicts()[0]
     assert v["status"] == "breach"
-    assert plane.tripped
+    assert plane.trips
     # The breach dump retains the offending span.
     names = {s["name"] for s in plane.dumps[0]["spans"]}
     assert "put" in names

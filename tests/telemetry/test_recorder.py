@@ -61,7 +61,7 @@ def test_trigger_instant_trips_and_dumps():
     sim.call_later(2e-6, lambda: rec.instant("fault", "retry-exhausted",
                                              detail="conn 3"))
     sim.run()
-    assert plane.tripped
+    assert plane.trips
     assert len(plane.trips) == 1          # packet-drop is not a trigger
     assert plane.trips[0]["reason"] == "fault/retry-exhausted"
     assert plane.trips[0]["time"] == pytest.approx(2e-6)
@@ -89,7 +89,7 @@ def test_manual_trip_dump_is_json_safe_and_sees_open_spans():
     assert len(dump["spans"]) == 2
     assert [o["name"] for o in dump["open_spans"]] == ["stuck-put"]
     assert dump["counters"] == rec.metrics.counter_values()
-    assert plane.tripped and plane.dumps == [dump]
+    assert plane.trips and plane.dumps == [dump]
 
 
 def test_capacity_validated():

@@ -56,16 +56,6 @@ def test_time_must_not_go_backwards():
         s.append(1.0, 1)
 
 
-def test_gauge_value_at():
-    s = Series("depth", "gauge")
-    s.append(1.0, 5.0)
-    s.append(3.0, 7.0)
-    assert s.value_at(0.5) is None
-    assert s.value_at(1.0) == 5.0
-    assert s.value_at(2.9) == 5.0
-    assert s.value_at(3.0) == 7.0
-
-
 def test_bad_kind_and_capacity_rejected():
     with pytest.raises(ValueError):
         Series("x", "rate")

@@ -63,7 +63,7 @@ def test_faulted_run_bitwise_repeatable():
         tracer = SpanTracer()
         point, _, injector = run_chaos_point(
             CollectiveMode.POLL_ON_GPU, 64, 0.05, corrupt=0.02, nodes=3,
-            iterations=2, warmup=1, seed=11, plan_seed=5, tracer=tracer)
+            iterations=2, warmup=1, seed=11, tracer=tracer)
         return point, injector.counters(), chrome_trace_events(tracer)
 
     p1, counters1, trace1 = run()
@@ -81,7 +81,7 @@ def test_different_seed_changes_fault_pattern():
     def run(seed):
         point, _, _ = run_chaos_point(
             CollectiveMode.POLL_ON_GPU, 64, 0.05, corrupt=0.02, nodes=3,
-            iterations=2, warmup=1, seed=seed, plan_seed=5)
+            iterations=2, warmup=1, seed=seed)
         return point.latency, point.retransmits, point.drops
 
     runs = {run(seed) for seed in (11, 12, 13)}

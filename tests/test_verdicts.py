@@ -226,6 +226,8 @@ def test_slo_breach_exits_1_not_2(tmp_path, capsys):
     ["monitor", "rate", "--per-connection", "0"],
     ["engine", "--quick", "--iterations", "0"],
     ["engine", "--quick", "--per-connection", "0"],
+    ["monitor", "fabrics", "--nodes", "2"],
+    ["monitor", "fabrics", "--nodes", "5"],
 ])
 def test_repro_error_is_one_stderr_line(argv):
     env = dict(os.environ)
@@ -258,6 +260,7 @@ def test_repro_error_is_one_stderr_line(argv):
     ["monitor", "pingpong", "--quick", "--interval", "inf"],
     ["workloads", "--quick", "--workload", "psfanin", "--mode",
      "hostControlled", "--interval", "nan"],
+    ["critpath", "pingpong", "--modes", ","],
 ])
 def test_bad_flag_value_exits_2(argv):
     env = dict(os.environ)
