@@ -43,8 +43,7 @@ class Atu:
         self._next_nla += (pages + 1) * NLA_PAGE  # guard page between windows
         # Only phys.size bytes are backed; the tail of the last page is not
         # accessible (translate() bounds to the true physical size).
-        self._table.map(AddressRange(nla.base, phys.size), phys.base,
-                        label=f"nla->{phys}")
+        self._table.map(AddressRange(nla.base, phys.size), phys.base)
         self.registrations += 1
         return AddressRange(nla.base, phys.size)
 

@@ -49,8 +49,7 @@ class Gpu:
         self.counters = CounterSet()
         self.uva = TranslationTable(f"{name}.uva")
         # Device memory is identity-mapped into UVA (as CUDA does).
-        self.uva.map(self.dram.range, physical_base=self.dram.range.base,
-                     label="device-dram")
+        self.uva.map(self.dram.range, physical_base=self.dram.range.base)
         self.sm_slots = Resource(sim, capacity=self.config.max_resident_blocks,
                                  name=f"{name}.sm-slots")
         self.sysmem_read_slots = Resource(sim,
@@ -80,22 +79,22 @@ class Gpu:
         return self._port
 
     # -- UVA mappings (driver functionality) ----------------------------------------
-    def _map_identity(self, rng: AddressRange, label: str) -> None:
+    def _map_identity(self, rng: AddressRange) -> None:
         # Idempotent: remapping an already-mapped range is a no-op, like
         # cudaHostRegister on a registered range from the same context.
         if (self.uva.try_translate(rng.base, 1) == rng.base
                 and self.uva.try_translate(rng.end - 1, 1) == rng.end - 1):
             return
-        self.uva.map(rng, physical_base=rng.base, label=label)
+        self.uva.map(rng, physical_base=rng.base)
 
     def map_host_memory(self, rng: AddressRange) -> None:
         """Map host memory into UVA (cudaHostRegister / zero-copy)."""
-        self._map_identity(rng, "host-mapped")
+        self._map_identity(rng)
 
     def map_mmio(self, rng: AddressRange) -> None:
         """Map a device BAR page into UVA — the paper's NVIDIA kernel-driver
         patch that lets device threads poke NIC registers (§III-C, §IV-B)."""
-        self._map_identity(rng, "mmio-mapped")
+        self._map_identity(rng)
 
     # -- memory management -------------------------------------------------------------
     def malloc(self, size: int) -> AddressRange:

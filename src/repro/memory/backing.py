@@ -1,9 +1,10 @@
 """Byte-addressable backing storage.
 
 Every simulated memory (host DRAM, GPU device memory, NIC SRAM) stores its
-contents in a :class:`ByteStore` — a NumPy ``uint8`` array with typed
-accessors.  All multi-byte accessors are little-endian, matching the x86/GPU
-side of the paper's testbed; the InfiniBand model converts to big-endian
+contents in a :class:`ByteStore`: a private anonymous memory map, read and
+written through one ``memoryview`` and precompiled :mod:`struct` accessors.
+All multi-byte accessors are little-endian, matching the x86/GPU side of
+the paper's testbed; the InfiniBand model converts to big-endian
 explicitly (that conversion cost is part of the paper's story, §V-B).
 
 A multi-chunk DMA read does not copy its bytes out: it returns a
@@ -15,11 +16,25 @@ had when each range was pinned.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
+import mmap
+import struct
+from typing import List, Optional
 
 from ..errors import AddressError
+
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+
+def _anonymous_map(size: int) -> mmap.mmap:
+    """``size`` zero bytes whose pages are made when first written.
+
+    Python maps anonymous memory shared unless told otherwise, and a shared
+    page is allocated even by a read; a private page reads as the kernel's
+    zero page until it is written."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)  # pragma: no cover - Windows: no flags
 
 
 class _Snapshot:
@@ -42,28 +57,31 @@ class _Snapshot:
     def read(self, lo: int, hi: int) -> bytes:
         """Bytes ``[lo, hi)`` of the snapshot."""
         if self.data is None:
-            return self.store._data[self.start + lo:self.start + hi].tobytes()
+            return self.store._view[self.start + lo:self.start + hi].tobytes()
         return self.data[lo:hi]
 
 
 class ByteStore:
-    """A flat array of ``size`` bytes with bounds-checked typed access.
+    """A flat array of ``size`` zero-initialised bytes with bounds-checked
+    typed access.
 
     Readers get ``bytes``; a DMA reader can instead :meth:`pin` a range
     (see :class:`DmaPayload`).  Every mutator — :meth:`write`,
     :meth:`write_u32`, :meth:`write_u64`, :meth:`fill` and the destination
-    of :meth:`copy` — first copies out the pinned ranges it overlaps."""
+    of :meth:`copy` — first copies out the pinned ranges it overlaps.
 
-    def __init__(self, size: int, fill: int = 0) -> None:
+    A ``memoryview`` slice wraps a negative offset and clips a range that
+    runs past the end, and ``struct`` accepts a negative offset, so
+    :meth:`_check` is the one guard on every access."""
+
+    __slots__ = ("size", "_view", "_pins")
+
+    def __init__(self, size: int) -> None:
         if size <= 0:
             raise AddressError(f"backing store size must be positive, got {size}")
         self.size = size
-        if fill == 0:
-            # calloc-backed: pages materialize only when touched, so large
-            # simulated memories cost real RAM proportional to actual use.
-            self._data = np.zeros(size, dtype=np.uint8)
-        else:
-            self._data = np.full(size, fill, dtype=np.uint8)
+        # The only reference to the map: freeing the store unmaps it.
+        self._view = memoryview(_anonymous_map(size))
         #: Live snapshots of this store's bytes, in pin order.
         self._pins: List[_Snapshot] = []
 
@@ -98,60 +116,61 @@ class ByteStore:
         # collector at any allocation, may unpin meanwhile.
         for snap in self._pins[:]:
             if snap.start < end and offset < snap.end:
-                snap.data = self._data[snap.start:snap.end].tobytes()
+                snap.data = self._view[snap.start:snap.end].tobytes()
                 self.unpin(snap)
 
     # -- raw bytes --------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         self._check(offset, length)
-        return self._data[offset:offset + length].tobytes()
+        return self._view[offset:offset + length].tobytes()
 
-    def write(self, offset: int, data: bytes | bytearray | memoryview | np.ndarray) -> None:
-        buf = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) \
-            else data.astype(np.uint8, copy=False).ravel()
-        self._check(offset, len(buf))
+    def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
+        """Write any bytes-like object of unsigned bytes (``bytes``,
+        ``bytearray``, a ``memoryview``, a ``uint8`` array)."""
+        length = len(data)
+        self._check(offset, length)
         if self._pins:
-            self._copy_out(offset, len(buf))
-        self._data[offset:offset + len(buf)] = buf
+            self._copy_out(offset, length)
+        self._view[offset:offset + length] = data
 
     def fill(self, offset: int, length: int, value: int) -> None:
         self._check(offset, length)
         if self._pins:
             self._copy_out(offset, length)
-        self._data[offset:offset + length] = value
+        self._view[offset:offset + length] = bytes((value,)) * length
 
     @staticmethod
     def copy(src: "ByteStore", src_off: int, dst: "ByteStore", dst_off: int,
              length: int) -> None:
-        """Copy ``length`` bytes between two stores (the DMA primitive)."""
+        """Copy ``length`` bytes between two stores (the DMA primitive).
+        Within one store the ranges may overlap: a ``memoryview`` copies
+        through ``memmove``."""
         src._check(src_off, length)
         dst._check(dst_off, length)
         if dst._pins:
             dst._copy_out(dst_off, length)
-        dst._data[dst_off:dst_off + length] = src._data[src_off:src_off + length]
+        dst._view[dst_off:dst_off + length] = src._view[src_off:src_off + length]
 
     # -- typed little-endian accessors -----------------------------------------
     def read_u32(self, offset: int) -> int:
         self._check(offset, 4)
-        return int.from_bytes(self._data[offset:offset + 4].tobytes(), "little")
+        return _U32.unpack_from(self._view, offset)[0]
 
     def write_u32(self, offset: int, value: int) -> None:
         self._check(offset, 4)
         if self._pins:
             self._copy_out(offset, 4)
-        self._data[offset:offset + 4] = np.frombuffer(
-            (value & 0xFFFFFFFF).to_bytes(4, "little"), dtype=np.uint8)
+        _U32.pack_into(self._view, offset, value & 0xFFFFFFFF)
 
     def read_u64(self, offset: int) -> int:
         self._check(offset, 8)
-        return int.from_bytes(self._data[offset:offset + 8].tobytes(), "little")
+        return _U64.unpack_from(self._view, offset)[0]
 
     def write_u64(self, offset: int, value: int) -> None:
         self._check(offset, 8)
         if self._pins:
             self._copy_out(offset, 8)
-        self._data[offset:offset + 8] = np.frombuffer(
-            (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"), dtype=np.uint8)
+        _U64.pack_into(self._view, offset, value & 0xFFFFFFFFFFFFFFFF)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ByteStore {self.size:#x} bytes>"
@@ -163,20 +182,15 @@ class DmaPayload:
 
     ``len()`` is its length and ``bytes()`` its content: the source bytes
     as of the turn each chunk was collected (:meth:`pin`, :meth:`append`).
-    Writing it to a store (:meth:`copy_into`) copies each snapshot once,
-    straight from the source store while it is still pinned.  A slice is
-    a view that shares the snapshots and keeps this payload alive; when
-    the payload itself is freed, the snapshots still pinned are unpinned.
+    Writing a range of it to a store (:meth:`copy_into`, one DMA write
+    chunk at a time) copies each snapshot once, straight from the source
+    store while it is still pinned.  When the payload is freed, the
+    snapshots still pinned are unpinned.
     """
 
-    def __init__(self, parts: Optional[List[_Snapshot]] = None,
-                 start: int = 0, stop: int = 0,
-                 owner: Optional["DmaPayload"] = None) -> None:
-        self._parts = [] if parts is None else parts
-        self._start = start
-        self._stop = stop
-        #: The payload a view reads through; None for the payload itself.
-        self._owner = owner
+    def __init__(self) -> None:
+        self._parts: List[_Snapshot] = []
+        self._length = 0
 
     # -- gathering (PcieFabric._read, at each chunk's collect turn) ------------
     def pin(self, store: ByteStore, offset: int, length: int) -> None:
@@ -189,54 +203,43 @@ class DmaPayload:
             last.end += length
         else:
             self._parts.append(store.pin(offset, length))
-        self._stop += length
+        self._length += length
 
     def append(self, data: bytes) -> None:
         """Append bytes read from a target that is not a store range."""
         self._parts.append(_Snapshot(None, 0, len(data), data))
-        self._stop += len(data)
+        self._length += len(data)
 
     # -- reading ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._stop - self._start
+        return self._length
 
-    def __getitem__(self, key: slice) -> "DmaPayload":
-        start, stop, step = key.indices(self._stop - self._start)
-        if step != 1:
-            raise ValueError("a DMA payload slices contiguously")
-        return DmaPayload(self._parts, self._start + start,
-                          self._start + max(start, stop),
-                          self._owner or self)
+    def __bytes__(self) -> bytes:
+        return b"".join(snap.read(0, snap.end - snap.start)
+                        for snap in self._parts)
 
-    def _segments(self) -> Iterator[Tuple[_Snapshot, int, int]]:
-        """``(snapshot, lo, hi)`` for each part this payload covers, with
-        ``[lo, hi)`` relative to the snapshot."""
+    def copy_into(self, dst: ByteStore, offset: int, start: int,
+                  length: int) -> None:
+        """Write the payload's ``length`` bytes from ``start`` to ``dst`` at
+        ``offset``."""
+        stop = start + length
         pos = 0
         for snap in self._parts:
             end = pos + snap.end - snap.start
-            lo, hi = max(self._start, pos), min(self._stop, end)
+            lo, hi = max(start, pos), min(stop, end)
             if lo < hi:
-                yield snap, lo - pos, hi - pos
+                if snap.data is None:
+                    ByteStore.copy(snap.store, snap.start + lo - pos, dst,
+                                   offset, hi - lo)
+                else:
+                    dst.write(offset, memoryview(snap.data)[lo - pos:hi - pos])
+                offset += hi - lo
             pos = end
 
-    def __bytes__(self) -> bytes:
-        return b"".join(snap.read(lo, hi) for snap, lo, hi in self._segments())
-
-    def copy_into(self, dst: ByteStore, offset: int) -> None:
-        """Write the payload to ``dst`` at ``offset``."""
-        for snap, lo, hi in self._segments():
-            if snap.data is None:
-                ByteStore.copy(snap.store, snap.start + lo, dst, offset,
-                               hi - lo)
-            else:
-                dst.write(offset, memoryview(snap.data)[lo:hi])
-            offset += hi - lo
-
     def __del__(self) -> None:
-        if self._owner is None:
-            for snap in self._parts:
-                if snap.data is None:
-                    snap.store.unpin(snap)
+        for snap in self._parts:
+            if snap.data is None:
+                snap.store.unpin(snap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DmaPayload {len(self)} bytes in {len(self._parts)} parts>"

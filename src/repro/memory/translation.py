@@ -24,7 +24,6 @@ class Mapping:
 
     virtual: AddressRange
     physical_base: int
-    label: str = ""
 
 
 class TranslationTable:
@@ -34,14 +33,13 @@ class TranslationTable:
         self.name = name
         self._index = RangeIndex()
 
-    def map(self, virtual: AddressRange, physical_base: int, *,
-            label: str = "") -> Mapping:
+    def map(self, virtual: AddressRange, physical_base: int) -> Mapping:
         existing = self._index.overlap(virtual)
         if existing is not None:
             raise TranslationError(
                 f"{self.name}: new mapping {virtual} overlaps {existing}"
             )
-        mapping = Mapping(virtual, physical_base, label)
+        mapping = Mapping(virtual, physical_base)
         self._index.insert(virtual, mapping)
         return mapping
 

@@ -116,7 +116,7 @@ class DmaEngine:
             offset = 0
             while offset < length:
                 step = min(self.config.chunk_bytes, length - offset)
-                yield from self.port.write(addr + offset, data[offset:offset + step])
+                yield from self.port.write(addr + offset, data, offset, step)
                 offset += step
         finally:
             span.end()

@@ -67,9 +67,12 @@ class PciePort:
         self.link = link  # None for the root port (CPU / host DRAM side)
 
     # Generators — run them with `yield from` inside a process.
-    def write(self, addr: int, data: bytes | DmaPayload
-              ) -> Generator[Event, None, None]:
-        return self.fabric._write(self, addr, data)
+    def write(self, addr: int, data: bytes | DmaPayload, start: int = 0,
+              length: Optional[int] = None) -> Generator[Event, None, None]:
+        """Write ``data``, or its ``length`` bytes from ``start`` (one DMA
+        chunk, landed without slicing it out)."""
+        return self.fabric._write(self, addr, data, start,
+                                  len(data) if length is None else length)
 
     def read(self, addr: int, length: int,
              stream_total: Optional[int] = None,
@@ -169,16 +172,15 @@ class PcieFabric:
     # -- timed accesses ---------------------------------------------------------------
     # Each hop is serialized at the bottleneck rate (held one hop at a time,
     # store-and-forward at message granularity), plus the hop's latency.
-    def _write(self, src: PciePort, addr: int,
-               data: bytes | DmaPayload) -> Generator:
-        nbytes = len(data)
+    def _write(self, src: PciePort, addr: int, data: bytes | DmaPayload,
+               start: int, nbytes: int) -> Generator:
         if not nbytes:
             raise PcieError("zero-length write")
         target, offset, owner = self._resolve(addr, nbytes)
         for link, up in self._route(src, owner)[0]:
             yield from link._send(up, nbytes, link.config.bandwidth)
         yield self.sim.timeout(self._target_latency(target))
-        self._deliver_write(target, offset, data)
+        self._deliver_write(target, offset, data, start, nbytes)
 
     def _read(self, src: PciePort, addr: int, length: int,
               stream_total: Optional[int],
@@ -207,19 +209,22 @@ class PcieFabric:
 
     # -- functional effects ----------------------------------------------------------
     @staticmethod
-    def _deliver_write(target: object, offset: int,
-                       data: bytes | DmaPayload) -> None:
+    def _deliver_write(target: object, offset: int, data: bytes | DmaPayload,
+                       start: int, nbytes: int) -> None:
+        """Land bytes ``[start, start + nbytes)`` of ``data``."""
         if isinstance(target, MmioWindow):
             # A window's write handlers parse real bytes.
-            target.write(offset, bytes(data) if isinstance(data, DmaPayload)
-                         else data)
+            target.write(offset, bytes(data)[start:start + nbytes])
         elif isinstance(target, Memory):
             if isinstance(data, DmaPayload):
-                data.copy_into(target.store, offset)
-            else:
+                data.copy_into(target.store, offset, start, nbytes)
+            elif nbytes == len(data):
                 target.store.write(offset, data)
+            else:
+                target.store.write(offset,
+                                   memoryview(data)[start:start + nbytes])
             for hook in target.write_hooks:
-                hook(offset, len(data))
+                hook(offset, nbytes)
         else:  # pragma: no cover - map only holds these two kinds
             raise PcieError(f"unwritable target {target!r}")
 

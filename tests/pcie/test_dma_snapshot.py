@@ -243,7 +243,7 @@ def test_payload_written_over_its_own_source():
 
 def test_payload_through_an_mmio_window():
     """A chunk from a window is kept as bytes; a window written with a
-    payload sees bytes."""
+    payload sees each chunk's bytes."""
     sim = Simulator()
     amap = AddressMap()
     window = MmioWindow("bar", GPU_DRAM_BASE, MEM)
@@ -258,8 +258,9 @@ def test_payload_through_an_mmio_window():
     def body():
         data = yield from dma.read(GPU_DRAM_BASE, 200)
         assert isinstance(data, DmaPayload)
-        yield from dma.write(GPU_DRAM_BASE + 2048, data[0:100])
+        yield from dma.write(GPU_DRAM_BASE + 2048, data)
 
     sim.process(body())
     sim.run()
-    assert seen == [bytes(range(64)), bytes(range(64, 100))]
+    assert seen == [bytes(range(64)), bytes(range(64, 128)),
+                    bytes(range(128, 192)), bytes(range(192, 200))]
