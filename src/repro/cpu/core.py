@@ -107,10 +107,6 @@ class HostThread:
     def write_u64(self, addr: int, value: int) -> Generator:
         yield from self.write(addr, (value & (2**64 - 1)).to_bytes(8, "little"))
 
-    def read_u32(self, addr: int) -> Generator:
-        data = yield from self.read(addr, 4)
-        return int.from_bytes(data, "little")
-
     def write_u32(self, addr: int, value: int) -> Generator:
         yield from self.write(addr, (value & (2**32 - 1)).to_bytes(4, "little"))
 

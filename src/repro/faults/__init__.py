@@ -1,16 +1,17 @@
 """repro.faults — deterministic fault injection and reliability.
 
-Three pieces:
+One injection model and one reliability engine:
 
 * :class:`FaultPlan` / :class:`LinkFaults` — a declarative, hashable
-  description of what goes wrong on which links (loss, corruption, delay /
-  reorder, outage windows, periodic flaps), seeded so every run replays
-  bit-identically.
+  description of how often packets are lost or corrupted on which links,
+  seeded so every run replays bit-identically.  Links never go down and
+  never reorder: whatever survives lands in the order it was sent, the
+  lossless-fabric premise of the paper's put/get modes (§V-B1).
 * :class:`FaultInjector` — attaches a plan to a concrete network fabric,
   installing :class:`LinkFaultState` on each faulted
-  :class:`~repro.network.NetLink` and driving the outage schedules.
+  :class:`~repro.network.NetLink`.
 * :class:`ChannelReliability` / :class:`ReliabilityConfig` — the
-  retransmission engines behind ``create_channel_between(reliable=True)``:
+  retransmission engine behind ``create_channel_between(reliable=True)``:
   per-message cumulative ACKs via the credit word, timeout + exponential
   backoff, go-back-N replay, and receiver-side credit re-acks.
 

@@ -1,10 +1,11 @@
 """Fault plans: the declarative, seeded description of what goes wrong.
 
 A :class:`FaultPlan` says, per link (or for every link), how often packets
-are dropped, corrupted, or delayed out of order, and when links go down —
-one-shot windows, periodic flaps, or probabilistic flaps.  The plan is pure
-data; :class:`repro.faults.FaultInjector` turns it into link state and
-scheduled processes on a concrete cluster.
+are dropped and how often they are corrupted.  Nothing else goes wrong:
+links stay up and deliver whatever survives in the order it was sent, the
+premise the paper's poll-the-last-word modes rest on (§V-B1).  The plan is
+pure data; :class:`repro.faults.FaultInjector` turns it into link state on
+a concrete cluster.
 
 Determinism: every random decision is drawn from a per-link
 ``random.Random`` stream derived from ``(simulator seed, plan seed, link
@@ -25,59 +26,23 @@ from ..errors import ConfigError
 
 @dataclass(frozen=True)
 class LinkFaults:
-    """Fault behavior of one link (both directions).
-
-    ``loss``/``corrupt``/``delay_prob`` are per-packet probabilities;
-    ``delay_max`` bounds the uniform extra delay of a delayed packet, which
-    bypasses the link's in-order delivery chain — delayed packets may
-    overtake or be overtaken (reordering).  ``down_windows`` are explicit
-    ``(start, duration)`` outages; the ``flap_*`` family schedules periodic
-    outages: from ``flap_start``, every ``flap_period`` seconds the link
-    goes down for ``flap_downtime`` with probability ``flap_prob``,
-    ``flap_count`` times.
-    """
+    """Fault behavior of one link (both directions): ``loss`` and
+    ``corrupt`` are per-packet probabilities."""
 
     loss: float = 0.0
     corrupt: float = 0.0
-    delay_prob: float = 0.0
-    delay_max: float = 0.0
-    down_windows: Tuple[Tuple[float, float], ...] = ()
-    flap_start: float = 0.0
-    flap_period: float = 0.0
-    flap_downtime: float = 0.0
-    flap_count: int = 0
-    flap_prob: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("loss", "corrupt", "delay_prob", "flap_prob"):
+        for name in ("loss", "corrupt"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {p}")
-        if self.delay_max < 0 or self.flap_start < 0:
-            raise ConfigError("delay_max/flap_start must be >= 0")
-        if self.delay_prob > 0 and self.delay_max <= 0:
-            raise ConfigError("delay_prob > 0 needs delay_max > 0")
-        if self.flap_count < 0:
-            raise ConfigError(f"flap_count must be >= 0, got {self.flap_count}")
-        if self.flap_count > 0:
-            if self.flap_period <= 0 or self.flap_downtime <= 0:
-                raise ConfigError("flapping needs flap_period and "
-                                  "flap_downtime > 0")
-            if self.flap_downtime >= self.flap_period:
-                raise ConfigError("flap_downtime must be < flap_period "
-                                  "(the link must come back up)")
-        for start, duration in self.down_windows:
-            if start < 0 or duration <= 0:
-                raise ConfigError(
-                    f"bad down window ({start}, {duration})")
 
     @property
     def is_null(self) -> bool:
         """True iff this config injects nothing at all — the zero-cost
-        path: the injector installs no state and no processes for it."""
-        return (self.loss == 0.0 and self.corrupt == 0.0
-                and self.delay_prob == 0.0 and not self.down_windows
-                and self.flap_count == 0)
+        path: the injector installs no state for it."""
+        return self.loss == 0.0 and self.corrupt == 0.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +67,7 @@ class FaultPlan:
     @classmethod
     def uniform(cls, loss: float = 0.0, corrupt: float = 0.0,
                 seed: int = 0) -> "FaultPlan":
-        """Same loss and corruption on every link, no delays or outages."""
+        """Same loss and corruption on every link."""
         return cls(seed=seed, default=LinkFaults(loss=loss, corrupt=corrupt))
 
     @classmethod

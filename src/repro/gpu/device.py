@@ -101,9 +101,6 @@ class Gpu:
         """cudaMalloc: device-memory allocation, returned as a UVA range."""
         return self.allocator.alloc(size)
 
-    def free(self, rng: AddressRange) -> None:
-        self.allocator.free(rng)
-
     # -- launches ---------------------------------------------------------------------
     def launch(self, fn: DeviceFn, grid: int = 1, block: int = 1,
                args: Tuple[Any, ...] = (), stream: Optional[Stream] = None) -> KernelHandle:

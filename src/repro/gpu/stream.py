@@ -28,10 +28,6 @@ class Stream:
         self.name = name or f"stream{Stream._next_id}"
         self._tail: Optional[Event] = None  # completion of the last launch
 
-    @property
-    def idle(self) -> bool:
-        return self._tail is None or self._tail.processed
-
     def chain(self, handle: "KernelHandle", launcher) -> None:
         """Internal: order ``launcher`` (a generator) after the current tail."""
         prev = self._tail

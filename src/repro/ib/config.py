@@ -39,15 +39,6 @@ class IbConfig:
     rq_entries: int = 128
     cq_entries: int = 256
 
-    # Go-back-N retransmission (the RC transport's reliability engine,
-    # exercised by repro.faults).  Off by default: the seed fabric is
-    # lossless and the default path must stay bit-identical.
-    reliability: bool = False
-    retx_timeout: float = 30_000 * NS    # initial RTO
-    retx_backoff: float = 2.0            # RTO multiplier per fruitless timeout
-    retx_max_timeout: float = 2_000_000 * NS
-    retx_max_retries: int = 16
-
     def __post_init__(self) -> None:
         if self.wqe_bytes != 64:
             raise ConfigError("WQE format fixed at 64 bytes")
@@ -61,7 +52,3 @@ class IbConfig:
         if min(self.max_qps, self.sq_entries, self.rq_entries,
                self.cq_entries) < 1:
             raise ConfigError("queue limits must be positive")
-        if self.retx_timeout <= 0 or self.retx_max_timeout < self.retx_timeout:
-            raise ConfigError("need 0 < retx_timeout <= retx_max_timeout")
-        if self.retx_backoff < 1.0 or self.retx_max_retries < 1:
-            raise ConfigError("need retx_backoff >= 1 and retx_max_retries >= 1")

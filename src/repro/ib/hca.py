@@ -12,6 +12,12 @@ the rings live in GPU memory), executes it, and reports completion by
 DMA-writing a CQE into the completion-queue buffer once the remote end
 acknowledges.  Reliable-connection semantics: per-QP ordering, in-order
 delivery, receive WQEs consumed by SENDs and writes-with-immediate.
+
+RC runs on the lossless, in-order fabric the paper measures, so the HCA
+keeps no packet sequence numbers and never retransmits: an ACK completes
+the operation it answers, and a READ completes on its response.  The
+receive loop still checks every packet's CRC and drops a bad one before
+the transport sees it, an input check; nothing replays what it carried.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..errors import RetryExhaustedError, VerbsError
+from ..errors import VerbsError
 from ..memory import AddressRange, MmioWindow
 from ..network import Endpoint, Packet, PacketKind
 from ..pcie import DmaConfig, DmaEngine, PcieFabric, PciePort
@@ -47,104 +53,6 @@ class _FetchJob:
     index: int
 
 
-class _RetxState:
-    """Requester-side go-back-N engine of one QP (reliability mode).
-
-    Tracks every sent-but-unacknowledged request packet by PSN.  A parked
-    timer process wakes while anything is outstanding; each fruitless RTO
-    (the lowest unacked PSN did not move) replays every tracked packet in
-    PSN order with exponential backoff, until acked or the retry budget
-    dies.  NACKs from the responder trigger an immediate full replay.
-    """
-
-    def __init__(self, hca: "Hca", qp: QueuePair) -> None:
-        self.hca = hca
-        self.qp = qp
-        # psn -> (packet, cqe_info); cqe_info is (wr_id, WcOpcode, length)
-        # for operations completed by ACK, None for READs (completed by the
-        # response packet instead).
-        self.unacked: Dict[int, tuple] = {}
-        self.retransmits = 0
-        self.timeouts = 0
-        self._kick = None
-        hca.sim.process(self._timer_loop(),
-                        name=f"{hca.name}.retx-qp{qp.qp_num}")
-
-    def track(self, psn: int, packet: Packet, cqe_info) -> None:
-        self.unacked[psn] = (packet, cqe_info)
-        if self._kick is not None and not self._kick.triggered:
-            self._kick.succeed()
-
-    def pop_through(self, ack_psn: int):
-        """Cumulative ack: drop (and return, in PSN order) everything
-        tracked at or below ``ack_psn`` — except READs, which stay tracked
-        until their *response* arrives (an ack only proves the request
-        reached the responder, not that the data made it back)."""
-        popped = []
-        for psn in sorted(self.unacked):
-            if psn > ack_psn:
-                break
-            if self.unacked[psn][1] is None:
-                continue
-            popped.append((psn, self.unacked.pop(psn)))
-        return popped
-
-    def pop_one(self, psn: int):
-        return self.unacked.pop(psn, None)
-
-    def _lowest(self) -> Optional[int]:
-        return min(self.unacked) if self.unacked else None
-
-    def _timer_loop(self):
-        sim = self.hca.sim
-        cfg = self.hca.config
-        while True:
-            if not self.unacked:
-                self._kick = sim.event("ib.retx.kick")
-                yield self._kick
-                continue
-            rto = cfg.retx_timeout
-            retries = 0
-            while self.unacked:
-                lowest = self._lowest()
-                yield sim.timeout(rto)
-                if not self.unacked:
-                    break
-                if self._lowest() != lowest:
-                    # The window moved on its own: fresh RTO, no replay.
-                    rto = cfg.retx_timeout
-                    retries = 0
-                    continue
-                self.timeouts += 1
-                retries += 1
-                if retries > cfg.retx_max_retries:
-                    raise RetryExhaustedError(
-                        f"{self.hca.name} QP{self.qp.qp_num}: PSN "
-                        f"{lowest} unacked after {cfg.retx_max_retries} "
-                        f"retries")
-                yield from self.replay()
-                rto = min(rto * cfg.retx_backoff, cfg.retx_max_timeout)
-
-    def replay(self):
-        """Re-send every unacked request packet, lowest PSN first."""
-        hca = self.hca
-        trc = hca.sim.tracer
-        for psn in sorted(self.unacked):
-            entry = self.unacked.get(psn)
-            if entry is None:       # acked while we were re-sending
-                continue
-            yield hca.sim.timeout(hca.config.ack_overhead)
-            packet, _info = entry
-            self.retransmits += 1
-            if trc.enabled:
-                trc.instant("fault", "retransmit",
-                            track=f"{hca.name}.retx", qp=self.qp.qp_num,
-                            psn=psn, kind=packet.kind.value)
-                trc.metrics.counter("faults.retransmits").inc()
-            yield from hca.endpoint.send(
-                packet.clone(next(hca.sim.packet_seq)))
-
-
 class Hca:
     """One InfiniBand adapter in a node."""
 
@@ -167,10 +75,6 @@ class Hca:
         self.packets_handled = 0
         self.cqes_written = 0
         self.corrupt_dropped = 0
-        # Go-back-N state (reliability mode): requester-side retransmission
-        # engine per QP, responder-side NACK suppression per QP.
-        self._retx: Dict[int, _RetxState] = {}
-        self._last_nack: Dict[int, int] = {}
 
     # -- wiring ---------------------------------------------------------------------
     def attach(self, fabric: PcieFabric, bar_base: int,
@@ -232,16 +136,6 @@ class Hca:
             return self._qps[qp_num]
         except KeyError:
             raise VerbsError(f"{self.name}: unknown QP {qp_num}") from None
-
-    def _retx_state(self, qp: QueuePair) -> _RetxState:
-        state = self._retx.get(qp.qp_num)
-        if state is None:
-            state = self._retx[qp.qp_num] = _RetxState(self, qp)
-        return state
-
-    @property
-    def retransmits(self) -> int:
-        return sum(s.retransmits for s in self._retx.values())
 
     def doorbell_addr(self, qp: QueuePair) -> int:
         self._require_attached()
@@ -320,29 +214,23 @@ class Hca:
             "immediate": wqe.immediate, "length": wqe.length,
             "local_addr": wqe.local_addr, "lkey": wqe.lkey,
         }
-        if cfg.reliability:
-            meta["psn"] = qp.next_psn
-            qp.next_psn += 1
         if wqe.opcode in (IbOpcode.RDMA_WRITE, IbOpcode.RDMA_WRITE_WITH_IMM):
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_RDMA_WRITE, self.node_id, qp.remote_node,
                 cfg.packet_header_bytes, payload, meta,
                 seq=next(self.sim.packet_seq))
-            cqe_info = (wqe.wr_id, WcOpcode.RDMA_WRITE, wqe.length)
         elif wqe.opcode is IbOpcode.SEND:
             payload = yield from self.dma.read(wqe.local_addr, wqe.length)
             packet = Packet(
                 PacketKind.IB_SEND, self.node_id, qp.remote_node,
                 cfg.packet_header_bytes, payload, meta,
                 seq=next(self.sim.packet_seq))
-            cqe_info = (wqe.wr_id, WcOpcode.SEND, wqe.length)
         elif wqe.opcode is IbOpcode.RDMA_READ:
             packet = Packet(
                 PacketKind.IB_RDMA_READ_REQ, self.node_id, qp.remote_node,
                 cfg.packet_header_bytes, b"", meta,
                 seq=next(self.sim.packet_seq))
-            cqe_info = None     # READs complete on the response, not an ACK
         else:
             raise VerbsError(f"cannot execute {wqe.opcode} from the send queue")
         trc = self.sim.tracer
@@ -352,8 +240,6 @@ class Hca:
             addr = self._causal_addr(qp.remote_node, meta)
             trc.flow_event("txr", f"{self.name}.rma", addr=addr,
                            bytes=wqe.length)
-        if cfg.reliability:
-            self._retx_state(qp).track(meta["psn"], packet, cqe_info)
         yield from self.endpoint.send(packet)
         if causal:
             trc.flow_event("txd", f"{self.name}.rma", addr=addr)
@@ -365,7 +251,7 @@ class Hca:
             self.packets_handled += 1
             if packet.is_corrupt:
                 # Link-level ICRC failure: the packet never existed as far
-                # as the transport is concerned; go-back-N replays it.
+                # as the transport is concerned.
                 self.corrupt_dropped += 1
                 trc = self.sim.tracer
                 if trc.enabled:
@@ -379,11 +265,6 @@ class Hca:
 
     def _handle_packet(self, packet: Packet):
         kind = packet.kind
-        if kind in (PacketKind.IB_RDMA_WRITE, PacketKind.IB_SEND,
-                    PacketKind.IB_RDMA_READ_REQ):
-            admitted = yield from self._admit_request(packet)
-            if not admitted:
-                return
         if kind is PacketKind.IB_RDMA_WRITE:
             yield from self._rx_rdma_write(packet)
         elif kind is PacketKind.IB_SEND:
@@ -396,50 +277,6 @@ class Hca:
             yield from self._rx_ack(packet)
         else:
             raise VerbsError(f"{self.name} received foreign packet {packet!r}")
-
-    def _admit_request(self, packet: Packet):
-        """Responder-side go-back-N admission.  Returns True to process the
-        request; duplicates are re-ACKed (or, for READ requests, re-executed
-        — their response may have been the lost packet) and gaps are NACKed
-        so the requester replays without waiting out its RTO."""
-        meta = packet.meta
-        psn = meta.get("psn")
-        if not self.config.reliability or psn is None:
-            return True
-        qp = self.qp(meta["dst_qp"])
-        if psn == qp.expected_psn:
-            qp.expected_psn += 1
-            self._last_nack.pop(qp.qp_num, None)
-            return True
-        if psn < qp.expected_psn:
-            if packet.kind is PacketKind.IB_RDMA_READ_REQ:
-                return True     # re-execute: the lost packet was the response
-            # Data already landed — the ACK must have been lost.  Re-ACK
-            # cumulatively so the requester's window advances.
-            yield self.sim.timeout(self.config.ack_overhead)
-            yield from self.endpoint.send(Packet(
-                PacketKind.IB_ACK, self.node_id, packet.src_node,
-                self.config.packet_header_bytes, b"",
-                {"src_qp": meta["src_qp"], "ack_psn": qp.expected_psn - 1},
-                seq=next(self.sim.packet_seq)))
-            return False
-        # Gap: drop, and NACK the missing PSN (once per gap — later packets
-        # of the same burst stay silent so one loss causes one replay).
-        if self._last_nack.get(qp.qp_num) != qp.expected_psn:
-            self._last_nack[qp.qp_num] = qp.expected_psn
-            trc = self.sim.tracer
-            if trc.enabled:
-                trc.instant("fault", "nack", track=f"{self.name}.rx",
-                            qp=qp.qp_num, expected=qp.expected_psn, got=psn)
-                trc.metrics.counter(f"ib.{self.name}.nacks").inc()
-            yield self.sim.timeout(self.config.ack_overhead)
-            yield from self.endpoint.send(Packet(
-                PacketKind.IB_ACK, self.node_id, packet.src_node,
-                self.config.packet_header_bytes, b"",
-                {"src_qp": meta["src_qp"], "ack_psn": qp.expected_psn - 1,
-                 "nack_psn": qp.expected_psn},
-                seq=next(self.sim.packet_seq)))
-        return False
 
     def _rx_rdma_write(self, packet: Packet):
         meta = packet.meta
@@ -520,12 +357,6 @@ class Hca:
     def _rx_read_response(self, packet: Packet):
         meta = packet.meta
         qp = self.qp(meta["src_qp"])  # back at the origin
-        if self.config.reliability and "psn" in meta:
-            state = self._retx.get(qp.qp_num)
-            # A response can arrive twice (replayed request whose first
-            # response survived after all); only the first completes.
-            if state is None or state.pop_one(meta["psn"]) is None:
-                return
         yield from self.dma.write(meta["local_addr"], packet.payload)
         yield from self._write_cqe(qp.send_cq, Cqe(
             wr_id=meta["wr_id"], opcode=WcOpcode.RDMA_READ,
@@ -537,9 +368,6 @@ class Hca:
         meta = {"src_qp": packet.meta["src_qp"],
                 "wr_id": packet.meta["wr_id"],
                 "opcode": int(op), "length": packet.meta["length"]}
-        if self.config.reliability and "psn" in packet.meta:
-            # Cumulative: everything below expected_psn has been admitted.
-            meta["ack_psn"] = self.qp(packet.meta["dst_qp"]).expected_psn - 1
         yield from self.endpoint.send(Packet(
             PacketKind.IB_ACK, self.node_id, packet.src_node,
             self.config.packet_header_bytes, b"", meta,
@@ -548,22 +376,6 @@ class Hca:
     def _rx_ack(self, packet: Packet):
         meta = packet.meta
         qp = self.qp(meta["src_qp"])
-        if self.config.reliability and "ack_psn" in meta:
-            state = self._retx.get(qp.qp_num)
-            if state is None:
-                return
-            # Cumulative ack: complete every newly-covered operation in PSN
-            # order (READs complete via their response packet instead).
-            for _psn, (_pkt, cqe_info) in state.pop_through(meta["ack_psn"]):
-                if cqe_info is None:
-                    continue
-                wr_id, opcode, length = cqe_info
-                yield from self._write_cqe(qp.send_cq, Cqe(
-                    wr_id=wr_id, opcode=opcode, status=WcStatus.SUCCESS,
-                    qp_num=qp.qp_num, byte_len=length))
-            if "nack_psn" in meta and state.unacked:
-                yield from state.replay()
-            return
         yield from self._write_cqe(qp.send_cq, Cqe(
             wr_id=meta["wr_id"], opcode=WcOpcode(meta["opcode"]),
             status=WcStatus.SUCCESS, qp_num=qp.qp_num,

@@ -5,6 +5,9 @@ queues they report into.  The rings are ordinary memory the user allocates:
 host memory normally, GPU device memory with the patched drivers
 (``dev2devBufOnGPU``).  Software writes WQEs into the rings and notifies the
 HCA through its doorbell register; the HCA fetches WQEs by DMA.
+
+The QP carries no packet sequence numbers: RC here runs on the lossless,
+in-order fabric of the paper, so nothing is ever replayed or reordered.
 """
 
 from __future__ import annotations
@@ -46,11 +49,6 @@ class QueuePair:
     # Hardware-visible producer indices (updated by doorbells).
     sq_producer_seen: int = 0
     rq_producer_seen: int = 0
-    # RC transport packet-sequence numbers (used when IbConfig.reliability
-    # arms go-back-N): requester side stamps next_psn, responder side admits
-    # only expected_psn and NACKs gaps.
-    next_psn: int = 1
-    expected_psn: int = 1
 
     def __post_init__(self) -> None:
         if self.sq_buffer.size < self.sq_entries * WQE_BYTES:

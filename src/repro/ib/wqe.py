@@ -10,7 +10,7 @@ GPU/CPU posting code charges while assembling descriptors.
 
 Layout (eight big-endian u64 words):
 
-* word 0: | opcode:8 | flags:8 | reserved:16 | byte_len:32 |
+* word 0: | opcode:8 | reserved:24 | byte_len:32 |
 * word 1: wr_id
 * word 2: local address          * word 3: | lkey:32 | reserved:32 |
 * word 4: remote address         * word 5: | rkey:32 | immediate:32 |
@@ -57,7 +57,6 @@ class Wqe:
     remote_addr: int = 0
     rkey: int = 0
     immediate: int = 0
-    flags: int = 0
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.length >= 1 << 32:
@@ -68,8 +67,7 @@ class Wqe:
 
     def encode(self) -> bytes:
         words = [
-            ((int(self.opcode) & 0xFF) << 56) | ((self.flags & 0xFF) << 48)
-            | (self.length & 0xFFFFFFFF),
+            ((int(self.opcode) & 0xFF) << 56) | (self.length & 0xFFFFFFFF),
             self.wr_id,
             self.local_addr,
             (self.lkey & 0xFFFFFFFF) << 32,
@@ -92,7 +90,6 @@ class Wqe:
             raise VerbsError(f"bad WQE opcode {op_val}") from None
         return cls(
             opcode=opcode,
-            flags=(words[0] >> 48) & 0xFF,
             length=words[0] & 0xFFFFFFFF,
             wr_id=words[1],
             local_addr=words[2],

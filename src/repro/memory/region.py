@@ -2,8 +2,8 @@
 
 A :class:`Memory` is a contiguous physical window (host DRAM or GPU DRAM)
 backed by a :class:`~repro.memory.backing.ByteStore`; an :class:`Allocator`
-hands out sub-ranges of it, so benchmark code can ``malloc``/``free`` buffers
-the way the original C code would have.
+hands out sub-ranges of it, so benchmark code can ``malloc`` buffers the way
+the original C code would have.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class Memory:
 
 
 class Allocator:
-    """First-fit allocator over a :class:`Memory` with coalescing free.
+    """First-fit allocator over a :class:`Memory`.
 
-    Alignment defaults to 256 bytes (GPU malloc granularity); allocations are
-    tracked so double-free and foreign-free raise.
+    Alignment defaults to 256 bytes (GPU malloc granularity).  Nothing is
+    ever freed: a simulated node lives for one run.
     """
 
     def __init__(self, memory: Memory, alignment: int = 256,
@@ -71,9 +71,9 @@ class Allocator:
         if not memory.range.contains(self.region.base, self.region.size):
             raise AllocationError(
                 f"allocator region {self.region} outside {memory.range}")
-        # Free list of (base, size), sorted by base, non-adjacent.
+        # Free list of (base, size), sorted by base: the unallocated tail
+        # and the alignment gaps left in front of allocations.
         self._free: List[Tuple[int, int]] = [(self.region.base, self.region.size)]
-        self._live: dict[int, int] = {}
 
     @property
     def bytes_free(self) -> int:
@@ -97,29 +97,8 @@ class Allocator:
                 if tail_size:
                     pieces.append((tail_base, tail_size))
                 self._free[i:i + 1] = pieces
-                self._live[aligned] = size
                 return AddressRange(aligned, size)
         raise AllocationError(
             f"out of memory in {self.memory.name}: requested {size}, "
             f"largest-capable free list exhausted ({self.bytes_free} total free)"
         )
-
-    def free(self, rng: AddressRange) -> None:
-        size = self._live.pop(rng.base, None)
-        if size is None:
-            raise AllocationError(f"free of unallocated range {rng}")
-        if size != rng.size:
-            self._live[rng.base] = size
-            raise AllocationError(
-                f"free size mismatch at {rng.base:#x}: allocated {size}, freed {rng.size}"
-            )
-        self._free.append((rng.base, rng.size))
-        self._free.sort()
-        # Coalesce adjacent blocks.
-        merged: List[Tuple[int, int]] = []
-        for base, sz in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == base:
-                merged[-1] = (merged[-1][0], merged[-1][1] + sz)
-            else:
-                merged.append((base, sz))
-        self._free = merged

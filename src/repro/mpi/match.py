@@ -84,14 +84,6 @@ class MatchEngine(SampledStats):
                                    len(self.unexpected))
         return None
 
-    def cancel(self, req: "MpiRequest") -> bool:
-        """Withdraw a posted receive; False if it already matched."""
-        try:
-            self.posted.remove(req)
-            return True
-        except ValueError:
-            return False
-
     # -- uniform stats protocol ----------------------------------------------------
     def snapshot(self) -> Dict[str, int]:
         return {

@@ -10,10 +10,9 @@ Fault injection: a link optionally carries a
 :class:`~repro.faults.injector.LinkFaultState` in ``self.faults``
 (installed by :class:`~repro.faults.FaultInjector`; ``None`` by default,
 costing one attribute check).  The state is consulted once per packet
-after serialization and may drop it (loss or a downed link), substitute a
-corrupted clone, or add extra delay — delayed packets skip the in-order
-delivery chain, so they reorder against their neighbors exactly like a
-stray packet taking a slow path through a real switch.
+after serialization and may drop it or substitute a corrupted clone.
+Whatever survives rides the same in-order delivery chain, so a lossy link
+still never reorders.
 
 Credit-based flow control: when :attr:`NetLinkConfig.credits` is set, the
 link carries a :class:`FlowState` in ``self.flow`` modelling the finite
@@ -145,24 +144,23 @@ class Delivery(Event):
 
     It pushes the four events a delivery process would, at the same
     turns: a start event, the ``delay`` timeout, the inbox ``put``, and
-    itself, succeeding once that put is processed.  A chained delivery
-    whose timeout fires while ``prev`` (the delivery sent before it) is
-    still unprocessed waits for ``prev`` before it puts, so packets land
-    in the order they were sent.
+    itself, succeeding once that put is processed.  A delivery whose
+    timeout fires while ``prev`` (the delivery sent before it) is still
+    unprocessed waits for ``prev`` before it puts, so packets land in the
+    order they were sent.
     """
 
-    __slots__ = ("link", "side", "packet", "prev", "delay", "label")
+    __slots__ = ("link", "side", "packet", "prev", "delay")
 
     def __init__(self, link: "NetLink", side: int, packet: Packet,
-                 prev: Optional["Delivery"], delay: float, label: str) -> None:
+                 prev: Optional["Delivery"], delay: float) -> None:
         sim = link.sim
-        super().__init__(sim, ("{}.{}{}", link.name, label, packet.seq))
+        super().__init__(sim, ("{}.deliver{}", link.name, packet.seq))
         self.link = link
         self.side = side
         self.packet = packet
         self.prev = prev
         self.delay = delay
-        self.label = label
         start = Event(sim, ("start:{.name}", self))
         start.callbacks.append(self._start)
         start.succeed()
@@ -180,7 +178,7 @@ class Delivery(Event):
         link = self.link
         trc = self.sim.tracer
         if trc.enabled:
-            trc.instant("net", f"{self.label}:{self.packet.kind.value}",
+            trc.instant("net", f"deliver:{self.packet.kind.value}",
                         track=f"{link.name}.rx{1 - self.side}",
                         seq=self.packet.seq)
         link.inbox[1 - self.side].put(self.packet).callbacks.append(
@@ -258,24 +256,16 @@ class NetLink:
         if trc.enabled:
             trc.metrics.counter("net.packets").inc()
             trc.metrics.counter("net.wire_bytes").inc(packet.wire_bytes)
-        extra_delay = 0.0
         if self.faults is not None:
-            verdict = self.faults.filter_tx(packet)
-            if verdict is None:
+            packet = self.faults.filter_tx(packet)
+            if packet is None:
                 if flow is not None:
                     flow.release(endpoint, vc)  # dropped: slot never filled
                 return                      # dropped: no delivery at all
-            packet, extra_delay = verdict
-        if extra_delay > 0.0:
-            # Fault-delayed: off the in-order chain, free to reorder.
-            Delivery(self, endpoint, packet, None,
-                     self.config.latency + extra_delay, "deliver-late")
-        else:
-            # Chain delivery so packets arrive strictly in send-completion
-            # order.
-            self._last_delivery[endpoint] = Delivery(
-                self, endpoint, packet, self._last_delivery[endpoint],
-                self.config.latency, "deliver")
+        # Chain delivery so packets arrive strictly in send-completion order.
+        self._last_delivery[endpoint] = Delivery(
+            self, endpoint, packet, self._last_delivery[endpoint],
+            self.config.latency)
 
     def release_credit(self, consumer_side: int, packet: Packet,
                        vc: Optional[int] = None) -> None:

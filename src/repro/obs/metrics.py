@@ -168,51 +168,12 @@ class Histogram:
                 f"min={self.min:g} max={self.max:g}>")
 
 
-class Timeline:
-    """A stepwise state variable sampled at transition times (link up/down,
-    queue depth, ...).  Stores ``(time, value)`` points; the value holds
-    until the next point, which is what the timeline exporter needs to draw
-    fault windows."""
-
-    __slots__ = ("name", "points")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        self.points.append((time, value))
-
-    @property
-    def transitions(self) -> int:
-        return len(self.points)
-
-    def windows(self, value: float) -> List[Tuple[float, Optional[float]]]:
-        """The ``(start, end)`` intervals during which the state equaled
-        ``value``; an open interval ends with ``None``."""
-        out: List[Tuple[float, Optional[float]]] = []
-        start: Optional[float] = None
-        for t, v in self.points:
-            if v == value and start is None:
-                start = t
-            elif v != value and start is not None:
-                out.append((start, t))
-                start = None
-        if start is not None:
-            out.append((start, None))
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timeline {self.name} points={len(self.points)}>"
-
-
 class MetricsRegistry:
-    """Named counters, histograms, and timelines, created on first access."""
+    """Named counters and histograms, created on first access."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._timelines: Dict[str, Timeline] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -226,16 +187,10 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name)
         return h
 
-    def timeline(self, name: str) -> Timeline:
-        t = self._timelines.get(name)
-        if t is None:
-            t = self._timelines[name] = Timeline(name)
-        return t
-
     def counter_values(self) -> Dict[str, int]:
         """Flat ``{name: value}`` view of the counters only — the shape the
-        telemetry sampler polls per tick (histogram/timeline summaries are
-        too heavy to rebuild at sampling cadence)."""
+        telemetry sampler polls per tick (histogram summaries are too heavy
+        to rebuild at sampling cadence)."""
         return {name: c.value for name, c in self._counters.items()}
 
     def histograms(self) -> Dict[str, Histogram]:
@@ -244,16 +199,13 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """A plain-dict view (counters as ints, histograms as summaries with
-        estimated percentiles, timelines as their transition points).  The
-        result is JSON-safe: empty histograms report ``None``, never
-        ``inf``/``-inf``."""
+        estimated percentiles).  The result is JSON-safe: empty histograms
+        report ``None``, never ``inf``/``-inf``."""
         out: dict = {}
         for name, c in sorted(self._counters.items()):
             out[name] = c.value
         for name, h in sorted(self._histograms.items()):
             out[name] = h.summary()
-        for name, t in sorted(self._timelines.items()):
-            out[name] = {"points": [[time, value] for time, value in t.points]}
         return out
 
     def diff(self, earlier: dict) -> dict:
@@ -261,8 +213,7 @@ class MetricsRegistry:
 
         Returns the same flat shape as :meth:`snapshot` but with *deltas*:
         counters as ``current - earlier``, histograms as the count/sum/mean
-        of the samples observed in between, timelines as the points appended
-        since.  This is how the bench harness computes per-run counter
+        of the samples observed in between.  This is how the bench harness computes per-run counter
         deltas on registries shared across sequential simulations, without
         resetting them mid-flight.  Metrics created after ``earlier`` diff
         against zero.
@@ -278,18 +229,11 @@ class MetricsRegistry:
             d_sum = h.total - (before.get("sum") or 0.0)
             out[name] = {"count": d_count, "sum": d_sum,
                          "mean": d_sum / d_count if d_count else None}
-        for name, t in sorted(self._timelines.items()):
-            before = earlier.get(name)
-            before = before if isinstance(before, dict) else {}
-            seen = len(before.get("points") or [])
-            out[name] = {"points": [[time, value]
-                                    for time, value in t.points[seen:]]}
         return out
 
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-        self._timelines.clear()
 
     def render(self) -> str:
         """Text table of every metric, alphabetical."""
@@ -303,9 +247,6 @@ class MetricsRegistry:
                                    f"p99={h.percentile(99):.4g}"))
             else:
                 rows.append((name, "n=0"))
-        for name, t in sorted(self._timelines.items()):
-            last = f" last={t.points[-1][1]:g}" if t.points else ""
-            rows.append((name, f"transitions={t.transitions:,}{last}"))
         if not rows:
             return "(no metrics recorded)"
         width = max(len(name) for name, _ in rows) + 2

@@ -9,7 +9,7 @@ The rest of the library is built on four ideas:
   message-passing between processes.
 """
 
-from .engine import ScheduledCall, Simulator
+from .engine import Simulator
 from .event import Event, EventState, Timeout
 from .primitives import AllOf
 from .process import Process, join_result
@@ -27,7 +27,6 @@ from .trace import (
 
 __all__ = [
     "Simulator",
-    "ScheduledCall",
     "Event",
     "EventState",
     "Timeout",

@@ -29,55 +29,6 @@ from .trace import NULL_TRACER, get_default_tracer
 _INF = float("inf")
 
 
-class ScheduledCall:
-    """Cancellable handle returned by :meth:`Simulator.call_later`.
-
-    The underlying :class:`~repro.sim.event.Timeout` is already on the heap
-    the moment it is created, so cancellation cannot unschedule it; instead
-    :meth:`cancel` drops the function reference and the heap entry fires as
-    a no-op.  That is exactly what the triggered-operations layer needs to
-    retire rendezvous timeouts and armed-but-never-fired chains: the closure
-    (and everything it captures) is released immediately, and nothing runs
-    when the slot's time arrives.
-    """
-
-    __slots__ = ("event", "_fn", "_fired")
-
-    def __init__(self, event: Timeout, fn: Callable[[], None]) -> None:
-        self.event = event
-        self._fn: Optional[Callable[[], None]] = fn
-        self._fired = False
-
-    @property
-    def fired(self) -> bool:
-        """True once the callback has actually run."""
-        return self._fired
-
-    @property
-    def active(self) -> bool:
-        """Still scheduled: neither fired nor cancelled."""
-        return self._fn is not None
-
-    def cancel(self) -> bool:
-        """Retire the call; returns False if it already fired or was
-        already cancelled."""
-        if self._fn is None:
-            return False
-        self._fn = None
-        return True
-
-    def _run(self, _ev: Event) -> None:
-        fn, self._fn = self._fn, None
-        if fn is not None:
-            self._fired = True
-            fn()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "fired" if self._fired else (
-            "cancelled" if self._fn is None else "scheduled")
-        return f"<ScheduledCall {self.event.name!r} {state}>"
-
-
 class Simulator:
     """Event loop for one simulated system.
 
@@ -137,28 +88,24 @@ class Simulator:
         """A fresh pending event bound to this simulator."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None, name: Name = "") -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value, name)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator, name: Name = "") -> Process:
         """Spawn a coroutine process (see :mod:`repro.sim.process`)."""
         return Process(self, generator, name)
 
     def call_later(self, delay: float, fn: Callable[[], None],
-                   name: str = "") -> ScheduledCall:
+                   name: str = "") -> None:
         """Run ``fn()`` after ``delay`` seconds of simulated time.
 
         One heap entry, no coroutine machinery — the cheapest way to hook
         periodic observers (e.g. the telemetry sampler) onto the event
         loop; ``fn`` may re-arm itself by calling :meth:`call_later` again.
-        Returns a :class:`ScheduledCall` whose :meth:`~ScheduledCall.cancel`
-        turns the pending fire into a no-op and releases ``fn``.
         """
-        ev = Timeout(self, delay, name=name or "call_later")
-        handle = ScheduledCall(ev, fn)
-        ev.add_callback(handle._run)
-        return handle
+        Timeout(self, delay, name=name or "call_later").callbacks.append(
+            lambda _ev: fn())
 
     # -- running ----------------------------------------------------------------
     def peek(self) -> float:

@@ -159,7 +159,7 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+    def __init__(self, sim: "Simulator", delay: float,
                  name: Name = "") -> None:
         if delay < 0.0:
             raise SimulationError(f"negative timeout: {delay!r}")
@@ -169,7 +169,7 @@ class Timeout(Event):
         self._name = name or ("timeout({:g})", delay)
         self._state = TRIGGERED
         self._ok = True
-        self._value = value
+        self._value = None
         self.callbacks = []
         self.delay = delay
         now = sim._now

@@ -57,9 +57,6 @@ class _NullMetric:
     def observe(self, value: float) -> None:
         pass
 
-    def record(self, time: float, value: float) -> None:
-        pass
-
 
 _NULL_METRIC = _NullMetric()
 
@@ -73,9 +70,6 @@ class NullMetricsRegistry:
         return _NULL_METRIC
 
     def histogram(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def timeline(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
     def snapshot(self) -> dict:

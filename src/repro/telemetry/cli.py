@@ -15,10 +15,12 @@ Proof obligations, runnable from CI:
   never perturbs).
 * ``--force-breach`` arms an unsatisfiable objective so the first sample
   window breaches, trips the recorder, and produces a dump artifact.
-* the ``faults`` scenario replays itself under a full
-  :class:`~repro.obs.SpanTracer` and reconciles the flight-recorder dump's
+* ``faults --reconcile`` replays the scenario under a full
+  :class:`~repro.obs.SpanTracer` and reconciles a flight-recorder dump's
   spans against the full trace (every retained span must appear there,
-  bit-identical).
+  bit-identical): the first trip's dump, or an end-of-run dump when
+  nothing tripped.  Any other scenario, or ``--no-telemetry``, has no
+  dump to reconcile, and ``--reconcile`` there is a usage error.
 
 Exit status: 0 on success, 1 on SLO breach (so pipelines can gate),
 2 on a verification failure.
@@ -294,9 +296,13 @@ def main(argv=None) -> int:
                         help="assert bare and instrumented runs measure "
                              "identically (non-perturbation)")
     parser.add_argument("--reconcile", action="store_true",
-                        help="faults only: reconcile the dump against a "
-                             "full trace of the same seed")
+                        help="faults only: reconcile the first flight dump "
+                             "(or an end-of-run dump) against a full trace "
+                             "of the same seed")
     args = parser.parse_args(argv)
+    if args.reconcile and (args.scenario != "faults" or args.no_telemetry):
+        parser.error("--reconcile checks the faults scenario's flight "
+                     "dump: it needs the faults scenario with telemetry on")
     if args.nodes is None:
         args.nodes = 8 if args.scenario == "fabrics" else 4
     if args.connections is None:
@@ -331,8 +337,9 @@ def main(argv=None) -> int:
     print()
     print(plane.render())
 
-    if args.reconcile and args.scenario == "faults" and plane.dumps:
-        verdict = _reconcile_faults_dump(args, plane.dumps[0])
+    if args.reconcile:
+        dump = plane.dumps[0] if plane.dumps else plane.dump("reconcile")
+        verdict = _reconcile_faults_dump(args, dump)
         print()
         print(render([verdict]))
         if not verdict.ok:

@@ -10,8 +10,7 @@ staged as a DAG and set off by one kernel tick.
 Lifecycle::
 
     STAGED --arm()--> ARMED --counter>=threshold--> FIRED --all WRs
-      |                 |                            started--> COMPLETED
-      +----cancel()-----+--> CANCELLED
+                                                     started--> COMPLETED
 
 The firing mechanics live in :class:`~repro.triggered.unit.TriggeredUnit`;
 this module only holds the chain state and the hook-carrying WR subclass.
@@ -48,7 +47,6 @@ class ChainState(enum.Enum):
     ARMED = "armed"
     FIRED = "fired"
     COMPLETED = "completed"
-    CANCELLED = "cancelled"
 
 
 class DescriptorChain:
@@ -63,7 +61,6 @@ class DescriptorChain:
         self.completed: Event = unit.sim.event(name=f"trig:{self.name}")
         #: Counters ticked on completion — the DAG edges.
         self.completion_ticks: List[object] = []
-        self._watch = None          # CounterWatch while ARMED
         self._remaining = 0         # WRs not yet started, while FIRED
 
     # -- staging -------------------------------------------------------------------
@@ -100,14 +97,6 @@ class DescriptorChain:
     def arm(self, counter, threshold: int) -> "DescriptorChain":
         self.unit.arm(self, counter, threshold)
         return self
-
-    def fire(self) -> "DescriptorChain":
-        """Fire immediately (the explicit-go path)."""
-        self.unit.fire_now(self)
-        return self
-
-    def cancel(self) -> None:
-        self.unit.cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DescriptorChain {self.name} {self.state.value} "

@@ -21,7 +21,7 @@ from ..errors import TriggeredError
 
 
 class CounterWatch:
-    """One armed threshold on a counter; cancellable before it fires."""
+    """One armed threshold on a counter."""
 
     __slots__ = ("counter", "threshold", "callback", "fired")
 
@@ -34,25 +34,15 @@ class CounterWatch:
 
     @property
     def active(self) -> bool:
-        return self.callback is not None and not self.fired
-
-    def cancel(self) -> bool:
-        """Retire the watch; returns False if it already fired or was
-        already cancelled.  Releases the callback closure immediately."""
-        if not self.active:
-            return False
-        self.callback = None
-        return True
+        return not self.fired
 
     def _fire(self) -> None:
         cb, self.callback = self.callback, None
-        if cb is not None:
-            self.fired = True
-            cb()
+        self.fired = True
+        cb()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("fired" if self.fired
-                 else "cancelled" if self.callback is None else "armed")
+        state = "fired" if self.fired else "armed"
         return (f"<CounterWatch {self.counter.name}>="
                 f"{self.threshold} {state}>")
 
@@ -82,7 +72,7 @@ class TriggerCounter:
     def watch(self, threshold: int, callback: Callable[[], None],
               ) -> CounterWatch:
         """Fire ``callback`` once when ``value >= threshold``; immediately
-        if that already holds.  Returns the cancellable watch."""
+        if that already holds.  Returns the watch."""
         if threshold < 0:
             raise TriggeredError(
                 f"{self.name}: negative threshold {threshold}")

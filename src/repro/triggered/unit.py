@@ -38,7 +38,6 @@ class TriggeredStats(SampledStats):
         self.chains_armed = 0
         self.chains_fired = 0
         self.chains_completed = 0
-        self.chains_cancelled = 0
         self.descriptors_staged = 0
         self.descriptors_fired = 0
         self.counter_ticks = 0
@@ -50,7 +49,6 @@ class TriggeredStats(SampledStats):
             "chains_armed": self.chains_armed,
             "chains_fired": self.chains_fired,
             "chains_completed": self.chains_completed,
-            "chains_cancelled": self.chains_cancelled,
             "descriptors_staged": self.descriptors_staged,
             "descriptors_fired": self.descriptors_fired,
             "counter_ticks": self.counter_ticks,
@@ -154,27 +152,10 @@ class TriggeredUnit:
         self.armed_chains += 1
         # watch() fires synchronously if the counter is already past the
         # threshold, so arm-after-tick and tick-after-arm behave alike.
-        chain._watch = counter.watch(threshold, lambda: self._fire(chain))
-
-    def fire_now(self, chain: DescriptorChain) -> None:
-        """Fire without a counter (the explicit go)."""
-        if chain.state is ChainState.ARMED:
-            # Detach an armed chain from its counter and fire it through
-            # the same path.
-            chain._watch.cancel()
-            chain._watch = None
-            self.armed_chains -= 1
-            chain.state = ChainState.STAGED
-        if chain.state is not ChainState.STAGED:
-            raise TriggeredError(
-                f"{chain.name}: cannot fire a {chain.state.value} chain")
-        if not chain.wrs:
-            raise TriggeredError(f"{chain.name}: firing an empty chain")
-        self._launch(chain)
+        counter.watch(threshold, lambda: self._fire(chain))
 
     def _fire(self, chain: DescriptorChain) -> None:
         # Counter threshold reached.
-        chain._watch = None
         self.armed_chains -= 1
         self._launch(chain)
 
@@ -240,19 +221,6 @@ class TriggeredUnit:
             for counter in chain.completion_ticks:
                 counter.add()
             chain.completed.succeed()
-
-    def cancel(self, chain: DescriptorChain) -> None:
-        """Retire a staged or armed-but-never-fired chain without leaking
-        its counter watch."""
-        if chain.state is ChainState.ARMED:
-            chain._watch.cancel()
-            chain._watch = None
-            self.armed_chains -= 1
-        elif chain.state is not ChainState.STAGED:
-            raise TriggeredError(
-                f"{chain.name}: cannot cancel a {chain.state.value} chain")
-        chain.state = ChainState.CANCELLED
-        self.stats.chains_cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TriggeredUnit {self.nic.name} counters="

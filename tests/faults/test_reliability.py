@@ -1,5 +1,5 @@
-"""Reliable msglib channels under injected faults: loss, corruption,
-reordering, outages — and the acceptance grid across all control modes."""
+"""Reliable msglib channels under injected loss and corruption, a dead
+link, and the acceptance grid across all control modes."""
 
 import pytest
 
@@ -68,30 +68,11 @@ def test_reliable_channel_survives_heavy_loss_and_corruption():
     assert all(end.reliability.error is None for end in (chan.a_to_b, chan.b_to_a))
 
 
-def test_reliable_channel_survives_reordering():
-    plan = FaultPlan.for_links({(0, 1): LinkFaults(
-        loss=0.05, delay_prob=0.25, delay_max=20e-6)}, seed=5)
-    cluster, chan, injector = make_reliable_pair(plan, slots=4)
-    msgs = [f"ordered-{i:02d}".encode() for i in range(20)]
-    assert run_pair(cluster, chan, msgs, limit=20e-3) == msgs
-    assert injector.delays > 0
-
-
-def test_reliable_channel_rides_out_an_outage():
-    plan = FaultPlan.for_links({(0, 1): LinkFaults(
-        down_windows=((5e-6, 60e-6),))})
-    cluster, chan, injector = make_reliable_pair(plan, slots=4)
-    msgs = [bytes([i]) * 32 for i in range(16)]
-    assert run_pair(cluster, chan, msgs, limit=20e-3) == msgs
-    assert injector.down_drops > 0
-    assert sum(end.reliability.retransmits for end in (chan.a_to_b, chan.b_to_a)) > 0
-
-
 def test_permanent_outage_exhausts_retries():
     config = ReliabilityConfig(timeout=2e-6, backoff=2.0,
                                max_timeout=8e-6, max_retries=4)
     plan = FaultPlan.for_links({(0, 1): LinkFaults(
-        down_windows=((0.0, 1.0),))})     # dead for the whole run
+        loss=1.0)})                       # dead for the whole run
     cluster, chan, _ = make_reliable_pair(plan, config=config)
     fwd = chan.end_for_sender(0)
 

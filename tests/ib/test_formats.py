@@ -31,7 +31,7 @@ def test_wqe_is_64_bytes():
 
 
 def test_wqe_roundtrip():
-    w = wqe(opcode=IbOpcode.SEND, immediate=0xABCD, flags=3)
+    w = wqe(opcode=IbOpcode.SEND, immediate=0xABCD)
     assert Wqe.decode(w.encode()) == w
 
 
@@ -40,6 +40,13 @@ def test_wqe_is_big_endian():
     raw = w.encode()
     # length sits in the low 32 bits of big-endian word 0.
     assert raw[4:8] == bytes([0x01, 0x02, 0x03, 0x04])
+
+
+def test_wqe_reserved_byte_packs_as_zero_and_decode_ignores_it():
+    raw = bytearray(wqe().encode())
+    assert raw[1] == 0                  # bits 48-55 of word 0
+    raw[1] = 0x03
+    assert Wqe.decode(bytes(raw)) == wqe()
 
 
 def test_wqe_validation():

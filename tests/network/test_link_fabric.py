@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetworkError
+from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.network import NetLinkConfig, NetworkFabric, Packet, PacketKind
 from repro.network import link as link_module
 from repro.sim import Simulator, join_result
@@ -161,11 +162,11 @@ def test_property_all_payloads_arrive_in_order(payloads):
     assert received == payloads
 
 
-# -- Delivery against the per-packet delivery processes it replaced ------------
+# -- Delivery against the per-packet delivery process it replaced -------------
 
-def reference_delivery(link, side, packet, prev, delay, label):
-    """The ``deliver()``/``deliver_late()`` process ``NetLink.send`` spawned
-    per packet before :class:`~repro.network.link.Delivery`."""
+def reference_delivery(link, side, packet, prev, delay):
+    """The ``deliver()`` process ``NetLink.send`` spawned per packet before
+    :class:`~repro.network.link.Delivery`."""
     sim = link.sim
     dst_inbox = link.inbox[1 - side]
 
@@ -179,41 +180,21 @@ def reference_delivery(link, side, packet, prev, delay, label):
                 track=f"{link.name}.rx{1 - side}", seq=packet.seq)
         yield dst_inbox.put(packet)
 
-    def deliver_late():
-        # Fault-delayed: off the in-order chain, free to reorder.
-        yield sim.timeout(delay)
-        if sim.tracer.enabled:
-            sim.tracer.instant(
-                "net", f"deliver-late:{packet.kind.value}",
-                track=f"{link.name}.rx{1 - side}", seq=packet.seq)
-        yield dst_inbox.put(packet)
-
-    if label == "deliver-late":
-        return sim.process(deliver_late(),
-                           name=("{}.deliver-late{}", link.name, packet.seq))
     return sim.process(deliver(), name=("{}.deliver{}", link.name, packet.seq))
 
 
-class DelayOne:
-    """Fault state that holds back packet ``late`` by ``extra`` seconds."""
-
-    def __init__(self, late, extra):
-        self.late, self.extra = late, extra
-
-    def filter_tx(self, packet):
-        return packet, (self.extra if packet.meta["i"] == self.late else 0.0)
-
-
-def run_sends(config, sends, late=None, extra=0.0):
-    """Send ``(time, side, payload bytes)`` packets over one link, each from
-    its own process; return, per inbox and in arrival order, each packet's
-    ``(i, arrival time, events processed before it arrived)``, and the
-    events processed in all."""
+def run_sends(config, sends, faults=LinkFaults()):
+    """Send ``(time, side, payload bytes)`` packets over one link with
+    ``faults``, each from its own process; return, per inbox and in arrival
+    order, each packet's ``(i, arrival time, events processed before it
+    arrived)``, per side the order its sends finished in, and the events
+    processed in all."""
     sim, a, b = make_pair(config=config)
-    if late is not None:
-        a.link.faults = DelayOne(late, extra)
+    FaultInjector(sim, FaultPlan.for_links({(0, 1): faults}, seed=3)
+                  ).attach_link(a.link, 0, 1)
     ends = (a, b)
     arrivals = ([], [])
+    sent = ([], [])
     for side, inbox in enumerate(a.link.inbox):
         def put(packet, put=inbox.put, side=side):
             arrivals[side].append(
@@ -226,23 +207,24 @@ def run_sends(config, sends, late=None, extra=0.0):
         packet = pkt(bytes(size), src=side, dst=1 - side)
         packet.meta["i"] = i
         yield from ends[side].send(packet)
+        sent[side].append(i)
 
-    def receiver(side, count):
-        for _ in range(count):
+    def receiver(side):
+        while True:
             yield ends[side].recv()
 
     for i, (at, side, size) in enumerate(sends):
         sim.process(sender(i, at, side, size))
     for side in (0, 1):
-        sim.process(receiver(side, sum(s != side for _t, s, _n in sends)))
-    sim.run()
-    return arrivals, sim.events_processed
+        sim.process(receiver(side))
+    sim.run(until=2e3)      # past the last landing; receivers never return
+    return arrivals, sent, sim.events_processed
 
 
-def assert_matches_reference(config, sends, late=None, extra=0.0):
-    got = run_sends(config, sends, late, extra)
+def assert_matches_reference(config, sends, faults=LinkFaults()):
+    got = run_sends(config, sends, faults)
     with mock.patch.object(link_module, "Delivery", reference_delivery):
-        want = run_sends(config, sends, late, extra)
+        want = run_sends(config, sends, faults)
     assert got == want
     return got
 
@@ -256,10 +238,17 @@ def assert_matches_reference(config, sends, late=None, extra=0.0):
                                 st.integers(0, 1),
                                 st.integers(0, 2 * KIB)),
                       min_size=1, max_size=12),
-       late=st.none() | st.integers(0, 11),
-       extra=st.sampled_from([0.3 * US, 2 * US]))
-def test_delivery_matches_the_process_it_replaced(config, sends, late, extra):
-    assert_matches_reference(config, sends, late, extra)
+       faults=st.builds(LinkFaults, loss=st.sampled_from([0.0, 0.3]),
+                        corrupt=st.sampled_from([0.0, 0.3])))
+def test_delivery_matches_the_process_it_replaced(config, sends, faults):
+    arrivals, sent, _events = assert_matches_reference(config, sends, faults)
+    # Whatever survives lands in each inbox in the order it was sent.
+    for side in (0, 1):
+        landed = [i for i, _t, _n in arrivals[1 - side]]
+        assert landed == [i for i in sent[side] if i in landed]
+    if faults.is_null:
+        assert sorted(sent[0] + sent[1]) == list(range(len(sends)))
+        assert len(arrivals[0]) + len(arrivals[1]) == len(sends)
 
 
 def test_deliveries_landing_at_one_instant_keep_the_reference_order():
@@ -269,6 +258,6 @@ def test_deliveries_landing_at_one_instant_keep_the_reference_order():
     # is still unprocessed, and waits on it.
     config = NetLinkConfig(bandwidth=1e15, latency=1 * US)
     sends = [(1e3, 0, 0), (1e3, 0, 0), (1e3, 0, 0), (1e3, 1, 0)]
-    (rx0, rx1), _events = assert_matches_reference(config, sends)
+    (rx0, rx1), _sent, _events = assert_matches_reference(config, sends)
     assert [i for i, _t, _n in rx1] == [0, 1, 2]
     assert {t for _i, t, _n in rx0 + rx1} == {1e3 + 1 * US}

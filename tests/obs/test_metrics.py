@@ -126,7 +126,6 @@ def test_registry_diff_counters_and_histograms():
     reg.counter("fresh").inc(2)            # created after the snapshot
     reg.histogram("polls").observe(20.0)
     reg.histogram("polls").observe(30.0)
-    reg.timeline("link").record(1.0, 0.0)
 
     d = reg.diff(before)
     assert d["tlps"] == 3
@@ -134,12 +133,10 @@ def test_registry_diff_counters_and_histograms():
     assert d["polls"]["count"] == 2
     assert d["polls"]["sum"] == pytest.approx(50.0)
     assert d["polls"]["mean"] == pytest.approx(25.0)
-    assert d["link"]["points"] == [[1.0, 0.0]]
     # No activity since: all deltas go to zero/None.
     d2 = reg.diff(reg.snapshot())
     assert d2["tlps"] == 0 and d2["fresh"] == 0
     assert d2["polls"] == {"count": 0, "sum": pytest.approx(0.0), "mean": None}
-    assert d2["link"]["points"] == []
 
 
 def test_diff_supports_shared_registry_across_runs():

@@ -190,7 +190,7 @@ def _sealed(payload, seed):
     packet.checksum = crc
     corrupt = packet.is_corrupt
     [state] = injector.states.values()
-    bad, _extra = state.filter_tx(packet)
+    bad = state.filter_tx(packet)
     return crc, corrupt, bytes(bad.payload), bad.checksum, bad.is_corrupt
 
 

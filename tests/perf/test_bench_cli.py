@@ -67,8 +67,8 @@ def test_injected_latency_regression_is_caught(tmp_path, monkeypatch):
 
     original = Simulator.timeout
 
-    def inflated(self, delay, value=None, name=""):
-        return original(self, delay * 1.05, value, name)
+    def inflated(self, delay):
+        return original(self, delay * 1.05)
 
     monkeypatch.setattr(Simulator, "timeout", inflated)
     report = check(scenario, str(tmp_path))

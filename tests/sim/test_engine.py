@@ -20,10 +20,11 @@ def test_timeout_advances_time():
     assert ev.ok
 
 
-def test_timeout_carries_value():
+def test_delayed_succeed_carries_value():
     sim = Simulator()
-    ev = sim.timeout(1.0, value="payload")
+    ev = sim.event().succeed("payload", delay=1.0)
     sim.run()
+    assert sim.now == 1.0
     assert ev.value == "payload"
 
 

@@ -19,9 +19,10 @@ BASES = st.sampled_from([0.0, 1e3])
 
 #: One scheduling action: how, and after what delay.  A ``process``
 #: action spawns a process that yields its delays in turn; a
-#: ``call_later`` action, when it fires, schedules one more timeout; a
-#: ``chain`` action succeeds an event after each delay in turn, each from
-#: the callback of the one before.
+#: ``call_later`` action, when it fires, schedules one more timeout (it
+#: returns nothing, so nothing awaits it); a ``chain`` action succeeds an
+#: event after each delay in turn, each from the callback of the one
+#: before.
 ACTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("timeout"), DELAYS),
@@ -47,9 +48,10 @@ DRIVES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(BASES, st.lists(st.tuples(ACTIONS, DRIVES), min_size=1, max_size=4))
-# The awaited call fires at t=1 and schedules a timeout(0); the run
-# returns with that timeout and the tied timeout(1) still queued.
-@example(0.0, [([("call_later", 1.0, 0.0), ("timeout", 1.0)], ("complete", 0))])
+# The awaited chain event fires at t=1 and succeeds its successor for
+# now; the run returns with that event and the tied timeout(1) still
+# queued.
+@example(0.0, [([("chain", [1.0, 0.0]), ("timeout", 1.0)], ("complete", 0))])
 def test_firing_order_is_time_then_scheduling_order(base, batches):
     sim = Simulator()
     sim.run(until=base)
@@ -93,7 +95,8 @@ def test_firing_order_is_time_then_scheduling_order(base, batches):
                 on_fire(None)
                 sim.timeout(then).add_callback(note(label + ".then", then))
 
-            ev = sim.call_later(delay, later).event
+            sim.call_later(delay, later)
+            return
         elif action[0] == "chain":
             ev = chain(label, action[1])
         else:
@@ -164,7 +167,7 @@ def test_negative_succeed_delay_rejected():
 
 def test_yielding_a_processed_event_resumes_in_the_same_step():
     sim = Simulator()
-    done = sim.timeout(1.0, value="early")
+    done = sim.event().succeed("early", delay=1.0)
     seen = []
 
     def body():
@@ -193,7 +196,7 @@ def test_default_timeout_name_matches_g_format():
     assert Timeout(sim, 1e-6).name == "timeout(1e-06)"
     assert sim.timeout(2.5).name == "timeout(2.5)"
     assert sim.timeout(3).name == "timeout(3)"
-    assert sim.timeout(1.0, name="nap").name == "nap"
+    assert Timeout(sim, 1.0, name="nap").name == "nap"
 
 
 def test_lazy_names_read_as_formatted_strings():

@@ -8,8 +8,8 @@ from repro.sim import AllOf, Simulator, join_result
 
 def test_all_of_waits_for_slowest():
     sim = Simulator()
-    a = sim.timeout(1.0, value="a")
-    b = sim.timeout(5.0, value="b")
+    a = sim.event().succeed("a", delay=1.0)
+    b = sim.event().succeed("b", delay=5.0)
 
     def body():
         values = yield AllOf(sim, [a, b])
@@ -54,8 +54,8 @@ def test_cross_simulator_events_rejected():
 
 def test_all_of_with_already_processed_children():
     sim = Simulator()
-    a = sim.timeout(1.0, value=1)
-    b = sim.timeout(2.0, value=2)
+    a = sim.event().succeed(1, delay=1.0)
+    b = sim.event().succeed(2, delay=2.0)
     sim.run()
 
     def body():

@@ -23,7 +23,7 @@ def test_process_receives_event_values():
     sim = Simulator()
 
     def body():
-        got = yield sim.timeout(1.0, value="hello")
+        got = yield sim.event().succeed("hello", delay=1.0)
         return got
 
     proc = sim.process(body())

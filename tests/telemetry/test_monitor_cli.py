@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.telemetry.cli import main as monitor_main
 
 
@@ -80,6 +82,32 @@ def test_faults_breaches_and_reconciles(tmp_path, capsys):
     assert "breach" in out
     assert "[PASS] dump reconciliation" in out
     assert os.path.exists(os.path.join(out_dir, "flight-record-0.json"))
+
+
+def test_faults_reconciles_an_end_of_run_dump_when_nothing_tripped(capsys):
+    rc = monitor_main(["faults", "--quick", "--loss", "0", "--reconcile"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "flight recorder trips" not in out
+    assert "[PASS] dump reconciliation: observed 512, expected exactly 512" \
+        in out
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        monitor_main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "error: --reconcile checks the faults scenario's flight dump" in err
+
+
+def test_reconcile_outside_faults_is_a_usage_error(capsys):
+    _usage_error(["pingpong", "--quick", "--reconcile"], capsys)
+
+
+def test_reconcile_without_telemetry_is_a_usage_error(capsys):
+    _usage_error(["faults", "--quick", "--no-telemetry", "--reconcile"],
+                 capsys)
 
 
 def test_quick_keeps_an_explicit_node_count(capsys):

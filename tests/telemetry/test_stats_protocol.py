@@ -15,7 +15,8 @@ from repro.sim import Simulator
 
 
 def _link_state(sim):
-    """A LinkFaultState off the wire: snapshot() only reads counters."""
+    """A LinkFaultState off the wire: the injector only reads its
+    counters."""
     return LinkFaultState(sim, link=None, cfg=None, rng=random.Random(0))
 
 
@@ -46,28 +47,18 @@ def test_engine_stats_protocol():
     assert d["doorbells"] == 0
 
 
-def test_fault_injector_protocol_counts_links_down():
+def test_fault_injector_protocol_sums_its_links():
     sim = Simulator()
     injector = FaultInjector(sim, FaultPlan.none())
     injector.states["0-1"] = s01 = _link_state(sim)
     injector.states["1-2"] = s12 = _link_state(sim)
     snap = _check_protocol(injector)
-    assert snap["links_down"] == 0
+    assert snap == {"drops": 0, "corruptions": 0}
 
     s01.drops = 3
     s12.drops = 2
-    s12.down_depth = 1               # link currently down
-    d = injector.diff(snap)
-    assert d["drops"] == 5
-    assert d["links_down"] == 1      # gauge: one link currently down
-
-
-def test_link_fault_state_snapshot_is_flat():
-    state = _link_state(Simulator())
-    state.drops, state.delays, state.down_depth = 2, 1, 1
-    snap = state.snapshot()
-    assert snap["drops"] == 2 and snap["delays"] == 1
-    assert snap["up"] == 0           # bool rendered as a 0/1 gauge level
+    s12.corruptions = 1
+    assert injector.diff(snap) == {"drops": 5, "corruptions": 1}
 
 
 def test_communicator_protocol_aggregates_reliability():

@@ -64,7 +64,9 @@ def test_faulted_run_bitwise_repeatable():
         point, _, injector = run_chaos_point(
             CollectiveMode.POLL_ON_GPU, 64, 0.05, corrupt=0.02, nodes=3,
             iterations=2, warmup=1, seed=11, tracer=tracer)
-        return point, injector.counters(), chrome_trace_events(tracer)
+        counters = {name: (s.drops, s.corruptions)
+                    for name, s in sorted(injector.states.items())}
+        return point, counters, chrome_trace_events(tracer)
 
     p1, counters1, trace1 = run()
     p2, counters2, trace2 = run()

@@ -87,7 +87,7 @@ def test_permanent_outage_surfaces_as_retry_exhaustion():
         reliability_config=ReliabilityConfig(
             timeout=2e-6, max_timeout=8e-6, max_retries=4))
     FaultInjector(sim, FaultPlan.for_links({(0, 1): LinkFaults(
-        down_windows=((0.0, 1.0),))})).attach(cluster.net)
+        loss=1.0)})).attach(cluster.net)
     fwd, rev = chan.end_for_sender(0), chan.end_for_sender(1)
 
     def sender(ctx):

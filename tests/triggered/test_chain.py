@@ -32,12 +32,19 @@ def _staged_put(a, b, payload: bytes, port: int = 0, dst_node: int = 1,
     return wr, dst
 
 
+def _fire(unit, chain):
+    """Set ``chain`` off: arm it on a fresh counter and tick that once."""
+    go = unit.counter("go")
+    chain.arm(go, 1)
+    go.add()
+    return chain
+
+
 def test_fired_chain_moves_data_with_zero_mmio(testbed):
     cluster, a, b, ua, _ = testbed
     wr1, dst1 = _staged_put(a, b, b"x" * 1 * KIB)
     wr2, dst2 = _staged_put(a, b, b"y" * 2 * KIB)
-    chain = ua.chain("pair").append(wr1).append(wr2)
-    chain.fire()
+    chain = _fire(ua, ua.chain("pair").append(wr1).append(wr2))
     cluster.sim.run(until=200 * US)
     assert b.host_mem.read(dst1.base, 1 * KIB) == b"x" * 1 * KIB
     assert b.host_mem.read(dst2.base, 2 * KIB) == b"y" * 2 * KIB
@@ -105,7 +112,7 @@ def test_arrival_counting_fires_remote_chain(testbed):
     ub.count_arrivals(arrivals, nla_base=req_wr.dst_nla, nla_size=64)
     ub.chain("response").append(resp_wr).arm(arrivals, 1)
 
-    ua.chain("request").append(req_wr).fire()
+    _fire(ua, ua.chain("request").append(req_wr))
     cluster.sim.run(until=500 * US)
     assert b.host_mem.read(req_dst.base, 64) == b"ping" * 16
     assert a.host_mem.read(resp_dst.base, 64) == b"pong" * 16
@@ -119,7 +126,7 @@ def test_count_arrivals_filters_and_unregisters(testbed):
     misses = ub.counter("misses")
     off = ub.count_arrivals(misses, nla_base=wr.dst_nla + 0x1000, nla_size=64)
     ub.count_arrivals(hits, nla_base=wr.dst_nla, nla_size=64)
-    ua.chain().append(wr).fire()
+    _fire(ua, ua.chain().append(wr))
     cluster.sim.run(until=200 * US)
     assert hits.value == 1
     assert misses.value == 0
@@ -154,27 +161,13 @@ def test_completed_event_is_waitable(testbed):
 
     def waiter(ctx):
         yield from ctx.sleep(1 * US)
-        chain.fire()
+        _fire(ua, chain)
         yield chain.completed
         return cluster.sim.now
 
     p = a.cpu.spawn(waiter)
     cluster.sim.run_until_complete(p, limit=1.0)
     assert chain.state is ChainState.COMPLETED
-
-
-def test_cancelled_armed_chain_never_fires(testbed):
-    cluster, a, b, ua, _ = testbed
-    wr, dst = _staged_put(a, b, b"c" * 64)
-    c = ua.counter()
-    chain = ua.chain().append(wr).arm(c, 1)
-    chain.cancel()
-    assert chain.state is ChainState.CANCELLED
-    assert ua.armed_chains == 0
-    c.add()
-    cluster.sim.run(until=200 * US)
-    assert b.host_mem.read(dst.base, 64) != b"c" * 64
-    assert not chain.completed.triggered
 
 
 def test_replace_wr_patches_descriptor(testbed):
@@ -186,7 +179,7 @@ def test_replace_wr_patches_descriptor(testbed):
     real_nla = b.nic.register_memory(real_dst)
     chain = ua.chain().append(wr)
     chain.replace_wr(0, dst_nla=real_nla.base)
-    chain.fire()
+    _fire(ua, chain)
     cluster.sim.run(until=200 * US)
     assert b.host_mem.read(real_dst.base, 64) == b"r" * 64
 
@@ -196,17 +189,12 @@ def test_lifecycle_violations_raise(testbed):
     c = ua.counter()
     with pytest.raises(TriggeredError):
         ua.chain().arm(c, 1)          # empty chain
-    with pytest.raises(TriggeredError):
-        ua.chain().fire()             # empty chain
     wr, _ = _staged_put(a, b, b"v" * 64)
-    chain = ua.chain().append(wr)
-    chain.fire()
+    chain = _fire(ua, ua.chain().append(wr))
     with pytest.raises(TriggeredError):
-        chain.fire()                  # already fired
+        chain.arm(c, 1)               # already fired
     with pytest.raises(TriggeredError):
         chain.append(wr)              # sealed after fire
-    with pytest.raises(TriggeredError):
-        chain.cancel()                # too late to cancel
 
 
 def test_unknown_counter_doorbell_is_async_error(testbed):

@@ -67,17 +67,6 @@ def test_watch_fires_once(unit):
     assert c.armed_watches == 0
 
 
-def test_cancelled_watch_never_fires(unit):
-    c = unit.counter()
-    fired = []
-    w = c.watch(1, lambda: fired.append(True))
-    assert w.cancel()
-    assert not w.cancel()  # idempotent
-    c.add()
-    assert fired == []
-    assert c.armed_watches == 0
-
-
 def test_callback_may_arm_new_watch_on_same_counter(unit):
     """A firing watch arming a follow-up (chain DAG pattern) must not be
     swept in the same pass unless the value already satisfies it."""
