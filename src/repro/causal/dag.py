@@ -105,9 +105,6 @@ class CausalDag:
         pos = self._actor_pos[ev.seq]
         return self._by_actor[ev.actor][pos - 1] if pos else None
 
-    def wave(self, ev: FlowRecord) -> Optional[int]:
-        return self._wave.get(ev.seq)
-
     def chain_pred(self, ev: FlowRecord) -> Optional[FlowRecord]:
         """The previous fabric-hop event of ``ev``'s message, or None at
         the head of the chain (the injection)."""

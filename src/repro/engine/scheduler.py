@@ -93,7 +93,3 @@ class AdaptiveBackoff:
 
     def reset(self) -> None:
         self._misses = 0
-
-    @property
-    def misses(self) -> int:
-        return self._misses

@@ -55,7 +55,6 @@ class RmaUnit:
         self.gets_started = 0
         self.packets_handled = 0
         self.notifications_written = 0
-        self.corrupt_dropped = 0
         self.batched_wrs = 0
         # Hooks invoked (plain callbacks, no simulated cost) after a put's
         # payload DMA completes; the reliability layer registers duplicate
@@ -190,7 +189,6 @@ class RmaUnit:
             if packet.is_corrupt:
                 # Link-level CRC failure: discard like a lossy drop and let
                 # the reliability layer (if any) retransmit.
-                self.corrupt_dropped += 1
                 if trc.enabled:
                     trc.instant("fault", "drop:crc", track=track,
                                 seq=packet.seq, kind=packet.kind.value)

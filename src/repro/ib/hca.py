@@ -74,7 +74,6 @@ class Hca:
         self.wqes_executed = 0
         self.packets_handled = 0
         self.cqes_written = 0
-        self.corrupt_dropped = 0
 
     # -- wiring ---------------------------------------------------------------------
     def attach(self, fabric: PcieFabric, bar_base: int,
@@ -252,7 +251,6 @@ class Hca:
             if packet.is_corrupt:
                 # Link-level ICRC failure: the packet never existed as far
                 # as the transport is concerned.
-                self.corrupt_dropped += 1
                 trc = self.sim.tracer
                 if trc.enabled:
                     trc.instant("fault", "drop:crc", track=f"{self.name}.rx",

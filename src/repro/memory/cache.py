@@ -153,6 +153,3 @@ class Cache:
     @property
     def resident_sectors(self) -> int:
         return sum(len(s) for s in self._sets if s)
-
-    def flush(self) -> None:
-        self._sets = [None] * self._num_sets

@@ -324,10 +324,6 @@ class MpiRank:
         return self.comm.size
 
     @property
-    def next(self) -> int:
-        return (self.rank + 1) % self.size
-
-    @property
     def prev(self) -> int:
         return (self.rank - 1) % self.size
 

@@ -305,12 +305,6 @@ class NetworkFabric:
         self._routers[node_id] = router
         return router
 
-    def router(self, node_id: int) -> RouterEndpoint:
-        try:
-            return self._routers[node_id]
-        except KeyError:
-            raise NetworkError(f"node {node_id} has no router") from None
-
     def attachment(self, node_id: int):
         """What a NIC on ``node_id`` talks to: its router if one exists,
         else its single link endpoint."""

@@ -30,7 +30,6 @@ fabric at the cost of one attribute check per send, mirroring the
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,8 +91,8 @@ class FlowState:
         self.credits = cfg.credits
         self.vcs = cfg.vcs
         self._avail = [[cfg.credits] * cfg.vcs, [cfg.credits] * cfg.vcs]
-        self._waiters = [[deque() for _ in range(cfg.vcs)],
-                         [deque() for _ in range(cfg.vcs)]]
+        self._waiters = [[[] for _ in range(cfg.vcs)],
+                         [[] for _ in range(cfg.vcs)]]
         self.stalls = [0, 0]            # sends that had to wait, per dir
         self.stall_time = [0.0, 0.0]    # total sim-time spent waiting
 
@@ -115,7 +114,7 @@ class FlowState:
         if waiters:
             # Hand the credit straight to the oldest waiter; occupancy is
             # unchanged (the slot moves from one packet to the next).
-            waiters.popleft().succeed()
+            waiters.pop(0).succeed()
             return
         self._avail[direction][vc] += 1
         if self._avail[direction][vc] > self.credits:

@@ -108,22 +108,9 @@ class Simulator:
             lambda _ev: fn())
 
     # -- running ----------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
-        if self._ready:
-            return self._now
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        if not self._heap and not self._ready:
-            raise SimulationError("step() on an empty schedule")
-        self._loop(self.peek(), [1], once=True)
-
-    def _loop(self, horizon: float, left: List[int], once: bool = False) -> None:
+    def _loop(self, horizon: float, left: List[int]) -> None:
         """Process events in (time, seq) order until ``left[0]`` is 0, the
-        schedule drains, or the next event lies past ``horizon``; with
-        ``once``, process one event.
+        schedule drains, or the next event lies past ``horizon``.
 
         The next event is the heap's top while it is due now, else the
         head of ``_ready``, else the heap's top at a later time.  That is
@@ -155,8 +142,6 @@ class Simulator:
                 self._now = now = when
             else:
                 return
-            if once:
-                left[0] = 0
             self.events_processed += 1
             event._state = PROCESSED
             callbacks = event.callbacks

@@ -2,13 +2,14 @@
 
 These model contention: a PCIe link serializing MMIO stores, an SM with a
 bounded number of resident blocks, a NIC requester accepting one descriptor
-at a time.  All wait queues are FIFO, which keeps runs deterministic.
+at a time.  All wait queues are FIFO, which keeps runs deterministic.  They
+are plain lists: a queue here holds a few entries at most, and an empty
+list costs 56 B where an empty ``deque`` preallocates a 760 B block.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Optional, TYPE_CHECKING
+from typing import Any, List, TYPE_CHECKING
 
 from ..errors import SimulationError
 from .event import Event
@@ -37,11 +38,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
+        self._waiters: List[Event] = []
 
     def acquire(self) -> Event:
         """An event that fires when a slot is granted to the caller."""
@@ -58,7 +55,7 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release() without acquire on {self.name!r}")
         if self._waiters:
-            self._waiters.popleft().succeed()
+            self._waiters.pop(0).succeed()
         else:
             self._in_use -= 1
 
@@ -71,55 +68,49 @@ class Mutex(Resource):
 
 
 class Store:
-    """An unbounded-or-bounded FIFO channel of Python objects.
+    """An unbounded FIFO channel of Python objects.
 
-    ``put`` returns an event that fires once the item is accepted (immediately
-    unless the store is bounded and full); ``get`` returns an event that fires
-    with the next item.  This is the mailbox used between pipeline stages
-    (e.g. NIC units handing descriptors to each other).
+    ``put`` returns an event that fires once the item is accepted, which is
+    at once; ``get`` returns an event that fires with the next item.  This
+    is the mailbox used between pipeline stages (e.g. NIC units handing
+    descriptors to each other).
+
+    A store never holds items and waiting getters at the same time: a put
+    hands its item to the oldest getter if one waits, and a get takes the
+    oldest item if one is buffered.  So one list holds whichever side is
+    waiting, and ``_getting`` says which.
     """
 
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None,
-                 name: str = "") -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        #: Buffered items, or the getters waiting for one, oldest first.
+        self._queue: List[Any] = []
+        self._getting = False   # whether ``_queue`` holds getters
 
     def __len__(self) -> int:
-        return len(self._items)
+        """The number of buffered items."""
+        return 0 if self._getting else len(self._queue)
 
     def put(self, item: Any) -> Event:
         ev = Event(self.sim, ("put:{}", self.name))
-        if self._getters:
-            # Hand straight to a waiting consumer.
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
+        if self._getting:
+            # Hand straight to the oldest waiting consumer.
+            queue = self._queue
+            getter = queue.pop(0)
+            if not queue:
+                self._getting = False
+            getter.succeed(item)
         else:
-            self._putters.append((ev, item))
+            self._queue.append(item)
+        ev.succeed()
         return ev
 
     def get(self) -> Event:
         ev = Event(self.sim, ("get:{}", self.name))
-        if self._items:
-            item = self._items.popleft()
-            # A blocked producer can now deposit its item.
-            if self._putters:
-                pev, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                pev.succeed()
-            ev.succeed(item)
-        elif self._putters:
-            pev, pitem = self._putters.popleft()
-            pev.succeed()
-            ev.succeed(pitem)
+        if self._getting or not self._queue:
+            self._queue.append(ev)
+            self._getting = True
         else:
-            self._getters.append(ev)
+            ev.succeed(self._queue.pop(0))
         return ev

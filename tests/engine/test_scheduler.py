@@ -56,14 +56,12 @@ def test_backoff_spins_then_doubles_to_the_cap():
     delays = [backoff.idle() for _ in range(6)]
     assert delays == [0.0, 0.0, 1e-6, 2e-6, 4e-6, 4e-6]
     assert backoff.yields == 4
-    assert backoff.misses == 6
 
 
 def test_backoff_reset_restarts_the_spin_phase():
     backoff = AdaptiveBackoff(spin_passes=1, base=1e-6, max_delay=8e-6)
     assert [backoff.idle() for _ in range(3)] == [0.0, 1e-6, 2e-6]
     backoff.reset()
-    assert backoff.misses == 0
     assert backoff.idle() == 0.0
     assert backoff.idle() == 1e-6
 

@@ -25,6 +25,12 @@ def pkt(payload=b"\xab" * 32):
     return Packet(PacketKind.RMA_PUT, 0, 1, 32, payload, seq=next(_SEQ))
 
 
+def drain(store):
+    """Every item buffered in *store*, oldest first: a ``get`` from a store
+    that holds an item succeeds at once with it."""
+    return [store.get().value for _ in range(len(store))]
+
+
 def pump(sim, a, b, count):
     """Send ``count`` packets a->b, return what landed in the receive-side
     inbox once the simulation ran dry."""
@@ -35,7 +41,7 @@ def pump(sim, a, b, count):
 
     sim.process(sender())
     sim.run()
-    return list(b.inbox._items)
+    return drain(b.inbox)
 
 
 @pytest.mark.quick
@@ -85,7 +91,7 @@ def test_corruption_delivers_detectably_bad_clones():
 
     sim.process(sender())
     sim.run()
-    [delivered] = b.inbox._items
+    [delivered] = drain(b.inbox)
     assert injector.corruptions == 1
     assert delivered.is_corrupt
     assert delivered is not original

@@ -82,14 +82,6 @@ def test_stats_accumulate_and_reset():
     assert c.stats.read_requests == 0
 
 
-def test_flush_empties_cache():
-    c = small_cache()
-    c.read(0, 64)
-    assert c.resident_sectors > 0
-    c.flush()
-    assert c.resident_sectors == 0
-
-
 def test_default_config_is_kepler_sized():
     c = Cache()
     assert c.config.size_bytes == 1536 * 1024
@@ -203,8 +195,6 @@ def test_sets_are_allocated_on_first_fill():
     assert c.invalidate(0, 4096) == 0
     c.write(32, 1)
     assert [s is not None for s in c._sets] == [False, True, False, False]
-    c.flush()
-    assert c.resident_sectors == 0 and not c.contains(32)
 
 
 def test_invalidate_range_that_wraps_past_the_last_set():

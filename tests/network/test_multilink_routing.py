@@ -177,7 +177,7 @@ def test_relay_adds_forwarding_latency():
 def test_switch_star_pure_transit_counters():
     n = 4
     sim, fabric = make_star(n)
-    switch = fabric.router(n)
+    switch = fabric.attachment(n)
     leaves = [fabric.endpoint(i, n) for i in range(n)]
     received = {i: [] for i in range(n)}
 

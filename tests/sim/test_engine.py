@@ -72,12 +72,6 @@ def test_run_until_in_the_past_rejected():
         sim.run(until=1.0)
 
 
-def test_step_on_empty_schedule_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
 def test_event_cannot_trigger_twice():
     sim = Simulator()
     ev = sim.event()

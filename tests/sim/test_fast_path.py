@@ -33,13 +33,12 @@ ACTIONS = st.lists(
     ),
     min_size=1, max_size=12)
 
-#: How the clock moves after a batch of actions: ``step`` steps up to n
-#: times, checking each against ``peek()``; ``until`` runs to ``now + dt``
-#: (``dt`` 0 included); ``complete`` runs until the j-th still pending
-#: awaitable fires, which may leave same-instant events queued; ``limit``
-#: is a ``run_until_complete`` whose limit is already behind the clock.
+#: How the clock moves after a batch of actions: ``until`` runs to
+#: ``now + dt`` (``dt`` 0 included); ``complete`` runs until the j-th still
+#: pending awaitable fires, which may leave same-instant events queued;
+#: ``limit`` is a ``run_until_complete`` whose limit is already behind the
+#: clock.
 DRIVES = st.one_of(
-    st.tuples(st.just("step"), st.integers(1, 6)),
     st.tuples(st.just("until"), st.sampled_from([0.0, 0.25])),
     st.tuples(st.just("complete"), st.integers(0, 20)),
     st.tuples(st.just("limit")),
@@ -109,15 +108,7 @@ def test_firing_order_is_time_then_scheduling_order(base, batches):
     for b, (actions, drive) in enumerate(batches):
         for i, action in enumerate(actions):
             schedule(f"b{b}a{i}", action)
-        if drive[0] == "step":
-            for _ in range(drive[1]):
-                due = sim.peek()
-                if due == float("inf"):
-                    break
-                assert due >= sim.now
-                sim.step()
-                assert sim.now == due
-        elif drive[0] == "until":
+        if drive[0] == "until":
             until = sim.now + drive[1]
             sim.run(until=until)
             assert sim.now == until
@@ -130,19 +121,7 @@ def test_firing_order_is_time_then_scheduling_order(base, batches):
                 sim.run_until_complete(pending()[0], limit=sim.now - 1.0)
             assert (sim.now, sim.events_processed, len(fired)) == before
     sim.run()
-    assert sim.peek() == float("inf")
     assert fired == [label for _t, _k, label in sorted(scheduled)]
-
-
-def test_step_processes_exactly_one_event():
-    sim = Simulator()
-    fired = []
-    for tag in "ab":
-        sim.timeout(1.0).add_callback(lambda _ev, t=tag: fired.append(t))
-    sim.step()
-    assert (fired, sim.now, sim.events_processed) == (["a"], 1.0, 1)
-    sim.step()
-    assert fired == ["a", "b"]
 
 
 def test_yielding_another_simulators_event_fails_the_process():

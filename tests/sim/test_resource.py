@@ -113,29 +113,6 @@ def test_store_is_fifo():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_bounded_store_blocks_producer():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put("a")
-        log.append(("put-a", sim.now))
-        yield store.put("b")  # blocks until consumer drains one
-        log.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(10.0)
-        item = yield store.get()
-        log.append(("got-" + item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in log
-    assert ("put-b", 10.0) in log
-
-
 def test_store_len_tracks_buffered_items():
     sim = Simulator()
     store = Store(sim)
@@ -144,3 +121,8 @@ def test_store_len_tracks_buffered_items():
     assert len(store) == 2
     store.get()
     assert len(store) == 1
+    store.get()
+    waiting = store.get()       # a waiting getter is not an item
+    assert len(store) == 0
+    store.put(3)
+    assert waiting.value == 3 and len(store) == 0

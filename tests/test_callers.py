@@ -3,7 +3,10 @@
 Every public function, method and class in ``src/repro`` must be reached
 by some code in ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``:
 the syntax tree of one of those files has to load its name, as an
-``ast.Name`` or as an ``ast.Attribute``.  Strings, docstrings, comments,
+``ast.Name`` or as an ``ast.Attribute`` for a module-level function or
+class, and as an ``ast.Attribute`` (``x.name``) for a method or
+property, which no bare name reaches: a local variable called ``queued``
+is not a caller of ``Resource.queued``.  Strings, docstrings, comments,
 ``__all__`` and import lines are not code that reaches anything.
 
 Every defaulted parameter of a public function or method (and of a
@@ -112,13 +115,15 @@ def _bare_name(node) -> str | None:
 
 
 def _scan(callers):
-    """What the *callers* trees do with names: ``(loaded, values, calls)``.
+    """What the *callers* trees do with names: ``(loaded, attrs, values,
+    calls)``.
 
     *loaded* is every name the code loads (as a variable or an attribute),
-    *values* those it loads other than as the callee of a call, and
-    *calls* maps a bare callee name to its calls' ``(positional count,
-    has *args, keyword names, has **kw)``."""
-    loaded, values, callees = set(), set(), set()
+    *attrs* those it loads as an attribute, *values* those it loads other
+    than as the callee of a call, and *calls* maps a bare callee name to
+    its calls' ``(positional count, has *args, keyword names, has
+    **kw)``."""
+    loaded, attrs, values, callees = set(), set(), set(), set()
     calls = defaultdict(list)
     for tree in callers:
         # ast.walk visits a call before its callee expression.
@@ -136,9 +141,11 @@ def _scan(callers):
                   and isinstance(node.ctx, ast.Load)):
                 name = _bare_name(node)
                 loaded.add(name)
+                if isinstance(node, ast.Attribute):
+                    attrs.add(name)
                 if id(node) not in callees:
                     values.add(name)
-    return loaded, values, calls
+    return loaded, attrs, values, calls
 
 
 def _defaulted(node, method: bool):
@@ -172,12 +179,12 @@ def _report(sources):
     each defaulted parameter no call sets."""
     library = {path: tree for path, tree in sources.items()
                if path.startswith("src/repro/")}
-    loaded, values, calls = _scan(
+    loaded, attrs, values, calls = _scan(
         tree for path, tree in sources.items()
         if path.split("/")[0] in CALLER_DIRS)
     uncalled, unset = {}, {}
     for qualname, node, owner, where in _definitions(library):
-        if node.name not in loaded:
+        if node.name not in (loaded if owner is None else attrs):
             uncalled[qualname] = where
         if isinstance(node, ast.ClassDef):
             continue
@@ -243,6 +250,16 @@ def test_prose_is_not_a_caller():
         '"""Call f() to do it."""\n# f is handy\nprint("f")\n',
         "from repro.m import f\n__all__ = ['f']\n")
     assert uncalled == {"f": "src/repro/m.py:1"}
+
+
+def test_only_an_attribute_load_reaches_a_method():
+    library = ("def f():\n    pass\n"
+               "class C:\n    def m(self):\n        pass\n"
+               "    @property\n    def p(self):\n        return 0\n")
+    uncalled, _ = _run(library, "m = p = f\nprint(m, p, C)\n")
+    assert uncalled == {"C.m": "src/repro/m.py:4", "C.p": "src/repro/m.py:7"}
+    uncalled, _ = _run(library, "f()\nc = C()\nc.m()\nprint(c.p)\n")
+    assert uncalled == {}
 
 
 def test_keyword_set_only_by_a_test_is_reported():
